@@ -31,12 +31,14 @@ from .joint import (
     Moments,
     SingleOutcomeDistribution,
     VisibilityPair,
+    admissible_visibilities,
     bloch_bound_lhs,
     check_visibility_admissible,
     distribution_moments,
     equatorial_density,
     outcome_distribution,
     povm_element,
+    povm_elements,
     state_positivity_lhs,
 )
 from .linalg import (

@@ -10,7 +10,9 @@ Subcommands map onto the check suites:
     verify   the full acceptance suite
 
 Every run produces a Report; exit status is 0 exactly when all checks pass,
-1 when any check fails, and 2 for configuration or I/O errors. All angles
+1 when any check fails, and 2 for configuration or I/O errors and for
+numerical failures (an eigensolver that hits its sweep cap, or any
+ArithmeticError), each reported as one ``error:`` line on stderr. All angles
 are radians. Reports are deterministic for a fixed configuration and seed,
 apart from the timestamp.
 """
@@ -28,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import suites
+from .linalg import ConvergenceError
 from .reporting import Report, make_timestamp, report_to_json, write_report, write_shots_csv
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
@@ -35,6 +38,11 @@ __all__ = ["RunConfig", "build_parser", "run", "main"]
 SUBCOMMANDS = ("single", "pair", "bound", "scan", "sample", "verify")
 
 OUTPUT_DIR_ENV = "JOINTLAB_OUTPUT_DIR"
+
+#: Largest ``single --grid-steps``. The POVM grid certifies 4 * steps**2 2x2
+#: matrices at ~0.6 us each (2.4 s at 1024 steps); memory is set by the
+#: grid's row block, not by the step count.
+SINGLE_GRID_STEPS_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -65,6 +73,8 @@ class RunConfig:
             raise ValueError("tolerance must be positive")
         if self.grid_steps < 8:
             raise ValueError("grid-steps must be at least 8")
+        if self.subcommand == "single" and self.grid_steps > SINGLE_GRID_STEPS_MAX:
+            raise ValueError(f"single grid-steps must be at most {SINGLE_GRID_STEPS_MAX}")
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")
         if self.n_shots < 2:
@@ -155,9 +165,15 @@ def _resolve_output(path: str) -> Path:
 
 def _load_state_file(path: str) -> np.ndarray:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    arr = np.asarray(raw, dtype=np.float64)
-    if arr.shape != (4, 4, 2):
-        raise ValueError(f"state file must hold a 4x4 matrix of [re, im] pairs, got {arr.shape}")
+    try:
+        arr = np.asarray(raw)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or arr.shape != (4, 4, 2):
+        raise ValueError(
+            "state file must hold a 4x4 matrix of numeric [re, im] pairs,"
+            f" got {arr.dtype.name} array of shape {arr.shape}"
+        )
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
@@ -211,6 +227,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if report.all_pass else 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ConvergenceError, ArithmeticError) as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 2
 
 

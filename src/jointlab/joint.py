@@ -31,6 +31,8 @@ __all__ = [
     "SingleOutcomeDistribution",
     "Moments",
     "povm_element",
+    "povm_elements",
+    "admissible_visibilities",
     "equatorial_density",
     "outcome_distribution",
     "distribution_moments",
@@ -84,7 +86,7 @@ class VisibilityPair:
             object.__setattr__(self, name, value)
 
     def is_admissible(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.v_x**2 + self.v_y**2 <= 1.0 + tol
+        return admissible_visibilities(self.v_x, self.v_y, tol)
 
 
 @dataclass(frozen=True)
@@ -149,6 +151,20 @@ class Moments:
     mean_xy: float
 
 
+def admissible_visibilities(v_x, v_y, tol: float = DEFAULT_TOL):
+    """Uncertainty relation v_x**2 + v_y**2 <= 1 (+ tol), elementwise on arrays."""
+    return v_x**2 + v_y**2 <= 1.0 + tol
+
+
+def _povm_off_diagonal(x, y, v_x, v_y):
+    """Entry (0, 1) of E(x, y), for Python scalars or broadcast arrays alike."""
+    return 0.25 * (x * v_x - 1j * y * v_y)
+
+
+_OUTCOME_X = np.array([x for x, _ in OUTCOMES], dtype=np.float64)
+_OUTCOME_Y = np.array([y for _, y in OUTCOMES], dtype=np.float64)
+
+
 def povm_element(v: VisibilityPair, outcome: OutcomeLabel) -> np.ndarray:
     """POVM element E(x, y) = (1/4)(I + x v_x X + y v_y Y) as a 2x2 array.
 
@@ -156,8 +172,32 @@ def povm_element(v: VisibilityPair, outcome: OutcomeLabel) -> np.ndarray:
     reproduces ``outcome_distribution`` for every state rho.
     """
     x, y = _validate_outcome(outcome)
-    off = 0.25 * (x * v.v_x - 1j * y * v.v_y)
+    off = _povm_off_diagonal(x, y, v.v_x, v.v_y)
     return np.array([[0.25, off], [off.conjugate(), 0.25]])
+
+
+def povm_elements(v_x, v_y) -> np.ndarray:
+    """All four POVM elements for every visibility pair of two broadcast arrays.
+
+    Returns a complex array of shape ``(..., 4, 2, 2)``, where ``...`` is the
+    broadcast shape of ``v_x`` and ``v_y`` and axis -3 follows ``OUTCOMES``.
+    Both builders evaluate one formula, so entry ``[..., k, :, :]`` equals
+    ``povm_element(VisibilityPair(v_x, v_y), OUTCOMES[k])`` bit for bit; only
+    a subnormal visibility can flip the sign of a zero. Visibilities must be
+    finite and in [0, 1].
+    """
+    v_x, v_y = np.broadcast_arrays(
+        np.asarray(v_x, dtype=np.float64), np.asarray(v_y, dtype=np.float64)
+    )
+    if not (np.all((v_x >= 0.0) & (v_x <= 1.0)) and np.all((v_y >= 0.0) & (v_y <= 1.0))):
+        raise ValueError("visibilities must be finite and lie in [0, 1]")
+    off = _povm_off_diagonal(_OUTCOME_X, _OUTCOME_Y, v_x[..., None], v_y[..., None])
+    out = np.empty(off.shape + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = 0.25
+    out[..., 0, 1] = off
+    out[..., 1, 0] = off.conj()
+    out[..., 1, 1] = 0.25
+    return out
 
 
 def equatorial_density(s: BlochEquatorial) -> np.ndarray:

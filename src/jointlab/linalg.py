@@ -7,6 +7,12 @@ The closed-form 2x2 eigenvalue formula is deliberately not used in
 production, so a single eigenvalue path serves both dimensions; the test
 suite keeps the closed form around as an independent oracle.
 
+The eigensolver takes a lone ``(n, n)`` matrix or a ``(..., n, n)`` stack.
+Both run the same cyclic Jacobi (same rotations, same ``(p, q)`` order, the
+same per-entry skip and sweep cap); a stack runs each rotation for all of
+its members at once in numpy, a lone matrix runs it on Python scalars,
+which for one matrix is about eight times cheaper than a stack of one.
+
 All comparisons use absolute tolerances; every quantity in this package is
 O(1) by construction.
 """
@@ -197,6 +203,89 @@ def _jacobi_sweeps(w: list[list[complex]], v: list[list[complex]] | None, tol: f
     )
 
 
+def _first_failing(ok: np.ndarray, batch_shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Stack index of the first member whose flag in ``ok`` is False."""
+    return tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), batch_shape))
+
+
+def _stack_hermitian(a, tol: float) -> np.ndarray:
+    """Copy a stack into an (N, n, n) array, validating shape, finiteness, hermiticity."""
+    m = np.array(a, dtype=np.complex128)
+    if m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
+    n = m.shape[-1]
+    w = m.reshape(-1, n, n)
+    finite = np.isfinite(w).all(axis=(1, 2))
+    if not finite.all():
+        k = _first_failing(finite, m.shape[:-2])
+        raise ValueError(f"matrix entries must be finite (stack member {k})")
+    iu, ju = np.triu_indices(n, 1)
+    hermitian = (np.abs(np.diagonal(w, axis1=1, axis2=2).imag) <= tol).all(axis=1)
+    hermitian &= (np.abs(w[:, iu, ju] - w[:, ju, iu].conj()) <= tol).all(axis=1)
+    if not hermitian.all():
+        k = _first_failing(hermitian, m.shape[:-2])
+        raise ValueError(f"matrix is not Hermitian within tolerance (stack member {k})")
+    return w
+
+
+def _rotate_stack(w: np.ndarray, p: int, q: int, tol: float) -> None:
+    """One Jacobi rotation in the (p, q) plane of every member with |w_pq| >= tol, in place."""
+    r = np.abs(w[:, p, q])
+    hit = r >= tol
+    if not hit.any():
+        return
+    partial = not hit.all()
+    m, r = (w[hit], r[hit]) if partial else (w, r)
+    phase = m[:, p, q] / r
+    tau = (m[:, q, q].real - m[:, p, p].real) / (2.0 * r)
+    t = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+    t = np.where(tau < 0.0, -t, t)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    sp = (s * phase)[:, None]
+    spc = (s * phase.conj())[:, None]
+    c = c[:, None]
+    cp, cq = m[:, :, p].copy(), m[:, :, q].copy()
+    m[:, :, p] = c * cp - spc * cq
+    m[:, :, q] = sp * cp + c * cq
+    rp, rq = m[:, p, :].copy(), m[:, q, :].copy()
+    m[:, p, :] = c * rp - sp * rq
+    m[:, q, :] = spc * rp + c * rq
+    # exact by construction; drop the rounding residue
+    m[:, p, q] = 0j
+    m[:, q, p] = 0j
+    m[:, p, p] = m[:, p, p].real
+    m[:, q, q] = m[:, q, q].real
+    if partial:
+        w[hit] = m
+
+
+def _jacobi_sweeps_stack(w: np.ndarray, tol: float) -> None:
+    """Cyclic Jacobi on an (N, n, n) stack in place.
+
+    A member leaves the sweeps once all its off-diagonal magnitudes are below
+    ``tol``, as the scalar path returns for a lone matrix.
+    """
+    iu, ju = np.triu_indices(w.shape[-1], 1)
+    if iu.size == 0:
+        return
+    live = np.arange(len(w))
+    for _sweep in range(_JACOBI_MAX_SWEEPS):
+        live = live[np.abs(w[live[:, None], iu, ju]).max(axis=1) >= tol]
+        if live.size == 0:
+            return
+        sub = w if live.size == len(w) else w[live]
+        for p, q in zip(iu.tolist(), ju.tolist()):
+            _rotate_stack(sub, p, q, tol)
+        if sub is not w:
+            w[live] = sub
+    off = float(np.abs(w[live[:, None], iu, ju]).max())
+    raise ConvergenceError(
+        f"no convergence after {_JACOBI_MAX_SWEEPS} sweeps; off-diagonal residual {off:.3e}"
+        f" ({live.size} of {len(w)} stack members)"
+    )
+
+
 def hermitian_eigensystem(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
 
@@ -220,13 +309,31 @@ def hermitian_eigensystem(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.n
     return values, vectors
 
 
-def hermitian_eigenvalues(a, tol: float = DEFAULT_TOL) -> Spectrum:
-    """Eigenvalues of a Hermitian matrix (ascending), via the Jacobi path."""
+def hermitian_eigenvalues(a, tol: float = DEFAULT_TOL) -> Spectrum | np.ndarray:
+    """Eigenvalues of a Hermitian matrix (ascending), via the Jacobi path.
+
+    A lone ``(n, n)`` matrix gives a ``Spectrum``. A ``(..., n, n)`` stack
+    gives a real array of shape ``(..., n)``, ascending along the last axis;
+    every member must be Hermitian within ``tol``, and ConvergenceError is
+    raised if any member hits the sweep cap.
+    """
+    if np.ndim(a) > 2:
+        m = np.asarray(a)
+        w = _stack_hermitian(m, tol)
+        _jacobi_sweeps_stack(w, tol)
+        eigs = np.sort(np.diagonal(w, axis1=1, axis2=2).real, axis=1)
+        return eigs.reshape(m.shape[:-1])
     w = _scalar_hermitian(a, tol)
     _jacobi_sweeps(w, None, tol)
     return Spectrum(tuple(sorted(w[i][i].real for i in range(len(w)))))
 
 
-def is_positive_semidefinite(a, tol: float = PSD_TOL) -> bool:
-    """True when the smallest eigenvalue is >= -tol. Input must be Hermitian."""
-    return hermitian_eigenvalues(a).min >= -tol
+def is_positive_semidefinite(a, tol: float = PSD_TOL) -> bool | np.ndarray:
+    """True when the smallest eigenvalue is >= -tol. Input must be Hermitian.
+
+    For a ``(..., n, n)`` stack, a boolean array of shape ``(...)``.
+    """
+    eigs = hermitian_eigenvalues(a)
+    if isinstance(eigs, Spectrum):
+        return eigs.min >= -tol
+    return eigs[..., 0] >= -tol

@@ -28,10 +28,10 @@ from .joint import (
     OUTCOMES,
     BlochEquatorial,
     VisibilityPair,
-    check_visibility_admissible,
+    admissible_visibilities,
     distribution_moments,
     outcome_distribution,
-    povm_element,
+    povm_elements,
 )
 from .linalg import is_positive_semidefinite
 from .pairs import (
@@ -141,18 +141,26 @@ class CriterionResult:
 # 1. visibility admissibility vs POVM positivity
 # ---------------------------------------------------------------------------
 
+#: Grid rows certified per eigensolver call. Memory is set by this block,
+#: 4 * POVM_GRID_BLOCK_ROWS * grid_steps matrices, not by the whole grid.
+POVM_GRID_BLOCK_ROWS = 8
+
+
 def povm_grid_mismatches(grid_steps: int = 101, tol: float = 1e-10) -> int:
-    """Count grid points where the uncertainty relation and PSD checks disagree."""
+    """Count grid points where the uncertainty relation and PSD checks disagree.
+
+    The unit grid of visibilities is walked ``POVM_GRID_BLOCK_ROWS`` rows at
+    a time; all four POVM elements of every point in a block are certified by
+    one batched Jacobi call.
+    """
     values = np.linspace(0.0, 1.0, grid_steps)
     mismatches = 0
-    for vx in values:
-        v_row = float(vx)
-        for vy in values:
-            v = VisibilityPair(v_row, float(vy))
-            admissible = check_visibility_admissible(v, tol)
-            psd = all(is_positive_semidefinite(povm_element(v, o), tol) for o in OUTCOMES)
-            if admissible != psd:
-                mismatches += 1
+    for start in range(0, grid_steps, POVM_GRID_BLOCK_ROWS):
+        v_x = values[start : start + POVM_GRID_BLOCK_ROWS, None]
+        v_y = values[None, :]
+        admissible = admissible_visibilities(v_x, v_y, tol)
+        psd = is_positive_semidefinite(povm_elements(v_x, v_y), tol).all(axis=-1)
+        mismatches += int(np.count_nonzero(admissible != psd))
     return mismatches
 
 

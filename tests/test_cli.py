@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from jointlab.cli import RunConfig, main
+from jointlab import linalg, suites
+from jointlab.cli import SINGLE_GRID_STEPS_MAX, RunConfig, main
 from jointlab.pairs import BellFamilyState
 from jointlab.reporting import dumps_json
 
@@ -33,6 +34,13 @@ class TestConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RunConfig("single", **kwargs)
+
+    def test_single_grid_steps_capped(self):
+        with pytest.raises(ValueError, match="at most"):
+            RunConfig("single", grid_steps=SINGLE_GRID_STEPS_MAX + 1)
+
+    def test_zero_prob_curve_not_capped_by_single_cap(self):
+        RunConfig("scan", grid_steps=10001, what="zero-prob-curve")
 
 
 class TestSubcommands:
@@ -169,6 +177,38 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps([[1, 2], [3, 4]]))
         assert main(["bound", "--state", "file", "--state-file", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "payload", [{"a": 1}, "rho", [[1, 2], [3]], [[[0.5, {"im": 0}]]], [[["1", "0"]]]]
+    )
+    def test_non_array_state_file(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["bound", "--state", "file", "--state-file", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: state file must hold") and err.count("\n") == 1
+
+    def test_grid_steps_above_single_cap(self, capsys):
+        assert main(["single", "--grid-steps", str(SINGLE_GRID_STEPS_MAX + 1)]) == 2
+        assert "grid-steps" in capsys.readouterr().err
+
+    def test_convergence_failure_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
+        out = tmp_path / "report.json"
+        assert main(["single", "--grid-steps", "8", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure: no convergence") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_arithmetic_error_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        def divide_by_zero(*args, **kwargs):
+            return 1.0 / 0.0
+
+        monkeypatch.setattr(suites, "run_bound_suite", divide_by_zero)
+        out = tmp_path / "report.json"
+        assert main(["bound", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: numerical failure: float division by zero\n"
+        assert not out.exists()
 
 
 class TestOutputHandling:

@@ -16,6 +16,7 @@ from jointlab.joint import (
     equatorial_density,
     outcome_distribution,
     povm_element,
+    povm_elements,
     state_positivity_lhs,
 )
 from jointlab.linalg import hermitian_eigenvalues, is_positive_semidefinite
@@ -191,3 +192,41 @@ class TestBounds:
     def test_bloch_bound_values(self):
         assert bloch_bound_lhs(BlochEquatorial(INV_SQRT2, INV_SQRT2)) == pytest.approx(1.0)
         assert bloch_bound_lhs(BlochEquatorial(0.0, 0.0)) == 0.0
+
+
+class TestStackedPovm:
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0, allow_subnormal=False),
+                st.floats(0.0, 1.0, allow_subnormal=False),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_equals_povm_element_bit_for_bit(self, pairs):
+        v_x = np.array([a for a, _ in pairs])
+        v_y = np.array([b for _, b in pairs])
+        stack = povm_elements(v_x, v_y)
+        assert stack.shape == (len(pairs), 4, 2, 2)
+        for (a, b), elements in zip(pairs, stack):
+            v = VisibilityPair(a, b)
+            for o, e in zip(OUTCOMES, elements):
+                assert e.tobytes() == povm_element(v, o).tobytes()
+
+    def test_broadcast_grid_with_edges(self):
+        values = np.linspace(0.0, 1.0, 9)
+        stack = povm_elements(values[:, None], values[None, :])
+        assert stack.shape == (9, 9, 4, 2, 2)
+        for i, a in enumerate(values):
+            for j, b in enumerate(values):
+                v = VisibilityPair(float(a), float(b))
+                for k, o in enumerate(OUTCOMES):
+                    assert stack[i, j, k].tobytes() == povm_element(v, o).tobytes()
+
+    @pytest.mark.parametrize("vx", [-0.1, 1.5, math.nan])
+    def test_out_of_box_visibility_rejected(self, vx):
+        with pytest.raises(ValueError):
+            povm_elements(np.array([0.5, vx]), 0.5)
+

@@ -172,3 +172,80 @@ class TestPositivity:
         assert not is_hermitian(np.array([[0, 1], [0.5, 0]]))
         assert is_unit_trace(np.eye(4) / 4)
         assert not is_unit_trace(np.eye(4))
+
+
+def ginibre_hermitian_stack(rng, shape, n):
+    g = rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
+    return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
+
+
+class TestStackedEigenvalues:
+    """The batched path on (..., n, n) stacks, against independent references."""
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=100)
+    def test_2x2_stack_matches_closed_form(self, entries):
+        stack = np.array([[[a, br + 1j * bi], [br - 1j * bi, d]] for a, d, br, bi in entries])
+        eigs = hermitian_eigenvalues(stack)
+        assert eigs.shape == (len(entries), 2)
+        for m, w in zip(stack, eigs):
+            assert tuple(w) == pytest.approx(eig2_closed_form(m), abs=1e-12)
+
+    def test_ginibre_4x4_stack_matches_scalar_path_and_eigvalsh(self):
+        stack = ginibre_hermitian_stack(np.random.default_rng(11), (25, 20), 4)
+        eigs = hermitian_eigenvalues(stack)
+        assert eigs.shape == (25, 20, 4)
+        scalar = np.array(
+            [[hermitian_eigenvalues(m).eigenvalues for m in row] for row in stack]
+        )
+        assert np.abs(eigs - scalar).max() < 1e-12
+        # numpy's LAPACK solver as a test-only oracle
+        assert np.abs(eigs - np.linalg.eigvalsh(stack)).max() < 1e-12
+
+    def test_stack_positivity_matches_scalar_path(self):
+        rng = np.random.default_rng(5)
+        stack = ginibre_hermitian_stack(rng, (200,), 4) + 2.0 * np.eye(4)
+        flags = is_positive_semidefinite(stack)
+        assert flags.shape == (200,) and flags.any() and not flags.all()
+        assert flags.tolist() == [is_positive_semidefinite(m) for m in stack]
+
+    def test_lone_matrix_keeps_spectrum_result(self):
+        assert isinstance(hermitian_eigenvalues(np.eye(2)), Spectrum)
+        assert hermitian_eigenvalues(np.eye(2)[None]).tolist() == [[1.0, 1.0]]
+
+    def test_empty_stack(self):
+        assert hermitian_eigenvalues(np.zeros((0, 4, 4))).shape == (0, 4)
+
+    def test_non_hermitian_member_rejected(self):
+        stack = np.stack([np.eye(2)] * 5).astype(complex)
+        stack[3, 0, 1] = 1e-6
+        with pytest.raises(ValueError, match=r"not Hermitian.*\(3,\)"):
+            hermitian_eigenvalues(stack)
+        stack[3, 0, 1] = 0.0
+        stack[1, 1, 1] = 1j * 1e-6
+        with pytest.raises(ValueError, match=r"not Hermitian.*\(1,\)"):
+            is_positive_semidefinite(stack)
+
+    def test_non_finite_member_rejected(self):
+        stack = np.stack([np.eye(4)] * 6).astype(complex).reshape(2, 3, 4, 4)
+        stack[1, 2, 0, 3] = np.inf
+        with pytest.raises(ValueError, match=r"finite.*\(1, 2\)"):
+            hermitian_eigenvalues(stack)
+
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            hermitian_eigenvalues(np.zeros((3, 2, 4)))
+
+    def test_sweep_cap_raises_on_stack(self, monkeypatch):
+        import jointlab.linalg as linalg
+
+        stack = ginibre_hermitian_stack(np.random.default_rng(3), (10,), 4)
+        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 2)
+        with pytest.raises(linalg.ConvergenceError, match="residual"):
+            hermitian_eigenvalues(stack)
