@@ -18,6 +18,7 @@ from .bounds import (
     bound_report,
     chsh_value,
     coherence_bound_lhs,
+    coherence_from_matrices,
     outcome_bound_lhs,
     selected_outcome,
     signed_visibilities,
@@ -26,6 +27,7 @@ from .bounds import (
     tight_bound_lhs,
 )
 from .joint import (
+    FACTOR_SIGNS,
     OUTCOMES,
     BlochEquatorial,
     Moments,
@@ -37,6 +39,7 @@ from .joint import (
     distribution_moments,
     equatorial_density,
     outcome_distribution,
+    outcome_probabilities,
     povm_element,
     povm_elements,
     state_positivity_lhs,
@@ -56,18 +59,27 @@ from .linalg import (
 )
 from .pairs import (
     PAIR_OUTCOMES,
+    PAULI_PAIRS,
     BellFamilyState,
     CorrelationVector,
     DensityOperator4,
     LocalMeans,
     PairOutcomeDistribution,
     bell_family_correlations,
+    correlation_components,
+    correlation_moments,
     correlations_of_state,
+    local_mean_components,
     local_means_of_state,
+    moment_signs,
     pair_distribution_formula,
     pair_distribution_trace,
+    pair_marginals,
     pair_moment,
+    pair_probabilities_formula,
+    pair_probabilities_trace,
     pure_density,
+    validate_densities,
 )
 from .sampling import (
     ChshOptimum,
@@ -86,6 +98,7 @@ from .sampling import (
     ginibre_random_mixed_state,
     haar_random_pure_state,
     max_experimental_chsh,
+    random_state_stack,
     sample_outcomes,
     zero_probability_chsh,
     zero_probability_curve_max,

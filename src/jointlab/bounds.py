@@ -37,6 +37,7 @@ __all__ = [
     "simplified_bound_lhs",
     "chsh_from_components",
     "chsh_value",
+    "coherence_from_matrices",
     "coherence_bound_lhs",
     "sup_over_angles",
     "bound_report",
@@ -191,12 +192,19 @@ def chsh_value(c: CorrelationVector) -> float:
     return float(chsh_from_components(*c.as_tuple()))
 
 
+def coherence_from_matrices(rho):
+    """|<00|rho|11>| + |<10|rho|01>| for a (..., 4, 4) stack of states."""
+    rho = np.asarray(rho)
+    return np.abs(rho[..., 0, 3]) + np.abs(rho[..., 2, 1])
+
+
 def coherence_bound_lhs(rho: DensityOperator4) -> float:
     """|<00|rho|11>| + |<10|rho|01>|; quantum states satisfy <= 1/2.
 
     Equals a quarter of the tight-bound left-hand side of the state's
     correlations, since each coherence collects one pair of correlation
-    combinations.
+    combinations. Uses Python's complex ``abs``, which can differ from
+    numpy's (``coherence_from_matrices``) in the last bit.
     """
     return float(abs(rho.mat[0, 3]) + abs(rho.mat[2, 1]))
 

@@ -44,6 +44,15 @@ OUTPUT_DIR_ENV = "JOINTLAB_OUTPUT_DIR"
 #: grid's row block, not by the step count.
 SINGLE_GRID_STEPS_MAX = 1024
 
+#: Largest ``scan --what zero-prob-curve --grid-steps``. The curve table costs
+#: ~10 us and ~0.5 KiB of RSS per step (about 1 s and 50 MiB at the cap);
+#: beyond ~31,400 steps only the table grows, the refined optimum does not.
+ZERO_PROB_CURVE_STEPS_MAX = 100_001
+
+#: Largest ``sample --n-shots``. With ``--shots-output`` a shot costs ~2.5 us
+#: and ~125 B of RSS (about 5 s and 250 MiB at the cap).
+N_SHOTS_MAX = 2_000_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -75,10 +84,14 @@ class RunConfig:
             raise ValueError("grid-steps must be at least 8")
         if self.subcommand == "single" and self.grid_steps > SINGLE_GRID_STEPS_MAX:
             raise ValueError(f"single grid-steps must be at most {SINGLE_GRID_STEPS_MAX}")
+        if self.what == "zero-prob-curve" and self.grid_steps > ZERO_PROB_CURVE_STEPS_MAX:
+            raise ValueError(
+                f"zero-prob-curve grid-steps must be at most {ZERO_PROB_CURVE_STEPS_MAX}"
+            )
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")
-        if self.n_shots < 2:
-            raise ValueError("n-shots must be at least 2")
+        if not 2 <= self.n_shots <= N_SHOTS_MAX:
+            raise ValueError(f"n-shots must lie in [2, {N_SHOTS_MAX}]")
 
     def echo(self) -> dict:
         out = {}
@@ -174,6 +187,8 @@ def _load_state_file(path: str) -> np.ndarray:
             "state file must hold a 4x4 matrix of numeric [re, im] pairs,"
             f" got {arr.dtype.name} array of shape {arr.shape}"
         )
+    if not np.isfinite(arr).all():
+        raise ValueError("state file entries must be finite")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 

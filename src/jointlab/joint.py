@@ -26,6 +26,7 @@ from .linalg import DEFAULT_TOL
 __all__ = [
     "OUTCOMES",
     "OutcomeLabel",
+    "FACTOR_SIGNS",
     "VisibilityPair",
     "BlochEquatorial",
     "SingleOutcomeDistribution",
@@ -34,6 +35,7 @@ __all__ = [
     "povm_elements",
     "admissible_visibilities",
     "equatorial_density",
+    "outcome_probabilities",
     "outcome_distribution",
     "distribution_moments",
     "state_positivity_lhs",
@@ -164,6 +166,17 @@ def _povm_off_diagonal(x, y, v_x, v_y):
 _OUTCOME_X = np.array([x for x, _ in OUTCOMES], dtype=np.float64)
 _OUTCOME_Y = np.array([y for _, y in OUTCOMES], dtype=np.float64)
 
+#: Value of each outcome function f(x, y) that a moment can select on one
+#: side ("one", "x", "y", "xy"), on the four outcomes in ``OUTCOMES`` order.
+FACTOR_SIGNS: Mapping[str, np.ndarray] = {
+    "one": np.ones(4),
+    "x": _OUTCOME_X,
+    "y": _OUTCOME_Y,
+    "xy": _OUTCOME_X * _OUTCOME_Y,
+}
+for _signs in FACTOR_SIGNS.values():
+    _signs.setflags(write=False)
+
 
 def povm_element(v: VisibilityPair, outcome: OutcomeLabel) -> np.ndarray:
     """POVM element E(x, y) = (1/4)(I + x v_x X + y v_y Y) as a 2x2 array.
@@ -206,6 +219,23 @@ def equatorial_density(s: BlochEquatorial) -> np.ndarray:
     return np.array([[0.5, off], [off.conjugate(), 0.5]])
 
 
+def _outcome_probability(x, y, a, b):
+    """P(x, y) for a = v_x ex and b = v_y ey, for Python scalars or broadcast arrays alike."""
+    return 0.25 * (1.0 + x * a + y * b)
+
+
+def outcome_probabilities(v_x, v_y, ex, ey) -> np.ndarray:
+    """P(x, y) = (1/4)(1 + x v_x ex + y v_y ey) for broadcast arrays, shape ``(..., 4)``.
+
+    Axis -1 follows ``OUTCOMES``; entry ``[..., k]`` equals the probability
+    ``outcome_distribution`` gives for ``OUTCOMES[k]`` bit for bit. No range
+    checks: inputs outside the physical sets give the hypothetical values.
+    """
+    a = np.asarray(v_x * ex, dtype=np.float64)[..., None]
+    b = np.asarray(v_y * ey, dtype=np.float64)[..., None]
+    return _outcome_probability(_OUTCOME_X, _OUTCOME_Y, a, b)
+
+
 def outcome_distribution(v: VisibilityPair, s: BlochEquatorial) -> SingleOutcomeDistribution:
     """Joint outcome distribution P(x, y) = (1/4)(1 + x v_x ex + y v_y ey).
 
@@ -214,7 +244,7 @@ def outcome_distribution(v: VisibilityPair, s: BlochEquatorial) -> SingleOutcome
     """
     a = v.v_x * s.ex
     b = v.v_y * s.ey
-    probs = {(x, y): 0.25 * (1.0 + x * a + y * b) for x, y in OUTCOMES}
+    probs = {(x, y): _outcome_probability(x, y, a, b) for x, y in OUTCOMES}
     hypothetical = not (v.is_admissible() and s.is_physical())
     return SingleOutcomeDistribution(probs, hypothetical)
 

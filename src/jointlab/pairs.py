@@ -11,6 +11,11 @@ distribution is the closed form
 
 implemented both directly (``pair_distribution_formula``) and through the
 general trace path valid for arbitrary states (``pair_distribution_trace``).
+
+Every formula is defined once, on stacks: states are ``(..., 4, 4)`` arrays,
+visibility pairs ``(..., 2)`` arrays ``(v_x, v_y)`` and distributions
+``(..., 16)`` arrays in ``PAIR_OUTCOMES`` order. The dataclasses and the
+functions taking them are thin wrappers over those kernels for one state.
 """
 
 from __future__ import annotations
@@ -18,26 +23,41 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .joint import OUTCOMES, VisibilityPair, povm_element
-from .linalg import is_hermitian, is_positive_semidefinite, pauli, tensor_product
+from .joint import (
+    FACTOR_SIGNS,
+    NEGATIVE_PROB_TOL,
+    OUTCOMES,
+    VisibilityPair,
+    admissible_visibilities,
+    povm_elements,
+)
+from .linalg import is_positive_semidefinite, pauli
 
 __all__ = [
     "PAIR_OUTCOMES",
     "PairOutcomeLabel",
     "MomentSpec",
-    "MOMENT_FACTORS",
+    "PAULI_PAIRS",
     "DensityOperator4",
     "CorrelationVector",
     "PairOutcomeDistribution",
     "LocalMeans",
     "BellFamilyState",
+    "validate_densities",
     "pure_density",
+    "correlation_components",
+    "local_mean_components",
     "correlations_of_state",
     "local_means_of_state",
+    "pair_probabilities_trace",
+    "correlation_moments",
+    "pair_probabilities_formula",
+    "pair_marginals",
+    "moment_signs",
     "pair_distribution_trace",
     "pair_distribution_formula",
     "pair_moment",
@@ -46,43 +66,77 @@ __all__ = [
 
 PairOutcomeLabel = tuple[int, int, int, int]
 
-#: All 16 outcomes (x_a, y_a, x_b, y_b), +1 before -1 in each slot.
+#: All 16 outcomes (x_a, y_a, x_b, y_b), +1 before -1 in each slot; outcome
+#: ``(*OUTCOMES[i], *OUTCOMES[j])`` sits at index ``4 * i + j``.
 PAIR_OUTCOMES: tuple[PairOutcomeLabel, ...] = tuple(product((1, -1), repeat=4))
 
 MomentSpec = tuple[str, str]
 
-#: Outcome functions selectable on each side of a pair moment.
-MOMENT_FACTORS: Mapping[str, Callable[[int, int], float]] = {
-    "one": lambda x, y: 1.0,
-    "x": lambda x, y: float(x),
-    "y": lambda x, y: float(y),
-    "xy": lambda x, y: float(x * y),
+#: f_a(x_a, y_a) * f_b(x_b, y_b) over ``PAIR_OUTCOMES`` for every moment spec.
+_MOMENT_SIGNS = {
+    (fa, fb): np.outer(FACTOR_SIGNS[fa], FACTOR_SIGNS[fb]).ravel()
+    for fa in FACTOR_SIGNS
+    for fb in FACTOR_SIGNS
 }
 
-_X = pauli("X")
-_Y = pauli("Y")
-_I = pauli("I")
-_XX = tensor_product(_X, _X)
-_XY = tensor_product(_X, _Y)
-_YX = tensor_product(_Y, _X)
-_YY = tensor_product(_Y, _Y)
-_XI = tensor_product(_X, _I)
-_YI = tensor_product(_Y, _I)
-_IX = tensor_product(_I, _X)
-_IY = tensor_product(_I, _Y)
-for _m in (_XX, _XY, _YX, _YY, _XI, _YI, _IX, _IY):
-    _m.setflags(write=False)
+#: Outcome signs of the four correlation terms of the closed form, (16, 4).
+_CORRELATION_SIGNS = np.stack(
+    [_MOMENT_SIGNS[spec] for spec in (("x", "x"), ("x", "y"), ("y", "x"), ("y", "y"))], axis=-1
+)
+
+#: P tensor Q, basis order |00>, |01>, |10>, |11>: the correlation operators
+#: XX, XY, YX, YY (rows 0-3), then the local operators XI, YI, IX, IY (rows 4-7).
+PAULI_PAIRS = np.stack(
+    [np.kron(pauli(p), pauli(q)) for p, q in ("XX", "XY", "YX", "YY", "XI", "YI", "IX", "IY")]
+)
+
+for _table in (*_MOMENT_SIGNS.values(), _CORRELATION_SIGNS, PAULI_PAIRS):
+    _table.setflags(write=False)
 
 _IMAG_TOL = 1e-12
+_SUM_TOL = 1e-12
+
+
+def _first_bad(bad: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first set flag in ``bad`` (``()`` for a lone flag), or None."""
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+
+
+def _member(index: tuple[int, ...]) -> str:
+    return f" (stack member {index[0] if len(index) == 1 else index})" if index else ""
+
+
+def _real(values: np.ndarray, what: str) -> np.ndarray:
+    """Real part of ``values``, refusing any entry with |imag| above 1e-12."""
+    k = _first_bad(np.abs(values.imag) > _IMAG_TOL)
+    if k is not None:
+        raise ValueError(f"{what} has imaginary part {values.imag[k]:.3e}")
+    return values.real
+
+
+def _check_pair_probabilities(probs: np.ndarray, hypothetical: np.ndarray) -> None:
+    """Each member sums to one; negative entries only in hypothetical members."""
+    total = probs.sum(axis=-1)
+    bad_sum = np.abs(total - 1.0) > _SUM_TOL
+    bad_sign = ~hypothetical & (probs.min(axis=-1) < -NEGATIVE_PROB_TOL)
+    if not (bad_sum | bad_sign).any():
+        return
+    k = _first_bad(bad_sum)
+    if k is not None:
+        raise ValueError(f"probabilities must sum to 1, got {float(total[k])!r}{_member(k)}")
+    k = _first_bad(bad_sign)
+    raise ValueError(f"negative probability in a distribution not flagged hypothetical{_member(k)}")
 
 
 @dataclass(frozen=True)
 class DensityOperator4:
     """A validated two-qubit density operator.
 
-    Construction enforces hermiticity and unit trace within 1e-12 and
-    positive semidefiniteness within 1e-10 (certified by the Jacobi
-    eigensolver); the stored matrix is a read-only copy.
+    Construction runs ``validate_densities``: hermiticity and unit trace
+    within 1e-12, positive semidefiniteness within 1e-10 (certified by the
+    Jacobi eigensolver); the stored matrix is a read-only copy.
     """
 
     mat: np.ndarray
@@ -92,22 +146,41 @@ class DensityOperator4:
     PSD_TOL = 1e-10
 
     def __post_init__(self):
-        m = np.array(self.mat, dtype=np.complex128)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("density matrix entries must be finite")
-        if not is_hermitian(m, self.HERMITICITY_TOL):
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m) - 1.0) > self.TRACE_TOL:
-            raise ValueError(f"density matrix trace is {np.trace(m)!r}, expected 1")
-        if not is_positive_semidefinite(m, self.PSD_TOL):
-            raise ValueError("density matrix is not positive semidefinite")
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "mat", validate_densities(self.mat))
 
     def purity(self) -> float:
         return float(np.einsum("ij,ji->", self.mat, self.mat).real)
+
+
+def validate_densities(a) -> np.ndarray:
+    """Certify a density operator ``(4, 4)`` or a stack ``(n, 4, 4)``; return a read-only copy.
+
+    Every member must have finite entries, be Hermitian and have unit trace
+    within the ``DensityOperator4`` tolerances, and be positive semidefinite
+    within 1e-10. Positivity is certified by one ``is_positive_semidefinite``
+    call, which runs the scalar Jacobi path for a lone matrix and the stacked
+    one for a stack. A failing stack raises ValueError naming its first bad
+    member.
+    """
+    m = np.array(a, dtype=np.complex128)
+    if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {m.shape}")
+    k = _first_bad(~np.isfinite(m).all(axis=(-2, -1)))
+    if k is not None:
+        raise ValueError(f"density matrix entries must be finite{_member(k)}")
+    asymmetry = np.abs(m - m.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+    k = _first_bad(asymmetry > DensityOperator4.HERMITICITY_TOL)
+    if k is not None:
+        raise ValueError(f"density matrix is not Hermitian{_member(k)}")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    k = _first_bad(np.abs(tr - 1.0) > DensityOperator4.TRACE_TOL)
+    if k is not None:
+        raise ValueError(f"density matrix trace is {tr[k]!r}, expected 1{_member(k)}")
+    k = _first_bad(~np.asarray(is_positive_semidefinite(m, DensityOperator4.PSD_TOL)))
+    if k is not None:
+        raise ValueError(f"density matrix is not positive semidefinite{_member(k)}")
+    m.setflags(write=False)
+    return m
 
 
 def pure_density(ket: np.ndarray) -> DensityOperator4:
@@ -164,31 +237,27 @@ class PairOutcomeDistribution:
         if len(self.probs) != len(PAIR_OUTCOMES):
             raise ValueError("distribution must have exactly sixteen entries")
         probs = {o: float(self.probs[o]) for o in PAIR_OUTCOMES}
-        total = math.fsum(probs.values())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
-        if not self.hypothetical and min(probs.values()) < -1e-12:
-            raise ValueError("negative probability in a distribution not flagged hypothetical")
+        _check_pair_probabilities(
+            np.fromiter(probs.values(), np.float64, len(probs)), np.bool_(self.hypothetical)
+        )
         object.__setattr__(self, "probs", probs)
 
     def __getitem__(self, outcome: PairOutcomeLabel) -> float:
         return self.probs[tuple(outcome)]
+
+    def as_array(self) -> np.ndarray:
+        """The 16 probabilities in ``PAIR_OUTCOMES`` order."""
+        return np.fromiter(self.probs.values(), np.float64, len(PAIR_OUTCOMES))
 
     def min_probability(self) -> float:
         return min(self.probs.values())
 
     def marginal_a(self) -> dict[tuple[int, int], float]:
         """Distribution of (x_a, y_a) after summing out B's outcomes."""
-        out = {o: 0.0 for o in OUTCOMES}
-        for (xa, ya, xb, yb), p in self.probs.items():
-            out[(xa, ya)] += p
-        return out
+        return dict(zip(OUTCOMES, pair_marginals(self.as_array())[0].tolist()))
 
     def marginal_b(self) -> dict[tuple[int, int], float]:
-        out = {o: 0.0 for o in OUTCOMES}
-        for (xa, ya, xb, yb), p in self.probs.items():
-            out[(xb, yb)] += p
-        return out
+        return dict(zip(OUTCOMES, pair_marginals(self.as_array())[1].tolist()))
 
 
 @dataclass(frozen=True)
@@ -215,31 +284,102 @@ def _finite_angle(value: float) -> float:
     return value
 
 
-def _real_expectation(rho: DensityOperator4, op: np.ndarray) -> float:
-    val = complex(np.einsum("ij,ji->", rho.mat, op))
-    if abs(val.imag) > _IMAG_TOL:
-        raise ValueError(f"expectation value has imaginary part {val.imag:.3e}")
-    return val.real
+def correlation_components(rho) -> np.ndarray:
+    """Correlations Re tr(rho (P tensor Q)) for P, Q in {X, Y}: ``(..., 4)`` for ``(..., 4, 4)``.
+
+    Columns are (c_xx, c_xy, c_yx, c_yy); an imaginary part above 1e-12
+    raises ValueError.
+    """
+    return _real(np.einsum("...ij,kji->...k", rho, PAULI_PAIRS[:4]), "expectation value")
+
+
+def local_mean_components(rho) -> np.ndarray:
+    """Local means (<X_A>, <Y_A>, <X_B>, <Y_B>): ``(..., 4)`` for ``(..., 4, 4)``."""
+    return _real(np.einsum("...ij,kji->...k", rho, PAULI_PAIRS[4:]), "expectation value")
 
 
 def correlations_of_state(rho: DensityOperator4) -> CorrelationVector:
     """Correlations Re tr(rho (P tensor Q)) for P, Q in {X, Y}."""
-    return CorrelationVector(
-        _real_expectation(rho, _XX),
-        _real_expectation(rho, _XY),
-        _real_expectation(rho, _YX),
-        _real_expectation(rho, _YY),
-    )
+    return CorrelationVector(*correlation_components(rho.mat).tolist())
 
 
 def local_means_of_state(rho: DensityOperator4) -> LocalMeans:
     """Single-qubit X and Y means of both subsystems."""
-    return LocalMeans(
-        _real_expectation(rho, _XI),
-        _real_expectation(rho, _YI),
-        _real_expectation(rho, _IX),
-        _real_expectation(rho, _IY),
+    return LocalMeans(*local_mean_components(rho.mat).tolist())
+
+
+def pair_probabilities_trace(rho, va, vb) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome probabilities tr(rho (E_A tensor E_B)) of any states, batched.
+
+    ``rho`` is ``(..., 4, 4)``; ``va`` and ``vb`` are ``(..., 2)`` visibility
+    pairs (v_x, v_y), each in [0, 1], broadcast against the states. Returns
+    the ``(..., 16)`` probabilities in ``PAIR_OUTCOMES`` order and the
+    ``(...)`` hypothetical flags, set where either pair is inadmissible.
+    Every entry must be real within 1e-12 and every member must pass the
+    ``PairOutcomeDistribution`` checks, or ValueError is raised.
+    """
+    rho = np.asarray(rho)
+    va = np.asarray(va, dtype=np.float64)
+    vb = np.asarray(vb, dtype=np.float64)
+    e_a = povm_elements(va[..., 0], va[..., 1])
+    e_b = povm_elements(vb[..., 0], vb[..., 1])
+    # rho[(a, c), (b, d)] with a, b on qubit A and c, d on qubit B
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    values = np.einsum("...acbd,...iba,...jdc->...ij", r, e_a, e_b)
+    probs = _real(values.reshape(values.shape[:-2] + (16,)), "probability")
+    admissible = admissible_visibilities(va[..., 0], va[..., 1]) & admissible_visibilities(
+        vb[..., 0], vb[..., 1]
     )
+    hypothetical = np.broadcast_to(~admissible, probs.shape[:-1])
+    _check_pair_probabilities(probs, hypothetical)
+    return probs, hypothetical
+
+
+def correlation_moments(c, va, vb) -> np.ndarray:
+    """The surviving correlation moments <m_a n_b> = v_m(A) v_n(B) c_mn, batched.
+
+    ``c`` is ``(..., 4)`` correlations (c_xx, c_xy, c_yx, c_yy) and ``va``,
+    ``vb`` are ``(..., 2)`` visibility pairs; the result is ``(..., 4)`` in
+    the order of ``c``.
+    """
+    va = np.asarray(va, dtype=np.float64)
+    vb = np.asarray(vb, dtype=np.float64)
+    return va[..., [0, 0, 1, 1]] * vb[..., [0, 1, 0, 1]] * np.asarray(c, dtype=np.float64)
+
+
+def pair_probabilities_formula(c, va, vb) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form probabilities for states whose local means all vanish, batched.
+
+    ``c`` is ``(..., 4)`` correlations (c_xx, c_xy, c_yx, c_yy); ``va`` and
+    ``vb`` are ``(..., 2)`` visibility pairs. The sign in front of each
+    correlation term is the product of the corresponding outcome values.
+    Correlation vectors beyond the quantum set are accepted; a member is
+    flagged hypothetical when any entry drops below -1e-12.
+    """
+    terms = _CORRELATION_SIGNS * correlation_moments(c, va, vb)[..., None, :]
+    probs = (1.0 / 16.0) * (1.0 + terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3])
+    hypothetical = probs.min(axis=-1) < -NEGATIVE_PROB_TOL
+    _check_pair_probabilities(probs, hypothetical)
+    return probs, hypothetical
+
+
+def pair_marginals(probs) -> tuple[np.ndarray, np.ndarray]:
+    """Marginals of (x_a, y_a) and of (x_b, y_b), each ``(..., 4)`` in ``OUTCOMES`` order."""
+    table = np.asarray(probs).reshape(np.shape(probs)[:-1] + (4, 4))
+    return table.sum(axis=-1), table.sum(axis=-2)
+
+
+def moment_signs(spec: MomentSpec) -> np.ndarray:
+    """f_a(x_a, y_a) * f_b(x_b, y_b) on the 16 outcomes, in ``PAIR_OUTCOMES`` order.
+
+    Factors are named "one", "x", "y" or "xy". The moment of a ``(..., 16)``
+    stack of distributions is ``probs @ moment_signs(spec)``.
+    """
+    try:
+        return _MOMENT_SIGNS[tuple(spec)]
+    except KeyError:
+        bad = next((f for f in spec if f not in FACTOR_SIGNS), spec)
+        raise ValueError(f"unknown moment factor {bad!r}") from None
 
 
 def pair_distribution_trace(
@@ -250,18 +390,8 @@ def pair_distribution_trace(
     Yields a true probability distribution whenever both visibility pairs
     are admissible; otherwise the result is flagged hypothetical.
     """
-    elements_a = {o: povm_element(va, o) for o in OUTCOMES}
-    elements_b = {o: povm_element(vb, o) for o in OUTCOMES}
-    probs = {}
-    for xa, ya in OUTCOMES:
-        for xb, yb in OUTCOMES:
-            op = np.kron(elements_a[(xa, ya)], elements_b[(xb, yb)])
-            val = complex(np.einsum("ij,ji->", rho.mat, op))
-            if abs(val.imag) > _IMAG_TOL:
-                raise ValueError(f"probability has imaginary part {val.imag:.3e}")
-            probs[(xa, ya, xb, yb)] = val.real
-    hypothetical = not (va.is_admissible() and vb.is_admissible())
-    return PairOutcomeDistribution(probs, hypothetical)
+    probs, hypothetical = pair_probabilities_trace(rho.mat, (va.v_x, va.v_y), (vb.v_x, vb.v_y))
+    return PairOutcomeDistribution(dict(zip(PAIR_OUTCOMES, probs.tolist())), bool(hypothetical))
 
 
 def pair_distribution_formula(
@@ -274,17 +404,10 @@ def pair_distribution_formula(
     are accepted; the result is flagged hypothetical when any entry drops
     below -1e-12.
     """
-    probs = {}
-    for xa, ya, xb, yb in PAIR_OUTCOMES:
-        probs[(xa, ya, xb, yb)] = (1.0 / 16.0) * (
-            1.0
-            + xa * xb * va.v_x * vb.v_x * c.c_xx
-            + xa * yb * va.v_x * vb.v_y * c.c_xy
-            + ya * xb * va.v_y * vb.v_x * c.c_yx
-            + ya * yb * va.v_y * vb.v_y * c.c_yy
-        )
-    hypothetical = min(probs.values()) < -1e-12
-    return PairOutcomeDistribution(probs, hypothetical)
+    probs, hypothetical = pair_probabilities_formula(
+        c.as_tuple(), (va.v_x, va.v_y), (vb.v_x, vb.v_y)
+    )
+    return PairOutcomeDistribution(dict(zip(PAIR_OUTCOMES, probs.tolist())), bool(hypothetical))
 
 
 def pair_moment(d: PairOutcomeDistribution, spec: MomentSpec) -> float:
@@ -292,17 +415,10 @@ def pair_moment(d: PairOutcomeDistribution, spec: MomentSpec) -> float:
 
     Factors are named "one", "x", "y" or "xy". On trace-generated
     distributions every spec containing an "xy" factor evaluates to zero.
+    The sum is correctly rounded (``math.fsum``), so the value does not
+    depend on the order of the 16 terms.
     """
-    fa_name, fb_name = spec
-    try:
-        fa = MOMENT_FACTORS[fa_name]
-        fb = MOMENT_FACTORS[fb_name]
-    except KeyError as exc:
-        raise ValueError(f"unknown moment factor {exc.args[0]!r}") from None
-    return math.fsum(
-        d.probs[(xa, ya, xb, yb)] * fa(xa, ya) * fb(xb, yb)
-        for xa, ya, xb, yb in PAIR_OUTCOMES
-    )
+    return math.fsum((d.as_array() * moment_signs(spec)).tolist())
 
 
 def bell_family_correlations(phi: float) -> CorrelationVector:

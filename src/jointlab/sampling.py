@@ -26,14 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import AnglePair, chsh_from_components, tight_bound_from_components
-from .linalg import pauli
+from .bounds import (
+    AnglePair,
+    _golden_section_max,
+    chsh_from_components,
+    coherence_from_matrices,
+    tight_bound_from_components,
+)
 from .pairs import (
     PAIR_OUTCOMES,
-    MOMENT_FACTORS,
+    PAULI_PAIRS,
     DensityOperator4,
     MomentSpec,
     PairOutcomeDistribution,
+    moment_signs,
+    validate_densities,
 )
 
 __all__ = [
@@ -46,6 +53,7 @@ __all__ = [
     "haar_random_pure_state",
     "ginibre_random_mixed_state",
     "bell_diagonal_random_state",
+    "random_state_stack",
     "correlation_ensemble",
     "coherence_ensemble",
     "sample_outcomes",
@@ -65,14 +73,13 @@ _ALGORITHMS = {"philox-boxmuller-v1": np.random.Philox}
 #: never appear in a finite sample.
 _PROB_FLOOR = 4.0 * np.finfo(float).eps
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 _BELL_KETS = (
     np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0),
     np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2.0),
     np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0),
     np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0),
 )
+_BELL_PROJECTORS = tuple(np.outer(ket, ket.conj()) for ket in _BELL_KETS)
 
 _PAIR_OUTCOME_ARRAY = np.array(PAIR_OUTCOMES, dtype=np.int8)
 _PAIR_OUTCOME_ARRAY.setflags(write=False)
@@ -129,18 +136,18 @@ def _haar_kets(gen: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _ginibre_rhos(gen: np.random.Generator, n: int) -> np.ndarray:
-    g = _complex_normals(gen, (n, 4, 4))
+    return _ginibre_from_normals(_complex_normals(gen, (n, 4, 4)))
+
+
+def _ginibre_from_normals(g: np.ndarray) -> np.ndarray:
+    """G G^dagger / tr(G G^dagger) for an (n, 4, 4) stack of complex Gaussian G."""
     rho = np.einsum("nij,nkj->nik", g, g.conj())
     tr = np.einsum("nii->n", rho).real
     return rho / tr[:, None, None]
 
 
-# Pauli-pair operators, basis order |00>, |01>, |10>, |11>
-_X = pauli("X")
-_Y = pauli("Y")
-_CORR_OPS = np.stack(
-    [np.kron(_X, _X), np.kron(_X, _Y), np.kron(_Y, _X), np.kron(_Y, _Y)]
-)
+#: Correlation operators XX, XY, YX, YY.
+_CORR_OPS = PAULI_PAIRS[:4]
 
 
 def _correlations_from_kets(psi: np.ndarray) -> np.ndarray:
@@ -168,17 +175,42 @@ def bell_diagonal_random_state(s: SeededSampler) -> DensityOperator4:
     Every such state has exactly vanishing local X and Y means, which makes
     the family the canonical test set for the closed-form pair distribution.
     """
-    gen = s.rng()
-    return DensityOperator4(_bell_mixture(gen))
+    return DensityOperator4(_bell_mixtures(s.rng().random(3)))
 
 
-def _bell_mixture(gen: np.random.Generator) -> np.ndarray:
-    cuts = np.sort(gen.random(3))
-    weights = np.diff(np.concatenate([[0.0], cuts, [1.0]]))
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    for w, ket in zip(weights, _BELL_KETS):
-        rho += w * np.outer(ket, ket.conj())
+def _bell_mixtures(cuts: np.ndarray) -> np.ndarray:
+    """Bell-diagonal states weighted by the gaps between (..., 3) sorted uniform cuts."""
+    cuts = np.sort(cuts, axis=-1)
+    ends = np.zeros(cuts.shape[:-1] + (1,))
+    weights = np.diff(np.concatenate([ends, cuts, ends + 1.0], axis=-1), axis=-1)
+    rho = np.zeros(cuts.shape[:-1] + (4, 4), dtype=np.complex128)
+    for k, projector in enumerate(_BELL_PROJECTORS):
+        rho += weights[..., k, None, None] * projector
     return rho
+
+
+#: Per stackable kind: the raw draw one state takes from its generator (as
+#: the lone generator takes it) and the function that turns stacked draws
+#: into states.
+_STATE_KINDS = {
+    "bell-diagonal": (lambda gen: gen.random(3), _bell_mixtures),
+    "ginibre": (lambda gen: _complex_normals(gen, (4, 4)), _ginibre_from_normals),
+}
+
+
+def random_state_stack(kind: str, samplers) -> np.ndarray:
+    """Certified (n, 4, 4) stack of random states, member i drawn from ``samplers[i]``.
+
+    ``kind`` is "bell-diagonal" or "ginibre". Member i is bit-identical to
+    ``bell_diagonal_random_state(samplers[i])`` or
+    ``ginibre_random_mixed_state(samplers[i])``; the whole stack is certified
+    by one ``validate_densities`` call instead of one ``DensityOperator4``
+    per state.
+    """
+    if kind not in _STATE_KINDS:
+        raise ValueError(f"unknown stack kind {kind!r}; expected one of {tuple(_STATE_KINDS)}")
+    draw, build = _STATE_KINDS[kind]
+    return validate_densities(build(np.stack([draw(s.rng()) for s in samplers])))
 
 
 def correlation_ensemble(n: int, s: SeededSampler, kind: str = "haar") -> np.ndarray:
@@ -206,8 +238,7 @@ def coherence_ensemble(n: int, s: SeededSampler, kind: str = "haar") -> np.ndarr
         psi = _haar_kets(gen, n)
         return np.abs(psi[:, 0] * psi[:, 3].conj()) + np.abs(psi[:, 2] * psi[:, 1].conj())
     if kind == "ginibre":
-        rho = _ginibre_rhos(gen, n)
-        return np.abs(rho[:, 0, 3]) + np.abs(rho[:, 2, 1])
+        return coherence_from_matrices(_ginibre_rhos(gen, n))
     raise ValueError(f"unknown ensemble kind {kind!r}")
 
 
@@ -255,7 +286,7 @@ def sample_outcomes(
     """
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
-    p = np.array([d.probs[o] for o in PAIR_OUTCOMES])
+    p = d.as_array()
     if p.min() < -1e-12:
         raise ValueError("distribution has negative entries and cannot be sampled")
     p = np.where(p < _PROB_FLOOR, 0.0, p)
@@ -267,29 +298,18 @@ def sample_outcomes(
     return ShotRecord(_PAIR_OUTCOME_ARRAY[idx], n, source)
 
 
-def _factor_column(name: str, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    if name == "one":
-        return np.ones_like(first)
-    if name == "x":
-        return first
-    if name == "y":
-        return second
-    if name == "xy":
-        return first * second
-    raise ValueError(f"unknown moment factor {name!r}")
-
-
 def estimate_moment(r: ShotRecord, spec: MomentSpec) -> EstimateWithError:
-    """Sample estimate of a pair moment with std_error = sample std / sqrt(n)."""
+    """Sample estimate of a pair moment with std_error = sample std / sqrt(n).
+
+    Each shot's value is looked up in ``moment_signs(spec)`` by the shot's
+    index in ``PAIR_OUTCOMES``, where -1 in slot k sets bit 3 - k.
+    """
     if r.n < 2:
         raise ValueError("need at least two shots to estimate a moment")
-    fa_name, fb_name = spec
-    if fa_name not in MOMENT_FACTORS or fb_name not in MOMENT_FACTORS:
-        raise ValueError(f"unknown moment spec {spec!r}")
-    out = r.outcomes.astype(np.float64)
-    values = _factor_column(fa_name, out[:, 0], out[:, 1]) * _factor_column(
-        fb_name, out[:, 2], out[:, 3]
-    )
+    signs = moment_signs(spec)
+    minus = (r.outcomes < 0).view(np.uint8)
+    index = 8 * minus[:, 0] + 4 * minus[:, 1] + 2 * minus[:, 2] + minus[:, 3]
+    values = np.take(signs, index)
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(r.n))
     return EstimateWithError(mean, std_error, r.n)
@@ -329,27 +349,13 @@ def max_experimental_chsh(phi: float, grid_steps: int = 181, refine_iters: int =
     alpha, beta = float(grid[i]), float(grid[j])
     lo, hi = 0.5 * step, half_pi - 0.5 * step
     for _ in range(8):
-        alpha, _ = _golden_max(lambda a: experimental_chsh(phi, AnglePair(a, beta)), lo, hi, refine_iters)
-        beta, _ = _golden_max(lambda b: experimental_chsh(phi, AnglePair(alpha, b)), lo, hi, refine_iters)
+        alpha, _ = _golden_section_max(
+            lambda a: experimental_chsh(phi, AnglePair(a, beta)), lo, hi, refine_iters
+        )
+        beta, _ = _golden_section_max(
+            lambda b: experimental_chsh(phi, AnglePair(alpha, b)), lo, hi, refine_iters
+        )
     return ChshOptimum(experimental_chsh(phi, AnglePair(alpha, beta)), alpha, beta)
-
-
-def _golden_max(f, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-    xm = 0.5 * (lo + hi)
-    best = max([(f1, x1), (f2, x2), (f(xm), xm)])
-    return best[1], best[0]
 
 
 def zero_probability_chsh(phi: float) -> float:
@@ -387,7 +393,7 @@ def zero_probability_curve_max(
     phis = np.arange(lo, hi + 0.5 * step, step)
     values = 1.0 + np.cos(phis) - np.cos(phis) ** 2
     phi0 = float(phis[int(np.argmax(values))])
-    phi_star, _ = _golden_max(
+    phi_star, _ = _golden_section_max(
         zero_probability_chsh, max(lo, phi0 - step), min(hi, phi0 + step), refine_iters
     )
     h = 1e-5

@@ -20,17 +20,18 @@ from .bounds import (
     chsh_from_components,
     chsh_value,
     coherence_bound_lhs,
+    coherence_from_matrices,
     sup_over_angles,
     tight_bound_from_components,
     tight_bound_lhs,
 )
 from .joint import (
-    OUTCOMES,
     BlochEquatorial,
     VisibilityPair,
     admissible_visibilities,
     distribution_moments,
     outcome_distribution,
+    outcome_probabilities,
     povm_elements,
 )
 from .linalg import is_positive_semidefinite
@@ -39,23 +40,26 @@ from .pairs import (
     CorrelationVector,
     DensityOperator4,
     bell_family_correlations,
-    correlations_of_state,
-    local_means_of_state,
+    correlation_components,
+    correlation_moments,
+    local_mean_components,
+    moment_signs,
     pair_distribution_formula,
-    pair_distribution_trace,
+    pair_marginals,
     pair_moment,
+    pair_probabilities_formula,
+    pair_probabilities_trace,
 )
 from .reporting import shots_csv_text
 from .sampling import (
     ChshOptimum,
     CurveOptimum,
     SeededSampler,
-    bell_diagonal_random_state,
     constrained_chsh_grid_max,
     correlation_ensemble,
     estimate_moment,
-    ginibre_random_mixed_state,
     max_experimental_chsh,
+    random_state_stack,
     sample_outcomes,
     zero_probability_chsh,
     zero_probability_curve_max,
@@ -270,64 +274,57 @@ def criterion_bloch_disk_bound(seed: int) -> CriterionResult:
 
 _XY_SPECS = (("xy", "x"), ("xy", "y"), ("x", "xy"), ("y", "xy"), ("xy", "xy"))
 _CORRELATION_SPECS = (("x", "x"), ("x", "y"), ("y", "x"), ("y", "y"))
+#: Signs of every spec above, (9, 16): one matrix product gives all moments of a stack.
+_STRUCTURE_SIGNS = np.stack([moment_signs(spec) for spec in _XY_SPECS + _CORRELATION_SPECS])
 
 
-def _random_admissible_visibility(gen: np.random.Generator) -> VisibilityPair:
-    theta = 0.5 * math.pi * float(gen.random())
-    radius = float(gen.random())
-    return VisibilityPair(radius * math.cos(theta), radius * math.sin(theta))
+def _random_admissible_visibilities(gen: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 2) admissible pairs (r cos theta, r sin theta), each from one (theta, r) draw."""
+    out = np.empty((n, 2))
+    for k, (u, radius) in enumerate(gen.random((n, 2)).tolist()):
+        theta = 0.5 * math.pi * u
+        out[k] = radius * math.cos(theta), radius * math.sin(theta)
+    return out
 
 
 def pair_structure_residuals(
     seed: int, n: int = 1000, marginal_states: int = 200
 ) -> tuple[float, float, float, float, float]:
-    master = SeededSampler(seed)
-    gen = master.derive(4).rng()
-    max_xy = 0.0
-    max_factor = 0.0
-    max_formula = 0.0
-    min_prob = math.inf
-    for i in range(n):
-        rho = bell_diagonal_random_state(master.derive(1000 + i))
-        va = _random_admissible_visibility(gen)
-        vb = _random_admissible_visibility(gen)
-        dist_t = pair_distribution_trace(rho, va, vb)
-        c = correlations_of_state(rho)
-        dist_f = pair_distribution_formula(c, va, vb)
-        max_formula = max(
-            max_formula,
-            max(abs(dist_t.probs[o] - dist_f.probs[o]) for o in dist_t.probs),
-        )
-        min_prob = min(min_prob, dist_t.min_probability())
-        for spec in _XY_SPECS:
-            max_xy = max(max_xy, abs(pair_moment(dist_t, spec)))
-        factors = {
-            ("x", "x"): va.v_x * vb.v_x * c.c_xx,
-            ("x", "y"): va.v_x * vb.v_y * c.c_xy,
-            ("y", "x"): va.v_y * vb.v_x * c.c_yx,
-            ("y", "y"): va.v_y * vb.v_y * c.c_yy,
-        }
-        for spec in _CORRELATION_SPECS:
-            max_factor = max(max_factor, abs(pair_moment(dist_t, spec) - factors[spec]))
+    """Residuals of the pair-moment structure on certified stacks of random states.
 
-    max_marginal = 0.0
-    for i in range(marginal_states):
-        rho = ginibre_random_mixed_state(master.derive(2000 + i))
-        va = _random_admissible_visibility(gen)
-        vb = _random_admissible_visibility(gen)
-        dist = pair_distribution_trace(rho, va, vb)
-        means = local_means_of_state(rho)
-        local_a = outcome_distribution(va, BlochEquatorial(means.ax, means.ay))
-        local_b = outcome_distribution(vb, BlochEquatorial(means.bx, means.by))
-        marg_a = dist.marginal_a()
-        marg_b = dist.marginal_b()
-        for o in OUTCOMES:
-            max_marginal = max(
-                max_marginal,
-                abs(marg_a[o] - local_a.probs[o]),
-                abs(marg_b[o] - local_b.probs[o]),
-            )
-    return max_xy, max_factor, max_formula, max_marginal, float(min_prob)
+    ``n`` Bell-diagonal states (streams 1000 + i) give the xy moments, the
+    factorization residual, the formula-vs-trace residual and the smallest
+    probability; ``marginal_states`` Ginibre states (streams 2000 + i) give
+    the marginal residual. Each state takes two visibility pairs from stream
+    4, in that order.
+    """
+    master = SeededSampler(seed)
+    vis = _random_admissible_visibilities(master.derive(4).rng(), 2 * (n + marginal_states))
+    va, vb = vis[0::2], vis[1::2]
+    max_xy = max_factor = max_formula = max_marginal = 0.0
+    min_prob = math.inf
+    if n:
+        rho = random_state_stack("bell-diagonal", [master.derive(1000 + i) for i in range(n)])
+        probs, _ = pair_probabilities_trace(rho, va[:n], vb[:n])
+        c = correlation_components(rho)
+        formula, _ = pair_probabilities_formula(c, va[:n], vb[:n])
+        moments = probs @ _STRUCTURE_SIGNS.T
+        factors = correlation_moments(c, va[:n], vb[:n])
+        n_xy = len(_XY_SPECS)
+        max_xy = float(np.abs(moments[:, :n_xy]).max())
+        max_factor = float(np.abs(moments[:, n_xy:] - factors).max())
+        max_formula = float(np.abs(probs - formula).max())
+        min_prob = float(probs.min())
+    if marginal_states:
+        samplers = [master.derive(2000 + i) for i in range(marginal_states)]
+        rho = random_state_stack("ginibre", samplers)
+        probs, _ = pair_probabilities_trace(rho, va[n:], vb[n:])
+        means = local_mean_components(rho)
+        marg_a, marg_b = pair_marginals(probs)
+        local_a = outcome_probabilities(va[n:, 0], va[n:, 1], means[:, 0], means[:, 1])
+        local_b = outcome_probabilities(vb[n:, 0], vb[n:, 1], means[:, 2], means[:, 3])
+        max_marginal = float(max(np.abs(marg_a - local_a).max(), np.abs(marg_b - local_b).max()))
+    return max_xy, max_factor, max_formula, max_marginal, min_prob
 
 
 def criterion_pair_moment_structure(seed: int, n: int = 1000) -> CriterionResult:
@@ -443,12 +440,11 @@ def criterion_tsirelson(ens: CorrelationEnsembles) -> CriterionResult:
 def coherence_identity_residuals(seed: int, n: int = 1000) -> tuple[float, float, float]:
     master = SeededSampler(seed)
     max_identity = 0.0
-    for i in range(n):
-        rho = ginibre_random_mixed_state(master.derive(3000 + i))
-        identity_gap = abs(
-            4.0 * coherence_bound_lhs(rho) - tight_bound_lhs(correlations_of_state(rho))
-        )
-        max_identity = max(max_identity, identity_gap)
+    if n:
+        rho = random_state_stack("ginibre", [master.derive(3000 + i) for i in range(n)])
+        c = correlation_components(rho).T
+        gap = np.abs(4.0 * coherence_from_matrices(rho) - tight_bound_from_components(*c))
+        max_identity = float(gap.max())
     bell_dev = 0.0
     for phi in np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False):
         rho = BellFamilyState(float(phi)).to_density()

@@ -1,10 +1,23 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from jointlab import linalg, suites
-from jointlab.cli import SINGLE_GRID_STEPS_MAX, RunConfig, main
+from jointlab.cli import (
+    N_SHOTS_MAX,
+    SINGLE_GRID_STEPS_MAX,
+    ZERO_PROB_CURVE_STEPS_MAX,
+    RunConfig,
+    main,
+)
 from jointlab.pairs import BellFamilyState
 from jointlab.reporting import dumps_json
 
@@ -41,6 +54,14 @@ class TestConfig:
 
     def test_zero_prob_curve_not_capped_by_single_cap(self):
         RunConfig("scan", grid_steps=10001, what="zero-prob-curve")
+
+    def test_zero_prob_curve_grid_steps_capped(self):
+        with pytest.raises(ValueError, match="at most"):
+            RunConfig("scan", grid_steps=ZERO_PROB_CURVE_STEPS_MAX + 1, what="zero-prob-curve")
+
+    def test_n_shots_capped(self):
+        with pytest.raises(ValueError, match="n-shots"):
+            RunConfig("sample", n_shots=N_SHOTS_MAX + 1)
 
 
 class TestSubcommands:
@@ -192,6 +213,26 @@ class TestExitCodes:
         assert main(["single", "--grid-steps", str(SINGLE_GRID_STEPS_MAX + 1)]) == 2
         assert "grid-steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, suite",
+        [
+            (
+                ["scan", "--what", "zero-prob-curve", "--grid-steps"]
+                + [str(ZERO_PROB_CURVE_STEPS_MAX + 1)],
+                "run_scan_suite",
+            ),
+            (["sample", "--n-shots", str(N_SHOTS_MAX + 1)], "run_sample_suite"),
+        ],
+    )
+    def test_work_above_cap_is_exit_2_before_any_work(self, capsys, monkeypatch, argv, suite):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the suite ran although the config is above its cap")
+
+        monkeypatch.setattr(suites, suite, no_work)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_convergence_failure_is_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
         out = tmp_path / "report.json"
@@ -231,3 +272,47 @@ class TestOutputHandling:
         assert main(["scan", "--what", "chsh-surface", "--grid-steps", "16",
                      "--output", "report.json"]) == 0
         assert (tmp_path / "report.json").exists()
+
+
+def _state_json(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _floats | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=24,
+)
+_entry = st.lists(_floats | st.integers(), min_size=2, max_size=2)
+_any_4x4 = st.lists(st.lists(_entry, min_size=4, max_size=4), min_size=4, max_size=4)
+
+
+@st.composite
+def _hermitian_unit_trace(draw):
+    """Hermitian, unit-trace 4x4 matrices; a negative first diagonal entry makes them non-PSD."""
+    unit = st.floats(-1.0, 1.0)
+    diag = [draw(st.floats(-1.0, 0.0))] + [draw(unit) for _ in range(2)]
+    m = np.diag(diag + [1.0 - sum(diag)]).astype(complex)
+    for i, j in ((0, 1), (0, 3), (1, 2), (2, 3)):
+        m[i, j] = complex(draw(unit), draw(unit))
+        m[j, i] = m[i, j].conjugate()
+    return _state_json(m)
+
+
+class TestStateFileRobustness:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(payload=st.one_of(_json_values, _any_4x4, _hermitian_unit_trace()))
+    @example(payload=_state_json(np.diag([0.4, 0.3, 0.2, 0.1])))
+    def test_any_json_state_file_exits_cleanly(self, payload):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            state_file = Path(tmp) / "state.json"
+            state_file.write_text(json.dumps(payload))
+            argv = ["bound", "--state", "file", "--state-file", str(state_file),
+                    "--output", str(Path(tmp) / "report.json")]
+            with contextlib.redirect_stderr(err):
+                rc = main(argv)
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
