@@ -47,12 +47,9 @@ from .joint import (
 from .linalg import (
     ConvergenceError,
     Spectrum,
-    hermitian_eigensystem,
     hermitian_eigenvalues,
     is_hermitian,
     is_positive_semidefinite,
-    is_unit_trace,
-    matmul,
     pauli,
     tensor_product,
     trace,
@@ -90,6 +87,7 @@ from .sampling import (
     ViolationSearchResult,
     bell_diagonal_random_state,
     bound_violation_search,
+    chsh_surface,
     coherence_ensemble,
     constrained_chsh_grid_max,
     correlation_ensemble,

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands map onto the check suites:
+Subcommands map onto the check suites of ``suites``, each a composition of
+the ``verify`` criteria (``verify`` runs all ten):
 
     single   single-qubit joint-measurement checks (POVM, moments, both bounds)
     pair     two-qubit moment structure and closed-form/trace agreement
@@ -8,6 +9,13 @@ Subcommands map onto the check suites:
     scan     observable-statistics scans (chsh-surface, zero-prob-curve)
     sample   seeded Monte Carlo shots with estimator/population comparison
     verify   the full acceptance suite
+
+Every subcommand takes the common flags, and every report echoes them, but
+not every suite reads each one: ``verify`` reads only ``--seed`` (its
+checks keep their pinned sizes and tolerances), ``scan`` ignores ``--seed``
+and ``--tolerance`` (and ``zero-prob-curve`` ignores ``--phi``), ``sample``
+ignores ``--tolerance`` and ``--grid-steps``, and ``pair`` and ``bound``
+ignore ``--grid-steps``.
 
 Every run produces a Report; exit status is 0 exactly when all checks pass,
 1 when any check fails, and 2 for configuration or I/O errors and for
@@ -44,6 +52,10 @@ OUTPUT_DIR_ENV = "JOINTLAB_OUTPUT_DIR"
 #: grid's row block, not by the step count.
 SINGLE_GRID_STEPS_MAX = 1024
 
+#: Largest ``scan --what chsh-surface --grid-steps``. The table holds steps**2
+#: rows (26.5 MB of JSON, about 3.7 s and +150 MiB of RSS at the cap).
+CHSH_SURFACE_STEPS_MAX = 512
+
 #: Largest ``scan --what zero-prob-curve --grid-steps``. The curve table costs
 #: ~10 us and ~0.5 KiB of RSS per step (about 1 s and 50 MiB at the cap);
 #: beyond ~31,400 steps only the table grows, the refined optimum does not.
@@ -78,12 +90,17 @@ class RunConfig:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
+        for name in ("phi", "alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.grid_steps < 8:
             raise ValueError("grid-steps must be at least 8")
         if self.subcommand == "single" and self.grid_steps > SINGLE_GRID_STEPS_MAX:
             raise ValueError(f"single grid-steps must be at most {SINGLE_GRID_STEPS_MAX}")
+        if self.what == "chsh-surface" and self.grid_steps > CHSH_SURFACE_STEPS_MAX:
+            raise ValueError(f"chsh-surface grid-steps must be at most {CHSH_SURFACE_STEPS_MAX}")
         if self.what == "zero-prob-curve" and self.grid_steps > ZERO_PROB_CURVE_STEPS_MAX:
             raise ValueError(
                 f"zero-prob-curve grid-steps must be at most {ZERO_PROB_CURVE_STEPS_MAX}"

@@ -31,12 +31,9 @@ __all__ = [
     "Spectrum",
     "pauli",
     "tensor_product",
-    "matmul",
     "trace",
     "is_hermitian",
-    "is_unit_trace",
     "hermitian_eigenvalues",
-    "hermitian_eigensystem",
     "is_positive_semidefinite",
 ]
 
@@ -88,14 +85,6 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(_as_complex_matrix(a), _as_complex_matrix(b))
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two equal-dimension square matrices."""
-    ma, mb = _as_complex_matrix(a), _as_complex_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    return ma @ mb
-
-
 def trace(a) -> complex:
     """Sum of the diagonal entries of a square matrix."""
     return complex(np.trace(_as_complex_matrix(a)))
@@ -105,11 +94,6 @@ def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
     """True when max |A - A^dagger| <= tol."""
     m = _as_complex_matrix(a)
     return float(np.abs(m - m.conj().T).max()) <= tol
-
-
-def is_unit_trace(a, tol: float = DEFAULT_TOL) -> bool:
-    """True when |tr A - 1| <= tol."""
-    return abs(trace(a) - 1.0) <= tol
 
 
 @dataclass(frozen=True)
@@ -149,7 +133,7 @@ def _scalar_hermitian(a, tol: float) -> list[list[complex]]:
     return w
 
 
-def _jacobi_sweeps(w: list[list[complex]], v: list[list[complex]] | None, tol: float) -> None:
+def _jacobi_sweeps(w: list[list[complex]], tol: float) -> None:
     """Cyclic Jacobi rotations in place until all off-diagonals are below tol."""
     n = len(w)
     for _sweep in range(_JACOBI_MAX_SWEEPS):
@@ -186,12 +170,6 @@ def _jacobi_sweeps(w: list[list[complex]], v: list[list[complex]] | None, tol: f
                     aqj = w[q][j]
                     w[p][j] = c * apj - sp * aqj
                     w[q][j] = spc * apj + c * aqj
-                if v is not None:
-                    for i in range(n):
-                        vip = v[i][p]
-                        viq = v[i][q]
-                        v[i][p] = c * vip - spc * viq
-                        v[i][q] = sp * vip + c * viq
                 # exact by construction; drop the rounding residue
                 w[p][q] = 0j
                 w[q][p] = 0j
@@ -286,29 +264,6 @@ def _jacobi_sweeps_stack(w: np.ndarray, tol: float) -> None:
     )
 
 
-def hermitian_eigensystem(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
-
-    Sweeps over the strict upper triangle, annihilating each entry with a
-    complex plane rotation, until every off-diagonal magnitude is below
-    ``tol`` (at most 100 sweeps). Returns ``(w, u)`` where ``w`` holds the
-    eigenvalues in ascending order and the columns of ``u`` are the matching
-    eigenvectors, so ``a ~= u @ diag(w) @ u^dagger``.
-
-    Raises ValueError for non-Hermitian input and ConvergenceError (with the
-    residual) if the sweep cap is hit.
-    """
-    w = _scalar_hermitian(a, tol)
-    n = len(w)
-    v = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
-    _jacobi_sweeps(w, v, tol)
-    eigs = [w[i][i].real for i in range(n)]
-    order = sorted(range(n), key=eigs.__getitem__)
-    values = np.array([eigs[i] for i in order])
-    vectors = np.array([[v[i][j] for j in order] for i in range(n)])
-    return values, vectors
-
-
 def hermitian_eigenvalues(a, tol: float = DEFAULT_TOL) -> Spectrum | np.ndarray:
     """Eigenvalues of a Hermitian matrix (ascending), via the Jacobi path.
 
@@ -324,7 +279,7 @@ def hermitian_eigenvalues(a, tol: float = DEFAULT_TOL) -> Spectrum | np.ndarray:
         eigs = np.sort(np.diagonal(w, axis1=1, axis2=2).real, axis=1)
         return eigs.reshape(m.shape[:-1])
     w = _scalar_hermitian(a, tol)
-    _jacobi_sweeps(w, None, tol)
+    _jacobi_sweeps(w, tol)
     return Spectrum(tuple(sorted(w[i][i].real for i in range(len(w)))))
 
 

@@ -59,6 +59,7 @@ __all__ = [
     "sample_outcomes",
     "estimate_moment",
     "experimental_chsh",
+    "chsh_surface",
     "max_experimental_chsh",
     "zero_probability_chsh",
     "zero_probability_curve_max",
@@ -332,6 +333,19 @@ class ChshOptimum:
     beta: float
 
 
+def chsh_surface(phi: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The observed CHSH value on a midpoint grid of alpha, beta in (0, pi/2).
+
+    Returns the ``steps`` grid angles, (k + 1/2) pi / (2 steps), and the
+    ``(steps, steps)`` surface with alpha along the first axis.
+    """
+    angles = (np.arange(steps) + 0.5) * (0.5 * math.pi / steps)
+    surface = np.cos(angles[:, None] - angles[None, :]) * math.cos(phi) + np.sin(
+        angles[:, None] + angles[None, :]
+    ) * math.sin(phi)
+    return angles, surface
+
+
 def max_experimental_chsh(phi: float, grid_steps: int = 181, refine_iters: int = 60) -> ChshOptimum:
     """Maximize the observed CHSH value over alpha, beta in (0, pi/2).
 
@@ -341,10 +355,7 @@ def max_experimental_chsh(phi: float, grid_steps: int = 181, refine_iters: int =
     """
     half_pi = 0.5 * math.pi
     step = half_pi / grid_steps
-    grid = (np.arange(grid_steps) + 0.5) * step
-    surface = np.cos(grid[:, None] - grid[None, :]) * math.cos(phi) + np.sin(
-        grid[:, None] + grid[None, :]
-    ) * math.sin(phi)
+    grid, surface = chsh_surface(phi, grid_steps)
     i, j = np.unravel_index(int(np.argmax(surface)), surface.shape)
     alpha, beta = float(grid[i]), float(grid[j])
     lo, hi = 0.5 * step, half_pi - 0.5 * step

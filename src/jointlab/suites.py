@@ -1,19 +1,23 @@
-"""Named check suites behind the CLI subcommands.
+"""The check suites behind the CLI subcommands, composed of the ``verify`` criteria.
 
 Each suite returns a results payload (plot-ready scalars and tables) plus a
-list of checks. Residual-style checks compare against the configured
-tolerance; physics constants (bound values, optima) keep their own pinned
-tolerances so a looser run tolerance cannot hide a broken invariant.
+list of checks. Every check that a criterion of ``verify`` also makes comes
+from that criterion or its check function, run at the subcommand's sizes:
+residual-style checks compare against the run tolerance, and physics
+constants (bound values, optima) keep their pinned tolerances so a looser
+run tolerance cannot hide a broken invariant. The checks built here are
+those no criterion makes: two single-qubit residuals, the POVM-grid count
+under the name ``single`` reports it by, the bound checks on one state and
+the CHSH-surface table checks.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any
 
 import numpy as np
 
-from .bounds import TSIRELSON_BOUND, bound_report, chsh_value, sup_over_angles, tight_bound_lhs
+from .bounds import TSIRELSON_BOUND, bound_report
 from .joint import (
     OUTCOMES,
     BlochEquatorial,
@@ -24,36 +28,33 @@ from .joint import (
 )
 from .pairs import (
     BellFamilyState,
-    CorrelationVector,
     DensityOperator4,
     bell_family_correlations,
     correlations_of_state,
     pair_distribution_formula,
-    pair_moment,
 )
 from .sampling import (
     SeededSampler,
     ShotRecord,
-    constrained_chsh_grid_max,
-    estimate_moment,
+    chsh_surface,
     ginibre_random_mixed_state,
     haar_random_pure_state,
     max_experimental_chsh,
     sample_outcomes,
-    zero_probability_chsh,
     zero_probability_curve_max,
 )
 from .verify import (
-    MONTE_CARLO_SPECS,
     Check,
-    bloch_disk_sweep,
     check_close,
-    check_ge,
     check_le,
-    moment_identity_residuals,
-    pair_structure_residuals,
+    criterion_bloch_disk_bound,
+    criterion_outcome_product_rule,
+    criterion_pair_moment_structure,
+    moment_gap_checks,
     povm_grid_mismatches,
     run_acceptance,
+    sup_identity_residual,
+    zero_probability_checks,
 )
 
 __all__ = [
@@ -98,55 +99,27 @@ def _distribution_trace_residual(seed: int, n: int = 1000) -> float:
 
 def run_single_suite(seed: int, tolerance: float, grid_steps: int) -> tuple[dict, list[Check]]:
     """Single-qubit checks: POVM completeness, outcome statistics, both bounds."""
-    completeness = _completeness_residual(seed)
-    trace_residual = _distribution_trace_residual(seed)
-    max_xy, max_prop = moment_identity_residuals(seed)
-    mismatches = povm_grid_mismatches(grid_steps)
-    worst_unphysical, best_physical, api_residual = bloch_disk_sweep(seed)
     checks = [
-        check_le("povm_completeness_residual", completeness, 0.0, tolerance),
-        check_le("distribution_vs_trace_residual", trace_residual, 0.0, tolerance),
-        check_le("outcome_product_mean_max", max_xy, 0.0, tolerance),
-        check_le("visibility_scaling_residual_max", max_prop, 0.0, tolerance),
-        check_le("admissibility_psd_mismatches", mismatches, 0.0),
-        check_le("unphysical_state_witness_probability", worst_unphysical, -1e-9),
-        check_ge("physical_state_min_probability", best_physical, 0.0, max(tolerance, 1e-12)),
-        check_le("sweep_vs_distribution_residual", api_residual, 0.0, max(tolerance, 1e-15)),
+        check_le("povm_completeness_residual", _completeness_residual(seed), 0.0, tolerance),
+        check_le(
+            "distribution_vs_trace_residual", _distribution_trace_residual(seed), 0.0, tolerance
+        ),
+        *criterion_outcome_product_rule(seed, tolerance=tolerance).checks,
+        check_le("admissibility_psd_mismatches", povm_grid_mismatches(grid_steps), 0.0),
+        *criterion_bloch_disk_bound(seed, tolerance=tolerance).checks,
     ]
-    results = {
-        "grid_steps": grid_steps,
-        "povm_completeness_residual": completeness,
-        "distribution_vs_trace_residual": trace_residual,
-        "outcome_product_mean_max": max_xy,
-        "visibility_scaling_residual_max": max_prop,
-        "admissibility_psd_mismatches": mismatches,
-        "unphysical_state_witness_probability": worst_unphysical,
-        "physical_state_min_probability": best_physical,
-    }
+    results = {"grid_steps": grid_steps}
+    results.update((c.name, c.value) for c in checks if c.name != "sweep_vs_distribution_residual")
     return results, checks
 
 
 def run_pair_suite(seed: int, tolerance: float, n_states: int = 400) -> tuple[dict, list[Check]]:
     """Two-qubit checks: moment structure, factorization, closed form vs trace."""
-    max_xy, max_factor, max_formula, max_marginal, min_prob = pair_structure_residuals(
-        seed, n_states, marginal_states=100
+    criterion = criterion_pair_moment_structure(
+        seed, n_states, marginal_states=100, tolerance=tolerance
     )
-    checks = [
-        check_le("pair_xy_moment_max", max_xy, 0.0, tolerance),
-        check_le("correlation_factorization_residual", max_factor, 0.0, tolerance),
-        check_le("formula_vs_trace_residual", max_formula, 0.0, tolerance),
-        check_le("marginal_consistency_residual", max_marginal, 0.0, tolerance),
-        check_ge("pair_min_probability", min_prob, 0.0, max(tolerance, 1e-12)),
-    ]
-    results = {
-        "states": n_states,
-        "pair_xy_moment_max": max_xy,
-        "correlation_factorization_residual": max_factor,
-        "formula_vs_trace_residual": max_formula,
-        "marginal_consistency_residual": max_marginal,
-        "pair_min_probability": min_prob,
-    }
-    return results, checks
+    checks = list(criterion.checks)
+    return {"states": n_states, **{c.name: c.value for c in checks}}, checks
 
 
 def _resolve_state(
@@ -177,11 +150,7 @@ def run_bound_suite(
     rho, state_label = _resolve_state(state, phi, seed, state_matrix)
     rep = bound_report(rho)
     c = correlations_of_state(rho)
-    gen = SeededSampler(seed).derive(72).rng()
-    sup_residual = 0.0
-    for _ in range(200):
-        vec = CorrelationVector(*(2.0 * gen.random(4) - 1.0))
-        sup_residual = max(sup_residual, abs(sup_over_angles(vec) - tight_bound_lhs(vec)))
+    sup_residual = sup_identity_residual(SeededSampler(seed).derive(72), 200)
     checks = [
         check_le("tight_bound_lhs", rep.tight_lhs, 2.0, tolerance),
         check_le("simplified_bound_lhs", rep.simplified_lhs, 4.0, tolerance),
@@ -219,12 +188,7 @@ def run_scan_suite(
     if what == "chsh-surface":
         if not 0.0 <= phi <= 0.5 * math.pi:
             raise ValueError("chsh-surface scan requires phi in [0, pi/2]")
-        if grid_steps > 512:
-            raise ValueError("chsh-surface tables are quadratic in grid_steps; use <= 512")
-        angles = (np.arange(grid_steps) + 0.5) * (0.5 * math.pi / grid_steps)
-        surface = np.cos(angles[:, None] - angles[None, :]) * math.cos(phi) + np.sin(
-            angles[:, None] + angles[None, :]
-        ) * math.sin(phi)
+        angles, surface = chsh_surface(phi, grid_steps)
         opt = max_experimental_chsh(phi, grid_steps=max(grid_steps, 64))
         closed_form = math.cos(phi) + math.sin(phi)
         table = [
@@ -251,25 +215,14 @@ def run_scan_suite(
         values = 1.0 + np.cos(phis) - np.cos(phis) ** 2
         step = math.pi / max(grid_steps - 1, 1)
         curve = zero_probability_curve_max(step=min(step, 1e-4))
-        chsh_at_max = chsh_value(bell_family_correlations(curve.phi))
-        grid_dev = abs(constrained_chsh_grid_max(curve.phi) - zero_probability_chsh(curve.phi))
-        half = 0.5 * curve.phi
-        v = VisibilityPair(math.cos(half), math.sin(half))
-        dist = pair_distribution_formula(bell_family_correlations(curve.phi), v, v)
-        suppressed = abs(dist.probs[(1, 1, -1, -1)])
-        checks = [
-            check_close("zero_prob_curve_max", curve.value, 1.25, 1e-6),
-            check_close("zero_prob_curve_argmax_cos", math.cos(curve.phi), 0.5, 1e-6),
-            check_close("chsh_at_curve_argmax", chsh_at_max, 1.0 + math.sqrt(3.0), 1e-9),
-            check_le("suppressed_outcome_probability", suppressed, 0.0, 1e-12),
-            check_le("constrained_maximizer_grid_dev", grid_dev, 0.0, 1e-6),
-        ]
+        checks = list(zero_probability_checks(curve, (curve.phi,), (curve.phi,)))
+        value = {c.name: c.value for c in checks}
         results = {
             "grid_steps": grid_steps,
-            "max_value": curve.value,
+            "max_value": value["zero_prob_curve_max"],
             "argmax_phi": curve.phi,
-            "argmax_cos_phi": math.cos(curve.phi),
-            "chsh_at_argmax": chsh_at_max,
+            "argmax_cos_phi": value["zero_prob_curve_argmax_cos"],
+            "chsh_at_argmax": value["chsh_at_curve_argmax"],
             "table_columns": ["phi", "value"],
             "table": [[float(p), float(f)] for p, f in zip(phis, values)],
         }
@@ -293,20 +246,7 @@ def run_sample_suite(
         SeededSampler(seed).derive(200),
         label=f"bell(phi={phi});alpha={alpha};beta={beta}",
     )
-    checks = []
-    moments: dict[str, Any] = {}
-    for spec in MONTE_CARLO_SPECS:
-        est = estimate_moment(shots, spec)
-        population = pair_moment(dist, spec)
-        name = f"{spec[0]}_{spec[1]}"
-        moments[name] = {
-            "estimate": est.value,
-            "std_error": est.std_error,
-            "population": population,
-        }
-        checks.append(
-            check_le(f"moment_gap_{name}", abs(est.value - population), 5.0 * est.std_error)
-        )
+    checks, moments = moment_gap_checks(dist, shots)
     results = {
         "n_shots": n_shots,
         "phi": phi,

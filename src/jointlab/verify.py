@@ -5,6 +5,12 @@ route (closed forms, brute-force grids, sampling estimators) and returns a
 tuple of named checks carrying value, bound, tolerance and a pass flag.
 ``run_acceptance`` evaluates all ten criteria on one master seed; the
 10^5-state ensembles are generated once and shared.
+
+Every check a criterion makes is built here, once: the CLI subcommands
+(``suites``) compose these criteria and their check functions at their own
+sizes, and build only the checks that no criterion makes. Criteria 2, 3 and 4 take an optional run ``tolerance``: None keeps
+the pinned tolerances, a float replaces them on residuals and widens, but
+never tightens, the floors on minimum probabilities and the sweep residual.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .pairs import (
     BellFamilyState,
     CorrelationVector,
     DensityOperator4,
+    PairOutcomeDistribution,
     bell_family_correlations,
     correlation_components,
     correlation_moments,
@@ -52,9 +59,9 @@ from .pairs import (
 )
 from .reporting import shots_csv_text
 from .sampling import (
-    ChshOptimum,
     CurveOptimum,
     SeededSampler,
+    ShotRecord,
     constrained_chsh_grid_max,
     correlation_ensemble,
     estimate_moment,
@@ -129,6 +136,16 @@ def check_close(name: str, value: float, target: float, tol: float) -> Check:
     return Check(name, float(value), float(target), float(tol), abs(value - target) <= tol)
 
 
+def _run_tol(tolerance: float | None, pinned: float) -> float:
+    """A residual's tolerance: the pinned one, or the run tolerance when given."""
+    return pinned if tolerance is None else tolerance
+
+
+def _floor_tol(tolerance: float | None, floor: float) -> float:
+    """A tolerance that a run tolerance may widen but never tighten below ``floor``."""
+    return floor if tolerance is None else max(tolerance, floor)
+
+
 @dataclass(frozen=True)
 class CriterionResult:
     key: str
@@ -198,12 +215,14 @@ def moment_identity_residuals(seed: int, n: int = 1000) -> tuple[float, float]:
     return max_xy, max_prop
 
 
-def criterion_outcome_product_rule(seed: int, n: int = 1000) -> CriterionResult:
+def criterion_outcome_product_rule(
+    seed: int, n: int = 1000, tolerance: float | None = None
+) -> CriterionResult:
     start = time.perf_counter()
     max_xy, max_prop = moment_identity_residuals(seed, n)
     checks = (
-        check_le("outcome_product_mean_max", max_xy, 0.0, 1e-14),
-        check_le("visibility_scaling_residual_max", max_prop, 0.0, 1e-12),
+        check_le("outcome_product_mean_max", max_xy, 0.0, _run_tol(tolerance, 1e-14)),
+        check_le("visibility_scaling_residual_max", max_prop, 0.0, _run_tol(tolerance, 1e-12)),
     )
     return CriterionResult(
         "outcome_product_rule",
@@ -252,13 +271,13 @@ def bloch_disk_sweep(
     return worst_unphysical, best_physical, api_residual
 
 
-def criterion_bloch_disk_bound(seed: int) -> CriterionResult:
+def criterion_bloch_disk_bound(seed: int, tolerance: float | None = None) -> CriterionResult:
     start = time.perf_counter()
     worst_unphysical, best_physical, api_residual = bloch_disk_sweep(seed)
     checks = (
         check_le("unphysical_state_witness_probability", worst_unphysical, -1e-9),
-        check_ge("physical_state_min_probability", best_physical, 0.0, 1e-12),
-        check_le("sweep_vs_distribution_residual", api_residual, 0.0, 1e-15),
+        check_ge("physical_state_min_probability", best_physical, 0.0, _floor_tol(tolerance, 1e-12)),
+        check_le("sweep_vs_distribution_residual", api_residual, 0.0, _floor_tol(tolerance, 1e-15)),
     )
     return CriterionResult(
         "bloch_disk_bound",
@@ -327,15 +346,19 @@ def pair_structure_residuals(
     return max_xy, max_factor, max_formula, max_marginal, min_prob
 
 
-def criterion_pair_moment_structure(seed: int, n: int = 1000) -> CriterionResult:
+def criterion_pair_moment_structure(
+    seed: int, n: int = 1000, marginal_states: int = 200, tolerance: float | None = None
+) -> CriterionResult:
     start = time.perf_counter()
-    max_xy, max_factor, max_formula, max_marginal, min_prob = pair_structure_residuals(seed, n)
+    max_xy, max_factor, max_formula, max_marginal, min_prob = pair_structure_residuals(
+        seed, n, marginal_states
+    )
     checks = (
-        check_le("pair_xy_moment_max", max_xy, 0.0, 1e-12),
-        check_le("correlation_factorization_residual", max_factor, 0.0, 1e-12),
-        check_le("formula_vs_trace_residual", max_formula, 0.0, 1e-11),
-        check_le("marginal_consistency_residual", max_marginal, 0.0, 1e-12),
-        check_ge("pair_min_probability", min_prob, 0.0, 1e-12),
+        check_le("pair_xy_moment_max", max_xy, 0.0, _run_tol(tolerance, 1e-12)),
+        check_le("correlation_factorization_residual", max_factor, 0.0, _run_tol(tolerance, 1e-12)),
+        check_le("formula_vs_trace_residual", max_formula, 0.0, _run_tol(tolerance, 1e-11)),
+        check_le("marginal_consistency_residual", max_marginal, 0.0, _run_tol(tolerance, 1e-12)),
+        check_ge("pair_min_probability", min_prob, 0.0, _floor_tol(tolerance, 1e-12)),
     )
     return CriterionResult(
         "pair_moment_structure",
@@ -395,8 +418,9 @@ def criterion_tight_bound(ens: CorrelationEnsembles, n_phis: int = 100) -> Crite
 # 6. numeric supremum equals the closed form
 # ---------------------------------------------------------------------------
 
-def sup_identity_residual(seed: int, n: int = 1000) -> float:
-    gen = SeededSampler(seed).derive(6).rng()
+def sup_identity_residual(sampler: SeededSampler, n: int) -> float:
+    """Largest |numeric angle supremum - closed form| over n uniform vectors in [-1, 1]^4."""
+    gen = sampler.rng()
     worst = 0.0
     for _ in range(n):
         c = CorrelationVector(*(2.0 * gen.random(4) - 1.0))
@@ -406,7 +430,7 @@ def sup_identity_residual(seed: int, n: int = 1000) -> float:
 
 def criterion_sup_identity(seed: int, n: int = 1000) -> CriterionResult:
     start = time.perf_counter()
-    worst = sup_identity_residual(seed, n)
+    worst = sup_identity_residual(SeededSampler(seed).derive(6), n)
     checks = (check_le("sup_vs_closed_form_residual", worst, 0.0, 1e-9),)
     return CriterionResult(
         "sup_matches_closed_form",
@@ -478,50 +502,52 @@ def criterion_coherence_identity(seed: int, n: int = 1000) -> CriterionResult:
 # 9. observable optima
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OptimaResults:
-    unconstrained: ChshOptimum
-    curve: CurveOptimum
-    chsh_at_curve_max: float
-    suppressed_prob_max: float
-    constrained_grid_dev: float
+#: Phases where criterion 9 checks the suppressed outcome and the midpoint
+#: maximizer. Midpoint optimality holds where cos(phi) >= 0, i.e. phi in (0, pi/2].
+_SUPPRESSED_PHIS = tuple(float(phi) for phi in np.linspace(0.0, math.pi, 50))
+_MIDPOINT_PHIS = (0.4, 0.9, math.pi / 3.0, 1.3, 1.5)
 
 
-def observable_optima(n_zero_checks: int = 50) -> OptimaResults:
-    quarter_pi = 0.25 * math.pi
-    unconstrained = max_experimental_chsh(quarter_pi)
-    curve = zero_probability_curve_max()
+def zero_probability_checks(
+    curve: CurveOptimum, suppressed_phis: tuple[float, ...], midpoint_phis: tuple[float, ...]
+) -> tuple[Check, ...]:
+    """Checks of the CHSH curve under one zero-probability outcome.
+
+    ``curve`` must peak at 1.25 where cos(phi) = 1/2 and the state there
+    must reach the quantum CHSH value 1 + sqrt(3). At each phase of
+    ``suppressed_phis`` the outcome (1, 1, -1, -1) of the balance
+    alpha = beta = phi/2 must have probability zero, and at each phase of
+    ``midpoint_phis`` that balance must match a brute-force grid over
+    alpha + beta = phi.
+    """
     chsh_at_max = chsh_value(bell_family_correlations(curve.phi))
-
     suppressed = 0.0
-    for phi in np.linspace(0.0, math.pi, n_zero_checks):
-        phi = float(phi)
+    for phi in suppressed_phis:
         half = 0.5 * phi
         v = VisibilityPair(math.cos(half), math.sin(half))
         dist = pair_distribution_formula(bell_family_correlations(phi), v, v)
         suppressed = max(suppressed, abs(dist.probs[(1, 1, -1, -1)]))
-
     grid_dev = 0.0
-    # midpoint optimality holds where cos(phi) >= 0, i.e. phi in (0, pi/2]
-    for phi in (0.4, 0.9, math.pi / 3.0, 1.3, 1.5):
+    for phi in midpoint_phis:
         grid_dev = max(grid_dev, abs(constrained_chsh_grid_max(phi) - zero_probability_chsh(phi)))
-    return OptimaResults(unconstrained, curve, chsh_at_max, suppressed, grid_dev)
+    return (
+        check_close("zero_prob_curve_max", curve.value, 1.25, 1e-6),
+        check_close("zero_prob_curve_argmax_cos", math.cos(curve.phi), 0.5, 1e-6),
+        check_close("chsh_at_curve_argmax", chsh_at_max, 1.0 + math.sqrt(3.0), 1e-9),
+        check_le("suppressed_outcome_probability", suppressed, 0.0, 1e-12),
+        check_le("constrained_maximizer_grid_dev", grid_dev, 0.0, 1e-6),
+    )
 
 
 def criterion_observable_optima() -> CriterionResult:
     start = time.perf_counter()
-    res = observable_optima()
     quarter_pi = 0.25 * math.pi
+    unconstrained = max_experimental_chsh(quarter_pi)
     checks = (
-        check_close("experimental_chsh_max", res.unconstrained.value, math.sqrt(2.0), 1e-6),
-        check_close("experimental_chsh_argmax_alpha", res.unconstrained.alpha, quarter_pi, 1e-6),
-        check_close("experimental_chsh_argmax_beta", res.unconstrained.beta, quarter_pi, 1e-6),
-        check_close("zero_prob_curve_max", res.curve.value, 1.25, 1e-6),
-        check_close("zero_prob_curve_argmax_cos", math.cos(res.curve.phi), 0.5, 1e-6),
-        check_close("chsh_at_curve_argmax", res.chsh_at_curve_max, 1.0 + math.sqrt(3.0), 1e-9),
-        check_le("suppressed_outcome_probability", res.suppressed_prob_max, 0.0, 1e-12),
-        check_le("constrained_maximizer_grid_dev", res.constrained_grid_dev, 0.0, 1e-6),
-    )
+        check_close("experimental_chsh_max", unconstrained.value, math.sqrt(2.0), 1e-6),
+        check_close("experimental_chsh_argmax_alpha", unconstrained.alpha, quarter_pi, 1e-6),
+        check_close("experimental_chsh_argmax_beta", unconstrained.beta, quarter_pi, 1e-6),
+    ) + zero_probability_checks(zero_probability_curve_max(), _SUPPRESSED_PHIS, _MIDPOINT_PHIS)
     return CriterionResult(
         "observable_optima",
         "observed CHSH optima: sqrt(2) unconstrained, 1.25 under a zero-probability outcome",
@@ -534,6 +560,31 @@ def criterion_observable_optima() -> CriterionResult:
 # 10. Monte Carlo consistency
 # ---------------------------------------------------------------------------
 
+def moment_gap_checks(
+    dist: PairOutcomeDistribution, shots: ShotRecord
+) -> tuple[list[Check], dict[str, dict[str, float]]]:
+    """Each ``MONTE_CARLO_SPECS`` moment of ``shots`` within five standard errors of ``dist``.
+
+    Returns the checks and, by moment name, the estimate, its standard error
+    and the population value.
+    """
+    checks = []
+    moments = {}
+    for spec in MONTE_CARLO_SPECS:
+        est = estimate_moment(shots, spec)
+        population = pair_moment(dist, spec)
+        name = f"{spec[0]}_{spec[1]}"
+        moments[name] = {
+            "estimate": est.value,
+            "std_error": est.std_error,
+            "population": population,
+        }
+        checks.append(
+            check_le(f"moment_gap_{name}", abs(est.value - population), 5.0 * est.std_error)
+        )
+    return checks, moments
+
+
 def criterion_monte_carlo(seed: int, n: int = 1_000_000) -> CriterionResult:
     start = time.perf_counter()
     master = SeededSampler(seed)
@@ -541,17 +592,7 @@ def criterion_monte_carlo(seed: int, n: int = 1_000_000) -> CriterionResult:
     v = VisibilityPair(math.cos(quarter_pi), math.sin(quarter_pi))
     dist = pair_distribution_formula(bell_family_correlations(quarter_pi), v, v)
     shots = sample_outcomes(dist, n, master.derive(100), label="bell-quarter-pi")
-    checks = []
-    for spec in MONTE_CARLO_SPECS:
-        est = estimate_moment(shots, spec)
-        population = pair_moment(dist, spec)
-        checks.append(
-            check_le(
-                f"moment_gap_{spec[0]}_{spec[1]}",
-                abs(est.value - population),
-                5.0 * est.std_error,
-            )
-        )
+    checks, _ = moment_gap_checks(dist, shots)
 
     phi_z = math.pi / 3.0
     vz = VisibilityPair(math.cos(0.5 * phi_z), math.sin(0.5 * phi_z))

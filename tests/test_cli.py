@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from jointlab import linalg, suites
 from jointlab.cli import (
+    CHSH_SURFACE_STEPS_MAX,
     N_SHOTS_MAX,
     SINGLE_GRID_STEPS_MAX,
     ZERO_PROB_CURVE_STEPS_MAX,
@@ -222,6 +223,11 @@ class TestExitCodes:
                 "run_scan_suite",
             ),
             (["sample", "--n-shots", str(N_SHOTS_MAX + 1)], "run_sample_suite"),
+            (
+                ["scan", "--what", "chsh-surface", "--grid-steps"]
+                + [str(CHSH_SURFACE_STEPS_MAX + 1)],
+                "run_scan_suite",
+            ),
         ],
     )
     def test_work_above_cap_is_exit_2_before_any_work(self, capsys, monkeypatch, argv, suite):
@@ -232,6 +238,27 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, suite",
+        [
+            (["single", "--tolerance", "inf", "--grid-steps", "8"], "run_single_suite"),
+            (["pair", "--tolerance", "nan"], "run_pair_suite"),
+            (["scan", "--what", "zero-prob-curve", "--phi", "nan"], "run_scan_suite"),
+            (["bound", "--phi", "inf"], "run_bound_suite"),
+            (["sample", "--alpha=-inf"], "run_sample_suite"),
+            (["sample", "--beta", "nan"], "run_sample_suite"),
+            (["verify", "--tolerance", "inf"], "run_verify_suite"),
+        ],
+    )
+    def test_non_finite_input_is_exit_2_before_any_work(self, capsys, monkeypatch, argv, suite):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the suite ran although an input is not finite")
+
+        monkeypatch.setattr(suites, suite, no_work)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
 
     def test_convergence_failure_is_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
@@ -250,6 +277,117 @@ class TestExitCodes:
         assert main(["bound", "--output", str(out)]) == 2
         assert capsys.readouterr().err == "error: numerical failure: float division by zero\n"
         assert not out.exists()
+
+
+_VERIFY_TOLERANCES = [
+    ("povm_grid_mismatches", 0.0),
+    ("outcome_product_mean_max", 1e-14),
+    ("visibility_scaling_residual_max", 1e-12),
+    ("unphysical_state_witness_probability", 0.0),
+    ("physical_state_min_probability", 1e-12),
+    ("sweep_vs_distribution_residual", 1e-15),
+    ("pair_xy_moment_max", 1e-12),
+    ("correlation_factorization_residual", 1e-12),
+    ("formula_vs_trace_residual", 1e-11),
+    ("marginal_consistency_residual", 1e-12),
+    ("pair_min_probability", 1e-12),
+    ("tight_bound_max_pure", 1e-9),
+    ("tight_bound_max_mixed", 1e-9),
+    ("tight_bound_bell_family", 1e-12),
+    ("sup_vs_closed_form_residual", 1e-9),
+    ("chsh_bell_quarter_pi", 1e-12),
+    ("chsh_max_pure", 1e-9),
+    ("chsh_max_mixed", 1e-9),
+    ("coherence_identity_residual", 1e-10),
+    ("coherence_bell_family_dev", 1e-12),
+    ("coherence_bell_mixture_dev", 1e-12),
+    ("experimental_chsh_max", 1e-6),
+    ("experimental_chsh_argmax_alpha", 1e-6),
+    ("experimental_chsh_argmax_beta", 1e-6),
+    ("zero_prob_curve_max", 1e-6),
+    ("zero_prob_curve_argmax_cos", 1e-6),
+    ("chsh_at_curve_argmax", 1e-9),
+    ("suppressed_outcome_probability", 1e-12),
+    ("constrained_maximizer_grid_dev", 1e-6),
+    ("moment_gap_x_x", 0.0),
+    ("moment_gap_x_y", 0.0),
+    ("moment_gap_y_x", 0.0),
+    ("moment_gap_y_y", 0.0),
+    ("moment_gap_xy_one", 0.0),
+    ("moment_gap_one_xy", 0.0),
+    ("moment_gap_xy_x", 0.0),
+    ("moment_gap_x_xy", 0.0),
+    ("moment_gap_xy_xy", 0.0),
+    ("moment_gap_one_one", 0.0),
+    ("suppressed_outcome_count", 0.0),
+    ("suppressed_outcome_closed_form", 1e-12),
+    ("identical_seed_archives", 0.0),
+]
+
+#: (argv, [(check name, tolerance at --tolerance 1e-9, at --tolerance 1e-30)]).
+#: Literal constants, so a change that moves, renames or reorders a check fails here.
+_CHECK_TOLERANCES = {
+    "single": (
+        ["single", "--grid-steps", "8"],
+        [
+            ("povm_completeness_residual", 1e-9, 1e-30),
+            ("distribution_vs_trace_residual", 1e-9, 1e-30),
+            ("outcome_product_mean_max", 1e-9, 1e-30),
+            ("visibility_scaling_residual_max", 1e-9, 1e-30),
+            ("admissibility_psd_mismatches", 0.0, 0.0),
+            ("unphysical_state_witness_probability", 0.0, 0.0),
+            ("physical_state_min_probability", 1e-9, 1e-12),
+            ("sweep_vs_distribution_residual", 1e-9, 1e-15),
+        ],
+    ),
+    "pair": (
+        ["pair"],
+        [
+            ("pair_xy_moment_max", 1e-9, 1e-30),
+            ("correlation_factorization_residual", 1e-9, 1e-30),
+            ("formula_vs_trace_residual", 1e-9, 1e-30),
+            ("marginal_consistency_residual", 1e-9, 1e-30),
+            ("pair_min_probability", 1e-9, 1e-12),
+        ],
+    ),
+    "bound": (
+        ["bound", "--state", "bell"],
+        [
+            ("tight_bound_lhs", 1e-9, 1e-30),
+            ("simplified_bound_lhs", 1e-9, 1e-30),
+            ("chsh_value", 1e-9, 1e-30),
+            ("coherence_bound_lhs", 1e-9, 1e-30),
+            ("coherence_tight_identity", 1e-9, 1e-10),
+            ("sup_vs_closed_form_state", 1e-9, 1e-30),
+            ("sup_vs_closed_form_random_max", 1e-9, 1e-30),
+            ("tight_bound_saturation", 1e-9, 1e-30),
+            ("coherence_saturation", 1e-9, 1e-30),
+        ],
+    ),
+    "scan": (
+        ["scan", "--what", "zero-prob-curve", "--grid-steps", "9"],
+        [
+            ("zero_prob_curve_max", 1e-6, 1e-6),
+            ("zero_prob_curve_argmax_cos", 1e-6, 1e-6),
+            ("chsh_at_curve_argmax", 1e-9, 1e-9),
+            ("suppressed_outcome_probability", 1e-12, 1e-12),
+            ("constrained_maximizer_grid_dev", 1e-6, 1e-6),
+        ],
+    ),
+    "verify": (["verify"], [(name, tol, tol) for name, tol in _VERIFY_TOLERANCES]),
+}
+
+
+@pytest.mark.parametrize("tolerance", ["1e-9", "1e-30"])
+@pytest.mark.parametrize("subcommand", list(_CHECK_TOLERANCES))
+def test_check_names_and_tolerances_pinned(tmp_path, subcommand, tolerance):
+    argv, table = _CHECK_TOLERANCES[subcommand]
+    out = tmp_path / "report.json"
+    assert main(argv + ["--tolerance", tolerance, "--output", str(out)]) in (0, 1)
+    checks = json.loads(out.read_text())["checks"]
+    column = 1 if tolerance == "1e-9" else 2
+    expected = [(row[0], row[column]) for row in table]
+    assert [(c["name"], c["tolerance"]) for c in checks] == expected
 
 
 class TestOutputHandling:

@@ -21,6 +21,7 @@ from jointlab.sampling import (
     ShotRecord,
     bell_diagonal_random_state,
     bound_violation_search,
+    chsh_surface,
     constrained_chsh_grid_max,
     correlation_ensemble,
     estimate_moment,
@@ -245,6 +246,16 @@ class TestExperimentalChsh:
         variance += est_yy.std_error**2
         expected = experimental_chsh(phi, AnglePair(alpha, beta))
         assert abs(estimate - expected) < 4.0 * math.sqrt(variance)
+
+    def test_surface_is_experimental_chsh_on_midpoint_grid(self):
+        phi, steps = 0.3, 7
+        angles, surface = chsh_surface(phi, steps)
+        assert np.allclose(angles, (np.arange(steps) + 0.5) * math.pi / (2 * steps), atol=1e-15)
+        assert surface.shape == (steps, steps)
+        for i, alpha in enumerate(angles):
+            for j, beta in enumerate(angles):
+                expected = experimental_chsh(phi, AnglePair(float(alpha), float(beta)))
+                assert surface[i, j] == pytest.approx(expected, abs=1e-15)
 
     def test_maximum_at_quarter_pi(self):
         opt = max_experimental_chsh(QUARTER_PI)
