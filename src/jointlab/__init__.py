@@ -69,6 +69,7 @@ from .pairs import (
     local_mean_components,
     local_means_of_state,
     moment_signs,
+    outcome_indices,
     pair_distribution_formula,
     pair_distribution_trace,
     pair_marginals,

@@ -53,16 +53,17 @@ OUTPUT_DIR_ENV = "JOINTLAB_OUTPUT_DIR"
 SINGLE_GRID_STEPS_MAX = 1024
 
 #: Largest ``scan --what chsh-surface --grid-steps``. The table holds steps**2
-#: rows (26.5 MB of JSON, about 3.7 s and +150 MiB of RSS at the cap).
+#: rows (26.5 MB of JSON, about 1.7 s and +145 MiB of RSS at the cap).
 CHSH_SURFACE_STEPS_MAX = 512
 
 #: Largest ``scan --what zero-prob-curve --grid-steps``. The curve table costs
-#: ~10 us and ~0.5 KiB of RSS per step (about 1 s and 50 MiB at the cap);
+#: ~4 us and ~0.45 KiB of RSS per step (about 0.7 s and 45 MiB at the cap);
 #: beyond ~31,400 steps only the table grows, the refined optimum does not.
 ZERO_PROB_CURVE_STEPS_MAX = 100_001
 
-#: Largest ``sample --n-shots``. With ``--shots-output`` a shot costs ~2.5 us
-#: and ~125 B of RSS (about 5 s and 250 MiB at the cap).
+#: Largest ``sample --n-shots``. A shot costs ~0.6 us and ~25 B of RSS (about
+#: 1.5 s and 50 MiB at the cap); ``--shots-output`` writes the archive in
+#: blocks and adds no memory.
 N_SHOTS_MAX = 2_000_000
 
 
@@ -194,7 +195,11 @@ def _resolve_output(path: str) -> Path:
 
 
 def _load_state_file(path: str) -> np.ndarray:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        raw = json.loads(text)
+    except RecursionError:  # nesting deeper than the parser's recursion limit
+        raise ValueError("state file is nested too deeply to be a 4x4 matrix") from None
     try:
         arr = np.asarray(raw)
     except ValueError:  # ragged nesting

@@ -40,6 +40,7 @@ from .linalg import is_positive_semidefinite, pauli
 __all__ = [
     "PAIR_OUTCOMES",
     "PairOutcomeLabel",
+    "outcome_indices",
     "MomentSpec",
     "PAULI_PAIRS",
     "DensityOperator4",
@@ -69,6 +70,17 @@ PairOutcomeLabel = tuple[int, int, int, int]
 #: All 16 outcomes (x_a, y_a, x_b, y_b), +1 before -1 in each slot; outcome
 #: ``(*OUTCOMES[i], *OUTCOMES[j])`` sits at index ``4 * i + j``.
 PAIR_OUTCOMES: tuple[PairOutcomeLabel, ...] = tuple(product((1, -1), repeat=4))
+
+
+def outcome_indices(outcomes) -> np.ndarray:
+    """Index in ``PAIR_OUTCOMES`` of each ``(..., 4)`` row of +-1 outcomes, as uint8.
+
+    -1 in slot k sets bit 3 - k, so the index is 8*m0 + 4*m1 + 2*m2 + m3
+    over m = (outcomes < 0).
+    """
+    minus = (np.asarray(outcomes) < 0).view(np.uint8)
+    return 8 * minus[..., 0] + 4 * minus[..., 1] + 2 * minus[..., 2] + minus[..., 3]
+
 
 MomentSpec = tuple[str, str]
 

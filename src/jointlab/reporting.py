@@ -2,20 +2,27 @@
 
 JSON reports serialize every IEEE-754 double at 17 significant digits, which
 round-trips bit-exactly, so two runs with the same configuration and seed
-produce byte-identical files apart from the timestamp. CSV reports carry one
-row per scalar check; shot archives are CSV with one outcome row per draw.
+produce byte-identical files apart from the timestamp. Tables in a results
+payload are ``(n, k)`` float64 arrays; ``dumps_json`` writes them byte for
+byte as the equivalent list of row lists. CSV reports carry one row per
+scalar check; shot archives are CSV with one outcome row per draw, built
+from each shot's index in ``PAIR_OUTCOMES`` and written to the file in
+blocks of ``_SHOT_BLOCK_ROWS`` rows.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 import numpy as np
+
+from .pairs import PAIR_OUTCOMES, outcome_indices
 
 __all__ = [
     "ARTIFACT_VERSION",
@@ -31,6 +38,13 @@ __all__ = [
 
 ARTIFACT_VERSION = "0.1.0"
 
+#: The tail ",x_a,y_a,x_b,y_b\n" of each outcome's shot-archive line, in
+#: ``PAIR_OUTCOMES`` order.
+_SHOT_SUFFIXES = tuple("".join(f",{v}" for v in o) + "\n" for o in PAIR_OUTCOMES)
+
+#: Shot-archive rows formatted and written per block.
+_SHOT_BLOCK_ROWS = 65_536
+
 
 def _format_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
@@ -38,8 +52,30 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _dumps_table(table: np.ndarray, indent: int) -> str:
+    """A 2-D float array, byte for byte as ``dumps_json(table.tolist(), indent)``."""
+    if not np.isfinite(table).all():
+        raise ValueError("non-finite value in report")
+    rows = table.tolist()
+    if not rows:
+        return "[]"
+    row_pad = " " * (indent + 2)
+    cell_pad = " " * (indent + 4)
+    if table.shape[1] == 0:
+        lines = ["[]"] * len(rows)
+    else:
+        row_open, cell_sep, row_close = "[\n" + cell_pad, ",\n" + cell_pad, "\n" + row_pad + "]"
+        lines = [
+            row_open + cell_sep.join([format(v, ".17g") for v in row]) + row_close for row in rows
+        ]
+    return "[\n" + row_pad + (",\n" + row_pad).join(lines) + "\n" + " " * indent + "]"
+
+
 def dumps_json(obj: Any, indent: int = 0) -> str:
-    """Serialize nested dicts/lists/scalars with floats at 17 significant digits."""
+    """Serialize nested dicts/lists/scalars with floats at 17 significant digits.
+
+    A 2-D float ndarray is serialized as its list of row lists.
+    """
     pad = " " * indent
     child = indent + 2
     if isinstance(obj, Mapping):
@@ -54,6 +90,8 @@ def dumps_json(obj: Any, indent: int = 0) -> str:
             return "[]"
         lines = [f"{' ' * child}{dumps_json(v, child)}" for v in obj]
         return "[\n" + ",\n".join(lines) + f"\n{pad}]"
+    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f":
+        return _dumps_table(obj, indent)
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -129,12 +167,24 @@ def report_to_csv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _shot_indices(record) -> np.ndarray:
+    outcomes = np.asarray(record.outcomes)
+    if not (np.abs(outcomes) == 1).all():
+        raise ValueError("shot outcomes must be +-1")
+    return outcome_indices(outcomes)
+
+
+def _shot_csv_blocks(index: np.ndarray):
+    """The shot archive's text: the header, then ``_SHOT_BLOCK_ROWS`` lines at a time."""
+    yield "index,x_a,y_a,x_b,y_b\n"
+    for start in range(0, len(index), _SHOT_BLOCK_ROWS):
+        block = index[start : start + _SHOT_BLOCK_ROWS].tolist()
+        yield "".join([f"{i}{_SHOT_SUFFIXES[k]}" for i, k in enumerate(block, start)])
+
+
 def shots_csv_text(record) -> str:
     """Shot archive as CSV with columns (index, x_a, y_a, x_b, y_b)."""
-    lines = ["index,x_a,y_a,x_b,y_b"]
-    for i, row in enumerate(np.asarray(record.outcomes)):
-        lines.append(f"{i},{row[0]},{row[1]},{row[2]},{row[3]}")
-    return "\n".join(lines) + "\n"
+    return "".join(_shot_csv_blocks(_shot_indices(record)))
 
 
 def write_report(report: Report, path: str | Path, fmt: str = "json") -> None:
@@ -149,4 +199,7 @@ def write_report(report: Report, path: str | Path, fmt: str = "json") -> None:
 
 
 def write_shots_csv(record, path: str | Path) -> None:
-    Path(path).write_text(shots_csv_text(record), encoding="utf-8")
+    """Write ``shots_csv_text(record)`` to ``path`` block by block, without building it whole."""
+    index = _shot_indices(record)
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.writelines(_shot_csv_blocks(index))

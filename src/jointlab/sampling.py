@@ -40,6 +40,7 @@ from .pairs import (
     MomentSpec,
     PairOutcomeDistribution,
     moment_signs,
+    outcome_indices,
     validate_densities,
 )
 
@@ -303,14 +304,11 @@ def estimate_moment(r: ShotRecord, spec: MomentSpec) -> EstimateWithError:
     """Sample estimate of a pair moment with std_error = sample std / sqrt(n).
 
     Each shot's value is looked up in ``moment_signs(spec)`` by the shot's
-    index in ``PAIR_OUTCOMES``, where -1 in slot k sets bit 3 - k.
+    index in ``PAIR_OUTCOMES`` (``outcome_indices``).
     """
     if r.n < 2:
         raise ValueError("need at least two shots to estimate a moment")
-    signs = moment_signs(spec)
-    minus = (r.outcomes < 0).view(np.uint8)
-    index = 8 * minus[:, 0] + 4 * minus[:, 1] + 2 * minus[:, 2] + minus[:, 3]
-    values = np.take(signs, index)
+    values = np.take(moment_signs(spec), outcome_indices(r.outcomes))
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(r.n))
     return EstimateWithError(mean, std_error, r.n)

@@ -184,18 +184,20 @@ def run_bound_suite(
 def run_scan_suite(
     what: str, phi: float, grid_steps: int, tolerance: float
 ) -> tuple[dict, list[Check]]:
-    """Observable-statistics scans: the CHSH surface or the zero-probability curve."""
+    """Observable-statistics scans: the CHSH surface or the zero-probability curve.
+
+    The table is an ``(n, k)`` float64 array: ``[alpha, beta, value]`` rows with
+    alpha outer for the surface, ``[phi, value]`` rows for the curve.
+    """
     if what == "chsh-surface":
         if not 0.0 <= phi <= 0.5 * math.pi:
             raise ValueError("chsh-surface scan requires phi in [0, pi/2]")
         angles, surface = chsh_surface(phi, grid_steps)
         opt = max_experimental_chsh(phi, grid_steps=max(grid_steps, 64))
         closed_form = math.cos(phi) + math.sin(phi)
-        table = [
-            [float(angles[i]), float(angles[j]), float(surface[i, j])]
-            for i in range(grid_steps)
-            for j in range(grid_steps)
-        ]
+        table = np.column_stack(
+            [np.repeat(angles, grid_steps), np.tile(angles, grid_steps), surface.ravel()]
+        )
         checks = [
             check_close("chsh_surface_max", opt.value, closed_form, 1e-6),
             check_le("chsh_surface_grid_max", float(surface.max()), opt.value, 1e-12),
@@ -224,7 +226,7 @@ def run_scan_suite(
             "argmax_cos_phi": value["zero_prob_curve_argmax_cos"],
             "chsh_at_argmax": value["chsh_at_curve_argmax"],
             "table_columns": ["phi", "value"],
-            "table": [[float(p), float(f)] for p, f in zip(phis, values)],
+            "table": np.column_stack([phis, values]),
         }
         return results, checks
     raise ValueError(f"unknown scan kind {what!r}; expected one of {SCAN_KINDS}")

@@ -210,6 +210,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: state file must hold") and err.count("\n") == 1
 
+    def test_deeply_nested_state_file(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["bound", "--state", "file", "--state-file", str(deep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: state file is nested too deeply") and err.count("\n") == 1
+
     def test_grid_steps_above_single_cap(self, capsys):
         assert main(["single", "--grid-steps", str(SINGLE_GRID_STEPS_MAX + 1)]) == 2
         assert "grid-steps" in capsys.readouterr().err

@@ -1,0 +1,148 @@
+"""The array serializers against the per-row code they replaced.
+
+The reference functions below are the implementations the array path
+replaced: one f-string per shot over the outcome rows for the shot archive,
+and scan tables built as Python lists of ``[alpha, beta, value]`` or
+``[phi, value]`` row lists, serialized through the recursive list branch of
+``dumps_json``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from jointlab.pairs import PAIR_OUTCOMES, outcome_indices
+from jointlab.reporting import (
+    Report,
+    _SHOT_BLOCK_ROWS,
+    dumps_json,
+    report_to_json,
+    shots_csv_text,
+    write_shots_csv,
+)
+from jointlab.sampling import ShotRecord, chsh_surface
+from jointlab.suites import run_scan_suite
+
+
+def reference_shots_csv_text(record):
+    lines = ["index,x_a,y_a,x_b,y_b"]
+    for i, row in enumerate(np.asarray(record.outcomes)):
+        lines.append(f"{i},{row[0]},{row[1]},{row[2]},{row[3]}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_scan_table(what, phi, grid_steps):
+    if what == "chsh-surface":
+        angles, surface = chsh_surface(phi, grid_steps)
+        return [
+            [float(angles[i]), float(angles[j]), float(surface[i, j])]
+            for i in range(grid_steps)
+            for j in range(grid_steps)
+        ]
+    phis = np.linspace(0.0, math.pi, grid_steps)
+    values = 1.0 + np.cos(phis) - np.cos(phis) ** 2
+    return [[float(p), float(f)] for p, f in zip(phis, values)]
+
+
+def random_record(n, seed=0):
+    outcomes = np.random.default_rng(seed).choice(np.array([1, -1], np.int8), size=(n, 4))
+    return ShotRecord(outcomes, n, f"test;n={n}")
+
+
+ALL_OUTCOMES = ShotRecord(np.array(PAIR_OUTCOMES), len(PAIR_OUTCOMES), "all outcomes")
+
+
+class TestShotArchive:
+    def test_outcome_indices_follow_pair_outcomes(self):
+        assert outcome_indices(ALL_OUTCOMES.outcomes).tolist() == list(range(16))
+
+    @pytest.mark.parametrize("n", [1, 10, 11, 100_001])
+    def test_text_equals_per_row_loop(self, n):
+        assert 100_001 > _SHOT_BLOCK_ROWS
+        record = random_record(n, seed=n)
+        assert shots_csv_text(record) == reference_shots_csv_text(record)
+
+    def test_every_outcome_line(self):
+        text = shots_csv_text(ALL_OUTCOMES)
+        assert text == reference_shots_csv_text(ALL_OUTCOMES)
+        assert text.splitlines()[1:] == [
+            ",".join(map(str, (i, *o))) for i, o in enumerate(PAIR_OUTCOMES)
+        ]
+
+    @pytest.mark.parametrize("record", [ALL_OUTCOMES, random_record(100_001, seed=3)])
+    def test_written_bytes_equal_text(self, tmp_path, record):
+        path = tmp_path / "shots.csv"
+        write_shots_csv(record, path)
+        assert path.read_bytes() == shots_csv_text(record).encode("utf-8")
+
+    def test_outcome_other_than_plus_minus_one_rejected_before_writing(self, tmp_path):
+        bad = ShotRecord(np.array([[1, -1, 1, 1], [1, 0, -1, 1]]), 2, "bad")
+        path = tmp_path / "shots.csv"
+        with pytest.raises(ValueError, match="must be \\+-1"):
+            shots_csv_text(bad)
+        with pytest.raises(ValueError, match="must be \\+-1"):
+            write_shots_csv(bad, path)
+        assert not path.exists()
+
+
+TABLES = [
+    np.random.default_rng(5).standard_normal((7, 3)) * 10.0 ** np.arange(-3, 4)[:, None],
+    np.array([[-0.0, 0.0], [5e-324, 1e308], [1.0, -2.5], [math.pi, 1e-17]]),
+    np.arange(12.0).reshape(3, 4).T,  # not C-contiguous
+    np.array([[0.1]], dtype=np.float32),
+    np.zeros((3, 0)),
+]
+
+
+class TestTableJson:
+    @pytest.mark.parametrize("table", TABLES, ids=lambda t: f"{t.shape}-{t.dtype}")
+    def test_top_level_equals_list_form(self, table):
+        assert dumps_json(table) == dumps_json(table.tolist())
+
+    @pytest.mark.parametrize("table", TABLES, ids=lambda t: f"{t.shape}-{t.dtype}")
+    def test_nested_equals_list_form(self, table):
+        def payload(t):
+            return {"results": {"n": 3, "table": t, "after": [1.5, "x"]}, "flag": True}
+
+        assert dumps_json(payload(table)) == dumps_json(payload(table.tolist()))
+
+    def test_empty_table(self):
+        assert dumps_json(np.zeros((0, 3))) == "[]"
+        assert dumps_json({"table": np.zeros((0, 3))}) == '{\n  "table": []\n}'
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        table = np.ones((4, 3))
+        table[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps_json(table)
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps_json({"results": {"table": table}})
+
+    @pytest.mark.parametrize("array", [np.ones((2, 2), dtype=np.int64), np.ones(3)])
+    def test_other_arrays_still_rejected(self, array):
+        with pytest.raises(TypeError, match="ndarray"):
+            dumps_json(array)
+
+
+@pytest.mark.parametrize(
+    "what, phi, grid_steps",
+    [
+        ("chsh-surface", 0.25 * math.pi, 9),
+        ("chsh-surface", 0.3, 64),
+        ("zero-prob-curve", 0.25 * math.pi, 9),
+        ("zero-prob-curve", 0.25 * math.pi, 10_001),
+    ],
+)
+def test_scan_report_equals_reference_serialization(what, phi, grid_steps):
+    results, checks = run_scan_suite(what, phi, grid_steps, 1e-9)
+    table = results["table"]
+    assert isinstance(table, np.ndarray) and table.dtype == np.float64
+    reference = dict(results, table=reference_scan_table(what, phi, grid_steps))
+    assert table.tolist() == reference["table"]
+
+    def report(payload):
+        return report_to_json(Report({"what": what}, payload, tuple(checks), timestamp="t"))
+
+    assert report(results) == report(reference)
