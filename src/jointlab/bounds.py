@@ -12,6 +12,11 @@ single-radical bound (<= 4) and the Tsirelson bound chsh <= 2*sqrt(2). The
 same quantity equals four times the sum of two density-matrix coherences,
 |<00|rho|11>| + |<10|rho|01>|. A grid-plus-golden-section optimizer over the
 visibility angles provides an independent numerical route to the supremum.
+The optimizer runs on stacks: ``sup_over_angles`` takes an ``(n, 4)`` array
+of correlation vectors and makes each golden-section step for all n at once,
+with the same result, bit for bit, as n searches on Python floats. A lone
+``CorrelationVector`` stays on Python floats, where a stack of one would cost
+more.
 """
 
 from __future__ import annotations
@@ -155,14 +160,19 @@ def angle_inequality_lhs(c: CorrelationVector, a: AnglePair) -> float:
     bounded by 2 for every (alpha, beta) exactly when the correlations are
     compatible with positive joint-measurement statistics.
     """
-    u = a.alpha + a.beta
-    v = a.alpha - a.beta
-    return (
-        math.cos(u) * (c.c_xx - c.c_yy)
-        + math.sin(u) * (c.c_xy + c.c_yx)
-        + math.cos(v) * (c.c_xx + c.c_yy)
-        - math.sin(v) * (c.c_xy - c.c_yx)
-    )
+    p, q = c.c_xx - c.c_yy, c.c_xy + c.c_yx
+    r, s = c.c_xx + c.c_yy, c.c_xy - c.c_yx
+    return _angle_lhs(p, q, r, s, a.alpha, a.beta, math.cos, math.sin)
+
+
+def _angle_lhs(p, q, r, s, alpha, beta, cos, sin):
+    """cos(u) p + sin(u) q + cos(v) r - sin(v) s at u = alpha + beta, v = alpha - beta.
+
+    ``cos`` and ``sin`` are ``math``'s on Python floats or numpy's on arrays.
+    """
+    u = alpha + beta
+    v = alpha - beta
+    return cos(u) * p + sin(u) * q + cos(v) * r - sin(v) * s
 
 
 def tight_bound_from_components(c_xx, c_xy, c_yx, c_yy):
@@ -209,13 +219,31 @@ def coherence_bound_lhs(rho: DensityOperator4) -> float:
     return float(abs(rho.mat[0, 3]) + abs(rho.mat[2, 1]))
 
 
-def _golden_section_max(f, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Golden-section search for the maximum of a unimodal function on [lo, hi]."""
+def _golden_section_max(f, lo: float | np.ndarray, hi: float | np.ndarray, iters: int):
+    """Golden-section search for the maximum of a unimodal function on [lo, hi].
+
+    On Python floats this is one search with plain branches. When ``lo`` is
+    an ndarray, ``lo`` and ``hi`` bound one independent search per element
+    and ``f`` maps an array of points to an array of values: every step makes
+    the same choice per element with ``np.where``, evaluates ``f`` once at
+    the new points, and the final pick breaks ties as Python's ``max`` over
+    the ``(f, x)`` tuples does, so each element equals its own float search.
+    Returns ``(x, f(x))``.
+    """
+    stacked = isinstance(lo, np.ndarray)
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
     for _ in range(iters):
-        if f1 < f2:
+        if stacked:
+            right = f1 < f2
+            lo = np.where(right, x1, lo)
+            hi = np.where(right, hi, x2)
+            x = np.where(right, lo + _GOLDEN * (hi - lo), hi - _GOLDEN * (hi - lo))
+            fx = f(x)
+            x1, x2 = np.where(right, x2, x), np.where(right, x, x1)
+            f1, f2 = np.where(right, f2, fx), np.where(right, fx, f1)
+        elif f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
             f2 = f(x2)
@@ -225,39 +253,63 @@ def _golden_section_max(f, lo: float, hi: float, iters: int) -> tuple[float, flo
             f1 = f(x1)
     xm = 0.5 * (lo + hi)
     fm = f(xm)
-    candidates = [(f1, x1), (f2, x2), (fm, xm)]
-    best = max(candidates)
-    return best[1], best[0]
+    if not stacked:
+        best = max([(f1, x1), (f2, x2), (fm, xm)])
+        return best[1], best[0]
+    best_x, best_f = x1, f1
+    for x, fx in ((x2, f2), (xm, fm)):
+        later = (fx > best_f) | ((fx == best_f) & (x > best_x))
+        best_x, best_f = np.where(later, x, best_x), np.where(later, fx, best_f)
+    return best_x, best_f
 
 
-def sup_over_angles(c: CorrelationVector, coarse_steps: int = 64, refine_iters: int = 60) -> float:
+def sup_over_angles(
+    c: CorrelationVector | np.ndarray, coarse_steps: int = 64, refine_iters: int = 60
+) -> float | np.ndarray:
     """Numerical supremum of ``angle_inequality_lhs`` over all angle pairs.
 
     The objective decouples in the sum and difference angles u = alpha + beta
     and v = alpha - beta, so each is scanned on a coarse grid and refined by
     golden-section search. Agrees with ``tight_bound_lhs`` to high accuracy
     for arbitrary correlation vectors; the identity is purely trigonometric.
+
+    ``c`` is one ``CorrelationVector``, searched on Python floats, or a
+    finite ``(..., 4)`` array of (c_xx, c_xy, c_yx, c_yy) rows, searched all
+    at once, which returns a ``(...)`` array. Each row gives the same value,
+    bit for bit, as its ``CorrelationVector`` does.
     """
     if coarse_steps < 8:
         raise ValueError(f"coarse_steps must be at least 8, got {coarse_steps}")
+    if isinstance(c, CorrelationVector):
+        c_xx, c_xy, c_yx, c_yy = c.as_tuple()
+        cos, sin, start = math.cos, math.sin, float
+    else:
+        comps = np.asarray(c, dtype=float)
+        if comps.ndim < 1 or comps.shape[-1] != 4:
+            raise ValueError(f"expected a (..., 4) array of correlations, got shape {comps.shape}")
+        if not np.isfinite(comps).all():
+            raise ValueError("correlations must be finite")
+        c_xx, c_xy, c_yx, c_yy = np.moveaxis(comps, -1, 0)
+        cos, sin, start = np.cos, np.sin, np.asarray
     grid = np.linspace(0.0, 2.0 * math.pi, coarse_steps, endpoint=False)
     step = 2.0 * math.pi / coarse_steps
 
-    def f_u(u: float) -> float:
-        return angle_inequality_lhs(c, AnglePair(0.5 * u, 0.5 * u))
+    p = c_xx - c_yy
+    q = c_xy + c_yx
+    r = c_xx + c_yy
+    s = c_xy - c_yx
 
-    def f_v(v: float) -> float:
+    def f_u(u):
+        return _angle_lhs(p, q, r, s, 0.5 * u, 0.5 * u, cos, sin)
+
+    def f_v(v):
         # alpha - beta = v with alpha + beta = 0 leaves only the v terms
-        return angle_inequality_lhs(c, AnglePair(0.5 * v, -0.5 * v))
+        return _angle_lhs(p, q, r, s, 0.5 * v, -0.5 * v, cos, sin)
 
-    p = c.c_xx - c.c_yy
-    q = c.c_xy + c.c_yx
-    r = c.c_xx + c.c_yy
-    s = c.c_xy - c.c_yx
-    u_values = np.cos(grid) * p + np.sin(grid) * q
-    v_values = np.cos(grid) * r - np.sin(grid) * s
-    u0 = float(grid[int(np.argmax(u_values))])
-    v0 = float(grid[int(np.argmax(v_values))])
+    u_values = np.cos(grid) * np.expand_dims(p, -1) + np.sin(grid) * np.expand_dims(q, -1)
+    v_values = np.cos(grid) * np.expand_dims(r, -1) - np.sin(grid) * np.expand_dims(s, -1)
+    u0 = start(grid[np.argmax(u_values, axis=-1)])
+    v0 = start(grid[np.argmax(v_values, axis=-1)])
     # f_u(u) includes the constant v-term cos(0)*r, and vice versa; subtract it
     _, fu = _golden_section_max(f_u, u0 - step, u0 + step, refine_iters)
     _, fv = _golden_section_max(f_v, v0 - step, v0 + step, refine_iters)

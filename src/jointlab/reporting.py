@@ -6,8 +6,8 @@ produce byte-identical files apart from the timestamp. Tables in a results
 payload are ``(n, k)`` float64 arrays; ``dumps_json`` writes them byte for
 byte as the equivalent list of row lists. CSV reports carry one row per
 scalar check; shot archives are CSV with one outcome row per draw, built
-from each shot's index in ``PAIR_OUTCOMES`` and written to the file in
-blocks of ``_SHOT_BLOCK_ROWS`` rows.
+from each shot's index in ``PAIR_OUTCOMES`` (``ShotRecord.index``) and
+written to the file in blocks of ``_SHOT_BLOCK_ROWS`` rows.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .pairs import PAIR_OUTCOMES, outcome_indices
+from .pairs import PAIR_OUTCOMES
 
 __all__ = [
     "ARTIFACT_VERSION",
@@ -168,10 +168,9 @@ def report_to_csv(report: Report) -> str:
 
 
 def _shot_indices(record) -> np.ndarray:
-    outcomes = np.asarray(record.outcomes)
-    if not (np.abs(outcomes) == 1).all():
+    if not (np.abs(record.outcomes) == 1).all():
         raise ValueError("shot outcomes must be +-1")
-    return outcome_indices(outcomes)
+    return record.index
 
 
 def _shot_csv_blocks(index: np.ndarray):

@@ -20,6 +20,7 @@ is 1 + cos(phi) - cos(phi)**2, peaking at 1.25 when cos(phi) = 1/2.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -250,6 +251,8 @@ class ShotRecord:
 
     ``outcomes`` is an (n, 4) int8 array of +-1 rows (x_a, y_a, x_b, y_b);
     ``source`` documents the distribution and sampler that produced it.
+    ``index`` is each shot's index in ``PAIR_OUTCOMES``, computed on first
+    use and shared by every moment estimate and the shot archive.
     """
 
     outcomes: np.ndarray
@@ -262,6 +265,13 @@ class ShotRecord:
             raise ValueError(f"expected outcome shape ({self.n}, 4), got {out.shape}")
         out.setflags(write=False)
         object.__setattr__(self, "outcomes", out)
+
+    @functools.cached_property
+    def index(self) -> np.ndarray:
+        """Read-only (n,) uint8 ``outcome_indices(outcomes)``."""
+        idx = outcome_indices(self.outcomes)
+        idx.setflags(write=False)
+        return idx
 
 
 @dataclass(frozen=True)
@@ -304,14 +314,18 @@ def estimate_moment(r: ShotRecord, spec: MomentSpec) -> EstimateWithError:
     """Sample estimate of a pair moment with std_error = sample std / sqrt(n).
 
     Each shot's value is looked up in ``moment_signs(spec)`` by the shot's
-    index in ``PAIR_OUTCOMES`` (``outcome_indices``).
+    index in ``PAIR_OUTCOMES`` (``r.index``).
     """
     if r.n < 2:
         raise ValueError("need at least two shots to estimate a moment")
-    values = np.take(moment_signs(spec), outcome_indices(r.outcomes))
+    values = np.take(moment_signs(spec), r.index)
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(r.n))
     return EstimateWithError(mean, std_error, r.n)
+
+
+def _chsh(phi: float, alpha: float, beta: float) -> float:
+    return math.cos(alpha - beta) * math.cos(phi) + math.sin(alpha + beta) * math.sin(phi)
 
 
 def experimental_chsh(phi: float, a: AnglePair) -> float:
@@ -321,7 +335,7 @@ def experimental_chsh(phi: float, a: AnglePair) -> float:
     maximally entangled state of phase phi measured with visibility balances
     (cos alpha, sin alpha) and (cos beta, sin beta).
     """
-    return math.cos(a.alpha - a.beta) * math.cos(phi) + math.sin(a.alpha + a.beta) * math.sin(phi)
+    return _chsh(phi, a.alpha, a.beta)
 
 
 @dataclass(frozen=True)
@@ -358,13 +372,9 @@ def max_experimental_chsh(phi: float, grid_steps: int = 181, refine_iters: int =
     alpha, beta = float(grid[i]), float(grid[j])
     lo, hi = 0.5 * step, half_pi - 0.5 * step
     for _ in range(8):
-        alpha, _ = _golden_section_max(
-            lambda a: experimental_chsh(phi, AnglePair(a, beta)), lo, hi, refine_iters
-        )
-        beta, _ = _golden_section_max(
-            lambda b: experimental_chsh(phi, AnglePair(alpha, b)), lo, hi, refine_iters
-        )
-    return ChshOptimum(experimental_chsh(phi, AnglePair(alpha, beta)), alpha, beta)
+        alpha, _ = _golden_section_max(lambda a: _chsh(phi, a, beta), lo, hi, refine_iters)
+        beta, _ = _golden_section_max(lambda b: _chsh(phi, alpha, b), lo, hi, refine_iters)
+    return ChshOptimum(_chsh(phi, alpha, beta), alpha, beta)
 
 
 def zero_probability_chsh(phi: float) -> float:

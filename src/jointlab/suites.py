@@ -50,6 +50,7 @@ from .verify import (
     criterion_bloch_disk_bound,
     criterion_outcome_product_rule,
     criterion_pair_moment_structure,
+    max_residual,
     moment_gap_checks,
     povm_grid_mismatches,
     run_acceptance,
@@ -73,17 +74,17 @@ SCAN_KINDS = ("chsh-surface", "zero-prob-curve")
 def _completeness_residual(seed: int, n: int = 200) -> float:
     gen = SeededSampler(seed).derive(20).rng()
     identity = np.eye(2, dtype=np.complex128)
-    worst = 0.0
+    residuals = []
     for _ in range(n):
         v = VisibilityPair(float(gen.random()), float(gen.random()))
         total = sum(povm_element(v, o) for o in OUTCOMES)
-        worst = max(worst, float(np.abs(total - identity).max()))
-    return worst
+        residuals.append(float(np.abs(total - identity).max()))
+    return max_residual(residuals)
 
 
 def _distribution_trace_residual(seed: int, n: int = 1000) -> float:
     gen = SeededSampler(seed).derive(21).rng()
-    worst = 0.0
+    residuals = []
     for _ in range(n):
         v = VisibilityPair(float(gen.random()), float(gen.random()))
         theta = 2.0 * math.pi * float(gen.random())
@@ -93,8 +94,8 @@ def _distribution_trace_residual(seed: int, n: int = 1000) -> float:
         dist = outcome_distribution(v, s)
         for o in OUTCOMES:
             traced = float(np.einsum("ij,ji->", rho, povm_element(v, o)).real)
-            worst = max(worst, abs(dist.probs[o] - traced))
-    return worst
+            residuals.append(abs(dist.probs[o] - traced))
+    return max_residual(residuals)
 
 
 def run_single_suite(seed: int, tolerance: float, grid_steps: int) -> tuple[dict, list[Check]]:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from jointlab import sampling
 from jointlab.bounds import TSIRELSON_BOUND, AnglePair, tight_bound_lhs
 from jointlab.joint import VisibilityPair
 from jointlab.pairs import (
@@ -12,10 +13,12 @@ from jointlab.pairs import (
     bell_family_correlations,
     correlations_of_state,
     local_means_of_state,
+    outcome_indices,
     pair_distribution_formula,
     pair_distribution_trace,
     pair_moment,
 )
+from jointlab.reporting import shots_csv_text
 from jointlab.sampling import (
     SeededSampler,
     ShotRecord,
@@ -33,6 +36,7 @@ from jointlab.sampling import (
     zero_probability_chsh,
     zero_probability_curve_max,
 )
+from jointlab.verify import MONTE_CARLO_SPECS
 
 QUARTER_PI = 0.25 * math.pi
 
@@ -179,6 +183,21 @@ class TestEstimators:
         shots = sample_outcomes(d, 1, SeededSampler(1))
         with pytest.raises(ValueError, match="two shots"):
             estimate_moment(shots, ("x", "x"))
+
+    def test_shot_index_computed_once_per_record(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            sampling, "outcome_indices", lambda o: calls.append(1) or outcome_indices(o)
+        )
+        v = saturated(QUARTER_PI)
+        d = pair_distribution_formula(bell_family_correlations(QUARTER_PI), v, v)
+        shots = sample_outcomes(d, 2000, SeededSampler(5))
+        for spec in MONTE_CARLO_SPECS:
+            estimate_moment(shots, spec)
+        shots_csv_text(shots)
+        assert len(calls) == 1
+        assert shots.index.dtype == np.uint8 and not shots.index.flags.writeable
+        assert np.array_equal(shots.index, outcome_indices(shots.outcomes))
 
     def test_std_error_scales_inverse_sqrt_n(self):
         v = saturated(QUARTER_PI)

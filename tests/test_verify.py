@@ -1,8 +1,13 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from jointlab import suites, verify
 from jointlab.joint import OUTCOMES, VisibilityPair, check_visibility_admissible, povm_element
 from jointlab.linalg import is_positive_semidefinite
+from jointlab.sampling import CurveOptimum
 from jointlab.verify import povm_grid_mismatches
 
 
@@ -29,3 +34,127 @@ def test_blocked_grid_matches_per_point_loop(grid_steps, tol):
         # the predicates differ on the collar 1 + tol < v_x**2 + v_y**2 <= (1 + 4 tol)**2
         assert expected > 0
 
+
+
+def nan_on_call(fn, call, poison):
+    """``fn`` with its ``call``-th result (1-based) replaced by ``poison(result)``."""
+    count = [0]
+
+    def wrapped(*args, **kwargs):
+        count[0] += 1
+        result = fn(*args, **kwargs)
+        return poison(result) if count[0] == call else result
+
+    return wrapped
+
+
+def _nan(_):
+    return math.nan
+
+
+def _nan_moments(m):
+    return SimpleNamespace(mean_x=m.mean_x, mean_y=m.mean_y, mean_xy=math.nan)
+
+
+def _nan_min_probability(dist):
+    return SimpleNamespace(min_probability=lambda: math.nan)
+
+
+def _nan_probs(dist):
+    return SimpleNamespace(probs={(1, 1, -1, -1): math.nan})
+
+
+def _nan_marginals(marginals):
+    marg_a, marg_b = marginals
+    marg_b = marg_b.copy()
+    marg_b[3, 1] = math.nan
+    return marg_a, marg_b
+
+
+def _nan_matrix(matrix):
+    return np.full_like(matrix, math.nan)
+
+
+CURVE = CurveOptimum(1.25, math.pi / 3)
+
+
+def _small_ensembles():
+    return verify.CorrelationEnsembles(np.zeros((4, 4)), np.zeros((4, 4)), 0.0)
+
+
+# (module, name patched, call made NaN, how, run, check that must fail); every
+# NaN comes after finite values, where Python's max(worst, nan) kept worst
+NAN_CASES = {
+    "outcome_product_mean": (
+        verify, "distribution_moments", 7, _nan_moments,
+        lambda: verify.criterion_outcome_product_rule(7, n=20).checks,
+        "outcome_product_mean_max",
+    ),
+    "visibility_scaling": (
+        verify, "distribution_moments", 7,
+        lambda m: SimpleNamespace(mean_x=math.nan, mean_y=m.mean_y, mean_xy=m.mean_xy),
+        lambda: verify.criterion_outcome_product_rule(7, n=20).checks,
+        "visibility_scaling_residual_max",
+    ),
+    "bloch_disk_spot_check": (
+        verify, "outcome_distribution", 5, _nan_min_probability,
+        lambda: verify.criterion_bloch_disk_bound(7).checks,
+        "sweep_vs_distribution_residual",
+    ),
+    "marginals": (
+        verify, "pair_marginals", 1, _nan_marginals,
+        lambda: verify.criterion_pair_moment_structure(7, n=5, marginal_states=5).checks,
+        "marginal_consistency_residual",
+    ),
+    "tight_bound_bell_family": (
+        verify, "tight_bound_lhs", 9, _nan,
+        lambda: verify.criterion_tight_bound(_small_ensembles()).checks,
+        "tight_bound_bell_family",
+    ),
+    "sup_identity": (
+        verify, "sup_over_angles", 1, lambda sup: np.where(np.arange(sup.size) == 3, math.nan, sup),
+        lambda: verify.criterion_sup_identity(7, n=10).checks,
+        "sup_vs_closed_form_residual",
+    ),
+    "coherence_bell_family": (
+        verify, "coherence_bound_lhs", 9, _nan,
+        lambda: verify.criterion_coherence_identity(7, n=3).checks,
+        "coherence_bell_family_dev",
+    ),
+    "suppressed_outcome": (
+        verify, "pair_distribution_formula", 3, _nan_probs,
+        lambda: verify.zero_probability_checks(CURVE, (0.1, 0.2, 0.3, 0.4), (0.4,)),
+        "suppressed_outcome_probability",
+    ),
+    "constrained_grid": (
+        verify, "constrained_chsh_grid_max", 2, _nan,
+        lambda: verify.zero_probability_checks(CURVE, (0.1,), (0.4, 0.9, 1.3)),
+        "constrained_maximizer_grid_dev",
+    ),
+    "povm_completeness": (
+        suites, "povm_element", 41, _nan_matrix,
+        lambda: suites.run_single_suite(7, 1e-9, 9)[1],
+        "povm_completeness_residual",
+    ),
+    "distribution_trace": (
+        suites, "equatorial_density", 6, _nan_matrix,
+        lambda: suites.run_single_suite(7, 1e-9, 9)[1],
+        "distribution_vs_trace_residual",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_CASES))
+def test_nan_residual_fails_its_check(case, monkeypatch):
+    module, name, call, poison, run, check_name = NAN_CASES[case]
+    monkeypatch.setattr(module, name, nan_on_call(getattr(module, name), call, poison))
+    checks = {c.name: c for c in run()}
+    assert math.isnan(checks[check_name].value)
+    assert not checks[check_name].passed
+
+
+def test_max_residual():
+    assert verify.max_residual([]) == 0.0
+    assert verify.max_residual(x for x in (0.5, 2.0, 1.0)) == 2.0
+    assert math.isnan(verify.max_residual([0.0, math.nan, 1.0]))
+    assert math.isnan(verify.max_residual((np.float64(1.0), np.float64(math.nan))))
