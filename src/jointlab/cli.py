@@ -53,17 +53,17 @@ OUTPUT_DIR_ENV = "JOINTLAB_OUTPUT_DIR"
 SINGLE_GRID_STEPS_MAX = 1024
 
 #: Largest ``scan --what chsh-surface --grid-steps``. The table holds steps**2
-#: rows (26.5 MB of JSON, about 1.7 s and +145 MiB of RSS at the cap).
+#: rows (26.5 MB of JSON, about 0.45 s and +112 MiB of RSS at the cap).
 CHSH_SURFACE_STEPS_MAX = 512
 
 #: Largest ``scan --what zero-prob-curve --grid-steps``. The curve table costs
-#: ~4 us and ~0.45 KiB of RSS per step (about 0.7 s and 45 MiB at the cap);
+#: ~3 us and ~0.45 KiB of RSS per step (about 0.3 s and 43 MiB at the cap);
 #: beyond ~31,400 steps only the table grows, the refined optimum does not.
 ZERO_PROB_CURVE_STEPS_MAX = 100_001
 
-#: Largest ``sample --n-shots``. A shot costs ~0.6 us and ~25 B of RSS (about
-#: 1.5 s and 50 MiB at the cap); ``--shots-output`` writes the archive in
-#: blocks and adds no memory.
+#: Largest ``sample --n-shots``. A shot costs ~0.17 us and ~25 B of RSS (about
+#: 0.35 s and 49 MiB at the cap); ``--shots-output`` writes the archive in
+#: blocks, adding ~0.1 us per shot and no memory.
 N_SHOTS_MAX = 2_000_000
 
 

@@ -4,10 +4,13 @@ JSON reports serialize every IEEE-754 double at 17 significant digits, which
 round-trips bit-exactly, so two runs with the same configuration and seed
 produce byte-identical files apart from the timestamp. Tables in a results
 payload are ``(n, k)`` float64 arrays; ``dumps_json`` writes them byte for
-byte as the equivalent list of row lists. CSV reports carry one row per
-scalar check; shot archives are CSV with one outcome row per draw, built
-from each shot's index in ``PAIR_OUTCOMES`` (``ShotRecord.index``) and
-written to the file in blocks of ``_SHOT_BLOCK_ROWS`` rows.
+byte as the equivalent list of row lists, formatting each distinct double
+once and joining the cells in one pass. CSV reports carry one row per scalar
+check. Shot archives are CSV with one outcome row per draw, written to the
+file in decimal-aligned blocks of ``_SHOT_BLOCK_ROWS`` rows. Each block is
+one ``uint8`` character matrix: the row numbers' digits, from a table of
+every 5-digit string, beside each shot's line tail, from a table indexed by
+its place in ``PAIR_OUTCOMES`` (``ShotRecord.index``).
 """
 
 from __future__ import annotations
@@ -42,8 +45,19 @@ ARTIFACT_VERSION = "0.1.0"
 #: ``PAIR_OUTCOMES`` order.
 _SHOT_SUFFIXES = tuple("".join(f",{v}" for v in o) + "\n" for o in PAIR_OUTCOMES)
 
-#: Shot-archive rows formatted and written per block.
-_SHOT_BLOCK_ROWS = 65_536
+#: ``_SHOT_SUFFIXES`` as a ``(16, width)`` ASCII table, NUL-padded on the right.
+_SHOT_SUFFIX_WIDTH = max(map(len, _SHOT_SUFFIXES))
+_SHOT_SUFFIX_BYTES = np.frombuffer(
+    b"".join(s.encode("ascii").ljust(_SHOT_SUFFIX_WIDTH, b"\0") for s in _SHOT_SUFFIXES),
+    dtype=np.uint8,
+).reshape(len(_SHOT_SUFFIXES), _SHOT_SUFFIX_WIDTH)
+
+#: Digits of the row number below the block's constant prefix.
+_SHOT_BLOCK_DIGITS = 5
+
+#: Shot-archive rows formatted and written per block; a power of ten, so
+#: every row of a block shares the digits above the last five.
+_SHOT_BLOCK_ROWS = 10**_SHOT_BLOCK_DIGITS
 
 
 def _format_float(x: float) -> str:
@@ -53,22 +67,31 @@ def _format_float(x: float) -> str:
 
 
 def _dumps_table(table: np.ndarray, indent: int) -> str:
-    """A 2-D float array, byte for byte as ``dumps_json(table.tolist(), indent)``."""
+    """A 2-D float array, byte for byte as ``dumps_json(table.tolist(), indent)``.
+
+    Each distinct double (by bit pattern, so ``-0.0`` and ``0.0`` stay apart)
+    is formatted once; the cells and their separators are joined in one pass.
+    """
     if not np.isfinite(table).all():
         raise ValueError("non-finite value in report")
-    rows = table.tolist()
-    if not rows:
+    n, k = table.shape
+    if n == 0:
         return "[]"
     row_pad = " " * (indent + 2)
+    if k == 0:
+        return "[\n" + row_pad + (",\n" + row_pad).join(["[]"] * n) + "\n" + " " * indent + "]"
     cell_pad = " " * (indent + 4)
-    if table.shape[1] == 0:
-        lines = ["[]"] * len(rows)
-    else:
-        row_open, cell_sep, row_close = "[\n" + cell_pad, ",\n" + cell_pad, "\n" + row_pad + "]"
-        lines = [
-            row_open + cell_sep.join([format(v, ".17g") for v in row]) + row_close for row in rows
-        ]
-    return "[\n" + row_pad + (",\n" + row_pad).join(lines) + "\n" + " " * indent + "]"
+    row_open, row_close = "[\n" + cell_pad, "\n" + row_pad + "]"
+    bits = np.ascontiguousarray(table, dtype=np.float64).view(np.int64).ravel()
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array([format(v, ".17g") for v in distinct.view(np.float64).tolist()], object)
+    # Row by row: cell, separator, cell, ..., cell, then the row close and the next row's open.
+    parts = np.empty((n, 2 * k), dtype=object)
+    parts[:, 0::2] = texts[inverse].reshape(n, k)
+    parts[:, 1::2] = ",\n" + cell_pad
+    parts[:, -1] = row_close + ",\n" + row_pad + row_open
+    parts[-1, -1] = row_close + "\n" + " " * indent + "]"
+    return "[\n" + row_pad + row_open + "".join(parts.ravel().tolist())
 
 
 def dumps_json(obj: Any, indent: int = 0) -> str:
@@ -173,12 +196,30 @@ def _shot_indices(record) -> np.ndarray:
     return record.index
 
 
+def _block_digits() -> np.ndarray:
+    """ASCII digits of 0 .. ``_SHOT_BLOCK_ROWS - 1``, zero-padded, as ``(rows, 5)`` uint8."""
+    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
+    product = np.meshgrid(*[digits] * _SHOT_BLOCK_DIGITS, indexing="ij")
+    return np.stack(product, axis=-1).reshape(_SHOT_BLOCK_ROWS, _SHOT_BLOCK_DIGITS)
+
+
 def _shot_csv_blocks(index: np.ndarray):
     """The shot archive's text: the header, then ``_SHOT_BLOCK_ROWS`` lines at a time."""
     yield "index,x_a,y_a,x_b,y_b\n"
+    padded = _block_digits()
     for start in range(0, len(index), _SHOT_BLOCK_ROWS):
-        block = index[start : start + _SHOT_BLOCK_ROWS].tolist()
-        yield "".join([f"{i}{_SHOT_SUFFIXES[k]}" for i, k in enumerate(block, start)])
+        block = index[start : start + _SHOT_BLOCK_ROWS]
+        rows = len(block)
+        if start == 0:  # no prefix: the leading zeros become NUL, the units digit stays
+            digits = padded[:rows].copy()
+            for place in range(_SHOT_BLOCK_DIGITS - 1):
+                digits[: 10 ** (_SHOT_BLOCK_DIGITS - 1 - place), place] = 0
+            numbers = [digits]
+        else:
+            prefix = np.frombuffer(str(start // _SHOT_BLOCK_ROWS).encode("ascii"), np.uint8)
+            numbers = [np.broadcast_to(prefix, (rows, prefix.size)), padded[:rows]]
+        chars = np.concatenate([*numbers, _SHOT_SUFFIX_BYTES[block]], axis=1)
+        yield chars[chars != 0].tobytes().decode("ascii")
 
 
 def shots_csv_text(record) -> str:

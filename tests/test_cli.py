@@ -14,13 +14,16 @@ from jointlab import linalg, suites
 from jointlab.cli import (
     CHSH_SURFACE_STEPS_MAX,
     N_SHOTS_MAX,
+    OUTPUT_DIR_ENV,
     SINGLE_GRID_STEPS_MAX,
+    SUBCOMMANDS,
     ZERO_PROB_CURVE_STEPS_MAX,
     RunConfig,
     main,
 )
 from jointlab.pairs import BellFamilyState
 from jointlab.reporting import dumps_json
+from jointlab.sampling import ShotRecord
 
 
 def run_json(tmp_path, args, name="report.json", expect=0):
@@ -461,3 +464,76 @@ class TestStateFileRobustness:
                 rc = main(argv)
         assert rc in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+
+
+#: Each flag with values it accepts; common flags first.
+_FLAG_VALUES = {
+    "--seed": ("7", "0", str(2**64 - 1)),
+    "--tolerance": ("1e-9", "0.1"),
+    "--grid-steps": ("8", "101"),
+    "--output": ("report.json", "report.csv"),
+    "--format": ("json", "csv"),
+    "--state": ("bell", "haar", "mixed", "file"),
+    "--state-file": ("state.json",),
+    "--what": ("chsh-surface", "zero-prob-curve"),
+    "--phi": ("0.3",),
+    "--alpha": ("0.5",),
+    "--beta": ("1.5",),
+    "--n-shots": ("2", "1000"),
+    "--shots-output": ("shots.csv",),
+}
+_OWN_FLAGS = {
+    "bound": ("--state", "--state-file", "--phi"),
+    "scan": ("--what", "--phi"),
+    "sample": ("--phi", "--alpha", "--beta", "--n-shots", "--shots-output"),
+}
+_JUNK = ("", "x", "-", "--", "nan", "-nan", "NaN", "inf", "-inf", "1e400", "-1e400", "-1", "0",
+         "1.5", "0x10", "99999999999999999999999", "\x00")
+# no path separators, so every output path stays inside the test's directory
+_junk = st.one_of(
+    st.sampled_from(_JUNK),
+    st.integers(-(10**30), 10**30).map(str),
+    st.floats().map(repr),
+    st.text(st.characters(blacklist_characters="/\\"), max_size=4),
+)
+
+
+@st.composite
+def _malformed_argv(draw):
+    """A subcommand (or junk), then flags mostly of that subcommand, with good or junk values.
+
+    The weights send about a quarter of the draws past argparse, into the config checks
+    and the run.
+    """
+    sub = draw(st.sampled_from(SUBCOMMANDS * 3 + ("explode", "", "-h")))
+    own = list(_FLAG_VALUES)[:5] + list(_OWN_FLAGS.get(sub, ()))
+    flags = st.sampled_from(own * 4 + list(_FLAG_VALUES))
+    argv = [sub]
+    if sub == "scan" and draw(st.integers(0, 3)):
+        argv += ["--what", draw(st.sampled_from(_FLAG_VALUES["--what"]))]
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(flags)
+        good = st.sampled_from(_FLAG_VALUES[flag])
+        argv += [flag, draw(st.one_of(good, good, _junk))]
+    if len(argv) > 1 and draw(st.integers(0, 9)) == 0:
+        argv.pop()  # the last flag without its value
+    return argv
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(argv=_malformed_argv())
+def test_malformed_argv_exits_cleanly(tmp_path, monkeypatch, argv):
+    """No numerical work runs: every suite is a stub, and the sample one returns two shots."""
+    for name in ("single", "pair", "bound", "scan", "verify"):
+        monkeypatch.setattr(suites, f"run_{name}_suite", lambda *args, **kwargs: ({}, []))
+    two_shots = ShotRecord(np.ones((2, 4), dtype=np.int8), 2, "stub")
+    monkeypatch.setattr(suites, "run_sample_suite", lambda *args, **kwargs: ({}, [], two_shots))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -7,10 +7,14 @@ and scan tables built as Python lists of ``[alpha, beta, value]`` or
 ``dumps_json``.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from jointlab.pairs import PAIR_OUTCOMES, outcome_indices
 from jointlab.reporting import (
@@ -25,10 +29,14 @@ from jointlab.sampling import ShotRecord, chsh_surface
 from jointlab.suites import run_scan_suite
 
 
+def reference_shot_line(i, row):
+    return f"{i},{row[0]},{row[1]},{row[2]},{row[3]}"
+
+
 def reference_shots_csv_text(record):
     lines = ["index,x_a,y_a,x_b,y_b"]
     for i, row in enumerate(np.asarray(record.outcomes)):
-        lines.append(f"{i},{row[0]},{row[1]},{row[2]},{row[3]}")
+        lines.append(reference_shot_line(i, row))
     return "\n".join(lines) + "\n"
 
 
@@ -50,18 +58,39 @@ def random_record(n, seed=0):
     return ShotRecord(outcomes, n, f"test;n={n}")
 
 
+def hashed_record(n):
+    """n shots whose outcome index is a multiplicative hash of the row number (no RNG)."""
+    index = (np.arange(n, dtype=np.int64) * 2_654_435_761 % 2**32) >> 28
+    return ShotRecord(np.array(PAIR_OUTCOMES, dtype=np.int8)[index], n, f"hashed;n={n}")
+
+
 ALL_OUTCOMES = ShotRecord(np.array(PAIR_OUTCOMES), len(PAIR_OUTCOMES), "all outcomes")
+
+#: sha256 of ``reference_shots_csv_text(hashed_record(1_000_001))``.
+HASHED_1_000_001_SHA256 = "8f57c9c9b37c2567cf7b22e28ac5bb24c4c5ed302cf003c1f599319fd0eb5a41"
 
 
 class TestShotArchive:
     def test_outcome_indices_follow_pair_outcomes(self):
         assert outcome_indices(ALL_OUTCOMES.outcomes).tolist() == list(range(16))
 
-    @pytest.mark.parametrize("n", [1, 10, 11, 100_001])
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 99_999, 100_000, 100_001, 200_001])
     def test_text_equals_per_row_loop(self, n):
-        assert 100_001 > _SHOT_BLOCK_ROWS
+        assert _SHOT_BLOCK_ROWS == 100_000  # the sizes straddle the first two block ends
         record = random_record(n, seed=n)
         assert shots_csv_text(record) == reference_shots_csv_text(record)
+
+    def test_million_rows_at_every_decimal_and_block_boundary(self):
+        n = 1_000_001
+        record = hashed_record(n)
+        text = shots_csv_text(record)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == HASHED_1_000_001_SHA256
+        lines = text.splitlines()
+        assert len(lines) == n + 1
+        boundaries = [10**e for e in range(1, 7)] + list(range(0, n, _SHOT_BLOCK_ROWS))
+        for b in boundaries:
+            for i in range(max(b - 2, 0), min(b + 2, n)):
+                assert lines[1 + i] == reference_shot_line(i, record.outcomes[i])
 
     def test_every_outcome_line(self):
         text = shots_csv_text(ALL_OUTCOMES)
@@ -107,6 +136,21 @@ class TestTableJson:
 
         assert dumps_json(payload(table)) == dumps_json(payload(table.tolist()))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        table=arrays(
+            np.float64,
+            st.tuples(st.integers(0, 30), st.integers(0, 5)),
+            elements=st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([0.0, -0.0, 5e-324, 0.1, 1.0, 1e308]),
+        ),
+        indent=st.sampled_from([0, 2, 4]),
+    )
+    def test_any_finite_table_equals_list_form(self, table, indent):
+        assert dumps_json(table, indent) == dumps_json(table.tolist(), indent)
+        nested = {"table": table, "n": 1}
+        assert dumps_json(nested, indent) == dumps_json(dict(nested, table=table.tolist()), indent)
+
     def test_empty_table(self):
         assert dumps_json(np.zeros((0, 3))) == "[]"
         assert dumps_json({"table": np.zeros((0, 3))}) == '{\n  "table": []\n}'
@@ -131,8 +175,11 @@ class TestTableJson:
     [
         ("chsh-surface", 0.25 * math.pi, 9),
         ("chsh-surface", 0.3, 64),
+        ("chsh-surface", 0.25 * math.pi, 256),
+        ("chsh-surface", 0.25 * math.pi, 512),
         ("zero-prob-curve", 0.25 * math.pi, 9),
         ("zero-prob-curve", 0.25 * math.pi, 10_001),
+        ("zero-prob-curve", 0.25 * math.pi, 100_001),
     ],
 )
 def test_scan_report_equals_reference_serialization(what, phi, grid_steps):
