@@ -35,24 +35,21 @@ from .joint import (
     VisibilityPair,
     admissible_visibilities,
     bloch_bound_lhs,
-    check_visibility_admissible,
     distribution_moments,
+    equatorial_densities,
     equatorial_density,
     outcome_distribution,
+    outcome_moments,
     outcome_probabilities,
     povm_element,
     povm_elements,
-    state_positivity_lhs,
 )
 from .linalg import (
     ConvergenceError,
     Spectrum,
     hermitian_eigenvalues,
-    is_hermitian,
     is_positive_semidefinite,
     pauli,
-    tensor_product,
-    trace,
 )
 from .pairs import (
     PAIR_OUTCOMES,
@@ -60,14 +57,12 @@ from .pairs import (
     BellFamilyState,
     CorrelationVector,
     DensityOperator4,
-    LocalMeans,
     PairOutcomeDistribution,
     bell_family_correlations,
     correlation_components,
     correlation_moments,
     correlations_of_state,
     local_mean_components,
-    local_means_of_state,
     moment_signs,
     outcome_indices,
     pair_distribution_formula,
@@ -85,11 +80,8 @@ from .sampling import (
     EstimateWithError,
     SeededSampler,
     ShotRecord,
-    ViolationSearchResult,
     bell_diagonal_random_state,
-    bound_violation_search,
     chsh_surface,
-    coherence_ensemble,
     constrained_chsh_grid_max,
     correlation_ensemble,
     estimate_moment,

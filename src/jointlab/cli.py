@@ -66,6 +66,10 @@ ZERO_PROB_CURVE_STEPS_MAX = 100_001
 #: blocks, adding ~0.1 us per shot and no memory.
 N_SHOTS_MAX = 2_000_000
 
+#: Largest ``bound --state-file`` in bytes. A 4x4 matrix of [re, im] pairs
+#: needs well under 2 KiB even at full float precision.
+STATE_FILE_MAX_BYTES = 65_536
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -110,6 +114,8 @@ class RunConfig:
             raise ValueError(f"unknown format {self.format!r}")
         if not 2 <= self.n_shots <= N_SHOTS_MAX:
             raise ValueError(f"n-shots must lie in [2, {N_SHOTS_MAX}]")
+        if self.state_file is not None and self.state != "file":
+            raise ValueError("--state-file requires --state file")
 
     def echo(self) -> dict:
         out = {}
@@ -195,9 +201,12 @@ def _resolve_output(path: str) -> Path:
 
 
 def _load_state_file(path: str) -> np.ndarray:
-    text = Path(path).read_text(encoding="utf-8")
+    with open(path, "rb") as f:
+        data = f.read(STATE_FILE_MAX_BYTES + 1)
+    if len(data) > STATE_FILE_MAX_BYTES:
+        raise ValueError(f"state file is larger than {STATE_FILE_MAX_BYTES} bytes")
     try:
-        raw = json.loads(text)
+        raw = json.loads(data.decode("utf-8"))
     except RecursionError:  # nesting deeper than the parser's recursion limit
         raise ValueError("state file is nested too deeply to be a 4x4 matrix") from None
     try:

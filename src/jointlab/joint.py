@@ -35,11 +35,11 @@ __all__ = [
     "povm_elements",
     "admissible_visibilities",
     "equatorial_density",
+    "equatorial_densities",
     "outcome_probabilities",
     "outcome_distribution",
+    "outcome_moments",
     "distribution_moments",
-    "state_positivity_lhs",
-    "check_visibility_admissible",
     "bloch_bound_lhs",
 ]
 
@@ -111,7 +111,7 @@ class BlochEquatorial:
             object.__setattr__(self, name, value)
 
     def is_physical(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.ex**2 + self.ey**2 <= 1.0 + tol
+        return bloch_bound_lhs(self.ex, self.ey) <= 1.0 + tol
 
 
 @dataclass(frozen=True)
@@ -158,6 +158,21 @@ def admissible_visibilities(v_x, v_y, tol: float = DEFAULT_TOL):
     return v_x**2 + v_y**2 <= 1.0 + tol
 
 
+def bloch_bound_lhs(ex, ey):
+    """ex**2 + ey**2, elementwise on arrays; physical states satisfy <= 1."""
+    return ex**2 + ey**2
+
+
+def _hermitian_2x2(diagonal: float, off) -> np.ndarray:
+    """[[d, off], [conj(off), d]] for every entry of ``off``, shape ``off.shape + (2, 2)``."""
+    off = np.asarray(off, dtype=np.complex128)
+    out = np.empty(off.shape + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = out[..., 1, 1] = diagonal
+    out[..., 0, 1] = off
+    out[..., 1, 0] = off.conj()
+    return out
+
+
 def _povm_off_diagonal(x, y, v_x, v_y):
     """Entry (0, 1) of E(x, y), for Python scalars or broadcast arrays alike."""
     return 0.25 * (x * v_x - 1j * y * v_y)
@@ -185,8 +200,7 @@ def povm_element(v: VisibilityPair, outcome: OutcomeLabel) -> np.ndarray:
     reproduces ``outcome_distribution`` for every state rho.
     """
     x, y = _validate_outcome(outcome)
-    off = _povm_off_diagonal(x, y, v.v_x, v.v_y)
-    return np.array([[0.25, off], [off.conjugate(), 0.25]])
+    return _hermitian_2x2(0.25, _povm_off_diagonal(x, y, v.v_x, v.v_y))
 
 
 def povm_elements(v_x, v_y) -> np.ndarray:
@@ -204,19 +218,24 @@ def povm_elements(v_x, v_y) -> np.ndarray:
     )
     if not (np.all((v_x >= 0.0) & (v_x <= 1.0)) and np.all((v_y >= 0.0) & (v_y <= 1.0))):
         raise ValueError("visibilities must be finite and lie in [0, 1]")
-    off = _povm_off_diagonal(_OUTCOME_X, _OUTCOME_Y, v_x[..., None], v_y[..., None])
-    out = np.empty(off.shape + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = 0.25
-    out[..., 0, 1] = off
-    out[..., 1, 0] = off.conj()
-    out[..., 1, 1] = 0.25
-    return out
+    return _hermitian_2x2(
+        0.25, _povm_off_diagonal(_OUTCOME_X, _OUTCOME_Y, v_x[..., None], v_y[..., None])
+    )
 
 
 def equatorial_density(s: BlochEquatorial) -> np.ndarray:
     """Density matrix (1/2)(I + ex X + ey Y) for the given Bloch components."""
-    off = 0.5 * (s.ex - 1j * s.ey)
-    return np.array([[0.5, off], [off.conjugate(), 0.5]])
+    return equatorial_densities(s.ex, s.ey)
+
+
+def equatorial_densities(ex, ey) -> np.ndarray:
+    """(1/2)(I + ex X + ey Y) for every pair of two broadcast arrays, shape ``(..., 2, 2)``.
+
+    No range checks: points outside the Bloch disk give the hypothetical
+    operators.
+    """
+    ex, ey = np.asarray(ex, dtype=np.float64), np.asarray(ey, dtype=np.float64)
+    return _hermitian_2x2(0.5, 0.5 * (ex - 1j * ey))
 
 
 def _outcome_probability(x, y, a, b):
@@ -249,32 +268,28 @@ def outcome_distribution(v: VisibilityPair, s: BlochEquatorial) -> SingleOutcome
     return SingleOutcomeDistribution(probs, hypothetical)
 
 
+#: Signs of the outcome functions x, y and xy, (3, 4): the rows of ``outcome_moments``.
+_MOMENT_SIGNS = np.stack([FACTOR_SIGNS[k] for k in ("x", "y", "xy")])
+
+
+def outcome_moments(probs) -> np.ndarray:
+    """Outcome averages (<x>, <y>, <xy>) of ``(..., 4)`` probabilities, shape ``(..., 3)``.
+
+    Each average is ``math.fsum`` over the four signed probabilities of its
+    row, so it is correctly rounded: a matrix product or a plain sum rounds
+    differently and changes the last bits of a near-zero <xy>.
+    """
+    terms = np.asarray(probs, dtype=np.float64)[..., None, :] * _MOMENT_SIGNS
+    rows = terms.reshape(-1, 4)
+    # rows go to Python floats one block at a time, so their memory does not grow with n
+    sums = [math.fsum(r) for k in range(0, len(rows), 512) for r in rows[k : k + 512].tolist()]
+    return np.array(sums, dtype=np.float64).reshape(terms.shape[:-1])
+
+
 def distribution_moments(d: SingleOutcomeDistribution) -> Moments:
     """Outcome averages <x>, <y> and <xy> of a four-outcome distribution.
 
     For any distribution produced by ``outcome_distribution`` these are
     v_x*ex, v_y*ey and exactly zero: the POVM carries no x-y cross term.
     """
-    mean_x = math.fsum(x * d.probs[(x, y)] for x, y in OUTCOMES)
-    mean_y = math.fsum(y * d.probs[(x, y)] for x, y in OUTCOMES)
-    mean_xy = math.fsum(x * y * d.probs[(x, y)] for x, y in OUTCOMES)
-    return Moments(mean_x, mean_y, mean_xy)
-
-
-def state_positivity_lhs(v: VisibilityPair, s: BlochEquatorial) -> float:
-    """|v_x ex| + |v_y ey|; at most 1 exactly when no outcome probability is negative."""
-    return abs(v.v_x * s.ex) + abs(v.v_y * s.ey)
-
-
-def check_visibility_admissible(v: VisibilityPair, tol: float = DEFAULT_TOL) -> bool:
-    """Visibility uncertainty relation v_x**2 + v_y**2 <= 1 (+ tol).
-
-    Agrees with positive semidefiniteness of all four POVM elements: the
-    element spectrum is (1 +- sqrt(v_x**2 + v_y**2))/4 for every outcome.
-    """
-    return v.is_admissible(tol)
-
-
-def bloch_bound_lhs(s: BlochEquatorial) -> float:
-    """ex**2 + ey**2; physical states satisfy <= 1."""
-    return s.ex**2 + s.ey**2
+    return Moments(*outcome_moments([d.probs[o] for o in OUTCOMES]).tolist())

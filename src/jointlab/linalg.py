@@ -1,8 +1,8 @@
 """Dense complex linear algebra for single- and two-qubit operators.
 
 Everything here operates on plain numpy complex arrays of dimension 2 or 4:
-Pauli construction, Kronecker products, traces, and a cyclic-Jacobi
-eigensolver used to certify positivity of measurement operators and states.
+Pauli construction and a cyclic-Jacobi eigensolver used to certify
+positivity of measurement operators and states.
 The closed-form 2x2 eigenvalue formula is deliberately not used in
 production, so a single eigenvalue path serves both dimensions; the test
 suite keeps the closed form around as an independent oracle.
@@ -30,9 +30,6 @@ __all__ = [
     "ConvergenceError",
     "Spectrum",
     "pauli",
-    "tensor_product",
-    "trace",
-    "is_hermitian",
     "hermitian_eigenvalues",
     "is_positive_semidefinite",
 ]
@@ -44,15 +41,6 @@ _JACOBI_MAX_SWEEPS = 100
 
 class ConvergenceError(RuntimeError):
     """Jacobi sweep cap reached before the off-diagonal norm dropped below tolerance."""
-
-
-def _as_complex_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
 
 
 _PAULI = {
@@ -75,25 +63,6 @@ def pauli(which: str) -> np.ndarray:
         return _PAULI[which]
     except KeyError:
         raise ValueError(f"unknown Pauli label {which!r}; expected one of I, X, Y, Z") from None
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with index convention (i_a, i_b) -> i_a * dim_b + i_b.
-
-    For two qubits this orders the product basis as |00>, |01>, |10>, |11>.
-    """
-    return np.kron(_as_complex_matrix(a), _as_complex_matrix(b))
-
-
-def trace(a) -> complex:
-    """Sum of the diagonal entries of a square matrix."""
-    return complex(np.trace(_as_complex_matrix(a)))
-
-
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
-    """True when max |A - A^dagger| <= tol."""
-    m = _as_complex_matrix(a)
-    return float(np.abs(m - m.conj().T).max()) <= tol
 
 
 @dataclass(frozen=True)

@@ -46,14 +46,12 @@ __all__ = [
     "DensityOperator4",
     "CorrelationVector",
     "PairOutcomeDistribution",
-    "LocalMeans",
     "BellFamilyState",
     "validate_densities",
     "pure_density",
     "correlation_components",
     "local_mean_components",
     "correlations_of_state",
-    "local_means_of_state",
     "pair_probabilities_trace",
     "correlation_moments",
     "pair_probabilities_formula",
@@ -225,16 +223,6 @@ class CorrelationVector:
 
 
 @dataclass(frozen=True)
-class LocalMeans:
-    """Single-qubit expectation values (<X_A>, <Y_A>, <X_B>, <Y_B>)."""
-
-    ax: float
-    ay: float
-    bx: float
-    by: float
-
-
-@dataclass(frozen=True)
 class PairOutcomeDistribution:
     """Probabilities over the 16 outcomes of two local joint measurements.
 
@@ -313,11 +301,6 @@ def local_mean_components(rho) -> np.ndarray:
 def correlations_of_state(rho: DensityOperator4) -> CorrelationVector:
     """Correlations Re tr(rho (P tensor Q)) for P, Q in {X, Y}."""
     return CorrelationVector(*correlation_components(rho.mat).tolist())
-
-
-def local_means_of_state(rho: DensityOperator4) -> LocalMeans:
-    """Single-qubit X and Y means of both subsystems."""
-    return LocalMeans(*local_mean_components(rho.mat).tolist())
 
 
 def pair_probabilities_trace(rho, va, vb) -> tuple[np.ndarray, np.ndarray]:

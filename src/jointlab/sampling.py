@@ -21,19 +21,12 @@ is 1 + cos(phi) - cos(phi)**2, peaking at 1.25 when cos(phi) = 1/2.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    AnglePair,
-    _golden_section_max,
-    chsh_from_components,
-    coherence_from_matrices,
-    tight_bound_from_components,
-)
+from .bounds import AnglePair, _golden_section_max
 from .pairs import (
     PAIR_OUTCOMES,
     PAULI_PAIRS,
@@ -51,13 +44,11 @@ __all__ = [
     "EstimateWithError",
     "ChshOptimum",
     "CurveOptimum",
-    "ViolationSearchResult",
     "haar_random_pure_state",
     "ginibre_random_mixed_state",
     "bell_diagonal_random_state",
     "random_state_stack",
     "correlation_ensemble",
-    "coherence_ensemble",
     "sample_outcomes",
     "estimate_moment",
     "experimental_chsh",
@@ -66,7 +57,6 @@ __all__ = [
     "zero_probability_chsh",
     "zero_probability_curve_max",
     "constrained_chsh_grid_max",
-    "bound_violation_search",
 ]
 
 _ALGORITHMS = {"philox-boxmuller-v1": np.random.Philox}
@@ -225,23 +215,6 @@ def correlation_ensemble(n: int, s: SeededSampler, kind: str = "haar") -> np.nda
         return _correlations_from_kets(_haar_kets(gen, n))
     if kind == "ginibre":
         return _correlations_from_rhos(_ginibre_rhos(gen, n))
-    raise ValueError(f"unknown ensemble kind {kind!r}")
-
-
-def coherence_ensemble(n: int, s: SeededSampler, kind: str = "haar") -> np.ndarray:
-    """|<00|rho|11>| + |<10|rho|01>| for n random states.
-
-    Drawn from the same stream as ``correlation_ensemble``, so equal samplers
-    describe the same states.
-    """
-    if n < 1:
-        raise ValueError(f"ensemble size must be positive, got {n}")
-    gen = s.rng()
-    if kind == "haar":
-        psi = _haar_kets(gen, n)
-        return np.abs(psi[:, 0] * psi[:, 3].conj()) + np.abs(psi[:, 2] * psi[:, 1].conj())
-    if kind == "ginibre":
-        return coherence_from_matrices(_ginibre_rhos(gen, n))
     raise ValueError(f"unknown ensemble kind {kind!r}")
 
 
@@ -443,29 +416,3 @@ def constrained_chsh_grid_max(phi: float, step: float = 1e-4) -> float:
         return experimental_chsh(phi, AnglePair(0.5 * phi, 0.5 * phi))
     values = np.cos(2.0 * alphas - phi) * math.cos(phi) + math.sin(phi) ** 2
     return float(values.max())
-
-
-@dataclass(frozen=True)
-class ViolationSearchResult:
-    max_tight_lhs: float
-    max_chsh: float
-    argmax_state_digest: str
-
-
-def bound_violation_search(n_states: int, s: SeededSampler) -> ViolationSearchResult:
-    """Search Haar-random pure states for violations of the tight bound.
-
-    Records the largest tight-bound and CHSH values over the ensemble along
-    with a digest of the extremal state; no quantum state can exceed 2, so
-    the search certifies the bound empirically.
-    """
-    if n_states < 1:
-        raise ValueError(f"n_states must be positive, got {n_states}")
-    psi = _haar_kets(s.rng(), n_states)
-    c = _correlations_from_kets(psi)
-    tight = tight_bound_from_components(c[:, 0], c[:, 1], c[:, 2], c[:, 3])
-    chsh = chsh_from_components(c[:, 0], c[:, 1], c[:, 2], c[:, 3])
-    top = int(np.argmax(tight))
-    rho = np.outer(psi[top], psi[top].conj())
-    digest = hashlib.sha256(np.ascontiguousarray(rho).tobytes()).hexdigest()
-    return ViolationSearchResult(float(tight.max()), float(chsh.max()), digest)

@@ -19,12 +19,10 @@ import numpy as np
 
 from .bounds import TSIRELSON_BOUND, bound_report
 from .joint import (
-    OUTCOMES,
-    BlochEquatorial,
     VisibilityPair,
-    equatorial_density,
-    outcome_distribution,
-    povm_element,
+    equatorial_densities,
+    outcome_probabilities,
+    povm_elements,
 )
 from .pairs import (
     BellFamilyState,
@@ -72,30 +70,19 @@ SCAN_KINDS = ("chsh-surface", "zero-prob-curve")
 
 
 def _completeness_residual(seed: int, n: int = 200) -> float:
-    gen = SeededSampler(seed).derive(20).rng()
-    identity = np.eye(2, dtype=np.complex128)
-    residuals = []
-    for _ in range(n):
-        v = VisibilityPair(float(gen.random()), float(gen.random()))
-        total = sum(povm_element(v, o) for o in OUTCOMES)
-        residuals.append(float(np.abs(total - identity).max()))
-    return max_residual(residuals)
+    """Largest |sum of the four POVM elements - I| over n random visibility pairs."""
+    v = SeededSampler(seed).derive(20).rng().random((n, 2))
+    total = povm_elements(v[:, 0], v[:, 1]).sum(axis=-3)
+    return max_residual(np.abs(total - np.eye(2)).max(axis=(-2, -1)))
 
 
 def _distribution_trace_residual(seed: int, n: int = 1000) -> float:
-    gen = SeededSampler(seed).derive(21).rng()
-    residuals = []
-    for _ in range(n):
-        v = VisibilityPair(float(gen.random()), float(gen.random()))
-        theta = 2.0 * math.pi * float(gen.random())
-        radius = float(gen.random())
-        s = BlochEquatorial(radius * math.cos(theta), radius * math.sin(theta))
-        rho = equatorial_density(s)
-        dist = outcome_distribution(v, s)
-        for o in OUTCOMES:
-            traced = float(np.einsum("ij,ji->", rho, povm_element(v, o)).real)
-            residuals.append(abs(dist.probs[o] - traced))
-    return max_residual(residuals)
+    """Largest |P(x, y) - tr(rho E(x, y))| over n random visibility pairs and disk states."""
+    v_x, v_y, turn, radius = SeededSampler(seed).derive(21).rng().random((n, 4)).T
+    theta = 2.0 * math.pi * turn
+    ex, ey = radius * np.cos(theta), radius * np.sin(theta)
+    traced = np.einsum("nij,nkji->nk", equatorial_densities(ex, ey), povm_elements(v_x, v_y)).real
+    return max_residual(np.abs(outcome_probabilities(v_x, v_y, ex, ey) - traced).ravel())
 
 
 def run_single_suite(seed: int, tolerance: float, grid_steps: int) -> tuple[dict, list[Check]]:

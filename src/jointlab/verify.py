@@ -8,9 +8,11 @@ tuple of named checks carrying value, bound, tolerance and a pass flag.
 
 Every check a criterion makes is built here, once: the CLI subcommands
 (``suites``) compose these criteria and their check functions at their own
-sizes, and build only the checks that no criterion makes. Criteria 2, 3 and 4 take an optional run ``tolerance``: None keeps
-the pinned tolerances, a float replaces them on residuals and widens, but
-never tightens, the floors on minimum probabilities and the sweep residual.
+sizes, and build only the checks that no criterion makes.
+
+Criteria 2, 3 and 4 take an optional run ``tolerance``: None keeps the
+pinned tolerances, a float replaces them on residuals and widens, but never
+tightens, the floors on minimum probabilities and the sweep residual.
 """
 
 from __future__ import annotations
@@ -32,11 +34,10 @@ from .bounds import (
     tight_bound_lhs,
 )
 from .joint import (
-    BlochEquatorial,
     VisibilityPair,
     admissible_visibilities,
-    distribution_moments,
-    outcome_distribution,
+    bloch_bound_lhs,
+    outcome_moments,
     outcome_probabilities,
     povm_elements,
 )
@@ -211,16 +212,13 @@ def criterion_povm_positivity(grid_steps: int = 101) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def moment_identity_residuals(seed: int, n: int = 1000) -> tuple[float, float]:
-    gen = SeededSampler(seed).derive(2).rng()
-    xy = []
-    prop = []
-    for _ in range(n):
-        v = VisibilityPair(float(gen.random()), float(gen.random()))
-        s = BlochEquatorial(float(2.0 * gen.random() - 1.0), float(2.0 * gen.random() - 1.0))
-        m = distribution_moments(outcome_distribution(v, s))
-        xy.append(abs(m.mean_xy))
-        prop += (abs(m.mean_x - v.v_x * s.ex), abs(m.mean_y - v.v_y * s.ey))
-    return max_residual(xy), max_residual(prop)
+    """Largest |<xy>| and largest |<x> - v_x ex|, |<y> - v_y ey| over n random inputs."""
+    draws = SeededSampler(seed).derive(2).rng().random((n, 4))
+    v_x, v_y = draws[:, 0], draws[:, 1]
+    ex, ey = 2.0 * draws[:, 2] - 1.0, 2.0 * draws[:, 3] - 1.0
+    m = outcome_moments(outcome_probabilities(v_x, v_y, ex, ey))
+    prop = np.abs(m[:, :2] - np.column_stack([v_x * ex, v_y * ey]))
+    return max_residual(np.abs(m[:, 2])), max_residual(prop.ravel())
 
 
 def criterion_outcome_product_rule(
@@ -255,28 +253,22 @@ def bloch_disk_sweep(
     """
     coords = np.linspace(-1.0, 1.0, state_grid)
     ex, ey = [a.ravel() for a in np.meshgrid(coords, coords)]
-    lhs = ex**2 + ey**2
     alphas = np.arange(0.0, 0.5 * math.pi + 0.5 * angle_step, angle_step)
+    cos_a, sin_a = np.cos(alphas), np.sin(alphas)
     # min over outcomes of (1/4)(1 + x vx ex + y vy ey) at v = (cos a, sin a)
     table = 0.25 * (
-        1.0 - np.abs(ex)[:, None] * np.cos(alphas)[None, :] - np.abs(ey)[:, None] * np.sin(alphas)[None, :]
+        1.0 - np.abs(ex)[:, None] * cos_a[None, :] - np.abs(ey)[:, None] * sin_a[None, :]
     )
     min_prob = table.min(axis=1)
-    unphysical = lhs > 1.0 + 1e-12
+    unphysical = bloch_bound_lhs(ex, ey) > 1.0 + 1e-12
     worst_unphysical = float(min_prob[unphysical].max())
     best_physical = float(min_prob[~unphysical].min())
 
     gen = SeededSampler(seed).derive(3).rng()
-    api_residuals = []
-    for _ in range(spot_checks):
-        i = int(gen.integers(ex.size))
-        j = int(gen.integers(alphas.size))
-        v = VisibilityPair(math.cos(alphas[j]), math.sin(alphas[j]))
-        s = BlochEquatorial(float(ex[i]), float(ey[i]))
-        sweep_value = 0.25 * (1.0 - abs(ex[i]) * math.cos(alphas[j]) - abs(ey[i]) * math.sin(alphas[j]))
-        api_value = outcome_distribution(v, s).min_probability()
-        api_residuals.append(abs(api_value - sweep_value))
-    return worst_unphysical, best_physical, max_residual(api_residuals)
+    # one draw with alternating (state, angle) bounds: the stream of alternating scalar draws
+    i, j = gen.integers(np.tile([ex.size, alphas.size], spot_checks)).reshape(-1, 2).T
+    spot = outcome_probabilities(cos_a[j], sin_a[j], ex[i], ey[i]).min(axis=-1)
+    return worst_unphysical, best_physical, max_residual(np.abs(spot - table[i, j]))
 
 
 def criterion_bloch_disk_bound(seed: int, tolerance: float | None = None) -> CriterionResult:

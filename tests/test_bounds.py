@@ -13,6 +13,7 @@ from jointlab.bounds import (
     bound_report,
     chsh_value,
     coherence_bound_lhs,
+    coherence_from_matrices,
     outcome_bound_lhs,
     selected_outcome,
     signed_visibilities,
@@ -27,12 +28,14 @@ from jointlab.pairs import (
     CorrelationVector,
     DensityOperator4,
     bell_family_correlations,
+    correlation_components,
     correlations_of_state,
     pair_distribution_formula,
 )
 from jointlab.sampling import (
     SeededSampler,
-    coherence_ensemble,
+    _ginibre_rhos,
+    _haar_kets,
     correlation_ensemble,
     ginibre_random_mixed_state,
 )
@@ -207,7 +210,14 @@ class TestCoherence:
         for kind, seed in (("haar", 47), ("ginibre", 48)):
             sampler = SeededSampler(seed)
             c = correlation_ensemble(100_000, sampler, kind)
-            coherences = coherence_ensemble(100_000, sampler, kind)
+            # the ensemble's own draws, as density matrices
+            if kind == "haar":
+                psi = _haar_kets(sampler.rng(), 100_000)
+                rho = psi[:, :, None] * psi[:, None, :].conj()
+            else:
+                rho = _ginibre_rhos(sampler.rng(), 100_000)
+            assert np.abs(correlation_components(rho) - c).max() < 1e-12
+            coherences = coherence_from_matrices(rho)
             tight = tight_bound_from_components(c[:, 0], c[:, 1], c[:, 2], c[:, 3])
             assert float(coherences.max()) <= 0.5 + 1e-12
             assert float(np.abs(4.0 * coherences - tight).max()) < 1e-10

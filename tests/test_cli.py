@@ -16,6 +16,7 @@ from jointlab.cli import (
     N_SHOTS_MAX,
     OUTPUT_DIR_ENV,
     SINGLE_GRID_STEPS_MAX,
+    STATE_FILE_MAX_BYTES,
     SUBCOMMANDS,
     ZERO_PROB_CURVE_STEPS_MAX,
     RunConfig,
@@ -214,11 +215,42 @@ class TestExitCodes:
         assert err.startswith("error: state file must hold") and err.count("\n") == 1
 
     def test_deeply_nested_state_file(self, tmp_path, capsys):
+        # deeper than the recursion limit, yet within STATE_FILE_MAX_BYTES
         deep = tmp_path / "deep.json"
-        deep.write_text("[" * 200_000 + "]" * 200_000)
+        deep.write_text("[" * 30_000 + "]" * 30_000)
         assert main(["bound", "--state", "file", "--state-file", str(deep)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: state file is nested too deeply") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("extra, rc", [(0, 0), (1, 2)])
+    def test_state_file_byte_cap(self, tmp_path, capsys, extra, rc):
+        text = json.dumps(_state_json(np.eye(4) / 4))
+        state_file = tmp_path / "state.json"
+        state_file.write_text(text + " " * (STATE_FILE_MAX_BYTES + extra - len(text)))
+        argv = ["bound", "--state", "file", "--state-file", str(state_file),
+                "--output", str(tmp_path / "report.json")]
+        assert main(argv) == rc
+        if rc:
+            err = capsys.readouterr().err
+            assert err.startswith("error: state file is larger than") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero")
+    def test_endless_state_file(self, capsys):
+        assert main(["bound", "--state", "file", "--state-file", "/dev/zero"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: state file is larger than") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("state", [[], ["--state", "bell"], ["--state", "mixed"]])
+    def test_state_file_requires_state_file_kind(self, tmp_path, capsys, monkeypatch, state):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the suite ran although --state is not file")
+
+        monkeypatch.setattr(suites, "run_bound_suite", no_work)
+        state_file = tmp_path / "state.json"
+        state_file.write_text(json.dumps(_state_json(np.eye(4) / 4)))
+        assert main(["bound", *state, "--state-file", str(state_file)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --state-file requires --state file\n"
 
     def test_grid_steps_above_single_cap(self, capsys):
         assert main(["single", "--grid-steps", str(SINGLE_GRID_STEPS_MAX + 1)]) == 2

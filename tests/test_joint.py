@@ -11,13 +11,12 @@ from jointlab.joint import (
     SingleOutcomeDistribution,
     VisibilityPair,
     bloch_bound_lhs,
-    check_visibility_admissible,
     distribution_moments,
     equatorial_density,
     outcome_distribution,
+    outcome_probabilities,
     povm_element,
     povm_elements,
-    state_positivity_lhs,
 )
 from jointlab.linalg import hermitian_eigenvalues, is_positive_semidefinite
 
@@ -49,7 +48,7 @@ class TestTypes:
     def test_unphysical_bloch_is_constructible_but_flagged(self):
         s = BlochEquatorial(0.9, 0.9)
         assert not s.is_physical()
-        assert bloch_bound_lhs(s) == pytest.approx(1.62, abs=1e-12)
+        assert bloch_bound_lhs(s.ex, s.ey) == pytest.approx(1.62, abs=1e-12)
 
     def test_distribution_invariants(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -165,33 +164,36 @@ class TestMoments:
 
 
 class TestBounds:
-    def test_state_positivity_examples(self):
-        assert state_positivity_lhs(
-            VisibilityPair(INV_SQRT2, INV_SQRT2), BlochEquatorial(INV_SQRT2, INV_SQRT2)
-        ) == pytest.approx(1.0, abs=1e-12)
-        assert state_positivity_lhs(
-            VisibilityPair(1.0, 0.0), BlochEquatorial(1.0, 0.0)
-        ) == pytest.approx(1.0)
-        assert state_positivity_lhs(VisibilityPair(0.0, 0.0), BlochEquatorial(0.3, -0.8)) == 0.0
-
     @given(v=visibilities, s=bloch_states)
     def test_lhs_determines_min_probability(self, v, s):
-        lhs = state_positivity_lhs(v, s)
-        min_prob = outcome_distribution(v, s).min_probability()
+        # the smallest probability is (1 - |v_x ex| - |v_y ey|) / 4: none is
+        # negative exactly when |v_x ex| + |v_y ey| <= 1
+        min_prob = outcome_probabilities(v.v_x, v.v_y, s.ex, s.ey).min(-1)
+        lhs = abs(v.v_x * s.ex) + abs(v.v_y * s.ey)
         assert min_prob == pytest.approx(0.25 * (1.0 - lhs), abs=1e-15)
+        assert min_prob == outcome_distribution(v, s).min_probability()
+
+    def test_state_positivity_examples(self):
+        cases = [
+            ((INV_SQRT2, INV_SQRT2), (INV_SQRT2, INV_SQRT2), 0.0),
+            ((1.0, 0.0), (1.0, 0.0), 0.0),
+            ((0.0, 0.0), (0.3, -0.8), 0.25),
+        ]
+        for (vx, vy), (ex, ey), expected in cases:
+            assert outcome_probabilities(vx, vy, ex, ey).min() == pytest.approx(expected, abs=1e-12)
 
     @given(v=visibilities)
     def test_admissibility_equals_povm_positivity(self, v):
         norm2 = v.v_x**2 + v.v_y**2
         if abs(norm2 - 1.0) < 1e-8:
             return  # tolerance collar: both predicates are fuzzy there
-        admissible = check_visibility_admissible(v, 1e-10)
+        admissible = v.is_admissible(1e-10)
         psd = all(is_positive_semidefinite(povm_element(v, o), 1e-10) for o in OUTCOMES)
         assert admissible == psd
 
     def test_bloch_bound_values(self):
-        assert bloch_bound_lhs(BlochEquatorial(INV_SQRT2, INV_SQRT2)) == pytest.approx(1.0)
-        assert bloch_bound_lhs(BlochEquatorial(0.0, 0.0)) == 0.0
+        assert bloch_bound_lhs(INV_SQRT2, INV_SQRT2) == pytest.approx(1.0)
+        assert bloch_bound_lhs(0.0, 0.0) == 0.0
 
 
 class TestStackedPovm:

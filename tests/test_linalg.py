@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from jointlab.linalg import (
     Spectrum,
     hermitian_eigenvalues,
-    is_hermitian,
     is_positive_semidefinite,
     pauli,
-    tensor_product,
-    trace,
 )
 
 
@@ -54,34 +51,36 @@ class TestPauli:
 
 
 class TestTensorAndTrace:
+    """Two-qubit operators are ``np.kron`` products in the |00>, |01>, |10>, |11> basis."""
+
     def test_identity_tensor_identity(self):
-        assert np.array_equal(tensor_product(pauli("I"), pauli("I")), np.eye(4))
+        assert np.array_equal(np.kron(pauli("I"), pauli("I")), np.eye(4))
 
     def test_traceless_factors(self):
-        assert trace(tensor_product(pauli("X"), pauli("X"))) == 0
+        assert np.trace(np.kron(pauli("X"), pauli("X"))) == 0
 
     def test_zz_diagonal(self):
-        zz = tensor_product(pauli("Z"), pauli("Z"))
+        zz = np.kron(pauli("Z"), pauli("Z"))
         assert np.allclose(np.diag(zz), [1, -1, -1, 1])
 
     def test_index_convention(self):
         # X on the first factor maps |0b> to |1b>: entry (2+b, b) is one
-        xi = tensor_product(pauli("X"), pauli("I"))
+        xi = np.kron(pauli("X"), pauli("I"))
         assert xi[2, 0] == 1 and xi[3, 1] == 1
 
     def test_trace_identity4(self):
-        assert trace(np.eye(4)) == 4
+        assert np.trace(np.eye(4)) == 4
 
     def test_trace_pauli_zero(self):
-        assert trace(pauli("X")) == 0
+        assert np.trace(pauli("X")) == 0
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
-            trace(np.ones((2, 3)))
+            hermitian_eigenvalues(np.ones((2, 3)))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            trace(np.array([[np.nan, 0], [0, 1]]))
+            hermitian_eigenvalues(np.array([[np.nan, 0], [0, 1]]))
 
 
 class TestEigenvalues:
@@ -89,7 +88,7 @@ class TestEigenvalues:
         assert hermitian_eigenvalues(pauli("Z")) == Spectrum((-1.0, 1.0))
 
     def test_tensor_xx(self):
-        spec = hermitian_eigenvalues(tensor_product(pauli("X"), pauli("X")))
+        spec = hermitian_eigenvalues(np.kron(pauli("X"), pauli("X")))
         assert spec.eigenvalues == pytest.approx((-1.0, -1.0, 1.0, 1.0), abs=1e-12)
 
     def test_povm_direction_matrix_frozen(self):
@@ -125,7 +124,7 @@ class TestEigenvalues:
     def test_tensor_eigenvalues_are_products(self):
         # commuting tensor factors: eigenvalue multiset is all pairwise products
         for left, right in (("X", "X"), ("Z", "Z"), ("X", "Z")):
-            spec = hermitian_eigenvalues(tensor_product(pauli(left), pauli(right)))
+            spec = hermitian_eigenvalues(np.kron(pauli(left), pauli(right)))
             products = sorted(
                 a * b
                 for a in hermitian_eigenvalues(pauli(left)).eigenvalues
@@ -156,8 +155,10 @@ class TestPositivity:
         assert is_positive_semidefinite(0.25 * (pauli("I") + pauli("X")))
 
     def test_hermiticity_helpers(self):
-        assert is_hermitian(pauli("Y"))
-        assert not is_hermitian(np.array([[0, 1], [0.5, 0]]))
+        for label in "IXYZ":
+            assert np.array_equal(pauli(label), pauli(label).conj().T)
+        with pytest.raises(ValueError, match="Hermitian"):
+            is_positive_semidefinite(np.array([[0, 1], [0.5, 0]]))
 
 
 def ginibre_hermitian_stack(rng, shape, n):

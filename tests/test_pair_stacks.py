@@ -30,7 +30,6 @@ from jointlab.pairs import (
     correlation_components,
     correlations_of_state,
     local_mean_components,
-    local_means_of_state,
     pair_distribution_formula,
     pair_distribution_trace,
     pair_marginals,
@@ -134,9 +133,9 @@ def reference_pair_structure(seed, n, marginal_states):
         rho = ginibre_random_mixed_state(master.derive(2000 + i))
         va, vb = reference_visibility(gen), reference_visibility(gen)
         dist = pair_distribution_trace(rho, va, vb)
-        means = local_means_of_state(rho)
-        local_a = outcome_distribution(va, BlochEquatorial(means.ax, means.ay))
-        local_b = outcome_distribution(vb, BlochEquatorial(means.bx, means.by))
+        ax, ay, bx, by = local_mean_components(rho.mat).tolist()
+        local_a = outcome_distribution(va, BlochEquatorial(ax, ay))
+        local_b = outcome_distribution(vb, BlochEquatorial(bx, by))
         marg_a, marg_b = dist.marginal_a(), dist.marginal_b()
         for o in OUTCOMES:
             max_marginal = max(
@@ -269,8 +268,7 @@ class TestCorrelations:
         for k in range(200):
             lone = DensityOperator4(rho[k])
             assert c[k].tolist() == list(correlations_of_state(lone).as_tuple())
-            m = local_means_of_state(lone)
-            assert means[k].tolist() == [m.ax, m.ay, m.bx, m.by]
+            assert means[k].tolist() == local_mean_components(lone.mat).tolist()
 
     def test_ensemble_operators_are_the_correlation_rows(self):
         assert np.shares_memory(_CORR_OPS, PAULI_PAIRS)

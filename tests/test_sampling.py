@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from jointlab import sampling
-from jointlab.bounds import TSIRELSON_BOUND, AnglePair, tight_bound_lhs
+from jointlab.bounds import (
+    TSIRELSON_BOUND,
+    AnglePair,
+    chsh_from_components,
+    tight_bound_from_components,
+)
 from jointlab.joint import VisibilityPair
 from jointlab.pairs import (
     PAIR_OUTCOMES,
     BellFamilyState,
     CorrelationVector,
     bell_family_correlations,
-    correlations_of_state,
-    local_means_of_state,
+    correlation_components,
+    local_mean_components,
     outcome_indices,
     pair_distribution_formula,
     pair_distribution_trace,
@@ -23,7 +28,6 @@ from jointlab.sampling import (
     SeededSampler,
     ShotRecord,
     bell_diagonal_random_state,
-    bound_violation_search,
     chsh_surface,
     constrained_chsh_grid_max,
     correlation_ensemble,
@@ -93,8 +97,7 @@ class TestRandomStates:
     def test_bell_mixture_has_zero_local_means(self):
         for i in range(20):
             rho = bell_diagonal_random_state(SeededSampler(6).derive(i))
-            means = local_means_of_state(rho)
-            assert max(abs(v) for v in (means.ax, means.ay, means.bx, means.by)) < 1e-14
+            assert np.abs(local_mean_components(rho.mat)).max() < 1e-14
 
     def test_ensemble_mean_correlation_is_unbiased(self):
         # unitary invariance forces zero-mean correlations
@@ -331,20 +334,16 @@ class TestZeroProbabilityCurve:
 
 class TestViolationSearch:
     def test_no_violations_and_deterministic(self):
-        res = bound_violation_search(3000, SeededSampler(55))
-        assert res.max_tight_lhs <= 2.0 + 1e-9
-        assert res.max_chsh <= TSIRELSON_BOUND + 1e-9
-        again = bound_violation_search(3000, SeededSampler(55))
-        assert res == again
+        c = correlation_ensemble(3000, SeededSampler(55), "haar")
+        assert tight_bound_from_components(*c.T).max() <= 2.0 + 1e-9
+        assert chsh_from_components(*c.T).max() <= TSIRELSON_BOUND + 1e-9
+        assert np.array_equal(c, correlation_ensemble(3000, SeededSampler(55), "haar"))
 
-    def test_digest_tracks_the_extremal_state(self):
-        res = bound_violation_search(1, SeededSampler(4))
+    def test_lone_member_is_the_lone_state(self):
+        c = correlation_ensemble(1, SeededSampler(4), "haar")
         rho = haar_random_pure_state(SeededSampler(4))
-        assert res.max_tight_lhs == pytest.approx(
-            tight_bound_lhs(correlations_of_state(rho)), abs=1e-12
-        )
-        assert len(res.argmax_state_digest) == 64
+        assert c[0] == pytest.approx(correlation_components(rho.mat), abs=1e-12)
 
     def test_size_validated(self):
         with pytest.raises(ValueError, match="positive"):
-            bound_violation_search(0, SeededSampler(1))
+            correlation_ensemble(0, SeededSampler(1))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from jointlab import suites, verify
-from jointlab.joint import OUTCOMES, VisibilityPair, check_visibility_admissible, povm_element
+from jointlab.joint import OUTCOMES, VisibilityPair, povm_element
 from jointlab.linalg import is_positive_semidefinite
 from jointlab.sampling import CurveOptimum
 from jointlab.verify import povm_grid_mismatches
@@ -18,7 +18,7 @@ def per_point_mismatches(grid_steps, tol):
     for vx in values:
         for vy in values:
             v = VisibilityPair(float(vx), float(vy))
-            admissible = check_visibility_admissible(v, tol)
+            admissible = v.is_admissible(tol)
             psd = all(is_positive_semidefinite(povm_element(v, o), tol) for o in OUTCOMES)
             mismatches += admissible != psd
     return mismatches
@@ -52,12 +52,15 @@ def _nan(_):
     return math.nan
 
 
-def _nan_moments(m):
-    return SimpleNamespace(mean_x=m.mean_x, mean_y=m.mean_y, mean_xy=math.nan)
+def nan_at(*index):
+    """A poison that copies a stacked result and sets entry ``index`` to NaN."""
 
+    def poison(result):
+        result = result.copy()
+        result[index] = math.nan
+        return result
 
-def _nan_min_probability(dist):
-    return SimpleNamespace(min_probability=lambda: math.nan)
+    return poison
 
 
 def _nan_probs(dist):
@@ -71,10 +74,6 @@ def _nan_marginals(marginals):
     return marg_a, marg_b
 
 
-def _nan_matrix(matrix):
-    return np.full_like(matrix, math.nan)
-
-
 CURVE = CurveOptimum(1.25, math.pi / 3)
 
 
@@ -83,21 +82,21 @@ def _small_ensembles():
 
 
 # (module, name patched, call made NaN, how, run, check that must fail); every
-# NaN comes after finite values, where Python's max(worst, nan) kept worst
+# NaN comes after finite values, where Python's max(worst, nan) kept worst and
+# np.nanmax would skip it
 NAN_CASES = {
     "outcome_product_mean": (
-        verify, "distribution_moments", 7, _nan_moments,
+        verify, "outcome_moments", 1, nan_at(6, 2),
         lambda: verify.criterion_outcome_product_rule(7, n=20).checks,
         "outcome_product_mean_max",
     ),
     "visibility_scaling": (
-        verify, "distribution_moments", 7,
-        lambda m: SimpleNamespace(mean_x=math.nan, mean_y=m.mean_y, mean_xy=m.mean_xy),
+        verify, "outcome_moments", 1, nan_at(6, 0),
         lambda: verify.criterion_outcome_product_rule(7, n=20).checks,
         "visibility_scaling_residual_max",
     ),
     "bloch_disk_spot_check": (
-        verify, "outcome_distribution", 5, _nan_min_probability,
+        verify, "outcome_probabilities", 1, nan_at(4),
         lambda: verify.criterion_bloch_disk_bound(7).checks,
         "sweep_vs_distribution_residual",
     ),
@@ -132,12 +131,12 @@ NAN_CASES = {
         "constrained_maximizer_grid_dev",
     ),
     "povm_completeness": (
-        suites, "povm_element", 41, _nan_matrix,
+        suites, "povm_elements", 1, nan_at(40),
         lambda: suites.run_single_suite(7, 1e-9, 9)[1],
         "povm_completeness_residual",
     ),
     "distribution_trace": (
-        suites, "equatorial_density", 6, _nan_matrix,
+        suites, "equatorial_densities", 1, nan_at(5),
         lambda: suites.run_single_suite(7, 1e-9, 9)[1],
         "distribution_vs_trace_residual",
     ),
