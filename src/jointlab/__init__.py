@@ -46,7 +46,6 @@ from .joint import (
 )
 from .linalg import (
     ConvergenceError,
-    Spectrum,
     hermitian_eigenvalues,
     is_positive_semidefinite,
     pauli,

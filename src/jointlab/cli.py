@@ -116,6 +116,8 @@ class RunConfig:
             raise ValueError(f"n-shots must lie in [2, {N_SHOTS_MAX}]")
         if self.state_file is not None and self.state != "file":
             raise ValueError("--state-file requires --state file")
+        if self.state_file == "":
+            raise ValueError("--state-file must not be empty")
 
     def echo(self) -> dict:
         out = {}
@@ -200,8 +202,15 @@ def _resolve_output(path: str) -> Path:
     return p
 
 
+def _open_unblocked(path: str, flags: int) -> int:
+    """Open without waiting for a writer: a FIFO that has none then reads as empty."""
+    fd = os.open(path, flags | os.O_NONBLOCK)
+    os.set_blocking(fd, True)
+    return fd
+
+
 def _load_state_file(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
+    with open(path, "rb", opener=_open_unblocked) as f:
         data = f.read(STATE_FILE_MAX_BYTES + 1)
     if len(data) > STATE_FILE_MAX_BYTES:
         raise ValueError(f"state file is larger than {STATE_FILE_MAX_BYTES} bytes")
@@ -230,7 +239,7 @@ def run(config: RunConfig) -> Report:
     elif config.subcommand == "pair":
         results, checks = suites.run_pair_suite(config.seed, config.tolerance)
     elif config.subcommand == "bound":
-        state_matrix = _load_state_file(config.state_file) if config.state_file else None
+        state_matrix = None if config.state_file is None else _load_state_file(config.state_file)
         results, checks = suites.run_bound_suite(
             config.seed, config.tolerance, config.state, config.phi, state_matrix
         )

@@ -35,7 +35,7 @@ from .joint import (
     admissible_visibilities,
     povm_elements,
 )
-from .linalg import is_positive_semidefinite, pauli
+from .linalg import _first_bad, _member, is_positive_semidefinite, pauli
 
 __all__ = [
     "PAIR_OUTCOMES",
@@ -107,17 +107,6 @@ _IMAG_TOL = 1e-12
 _SUM_TOL = 1e-12
 
 
-def _first_bad(bad: np.ndarray) -> tuple[int, ...] | None:
-    """Index of the first set flag in ``bad`` (``()`` for a lone flag), or None."""
-    if not bad.any():
-        return None
-    return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
-
-
-def _member(index: tuple[int, ...]) -> str:
-    return f" (stack member {index[0] if len(index) == 1 else index})" if index else ""
-
-
 def _real(values: np.ndarray, what: str) -> np.ndarray:
     """Real part of ``values``, refusing any entry with |imag| above 1e-12."""
     k = _first_bad(np.abs(values.imag) > _IMAG_TOL)
@@ -168,9 +157,8 @@ def validate_densities(a) -> np.ndarray:
     Every member must have finite entries, be Hermitian and have unit trace
     within the ``DensityOperator4`` tolerances, and be positive semidefinite
     within 1e-10. Positivity is certified by one ``is_positive_semidefinite``
-    call, which runs the scalar Jacobi path for a lone matrix and the stacked
-    one for a stack. A failing stack raises ValueError naming its first bad
-    member.
+    call on the whole stack (a lone matrix is a stack of one). A failing
+    stack raises ValueError naming its first bad member.
     """
     m = np.array(a, dtype=np.complex128)
     if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
@@ -186,7 +174,7 @@ def validate_densities(a) -> np.ndarray:
     k = _first_bad(np.abs(tr - 1.0) > DensityOperator4.TRACE_TOL)
     if k is not None:
         raise ValueError(f"density matrix trace is {tr[k]!r}, expected 1{_member(k)}")
-    k = _first_bad(~np.asarray(is_positive_semidefinite(m, DensityOperator4.PSD_TOL)))
+    k = _first_bad(~is_positive_semidefinite(m, DensityOperator4.PSD_TOL))
     if k is not None:
         raise ValueError(f"density matrix is not positive semidefinite{_member(k)}")
     m.setflags(write=False)

@@ -56,6 +56,7 @@ from .pairs import (
     pair_moment,
     pair_probabilities_formula,
     pair_probabilities_trace,
+    validate_densities,
 )
 from .reporting import shots_csv_text
 from .sampling import (
@@ -476,15 +477,13 @@ def coherence_identity_residuals(seed: int, n: int = 1000) -> tuple[float, float
         c = correlation_components(rho).T
         gap = np.abs(4.0 * coherence_from_matrices(rho) - tight_bound_from_components(*c))
         max_identity = float(gap.max())
-    bell_dev = max_residual(
-        abs(coherence_bound_lhs(BellFamilyState(float(phi)).to_density()) - 0.5)
-        for phi in np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
-    )
+    phis = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
+    kets = np.array([BellFamilyState(float(phi)).ket() for phi in phis])
+    bell = validate_densities(kets[:, :, None] * kets.conj()[:, None, :])
+    # Python's complex abs, as coherence_bound_lhs takes it; np.abs can differ in the last bit
+    bell_dev = max_residual(abs(abs(r[0][3]) + abs(r[2][1]) - 0.5) for r in bell.tolist())
     singlet_type = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-    mixture = DensityOperator4(
-        0.5 * BellFamilyState(0.0).to_density().mat
-        + 0.5 * np.outer(singlet_type, singlet_type.conj())
-    )
+    mixture = DensityOperator4(0.5 * bell[0] + 0.5 * np.outer(singlet_type, singlet_type.conj()))
     mixture_dev = abs(coherence_bound_lhs(mixture) - 0.5)
     return max_identity, bell_dev, mixture_dev
 

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -239,6 +242,31 @@ class TestExitCodes:
         assert main(["bound", "--state", "file", "--state-file", "/dev/zero"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: state file is larger than") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    def test_state_file_fifo_without_writer(self, tmp_path):
+        # a subprocess with a timeout, so that a blocking open fails the test
+        # instead of hanging the suite
+        fifo = tmp_path / "state.fifo"
+        os.mkfifo(fifo)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "jointlab", "bound", "--state", "file", "--state-file", str(fifo)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_empty_state_file_path(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the suite ran with an empty --state-file")
+
+        monkeypatch.setattr(suites, "run_bound_suite", no_work)
+        assert main(["bound", "--state", "file", "--state-file", ""]) == 2
+        assert capsys.readouterr().err == "error: --state-file must not be empty\n"
 
     @pytest.mark.parametrize("state", [[], ["--state", "bell"], ["--state", "mixed"]])
     def test_state_file_requires_state_file_kind(self, tmp_path, capsys, monkeypatch, state):

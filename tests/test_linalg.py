@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointlab.linalg import (
-    Spectrum,
     hermitian_eigenvalues,
     is_positive_semidefinite,
     pauli,
@@ -85,20 +84,18 @@ class TestTensorAndTrace:
 
 class TestEigenvalues:
     def test_pauli_z(self):
-        assert hermitian_eigenvalues(pauli("Z")) == Spectrum((-1.0, 1.0))
+        assert hermitian_eigenvalues(pauli("Z")).tolist() == [-1.0, 1.0]
 
     def test_tensor_xx(self):
-        spec = hermitian_eigenvalues(np.kron(pauli("X"), pauli("X")))
-        assert spec.eigenvalues == pytest.approx((-1.0, -1.0, 1.0, 1.0), abs=1e-12)
+        w = hermitian_eigenvalues(np.kron(pauli("X"), pauli("X")))
+        assert tuple(w) == pytest.approx((-1.0, -1.0, 1.0, 1.0), abs=1e-12)
 
     def test_povm_direction_matrix_frozen(self):
         # oracle: (1 +- sqrt(2))/4 for (1/4)(I + X + Y)
         m = 0.25 * (pauli("I") + pauli("X") + pauli("Y"))
-        spec = hermitian_eigenvalues(m)
-        assert spec.eigenvalues == pytest.approx(
-            (-0.10355339059327379, 0.6035533905932737), abs=1e-12
-        )
-        assert spec.eigenvalues == pytest.approx(eig2_closed_form(m), abs=1e-12)
+        w = tuple(hermitian_eigenvalues(m))
+        assert w == pytest.approx((-0.10355339059327379, 0.6035533905932737), abs=1e-12)
+        assert w == pytest.approx(eig2_closed_form(m), abs=1e-12)
 
     @given(
         a=st.floats(-5, 5),
@@ -109,39 +106,34 @@ class TestEigenvalues:
     @settings(max_examples=200)
     def test_matches_closed_form_2x2(self, a, d, br, bi):
         m = np.array([[a, br + 1j * bi], [br - 1j * bi, d]])
-        assert hermitian_eigenvalues(m).eigenvalues == pytest.approx(
-            eig2_closed_form(m), abs=1e-12
-        )
+        assert tuple(hermitian_eigenvalues(m)) == pytest.approx(eig2_closed_form(m), abs=1e-12)
 
     def test_random_4x4_eigenvalues_sum_to_trace(self):
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            a = 0.5 * (g + g.conj().T)
-            w = hermitian_eigenvalues(a).eigenvalues
-            assert abs(sum(w) - np.trace(a).real) < 1e-10
+        a = ginibre_hermitian_stack(np.random.default_rng(7), (1000,), 4)
+        w = hermitian_eigenvalues(a)
+        assert np.abs(w.sum(axis=-1) - np.trace(a, axis1=-2, axis2=-1).real).max() < 1e-10
 
     def test_tensor_eigenvalues_are_products(self):
         # commuting tensor factors: eigenvalue multiset is all pairwise products
         for left, right in (("X", "X"), ("Z", "Z"), ("X", "Z")):
-            spec = hermitian_eigenvalues(np.kron(pauli(left), pauli(right)))
+            w = hermitian_eigenvalues(np.kron(pauli(left), pauli(right)))
             products = sorted(
                 a * b
-                for a in hermitian_eigenvalues(pauli(left)).eigenvalues
-                for b in hermitian_eigenvalues(pauli(right)).eigenvalues
+                for a in hermitian_eigenvalues(pauli(left)).tolist()
+                for b in hermitian_eigenvalues(pauli(right)).tolist()
             )
-            assert spec.eigenvalues == pytest.approx(products, abs=1e-12)
+            assert tuple(w) == pytest.approx(products, abs=1e-12)
 
     def test_sorted_ascending(self):
-        w = hermitian_eigenvalues(np.diag([3.0, -1.0, 2.0, 0.0])).eigenvalues
-        assert list(w) == sorted(w)
+        w = hermitian_eigenvalues(np.diag([3.0, -1.0, 2.0, 0.0])).tolist()
+        assert w == sorted(w)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_already_diagonal_converges_immediately(self):
-        assert hermitian_eigenvalues(np.diag([2.0, 5.0])).eigenvalues == (2.0, 5.0)
+        assert hermitian_eigenvalues(np.diag([2.0, 5.0])).tolist() == [2.0, 5.0]
 
 
 class TestPositivity:
@@ -188,10 +180,9 @@ class TestStackedEigenvalues:
         stack = ginibre_hermitian_stack(np.random.default_rng(11), (25, 20), 4)
         eigs = hermitian_eigenvalues(stack)
         assert eigs.shape == (25, 20, 4)
-        scalar = np.array(
-            [[hermitian_eigenvalues(m).eigenvalues for m in row] for row in stack]
-        )
-        assert np.abs(eigs - scalar).max() < 1e-12
+        # each lone matrix is its row of the stack, bit for bit
+        lone = np.array([[hermitian_eigenvalues(m) for m in row] for row in stack])
+        assert lone.tobytes() == eigs.tobytes()
         # numpy's LAPACK solver as a test-only oracle
         assert np.abs(eigs - np.linalg.eigvalsh(stack)).max() < 1e-12
 
@@ -200,11 +191,42 @@ class TestStackedEigenvalues:
         stack = ginibre_hermitian_stack(rng, (200,), 4) + 2.0 * np.eye(4)
         flags = is_positive_semidefinite(stack)
         assert flags.shape == (200,) and flags.any() and not flags.all()
-        assert flags.tolist() == [is_positive_semidefinite(m) for m in stack]
+        assert flags.tolist() == [bool(is_positive_semidefinite(m)) for m in stack]
+        # numpy's LAPACK solver as a test-only oracle
+        assert flags.tolist() == (np.linalg.eigvalsh(stack)[:, 0] >= -1e-10).tolist()
 
-    def test_lone_matrix_keeps_spectrum_result(self):
-        assert isinstance(hermitian_eigenvalues(np.eye(2)), Spectrum)
+    def test_lone_matrix_gives_an_array(self):
+        w = hermitian_eigenvalues(np.eye(2))
+        assert isinstance(w, np.ndarray) and w.tolist() == [1.0, 1.0]
         assert hermitian_eigenvalues(np.eye(2)[None]).tolist() == [[1.0, 1.0]]
+        assert isinstance(is_positive_semidefinite(np.eye(2)), np.bool_)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_lone_is_a_stack_of_one_and_a_member_of_a_larger_stack(self, n):
+        stack = ginibre_hermitian_stack(np.random.default_rng(13), (9,), n)
+        eigs = hermitian_eigenvalues(stack)
+        for k in (0, 4, 8):
+            lone = hermitian_eigenvalues(stack[k])
+            assert lone.shape == (n,)
+            assert np.array_equal(lone, hermitian_eigenvalues(stack[k : k + 1])[0])
+            assert np.array_equal(lone, eigs[k])
+
+    @pytest.mark.parametrize("shape", [(3,), ()])
+    def test_fewer_than_two_axes_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            hermitian_eigenvalues(np.ones(shape))
+        with pytest.raises(ValueError, match="square"):
+            is_positive_semidefinite(np.ones(shape))
+
+    @pytest.mark.parametrize(
+        "entry, match", [(1e-6, "not Hermitian"), (np.nan, "finite"), (np.inf, "finite")]
+    )
+    def test_lone_matrix_error_names_no_member(self, entry, match):
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = entry
+        with pytest.raises(ValueError, match=match) as info:
+            hermitian_eigenvalues(m)
+        assert "stack member" not in str(info.value)
 
     def test_empty_stack(self):
         assert hermitian_eigenvalues(np.zeros((0, 4, 4))).shape == (0, 4)
@@ -212,11 +234,11 @@ class TestStackedEigenvalues:
     def test_non_hermitian_member_rejected(self):
         stack = np.stack([np.eye(2)] * 5).astype(complex)
         stack[3, 0, 1] = 1e-6
-        with pytest.raises(ValueError, match=r"not Hermitian.*\(3,\)"):
+        with pytest.raises(ValueError, match=r"not Hermitian.*\(stack member 3\)"):
             hermitian_eigenvalues(stack)
         stack[3, 0, 1] = 0.0
         stack[1, 1, 1] = 1j * 1e-6
-        with pytest.raises(ValueError, match=r"not Hermitian.*\(1,\)"):
+        with pytest.raises(ValueError, match=r"not Hermitian.*\(stack member 1\)"):
             is_positive_semidefinite(stack)
 
     def test_non_finite_member_rejected(self):
