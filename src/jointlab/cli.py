@@ -31,7 +31,10 @@ import argparse
 import json
 import math
 import os
+import select
+import stat
 import sys
+import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -61,14 +64,18 @@ CHSH_SURFACE_STEPS_MAX = 512
 #: beyond ~31,400 steps only the table grows, the refined optimum does not.
 ZERO_PROB_CURVE_STEPS_MAX = 100_001
 
-#: Largest ``sample --n-shots``. A shot costs ~0.17 us and ~25 B of RSS (about
-#: 0.35 s and 49 MiB at the cap); ``--shots-output`` writes the archive in
+#: Largest ``sample --n-shots``. A shot costs ~0.09 us and ~18 B of RSS (about
+#: 0.17 s and 34 MiB at the cap); ``--shots-output`` writes the archive in
 #: blocks, adding ~0.1 us per shot and no memory.
 N_SHOTS_MAX = 2_000_000
 
 #: Largest ``bound --state-file`` in bytes. A 4x4 matrix of [re, im] pairs
 #: needs well under 2 KiB even at full float precision.
 STATE_FILE_MAX_BYTES = 65_536
+
+#: Seconds a FIFO or socket ``--state-file`` has to deliver its data and end,
+#: so that a writer that holds it open without writing cannot stall the run.
+STATE_FILE_READ_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -203,15 +210,36 @@ def _resolve_output(path: str) -> Path:
 
 
 def _open_unblocked(path: str, flags: int) -> int:
-    """Open without waiting for a writer: a FIFO that has none then reads as empty."""
+    """Open without waiting for a writer, so a FIFO that has none cannot block the open."""
     fd = os.open(path, flags | os.O_NONBLOCK)
     os.set_blocking(fd, True)
     return fd
 
 
+def _read_with_deadline(fd: int, limit: int) -> bytes:
+    """Up to ``limit`` bytes from a pipe or socket, which must end within the deadline."""
+    deadline = time.monotonic() + STATE_FILE_READ_SECONDS
+    chunks, size = [], 0
+    while size < limit:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0.0 or not select.select([fd], [], [], remaining)[0]:
+            raise ValueError(f"state file did not end within {STATE_FILE_READ_SECONDS:g} s")
+        chunk = os.read(fd, limit - size)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size += len(chunk)
+    return b"".join(chunks)
+
+
 def _load_state_file(path: str) -> np.ndarray:
+    limit = STATE_FILE_MAX_BYTES + 1
     with open(path, "rb", opener=_open_unblocked) as f:
-        data = f.read(STATE_FILE_MAX_BYTES + 1)
+        mode = os.fstat(f.fileno()).st_mode
+        if stat.S_ISFIFO(mode) or stat.S_ISSOCK(mode):
+            data = _read_with_deadline(f.fileno(), limit)
+        else:
+            data = f.read(limit)
     if len(data) > STATE_FILE_MAX_BYTES:
         raise ValueError(f"state file is larger than {STATE_FILE_MAX_BYTES} bytes")
     try:

@@ -108,10 +108,10 @@ _SUM_TOL = 1e-12
 
 
 def _real(values: np.ndarray, what: str) -> np.ndarray:
-    """Real part of ``values``, refusing any entry with |imag| above 1e-12."""
+    """Real part of ``(..., k)`` values, refusing any entry with |imag| above 1e-12."""
     k = _first_bad(np.abs(values.imag) > _IMAG_TOL)
     if k is not None:
-        raise ValueError(f"{what} has imaginary part {values.imag[k]:.3e}")
+        raise ValueError(f"{what} has imaginary part {values.imag[k]:.3e}{_member(k[:-1])}")
     return values.real
 
 

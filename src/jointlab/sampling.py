@@ -7,6 +7,15 @@ that stream. Identical (seed, algorithm_id) therefore reproduce results
 bit-for-bit, independent of library version details of higher-level
 distributions.
 
+The hot paths are exact kernels on that stream. ``correlation_ensemble``
+forms only rho's antidiagonal and trace, since the four correlation
+operators are antidiagonal, summing in real arithmetic in the order einsum
+sums the full matrices. ``sample_outcomes`` inverts the CDF through a table of
+4,096 equal buckets and searches only the shots whose bucket holds a CDF
+entry. ``estimate_moment`` takes the mean from the 16 outcome counts and sums
+the squared deviations in the order ``std(ddof=1)`` does. Each matches the
+direct numpy form bit for bit.
+
 The experiment helpers evaluate the CHSH combination actually observed
 through two saturated local joint measurements on a maximally entangled
 state,
@@ -29,7 +38,6 @@ import numpy as np
 from .bounds import AnglePair, _golden_section_max
 from .pairs import (
     PAIR_OUTCOMES,
-    PAULI_PAIRS,
     DensityOperator4,
     MomentSpec,
     PairOutcomeDistribution,
@@ -76,6 +84,12 @@ _BELL_PROJECTORS = tuple(np.outer(ket, ket.conj()) for ket in _BELL_KETS)
 
 _PAIR_OUTCOME_ARRAY = np.array(PAIR_OUTCOMES, dtype=np.int8)
 _PAIR_OUTCOME_ARRAY.setflags(write=False)
+#: Each outcome's four int8 entries as one int32, so drawing a row moves one word.
+_PAIR_OUTCOME_WORDS = _PAIR_OUTCOME_ARRAY.view(np.int32).ravel()
+
+#: Equal-width buckets over [0, 1) for the inverse CDF; u * _BUCKETS is exact.
+_BUCKETS = 4096
+_BUCKET_EDGES = np.arange(_BUCKETS + 1) / _BUCKETS
 
 
 @dataclass(frozen=True)
@@ -107,20 +121,34 @@ class SeededSampler:
         return f"{self.algorithm_id}:{self.seed}"
 
 
-def _standard_normals(gen: np.random.Generator, count: int) -> np.ndarray:
-    """Box-Muller transform of uniform pairs; deterministic given the stream."""
-    half = (count + 1) // 2
-    u1 = gen.random(half)
-    u2 = gen.random(half)
-    radius = np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 in (0, 1], log is finite
-    angle = (2.0 * math.pi) * u2
-    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
+def _normal_parts(
+    gen: np.random.Generator, shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of complex Gaussians; deterministic given the stream.
+
+    One Box-Muller transform per uniform pair (u1, u2): the real part is its
+    cosine branch and the imaginary part its sine branch.
+    """
+    count = int(np.prod(shape))
+    radius = gen.random(count)  # u1, turned in place into sqrt(-2 log1p(-u1))
+    angle = gen.random(count)  # u2, turned in place into 2 pi u2
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)  # 1 - u1 in (0, 1], log is finite
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * math.pi
+    re, im = np.empty((2, count))
+    np.cos(angle, out=re)
+    np.sin(angle, out=im)
+    re *= radius
+    im *= radius
+    return re.reshape(shape), im.reshape(shape)
 
 
 def _complex_normals(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    count = int(np.prod(shape))
-    z = _standard_normals(gen, 2 * count)
-    return (z[:count] + 1j * z[count:]).reshape(shape)
+    z = np.empty(shape, dtype=np.complex128)
+    z.real, z.imag = _normal_parts(gen, shape)
+    return z
 
 
 def _haar_kets(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -139,16 +167,43 @@ def _ginibre_from_normals(g: np.ndarray) -> np.ndarray:
     return rho / tr[:, None, None]
 
 
-#: Correlation operators XX, XY, YX, YY.
-_CORR_OPS = PAULI_PAIRS[:4]
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis from left to right, the order einsum accumulates in."""
+    total = x[..., 0]
+    for j in range(1, x.shape[-1]):
+        total = total + x[..., j]
+    return total
 
 
-def _correlations_from_kets(psi: np.ndarray) -> np.ndarray:
-    return np.einsum("ni,kij,nj->nk", psi.conj(), _CORR_OPS, psi).real
+def _antidiagonal(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of (G G^dagger)_03 and _12 for an (n, 4, m) stack G = a + ib.
+
+    Each entry sums over j in real arithmetic, bit-equal to einsum's
+    "nij,nkj->nik". The other two antidiagonal entries are the exact
+    conjugates of these.
+    """
+    re = a[:, :2] * a[:, :1:-1] + b[:, :2] * b[:, :1:-1]
+    im = b[:, :2] * a[:, :1:-1] - a[:, :2] * b[:, :1:-1]
+    return _sum_last(re), _sum_last(im)
 
 
-def _correlations_from_rhos(rho: np.ndarray) -> np.ndarray:
-    return np.einsum("nij,kji->nk", rho, _CORR_OPS).real
+def _antidiagonal_correlations(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """(n, 4) correlations (c_xx, c_xy, c_yx, c_yy) from rho_03 and rho_12.
+
+    XX, XY, YX and YY are antidiagonal, so c_k = sum_i Re(rho_(i,3-i) O_k(3-i,i)).
+    Row i contributes t0, t1, t1, t0 (rho_30 and rho_21 are the conjugates
+    of rho_03 and rho_12), added in row order as einsum adds them.
+    """
+    terms = (
+        (re[:, 0], re[:, 1]),
+        (-im[:, 0], im[:, 1]),
+        (-im[:, 0], -im[:, 1]),
+        (-re[:, 0], re[:, 1]),
+    )
+    out = np.empty((re.shape[0], 4))
+    for k, (t0, t1) in enumerate(terms):
+        out[:, k] = ((t0 + t1) + t1) + t0
+    return out
 
 
 def haar_random_pure_state(s: SeededSampler) -> DensityOperator4:
@@ -207,14 +262,23 @@ def random_state_stack(kind: str, samplers) -> np.ndarray:
 
 
 def correlation_ensemble(n: int, s: SeededSampler, kind: str = "haar") -> np.ndarray:
-    """(n, 4) array of correlations (c_xx, c_xy, c_yx, c_yy) of random states."""
+    """(n, 4) array of correlations (c_xx, c_xy, c_yx, c_yy) of random states.
+
+    Only rho's antidiagonal and trace are formed, never the states
+    themselves; the result is bit-equal to the einsum correlations of the
+    full states drawn from the same stream.
+    """
     if n < 1:
         raise ValueError(f"ensemble size must be positive, got {n}")
     gen = s.rng()
     if kind == "haar":
-        return _correlations_from_kets(_haar_kets(gen, n))
+        psi = _haar_kets(gen, n)[:, :, None]
+        return _antidiagonal_correlations(*_antidiagonal(psi.real, psi.imag))
     if kind == "ginibre":
-        return _correlations_from_rhos(_ginibre_rhos(gen, n))
+        a, b = _normal_parts(gen, (n, 4, 4))
+        scale = 1.0 / _sum_last(_sum_last(a * a + b * b))
+        re, im = _antidiagonal(a, b)
+        return _antidiagonal_correlations(re * scale[:, None], im * scale[:, None])
     raise ValueError(f"unknown ensemble kind {kind!r}")
 
 
@@ -225,7 +289,8 @@ class ShotRecord:
     ``outcomes`` is an (n, 4) int8 array of +-1 rows (x_a, y_a, x_b, y_b);
     ``source`` documents the distribution and sampler that produced it.
     ``index`` is each shot's index in ``PAIR_OUTCOMES``, computed on first
-    use and shared by every moment estimate and the shot archive.
+    use and shared by every moment estimate and the shot archive; ``counts``
+    is how many shots fell on each of the 16 outcomes.
     """
 
     outcomes: np.ndarray
@@ -245,6 +310,13 @@ class ShotRecord:
         idx = outcome_indices(self.outcomes)
         idx.setflags(write=False)
         return idx
+
+    @functools.cached_property
+    def counts(self) -> np.ndarray:
+        """Read-only (16,) ``np.bincount(index, minlength=16)``."""
+        counts = np.bincount(self.index, minlength=16)
+        counts.setflags(write=False)
+        return counts
 
 
 @dataclass(frozen=True)
@@ -277,24 +349,42 @@ def sample_outcomes(
     p = np.where(p < _PROB_FLOOR, 0.0, p)
     cdf = np.cumsum(p / p.sum())
     cdf[-1] = 1.0
-    u = s.rng().random(n)
-    idx = np.searchsorted(cdf, u, side="right")
+    idx = _inverse_cdf(cdf, s.rng().random(n))
     source = f"{label + ';' if label else ''}{s.describe()}"
-    return ShotRecord(_PAIR_OUTCOME_ARRAY[idx], n, source)
+    return ShotRecord(_PAIR_OUTCOME_WORDS[idx].view(np.int8).reshape(n, 4), n, source)
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """uint8 count #{cdf <= u} for each u in [0, 1), as ``searchsorted(cdf, u, "right")``.
+
+    Every u in a bucket [k, k + 1) / _BUCKETS that holds no cdf entry
+    strictly inside gets the count at the bucket's start; only the shots in
+    the few buckets that hold one are searched.
+    """
+    start = np.searchsorted(cdf, _BUCKET_EDGES[:-1], "right").astype(np.uint8)
+    holds_entry = np.searchsorted(cdf, _BUCKET_EDGES[1:], "left") != start
+    bucket = (u * _BUCKETS).astype(np.uint16)
+    idx = start[bucket]
+    search = np.flatnonzero(holds_entry[bucket])
+    idx[search] = np.searchsorted(cdf, u[search], "right")
+    return idx
 
 
 def estimate_moment(r: ShotRecord, spec: MomentSpec) -> EstimateWithError:
     """Sample estimate of a pair moment with std_error = sample std / sqrt(n).
 
-    Each shot's value is looked up in ``moment_signs(spec)`` by the shot's
-    index in ``PAIR_OUTCOMES`` (``r.index``).
+    The mean comes from the outcome counts (``r.counts``), exactly, since
+    the sum of +-1 values is an integer. The variance sums the squared
+    deviations of every shot, looked up by ``r.index``, in the order
+    ``values.std(ddof=1)`` sums them, so both equal numpy's bit for bit.
     """
     if r.n < 2:
         raise ValueError("need at least two shots to estimate a moment")
-    values = np.take(moment_signs(spec), r.index)
-    mean = float(values.mean())
-    std_error = float(values.std(ddof=1) / math.sqrt(r.n))
-    return EstimateWithError(mean, std_error, r.n)
+    signs = moment_signs(spec)
+    mean = (r.counts * signs).sum() / r.n
+    deviation = signs - mean
+    variance = (deviation * deviation)[r.index].sum() / (r.n - 1)
+    return EstimateWithError(float(mean), float(np.sqrt(variance) / math.sqrt(r.n)), r.n)
 
 
 def _chsh(phi: float, alpha: float, beta: float) -> float:

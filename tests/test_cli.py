@@ -20,6 +20,7 @@ from jointlab.cli import (
     OUTPUT_DIR_ENV,
     SINGLE_GRID_STEPS_MAX,
     STATE_FILE_MAX_BYTES,
+    STATE_FILE_READ_SECONDS,
     SUBCOMMANDS,
     ZERO_PROB_CURVE_STEPS_MAX,
     RunConfig,
@@ -259,6 +260,43 @@ class TestExitCodes:
         )
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    def test_state_file_fifo_with_idle_writer(self, tmp_path):
+        # the test holds the FIFO's write end open after a partial write; a
+        # subprocess with a timeout, so that a blocking read fails the test
+        fifo = tmp_path / "state.fifo"
+        os.mkfifo(fifo)
+        read_end = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        write_end = os.open(fifo, os.O_WRONLY)
+        os.write(write_end, b"[[")
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "jointlab", "bound", "--state", "file", "--state-file", str(fifo)],
+                capture_output=True,
+                text=True,
+                timeout=60,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: state file did not end within {STATE_FILE_READ_SECONDS:g} s\n"
+
+    def test_state_file_from_stdin_pipe(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "jointlab", "bound", "--state", "file", "--state-file", "/dev/stdin"],
+            input=json.dumps(_state_json(np.eye(4) / 4)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["config"]["state_file"] == "/dev/stdin"
 
     def test_empty_state_file_path(self, capsys, monkeypatch):
         def no_work(*args, **kwargs):

@@ -39,7 +39,6 @@ from jointlab.pairs import (
     validate_densities,
 )
 from jointlab.sampling import (
-    _CORR_OPS,
     SeededSampler,
     ShotRecord,
     bell_diagonal_random_state,
@@ -197,6 +196,16 @@ class TestTraceKernel:
         with pytest.raises(ValueError, match="imaginary"):
             pair_probabilities_trace(rho, (0.6, 0.6), (0.6, 0.6))
 
+    def test_imaginary_part_names_the_stack_member(self):
+        rho = np.array(ginibre_stack(9, 5))
+        rho[3, 0, 3] += 0.1  # rho_03 no longer conjugate to rho_30
+        with pytest.raises(ValueError, match=r"probability has imaginary.*\(stack member 3\)$"):
+            pair_probabilities_trace(rho, (0.6, 0.6), (0.6, 0.6))
+        with pytest.raises(ValueError, match=r"expectation value has .*\(stack member 3\)$"):
+            correlation_components(rho)
+        with pytest.raises(ValueError, match=r"imaginary part [-+.0-9e]+$"):
+            correlation_components(rho[3])
+
 
 class TestFormulaAndMoments:
     def test_formula_kernel_bit_equal_to_reference(self):
@@ -269,10 +278,6 @@ class TestCorrelations:
             lone = DensityOperator4(rho[k])
             assert c[k].tolist() == list(correlations_of_state(lone).as_tuple())
             assert means[k].tolist() == local_mean_components(lone.mat).tolist()
-
-    def test_ensemble_operators_are_the_correlation_rows(self):
-        assert np.shares_memory(_CORR_OPS, PAULI_PAIRS)
-        assert np.array_equal(_CORR_OPS, PAULI_PAIRS[:4])
 
 
 class TestStateStacks:

@@ -1,0 +1,215 @@
+"""The sampling kernels against the forms they replace, bit for bit.
+
+The references are the forms the kernels replaced: complex Box-Muller
+normals built with ``z + 1j*z`` after a ``concatenate``, the einsum density
+matrices and correlations, one ``np.searchsorted`` over the whole sample,
+``values.mean()``/``values.std(ddof=1)`` and a scan over outcome rows. Every
+comparison is on raw bytes, so a signed zero or a last-bit rounding
+difference fails.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from jointlab import sampling
+from jointlab.joint import FACTOR_SIGNS, VisibilityPair
+from jointlab.pairs import (
+    PAIR_OUTCOMES,
+    PAULI_PAIRS,
+    PairOutcomeDistribution,
+    bell_family_correlations,
+    moment_signs,
+    pair_distribution_formula,
+)
+from jointlab.sampling import (
+    SeededSampler,
+    correlation_ensemble,
+    estimate_moment,
+    sample_outcomes,
+)
+
+ALL_SPECS = [(fa, fb) for fa in FACTOR_SIGNS for fb in FACTOR_SIGNS]
+OUTCOME_ROWS = np.array(PAIR_OUTCOMES, dtype=np.int8)
+EDGES = np.arange(sampling._BUCKETS + 1) / sampling._BUCKETS
+
+
+def assert_same_bytes(actual, expected):
+    actual, expected = np.ascontiguousarray(actual), np.ascontiguousarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert np.array_equal(actual.reshape(-1).view(np.uint8), expected.reshape(-1).view(np.uint8))
+
+
+def reference_complex_normals(gen, shape):
+    count = int(np.prod(shape))
+    u1 = gen.random(count)
+    u2 = gen.random(count)
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    angle = (2.0 * math.pi) * u2
+    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+    return (z[:count] + 1j * z[count:]).reshape(shape)
+
+
+def reference_ensemble(n, s, kind):
+    gen = s.rng()
+    if kind == "haar":
+        psi = reference_complex_normals(gen, (n, 4))
+        psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
+        return np.einsum("ni,kij,nj->nk", psi.conj(), PAULI_PAIRS[:4], psi).real
+    g = reference_complex_normals(gen, (n, 4, 4))
+    rho = np.einsum("nij,nkj->nik", g, g.conj())
+    rho = rho / np.einsum("nii->n", rho).real[:, None, None]
+    return np.einsum("nij,kji->nk", rho, PAULI_PAIRS[:4]).real
+
+
+def reference_cdf(d):
+    p = d.as_array()
+    p = np.where(p < sampling._PROB_FLOOR, 0.0, p)
+    cdf = np.cumsum(p / p.sum())
+    cdf[-1] = 1.0
+    return cdf
+
+
+def reference_outcomes(d, n, s):
+    return OUTCOME_ROWS[np.searchsorted(reference_cdf(d), s.rng().random(n), side="right")]
+
+
+def reference_estimate(shots, spec):
+    values = np.take(moment_signs(spec), shots.index)
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(shots.n))
+
+
+def distribution(p):
+    p = np.asarray(p, dtype=float)
+    return PairOutcomeDistribution(dict(zip(PAIR_OUTCOMES, (p / p.sum()).tolist())))
+
+
+def point_mass(k):
+    return distribution(np.eye(16)[k])
+
+
+UNIFORM = distribution(np.ones(16))
+BELL_QUARTER_PI = pair_distribution_formula(
+    bell_family_correlations(0.25 * math.pi),
+    VisibilityPair(math.cos(0.25 * math.pi), math.sin(0.25 * math.pi)),
+    VisibilityPair(math.cos(0.25 * math.pi), math.sin(0.25 * math.pi)),
+)
+ZERO_PROBABILITY_POINT = pair_distribution_formula(
+    bell_family_correlations(math.pi / 3.0),
+    VisibilityPair(math.cos(math.pi / 6.0), math.sin(math.pi / 6.0)),
+    VisibilityPair(math.cos(math.pi / 6.0), math.sin(math.pi / 6.0)),
+)
+
+weights = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.sampled_from([1e-300, 1e-17, 2.0**-12, 0.25]),
+        st.floats(1e-9, 1.0),
+    ),
+    min_size=16,
+    max_size=16,
+).filter(lambda w: max(w) > 0.0 and max(w) >= 1e-3 * sum(w))
+
+
+class TestCorrelationEnsembles:
+    @pytest.mark.parametrize("kind", ["haar", "ginibre"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 100_000])
+    def test_bit_equal_to_einsum_correlations(self, kind, n):
+        for seed in (0, 3, 7, 12345, 2**64 - 1):
+            s = SeededSampler(seed)
+            assert_same_bytes(correlation_ensemble(n, s, kind), reference_ensemble(n, s, kind))
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (4, 4), (5, 4, 4)])
+    def test_complex_normals_bit_equal_to_concatenated_box_muller(self, shape):
+        for seed in (1, 2, 3):
+            gen_a, gen_b = SeededSampler(seed).rng(), SeededSampler(seed).rng()
+            assert_same_bytes(
+                sampling._complex_normals(gen_a, shape), reference_complex_normals(gen_b, shape)
+            )
+
+
+class TestInverseCdf:
+    @given(w=weights, seed=st.integers(0, 2**64 - 1))
+    @example(w=[0.0] * 15 + [1.0], seed=0)
+    @example(w=[1.0] + [0.0] * 15, seed=0)
+    @example(w=[0.0, 1.0] * 8, seed=5)
+    def test_shots_bit_equal_to_whole_sample_searchsorted(self, w, seed):
+        d = distribution(w)
+        s = SeededSampler(seed)
+        assert_same_bytes(sample_outcomes(d, 2000, s).outcomes, reference_outcomes(d, 2000, s))
+        cdf = reference_cdf(d)
+        u = np.concatenate([EDGES[:-1], np.nextafter(EDGES[1:], 0.0), cdf[cdf < 1.0]])
+        assert_same_bytes(
+            sampling._inverse_cdf(cdf, u), np.searchsorted(cdf, u, side="right").astype(np.uint8)
+        )
+
+    @pytest.mark.parametrize("k", [0, 3, 9, 15])
+    def test_point_mass(self, k):
+        s = SeededSampler(40 + k)
+        shots = sample_outcomes(point_mass(k), 10_000, s)
+        assert_same_bytes(shots.outcomes, reference_outcomes(point_mass(k), 10_000, s))
+        assert shots.counts[k] == 10_000
+
+    def test_uniform_distribution_has_every_cdf_entry_on_a_bucket_edge(self):
+        cdf = reference_cdf(UNIFORM)
+        assert np.isin(cdf, EDGES).all()
+        s = SeededSampler(44)
+        assert_same_bytes(
+            sample_outcomes(UNIFORM, 100_000, s).outcomes, reference_outcomes(UNIFORM, 100_000, s)
+        )
+
+    @pytest.mark.parametrize("d", [UNIFORM, BELL_QUARTER_PI, ZERO_PROBABILITY_POINT])
+    def test_u_exactly_on_bucket_edges(self, d):
+        cdf = reference_cdf(d)
+        u = EDGES[:-1]
+        assert_same_bytes(
+            sampling._inverse_cdf(cdf, u), np.searchsorted(cdf, u, side="right").astype(np.uint8)
+        )
+
+    @pytest.mark.parametrize("seed", [7, 3])
+    def test_million_shots_at_the_zero_probability_point(self, seed):
+        s = SeededSampler(seed)
+        shots = sample_outcomes(ZERO_PROBABILITY_POINT, 1_000_000, s)
+        assert_same_bytes(shots.outcomes, reference_outcomes(ZERO_PROBABILITY_POINT, 1_000_000, s))
+
+
+class TestMomentsFromCounts:
+    @pytest.mark.parametrize("n", [2, 3, 1_000_000])
+    @pytest.mark.parametrize("d", [BELL_QUARTER_PI, UNIFORM, point_mass(6)])
+    def test_every_spec_bit_equal_to_mean_and_std(self, n, d):
+        shots = sample_outcomes(d, n, SeededSampler(n))
+        for spec in ALL_SPECS:
+            est = estimate_moment(shots, spec)
+            assert_same_bytes(
+                np.array([est.value, est.std_error]), np.array(reference_estimate(shots, spec))
+            )
+
+    @given(w=weights, n=st.integers(2, 3000), seed=st.integers(0, 2**64 - 1))
+    def test_fuzzed_distributions(self, w, n, seed):
+        shots = sample_outcomes(distribution(w), n, SeededSampler(seed))
+        for spec in ALL_SPECS:
+            est = estimate_moment(shots, spec)
+            assert_same_bytes(
+                np.array([est.value, est.std_error]), np.array(reference_estimate(shots, spec))
+            )
+
+    def test_counts_match_the_row_scan(self):
+        shots = sample_outcomes(BELL_QUARTER_PI, 200_000, SeededSampler(8))
+        scan = [int(np.all(shots.outcomes == row, axis=1).sum()) for row in OUTCOME_ROWS]
+        assert shots.counts.tolist() == scan
+        zero_point = sample_outcomes(ZERO_PROBABILITY_POINT, 200_000, SeededSampler(9))
+        assert zero_point.counts[PAIR_OUTCOMES.index((1, 1, -1, -1))] == 0
+
+    def test_counts_read_only_and_computed_once(self, monkeypatch):
+        calls = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+        shots = sample_outcomes(BELL_QUARTER_PI, 5000, SeededSampler(10))
+        for spec in ALL_SPECS:
+            estimate_moment(shots, spec)
+        assert len(calls) == 1 and shots.counts is shots.counts
+        assert not shots.counts.flags.writeable
+        assert shots.counts.tolist() == bincount(shots.index, minlength=16).tolist()
