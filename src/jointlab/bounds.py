@@ -11,8 +11,9 @@ which is tight on maximally entangled states and implies both the squared
 single-radical bound (<= 4) and the Tsirelson bound chsh <= 2*sqrt(2). The
 same quantity equals four times the sum of two density-matrix coherences,
 |<00|rho|11>| + |<10|rho|01>|. A grid-plus-golden-section optimizer over the
-visibility angles provides an independent numerical route to the supremum.
-The optimizer runs on stacks: ``sup_over_angles`` takes an ``(n, 4)`` array
+visibility angles, of fixed size (a 64-point grid, then 60 golden-section
+steps), provides an independent numerical route to the supremum. The
+optimizer runs on stacks: ``sup_over_angles`` takes an ``(n, 4)`` array
 of correlation vectors and makes each golden-section step for all n at once,
 with the same result, bit for bit, as n searches on Python floats. A lone
 ``CorrelationVector`` stays on Python floats, where a stack of one would cost
@@ -54,6 +55,9 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 SATURATION_TOL = 1e-6
+
+_SUP_GRID_STEPS = 64
+_SUP_REFINE_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -263,23 +267,20 @@ def _golden_section_max(f, lo: float | np.ndarray, hi: float | np.ndarray, iters
     return best_x, best_f
 
 
-def sup_over_angles(
-    c: CorrelationVector | np.ndarray, coarse_steps: int = 64, refine_iters: int = 60
-) -> float | np.ndarray:
+def sup_over_angles(c: CorrelationVector | np.ndarray) -> float | np.ndarray:
     """Numerical supremum of ``angle_inequality_lhs`` over all angle pairs.
 
     The objective decouples in the sum and difference angles u = alpha + beta
-    and v = alpha - beta, so each is scanned on a coarse grid and refined by
-    golden-section search. Agrees with ``tight_bound_lhs`` to high accuracy
-    for arbitrary correlation vectors; the identity is purely trigonometric.
+    and v = alpha - beta, so each is scanned on a 64-point grid over
+    [0, 2 pi) and refined by 60 golden-section steps. Agrees with
+    ``tight_bound_lhs`` to high accuracy for arbitrary correlation vectors;
+    the identity is purely trigonometric.
 
     ``c`` is one ``CorrelationVector``, searched on Python floats, or a
     finite ``(..., 4)`` array of (c_xx, c_xy, c_yx, c_yy) rows, searched all
     at once, which returns a ``(...)`` array. Each row gives the same value,
     bit for bit, as its ``CorrelationVector`` does.
     """
-    if coarse_steps < 8:
-        raise ValueError(f"coarse_steps must be at least 8, got {coarse_steps}")
     if isinstance(c, CorrelationVector):
         c_xx, c_xy, c_yx, c_yy = c.as_tuple()
         cos, sin, start = math.cos, math.sin, float
@@ -291,8 +292,8 @@ def sup_over_angles(
             raise ValueError("correlations must be finite")
         c_xx, c_xy, c_yx, c_yy = np.moveaxis(comps, -1, 0)
         cos, sin, start = np.cos, np.sin, np.asarray
-    grid = np.linspace(0.0, 2.0 * math.pi, coarse_steps, endpoint=False)
-    step = 2.0 * math.pi / coarse_steps
+    grid = np.linspace(0.0, 2.0 * math.pi, _SUP_GRID_STEPS, endpoint=False)
+    step = 2.0 * math.pi / _SUP_GRID_STEPS
 
     p = c_xx - c_yy
     q = c_xy + c_yx
@@ -311,8 +312,8 @@ def sup_over_angles(
     u0 = start(grid[np.argmax(u_values, axis=-1)])
     v0 = start(grid[np.argmax(v_values, axis=-1)])
     # f_u(u) includes the constant v-term cos(0)*r, and vice versa; subtract it
-    _, fu = _golden_section_max(f_u, u0 - step, u0 + step, refine_iters)
-    _, fv = _golden_section_max(f_v, v0 - step, v0 + step, refine_iters)
+    _, fu = _golden_section_max(f_u, u0 - step, u0 + step, _SUP_REFINE_ITERS)
+    _, fv = _golden_section_max(f_v, v0 - step, v0 + step, _SUP_REFINE_ITERS)
     return (fu - r) + (fv - p)
 
 
@@ -327,30 +328,19 @@ class BoundReport:
     sup_angles: float
     saturating: Mapping[str, bool]
 
-    def __post_init__(self):
-        if self.tight_lhs < 0.0 or self.coherence_lhs < 0.0:
-            raise ValueError("bound left-hand sides must be non-negative")
-        if abs(self.tight_lhs - 4.0 * self.coherence_lhs) > 1e-10:
-            raise ValueError("tight bound and coherence values are inconsistent")
 
-
-def bound_report(
-    rho: DensityOperator4,
-    coarse_steps: int = 64,
-    refine_iters: int = 60,
-    saturation_tol: float = SATURATION_TOL,
-) -> BoundReport:
-    """Evaluate every bound for a state and flag the ones it saturates."""
+def bound_report(rho: DensityOperator4) -> BoundReport:
+    """Evaluate every bound for a state and flag those within ``SATURATION_TOL`` of their value."""
     c = correlations_of_state(rho)
     tight = tight_bound_lhs(c)
     simplified = simplified_bound_lhs(c)
     chsh = chsh_value(c)
     coherence = coherence_bound_lhs(rho)
-    sup = sup_over_angles(c, coarse_steps, refine_iters)
+    sup = sup_over_angles(c)
     saturating = {
-        "tight": abs(tight - 2.0) <= saturation_tol,
-        "simplified": abs(simplified - 4.0) <= saturation_tol,
-        "chsh": abs(chsh - TSIRELSON_BOUND) <= saturation_tol,
-        "coherence": abs(coherence - 0.5) <= saturation_tol,
+        "tight": abs(tight - 2.0) <= SATURATION_TOL,
+        "simplified": abs(simplified - 4.0) <= SATURATION_TOL,
+        "chsh": abs(chsh - TSIRELSON_BOUND) <= SATURATION_TOL,
+        "coherence": abs(coherence - 0.5) <= SATURATION_TOL,
     }
     return BoundReport(tight, simplified, chsh, coherence, sup, saturating)

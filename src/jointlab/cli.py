@@ -10,12 +10,13 @@ the ``verify`` criteria (``verify`` runs all ten):
     sample   seeded Monte Carlo shots with estimator/population comparison
     verify   the full acceptance suite
 
-Every subcommand takes the common flags, and every report echoes them, but
-not every suite reads each one: ``verify`` reads only ``--seed`` (its
-checks keep their pinned sizes and tolerances), ``scan`` ignores ``--seed``
-and ``--tolerance`` (and ``zero-prob-curve`` ignores ``--phi``), ``sample``
-ignores ``--tolerance`` and ``--grid-steps``, and ``pair`` and ``bound``
-ignore ``--grid-steps``.
+Every default lives in ``RunConfig``: the parser sets only the flags given
+and quotes the defaults in its help. Every subcommand takes the common
+flags, and every report echoes them, but not every suite reads each one:
+``verify`` reads only ``--seed`` (its checks keep their pinned sizes and
+tolerances), ``scan`` ignores ``--seed`` and ``--tolerance`` (and
+``zero-prob-curve`` ignores ``--phi``), ``sample`` ignores ``--tolerance``
+and ``--grid-steps``, and ``pair`` and ``bound`` ignore ``--grid-steps``.
 
 Every run produces a Report; exit status is 0 exactly when all checks pass,
 1 when any check fails, and 2 for configuration or I/O errors and for
@@ -136,69 +137,48 @@ class RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser. It sets only the flags given, so every default comes from RunConfig."""
     parser = argparse.ArgumentParser(
         prog="jointlab",
         description="Joint-measurement statistics lab: verification suites, scans and sampling.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=7, help="64-bit master seed (default 7)")
-        p.add_argument(
-            "--tolerance",
-            type=float,
-            default=1e-9,
-            help="tolerance for residual checks (default 1e-9)",
-        )
-        p.add_argument(
-            "--grid-steps", type=int, default=101, help="grid resolution (default 101)"
-        )
-        p.add_argument("--output", default=None, help="report path (default: print to stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def option(p: argparse.ArgumentParser, flag: str, text: str, **kwargs) -> None:
+        # a dataclass keeps each field's default as a class attribute
+        default = getattr(RunConfig, kwargs.setdefault("dest", flag[2:].replace("-", "_")))
+        if isinstance(default, float):
+            default = f"{default:g}"
+        if default is not None:
+            text += f" (default {default})"
+        p.add_argument(flag, help=text, **kwargs)
 
-    p_single = sub.add_parser("single", help="single-qubit joint-measurement checks")
-    common(p_single)
+    def subcommand(name: str, text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        option(p, "--seed", "64-bit master seed", type=int)
+        option(p, "--tolerance", "tolerance for residual checks", type=float)
+        option(p, "--grid-steps", "grid resolution", type=int)
+        option(p, "--output", "report path (default: stdout)", dest="output_path", metavar="OUTPUT")
+        option(p, "--format", "report format with --output", choices=("json", "csv"))
+        return p
 
-    p_pair = sub.add_parser("pair", help="two-qubit outcome statistics checks")
-    common(p_pair)
-
-    p_bound = sub.add_parser("bound", help="correlation-bound checks for one state")
-    common(p_bound)
-    p_bound.add_argument("--state", choices=("bell", "haar", "mixed", "file"), default="bell")
-    p_bound.add_argument("--phi", type=float, default=0.25 * math.pi, help="Bell-family phase")
-    p_bound.add_argument("--state-file", default=None, help="JSON 4x4 matrix of [re, im] pairs")
-
-    p_scan = sub.add_parser("scan", help="observable-statistics scans")
-    common(p_scan)
-    p_scan.add_argument("--what", choices=suites.SCAN_KINDS, required=True)
-    p_scan.add_argument("--phi", type=float, default=0.25 * math.pi)
-
-    p_sample = sub.add_parser("sample", help="Monte Carlo outcome sampling")
-    common(p_sample)
-    p_sample.add_argument("--phi", type=float, default=0.25 * math.pi)
-    p_sample.add_argument("--alpha", type=float, default=0.25 * math.pi)
-    p_sample.add_argument("--beta", type=float, default=0.25 * math.pi)
-    p_sample.add_argument("--n-shots", type=int, default=100_000)
-    p_sample.add_argument("--shots-output", default=None, help="CSV path for the shot archive")
-
-    p_verify = sub.add_parser("verify", help="run the full acceptance suite")
-    common(p_verify)
+    subcommand("single", "single-qubit joint-measurement checks")
+    subcommand("pair", "two-qubit outcome statistics checks")
+    p_bound = subcommand("bound", "correlation-bound checks for one state")
+    option(p_bound, "--state", "state to bound", choices=("bell", "haar", "mixed", "file"))
+    option(p_bound, "--phi", "Bell-family phase", type=float)
+    option(p_bound, "--state-file", "JSON 4x4 matrix of [re, im] pairs")
+    p_scan = subcommand("scan", "observable-statistics scans")
+    option(p_scan, "--what", "scan to run", choices=suites.SCAN_KINDS, required=True)
+    option(p_scan, "--phi", "Bell-family phase", type=float)
+    p_sample = subcommand("sample", "Monte Carlo outcome sampling")
+    option(p_sample, "--phi", "Bell-family phase", type=float)
+    option(p_sample, "--alpha", "visibility angle of A", type=float)
+    option(p_sample, "--beta", "visibility angle of B", type=float)
+    option(p_sample, "--n-shots", "number of shots", type=int)
+    option(p_sample, "--shots-output", "CSV path for the shot archive")
+    subcommand("verify", "run the full acceptance suite")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    kwargs = {
-        "subcommand": args.subcommand,
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-        "grid_steps": args.grid_steps,
-        "output_path": args.output,
-        "format": args.format,
-    }
-    for name in ("phi", "alpha", "beta", "state", "state_file", "what", "n_shots", "shots_output"):
-        if hasattr(args, name):
-            kwargs[name] = getattr(args, name)
-    return RunConfig(**kwargs)
 
 
 def _resolve_output(path: str) -> Path:
@@ -301,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
+        config = RunConfig(**vars(args))
         report = run(config)
         if config.output_path:
             write_report(report, _resolve_output(config.output_path), config.format)

@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, _first_bad, _member
 
 __all__ = [
     "OUTCOMES",
@@ -59,6 +59,20 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _check_probabilities(probs: np.ndarray, hypothetical) -> None:
+    """Each ``(..., k)`` member sums to one (a NaN sum fails); negatives only where hypothetical."""
+    total = probs.sum(axis=-1)
+    bad_sum = ~(np.abs(total - 1.0) <= DEFAULT_TOL)
+    bad_sign = ~hypothetical & (probs.min(axis=-1) < -NEGATIVE_PROB_TOL)
+    if not (bad_sum | bad_sign).any():
+        return
+    k = _first_bad(bad_sum)
+    if k is not None:
+        raise ValueError(f"probabilities must sum to 1, got {float(total[k])!r}{_member(k)}")
+    k = _first_bad(bad_sign)
+    raise ValueError(f"negative probability in a distribution not flagged hypothetical{_member(k)}")
 
 
 def _validate_outcome(outcome: OutcomeLabel) -> OutcomeLabel:
@@ -130,11 +144,7 @@ class SingleOutcomeDistribution:
         probs = {o: float(self.probs[o]) for o in OUTCOMES}
         if len(self.probs) != len(OUTCOMES):
             raise ValueError("distribution must have exactly four entries")
-        total = math.fsum(probs.values())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
-        if not self.hypothetical and min(probs.values()) < -NEGATIVE_PROB_TOL:
-            raise ValueError("negative probability in a distribution not flagged hypothetical")
+        _check_probabilities(np.array(list(probs.values())), np.bool_(self.hypothetical))
         object.__setattr__(self, "probs", probs)
 
     def __getitem__(self, outcome: OutcomeLabel) -> float:

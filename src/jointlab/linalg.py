@@ -71,7 +71,7 @@ def _member(index: tuple[int, ...]) -> str:
     return f" (stack member {index[0] if len(index) == 1 else index})" if index else ""
 
 
-def _hermitian_stack(m: np.ndarray, tol: float) -> np.ndarray:
+def _hermitian_stack(m: np.ndarray) -> np.ndarray:
     """View ``m`` as an (N, n, n) stack, validating shape, finiteness, hermiticity."""
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
@@ -80,18 +80,18 @@ def _hermitian_stack(m: np.ndarray, tol: float) -> np.ndarray:
         raise ValueError(f"matrix entries must be finite{_member(k)}")
     n = m.shape[-1]
     iu, ju = np.triu_indices(n, 1)
-    hermitian = (np.abs(np.diagonal(m, axis1=-2, axis2=-1).imag) <= tol).all(axis=-1)
-    hermitian &= (np.abs(m[..., iu, ju] - m[..., ju, iu].conj()) <= tol).all(axis=-1)
+    hermitian = (np.abs(np.diagonal(m, axis1=-2, axis2=-1).imag) <= DEFAULT_TOL).all(axis=-1)
+    hermitian &= (np.abs(m[..., iu, ju] - m[..., ju, iu].conj()) <= DEFAULT_TOL).all(axis=-1)
     k = _first_bad(~hermitian)
     if k is not None:
         raise ValueError(f"matrix is not Hermitian within tolerance{_member(k)}")
     return m.reshape(-1, n, n)
 
 
-def _rotate_stack(w: np.ndarray, p: int, q: int, tol: float) -> None:
-    """One Jacobi rotation in the (p, q) plane of every member with |w_pq| >= tol, in place."""
+def _rotate_stack(w: np.ndarray, p: int, q: int) -> None:
+    """Jacobi rotation in the (p, q) plane of each member with |w_pq| >= DEFAULT_TOL, in place."""
     r = np.abs(w[:, p, q])
-    hit = r >= tol
+    hit = r >= DEFAULT_TOL
     hits = np.count_nonzero(hit)
     if hits == 0:
         return
@@ -119,23 +119,23 @@ def _rotate_stack(w: np.ndarray, p: int, q: int, tol: float) -> None:
         w[hit] = m
 
 
-def _jacobi_sweeps_stack(w: np.ndarray, tol: float) -> None:
+def _jacobi_sweeps_stack(w: np.ndarray) -> None:
     """Cyclic Jacobi on an (N, n, n) stack in place.
 
     A member leaves the sweeps once all its off-diagonal magnitudes are below
-    ``tol``.
+    ``DEFAULT_TOL``.
     """
     iu, ju = np.triu_indices(w.shape[-1], 1)
     if iu.size == 0:
         return
     live = np.arange(len(w))
     for _sweep in range(_JACOBI_MAX_SWEEPS):
-        live = live[np.abs(w[live[:, None], iu, ju]).max(axis=1) >= tol]
+        live = live[np.abs(w[live[:, None], iu, ju]).max(axis=1) >= DEFAULT_TOL]
         if live.size == 0:
             return
         sub = w if live.size == len(w) else w[live]
         for p, q in zip(iu.tolist(), ju.tolist()):
-            _rotate_stack(sub, p, q, tol)
+            _rotate_stack(sub, p, q)
         if sub is not w:
             w[live] = sub
     off = float(np.abs(w[live[:, None], iu, ju]).max())
@@ -145,16 +145,17 @@ def _jacobi_sweeps_stack(w: np.ndarray, tol: float) -> None:
     )
 
 
-def hermitian_eigenvalues(a, tol: float = DEFAULT_TOL) -> np.ndarray:
+def hermitian_eigenvalues(a) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix or stack, ascending, via the Jacobi path.
 
     A lone ``(n, n)`` matrix gives shape ``(n,)`` and a ``(..., n, n)`` stack
-    gives ``(..., n)``. Every member must be Hermitian within ``tol``, and
+    gives ``(..., n)``. Every member must be Hermitian within ``DEFAULT_TOL``,
+    which is also the off-diagonal magnitude below which Jacobi stops, and
     ConvergenceError is raised if any member hits the sweep cap.
     """
     m = np.array(a, dtype=np.complex128)
-    w = _hermitian_stack(m, tol)
-    _jacobi_sweeps_stack(w, tol)
+    w = _hermitian_stack(m)
+    _jacobi_sweeps_stack(w)
     return np.sort(np.diagonal(w, axis1=1, axis2=2).real, axis=1).reshape(m.shape[:-1])
 
 

@@ -32,10 +32,11 @@ from .joint import (
     NEGATIVE_PROB_TOL,
     OUTCOMES,
     VisibilityPair,
+    _check_probabilities,
     admissible_visibilities,
     povm_elements,
 )
-from .linalg import _first_bad, _member, is_positive_semidefinite, pauli
+from .linalg import DEFAULT_TOL, _first_bad, _member, is_positive_semidefinite, pauli
 
 __all__ = [
     "PAIR_OUTCOMES",
@@ -103,30 +104,13 @@ PAULI_PAIRS = np.stack(
 for _table in (*_MOMENT_SIGNS.values(), _CORRELATION_SIGNS, PAULI_PAIRS):
     _table.setflags(write=False)
 
-_IMAG_TOL = 1e-12
-_SUM_TOL = 1e-12
-
 
 def _real(values: np.ndarray, what: str) -> np.ndarray:
     """Real part of ``(..., k)`` values, refusing any entry with |imag| above 1e-12."""
-    k = _first_bad(np.abs(values.imag) > _IMAG_TOL)
+    k = _first_bad(np.abs(values.imag) > DEFAULT_TOL)
     if k is not None:
         raise ValueError(f"{what} has imaginary part {values.imag[k]:.3e}{_member(k[:-1])}")
     return values.real
-
-
-def _check_pair_probabilities(probs: np.ndarray, hypothetical: np.ndarray) -> None:
-    """Each member sums to one; negative entries only in hypothetical members."""
-    total = probs.sum(axis=-1)
-    bad_sum = np.abs(total - 1.0) > _SUM_TOL
-    bad_sign = ~hypothetical & (probs.min(axis=-1) < -NEGATIVE_PROB_TOL)
-    if not (bad_sum | bad_sign).any():
-        return
-    k = _first_bad(bad_sum)
-    if k is not None:
-        raise ValueError(f"probabilities must sum to 1, got {float(total[k])!r}{_member(k)}")
-    k = _first_bad(bad_sign)
-    raise ValueError(f"negative probability in a distribution not flagged hypothetical{_member(k)}")
 
 
 @dataclass(frozen=True)
@@ -140,10 +124,6 @@ class DensityOperator4:
 
     mat: np.ndarray
 
-    HERMITICITY_TOL = 1e-12
-    TRACE_TOL = 1e-12
-    PSD_TOL = 1e-10
-
     def __post_init__(self):
         object.__setattr__(self, "mat", validate_densities(self.mat))
 
@@ -155,8 +135,8 @@ def validate_densities(a) -> np.ndarray:
     """Certify a density operator ``(4, 4)`` or a stack ``(n, 4, 4)``; return a read-only copy.
 
     Every member must have finite entries, be Hermitian and have unit trace
-    within the ``DensityOperator4`` tolerances, and be positive semidefinite
-    within 1e-10. Positivity is certified by one ``is_positive_semidefinite``
+    within ``DEFAULT_TOL`` (1e-12), and be positive semidefinite within
+    ``PSD_TOL`` (1e-10). Positivity is certified by one ``is_positive_semidefinite``
     call on the whole stack (a lone matrix is a stack of one). A failing
     stack raises ValueError naming its first bad member.
     """
@@ -167,14 +147,14 @@ def validate_densities(a) -> np.ndarray:
     if k is not None:
         raise ValueError(f"density matrix entries must be finite{_member(k)}")
     asymmetry = np.abs(m - m.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
-    k = _first_bad(asymmetry > DensityOperator4.HERMITICITY_TOL)
+    k = _first_bad(asymmetry > DEFAULT_TOL)
     if k is not None:
         raise ValueError(f"density matrix is not Hermitian{_member(k)}")
     tr = np.trace(m, axis1=-2, axis2=-1)
-    k = _first_bad(np.abs(tr - 1.0) > DensityOperator4.TRACE_TOL)
+    k = _first_bad(np.abs(tr - 1.0) > DEFAULT_TOL)
     if k is not None:
         raise ValueError(f"density matrix trace is {tr[k]!r}, expected 1{_member(k)}")
-    k = _first_bad(~is_positive_semidefinite(m, DensityOperator4.PSD_TOL))
+    k = _first_bad(~is_positive_semidefinite(m))
     if k is not None:
         raise ValueError(f"density matrix is not positive semidefinite{_member(k)}")
     m.setflags(write=False)
@@ -185,7 +165,7 @@ def pure_density(ket: np.ndarray) -> DensityOperator4:
     """Rank-1 density operator |psi><psi| from a normalized 4-vector."""
     psi = np.asarray(ket, dtype=np.complex128).reshape(4)
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-12:
+    if abs(norm - 1.0) > DEFAULT_TOL:
         raise ValueError(f"ket must be normalized, got norm {norm}")
     return DensityOperator4(np.outer(psi, psi.conj()))
 
@@ -225,9 +205,7 @@ class PairOutcomeDistribution:
         if len(self.probs) != len(PAIR_OUTCOMES):
             raise ValueError("distribution must have exactly sixteen entries")
         probs = {o: float(self.probs[o]) for o in PAIR_OUTCOMES}
-        _check_pair_probabilities(
-            np.fromiter(probs.values(), np.float64, len(probs)), np.bool_(self.hypothetical)
-        )
+        _check_probabilities(np.array(list(probs.values())), np.bool_(self.hypothetical))
         object.__setattr__(self, "probs", probs)
 
     def __getitem__(self, outcome: PairOutcomeLabel) -> float:
@@ -314,7 +292,7 @@ def pair_probabilities_trace(rho, va, vb) -> tuple[np.ndarray, np.ndarray]:
         vb[..., 0], vb[..., 1]
     )
     hypothetical = np.broadcast_to(~admissible, probs.shape[:-1])
-    _check_pair_probabilities(probs, hypothetical)
+    _check_probabilities(probs, hypothetical)
     return probs, hypothetical
 
 
@@ -342,7 +320,7 @@ def pair_probabilities_formula(c, va, vb) -> tuple[np.ndarray, np.ndarray]:
     terms = _CORRELATION_SIGNS * correlation_moments(c, va, vb)[..., None, :]
     probs = (1.0 / 16.0) * (1.0 + terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3])
     hypothetical = probs.min(axis=-1) < -NEGATIVE_PROB_TOL
-    _check_pair_probabilities(probs, hypothetical)
+    _check_probabilities(probs, hypothetical)
     return probs, hypothetical
 
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import AnglePair, _golden_section_max
+from .joint import NEGATIVE_PROB_TOL
 from .pairs import (
     PAIR_OUTCOMES,
     DensityOperator4,
@@ -344,7 +345,7 @@ def sample_outcomes(
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
     p = d.as_array()
-    if p.min() < -1e-12:
+    if p.min() < -NEGATIVE_PROB_TOL:
         raise ValueError("distribution has negative entries and cannot be sampled")
     p = np.where(p < _PROB_FLOOR, 0.0, p)
     cdf = np.cumsum(p / p.sum())
@@ -421,11 +422,12 @@ def chsh_surface(phi: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
     return angles, surface
 
 
-def max_experimental_chsh(phi: float, grid_steps: int = 181, refine_iters: int = 60) -> ChshOptimum:
+def max_experimental_chsh(phi: float, grid_steps: int = 181) -> ChshOptimum:
     """Maximize the observed CHSH value over alpha, beta in (0, pi/2).
 
     Coarse grid (offset by half a step, so the open interval is respected)
-    followed by alternating golden-section refinement in each coordinate.
+    followed by eight rounds of alternating 60-step golden-section
+    refinement in each coordinate.
     Peaks at sqrt(2), reached for alpha = beta = pi/4 when phi = pi/4.
     """
     half_pi = 0.5 * math.pi
@@ -435,8 +437,8 @@ def max_experimental_chsh(phi: float, grid_steps: int = 181, refine_iters: int =
     alpha, beta = float(grid[i]), float(grid[j])
     lo, hi = 0.5 * step, half_pi - 0.5 * step
     for _ in range(8):
-        alpha, _ = _golden_section_max(lambda a: _chsh(phi, a, beta), lo, hi, refine_iters)
-        beta, _ = _golden_section_max(lambda b: _chsh(phi, alpha, b), lo, hi, refine_iters)
+        alpha, _ = _golden_section_max(lambda a: _chsh(phi, a, beta), lo, hi, 60)
+        beta, _ = _golden_section_max(lambda b: _chsh(phi, alpha, b), lo, hi, 60)
     return ChshOptimum(_chsh(phi, alpha, beta), alpha, beta)
 
 
@@ -462,21 +464,19 @@ class CurveOptimum:
     phi: float
 
 
-def zero_probability_curve_max(
-    lo: float = 0.0, hi: float = math.pi, step: float = 1e-4, refine_iters: int = 80
-) -> CurveOptimum:
-    """Maximum of the zero-probability-constrained CHSH curve over phi.
+def zero_probability_curve_max(step: float = 1e-4) -> CurveOptimum:
+    """Maximum of the zero-probability-constrained CHSH curve over phi in [0, pi].
 
-    Grid scan at the given step, golden-section refinement, then a quadratic
+    Grid scan at the given step, 80 golden-section steps, then a quadratic
     vertex polish: pure value comparisons stall about 1e-8 from a flat
     quadratic top, while the three-point vertex recovers the stationary
     point to ~1e-11. The analytic optimum is 1.25 at cos(phi) = 1/2.
     """
-    phis = np.arange(lo, hi + 0.5 * step, step)
+    phis = np.arange(0.0, math.pi + 0.5 * step, step)
     values = 1.0 + np.cos(phis) - np.cos(phis) ** 2
     phi0 = float(phis[int(np.argmax(values))])
     phi_star, _ = _golden_section_max(
-        zero_probability_chsh, max(lo, phi0 - step), min(hi, phi0 + step), refine_iters
+        zero_probability_chsh, max(0.0, phi0 - step), min(math.pi, phi0 + step), 80
     )
     h = 1e-5
     for _ in range(2):
@@ -490,18 +490,18 @@ def zero_probability_curve_max(
     return CurveOptimum(zero_probability_chsh(phi_star), phi_star)
 
 
-def constrained_chsh_grid_max(phi: float, step: float = 1e-4) -> float:
+def constrained_chsh_grid_max(phi: float) -> float:
     """Grid maximum of the observed CHSH value subject to alpha + beta = phi.
 
     Brute-force check that the balance alpha = beta = phi/2 is optimal under
     the zero-probability constraint. Both angles must stay inside (0, pi/2),
-    so alpha is scanned over (max(0, phi - pi/2), min(pi/2, phi)); the
-    midpoint is the interior maximum for phi in (0, pi/2] where cos(phi) is
-    non-negative.
+    so alpha is scanned in steps of 1e-4 over (max(0, phi - pi/2),
+    min(pi/2, phi)); the midpoint is the interior maximum for phi in
+    (0, pi/2] where cos(phi) is non-negative.
     """
     lo = max(0.0, phi - 0.5 * math.pi)
     hi = min(0.5 * math.pi, phi)
-    alphas = np.arange(lo + step, hi, step)
+    alphas = np.arange(lo + 1e-4, hi, 1e-4)
     if alphas.size == 0:
         return experimental_chsh(phi, AnglePair(0.5 * phi, 0.5 * phi))
     values = np.cos(2.0 * alphas - phi) * math.cos(phi) + math.sin(phi) ** 2

@@ -69,16 +69,16 @@ __all__ = [
 SCAN_KINDS = ("chsh-surface", "zero-prob-curve")
 
 
-def _completeness_residual(seed: int, n: int = 200) -> float:
-    """Largest |sum of the four POVM elements - I| over n random visibility pairs."""
-    v = SeededSampler(seed).derive(20).rng().random((n, 2))
+def _completeness_residual(seed: int) -> float:
+    """Largest |sum of the four POVM elements - I| over 200 random visibility pairs."""
+    v = SeededSampler(seed).derive(20).rng().random((200, 2))
     total = povm_elements(v[:, 0], v[:, 1]).sum(axis=-3)
     return max_residual(np.abs(total - np.eye(2)).max(axis=(-2, -1)))
 
 
-def _distribution_trace_residual(seed: int, n: int = 1000) -> float:
-    """Largest |P(x, y) - tr(rho E(x, y))| over n random visibility pairs and disk states."""
-    v_x, v_y, turn, radius = SeededSampler(seed).derive(21).rng().random((n, 4)).T
+def _distribution_trace_residual(seed: int) -> float:
+    """Largest |P(x, y) - tr(rho E(x, y))| over 1000 random visibility pairs and disk states."""
+    v_x, v_y, turn, radius = SeededSampler(seed).derive(21).rng().random((1000, 4)).T
     theta = 2.0 * math.pi * turn
     ex, ey = radius * np.cos(theta), radius * np.sin(theta)
     traced = np.einsum("nij,nkji->nk", equatorial_densities(ex, ey), povm_elements(v_x, v_y)).real
@@ -101,13 +101,11 @@ def run_single_suite(seed: int, tolerance: float, grid_steps: int) -> tuple[dict
     return results, checks
 
 
-def run_pair_suite(seed: int, tolerance: float, n_states: int = 400) -> tuple[dict, list[Check]]:
+def run_pair_suite(seed: int, tolerance: float) -> tuple[dict, list[Check]]:
     """Two-qubit checks: moment structure, factorization, closed form vs trace."""
-    criterion = criterion_pair_moment_structure(
-        seed, n_states, marginal_states=100, tolerance=tolerance
-    )
+    criterion = criterion_pair_moment_structure(seed, 400, marginal_states=100, tolerance=tolerance)
     checks = list(criterion.checks)
-    return {"states": n_states, **{c.name: c.value for c in checks}}, checks
+    return {"states": 400, **{c.name: c.value for c in checks}}, checks
 
 
 def _resolve_state(
@@ -128,11 +126,7 @@ def _resolve_state(
 
 
 def run_bound_suite(
-    seed: int,
-    tolerance: float,
-    state: str = "bell",
-    phi: float = 0.25 * math.pi,
-    state_matrix: np.ndarray | None = None,
+    seed: int, tolerance: float, state: str, phi: float, state_matrix: np.ndarray | None
 ) -> tuple[dict, list[Check]]:
     """Bound checks for one state plus the angle-supremum identity on random vectors."""
     rho, state_label = _resolve_state(state, phi, seed, state_matrix)

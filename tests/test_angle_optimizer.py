@@ -186,13 +186,6 @@ def test_wrong_shape_raises(shape):
         sup_over_angles(np.zeros(shape))
 
 
-def test_coarse_steps_below_eight_raise_on_both_paths():
-    with pytest.raises(ValueError, match="coarse_steps"):
-        sup_over_angles(np.zeros((2, 4)), coarse_steps=4)
-    with pytest.raises(ValueError, match="coarse_steps"):
-        sup_over_angles(CorrelationVector(0.1, 0.2, 0.3, 0.4), coarse_steps=4)
-
-
 class TestKernel:
     def test_floats_in_floats_out(self):
         x, fx = _golden_section_max(lambda t: -((t - 0.3) ** 2), 0.0, 1.0, 60)

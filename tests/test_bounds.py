@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from jointlab.bounds import (
     TSIRELSON_BOUND,
     AnglePair,
-    BoundReport,
     angle_inequality_lhs,
     bound_report,
     chsh_value,
@@ -255,10 +254,6 @@ class TestSupremum:
         assert sup_over_angles(c) == pytest.approx(best, abs=1e-6)
         assert sup_over_angles(c) >= best - 1e-12
 
-    def test_coarse_steps_validated(self):
-        with pytest.raises(ValueError, match="coarse_steps"):
-            sup_over_angles(bell_family_correlations(0.1), coarse_steps=4)
-
 
 class TestBoundReport:
     def test_bell_state_saturates_tight_but_not_chsh(self):
@@ -276,7 +271,3 @@ class TestBoundReport:
     def test_mixed_state_saturates_nothing(self):
         rep = bound_report(DensityOperator4(np.eye(4) / 4))
         assert not any(rep.saturating.values())
-
-    def test_inconsistent_report_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            BoundReport(2.0, 4.0, 2.0, 0.3, 2.0, {})

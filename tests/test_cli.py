@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from jointlab import linalg, suites
+from jointlab import bounds, linalg, suites
 from jointlab.cli import (
     CHSH_SURFACE_STEPS_MAX,
     N_SHOTS_MAX,
@@ -24,6 +24,7 @@ from jointlab.cli import (
     SUBCOMMANDS,
     ZERO_PROB_CURVE_STEPS_MAX,
     RunConfig,
+    build_parser,
     main,
 )
 from jointlab.pairs import BellFamilyState
@@ -67,6 +68,27 @@ class TestConfig:
     def test_zero_prob_curve_grid_steps_capped(self):
         with pytest.raises(ValueError, match="at most"):
             RunConfig("scan", grid_steps=ZERO_PROB_CURVE_STEPS_MAX + 1, what="zero-prob-curve")
+
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_parser_leaves_every_default_to_run_config(self, subcommand):
+        required = {"what": "chsh-surface"} if subcommand == "scan" else {}
+        argv = [subcommand] + (["--what", "chsh-surface"] if required else [])
+        args = vars(build_parser().parse_args(argv))
+        assert args == {"subcommand": subcommand, **required}
+        assert RunConfig(**args) == RunConfig(subcommand, **required)
+
+    @pytest.mark.parametrize(
+        "subcommand, defaults",
+        [
+            ("sample", ["7", "1e-09", "101", "json", "0.785398", "100000"]),
+            ("bound", ["7", "1e-09", "101", "json", "0.785398", "bell"]),
+        ],
+    )
+    def test_help_quotes_run_config_defaults(self, capsys, subcommand, defaults):
+        assert main([subcommand, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for value in defaults:
+            assert f"(default {value})" in text
 
     def test_n_shots_capped(self):
         with pytest.raises(ValueError, match="n-shots"):
@@ -146,6 +168,14 @@ class TestSubcommands:
         assert lines[0] == "index,x_a,y_a,x_b,y_b"
         assert len(lines) == 20001
 
+    def test_sample_passes_when_the_population_sum_is_one_ulp_off(self, tmp_path):
+        # here sum(p) is 1 - 2**-53, while the estimate of <1> is exactly 1 with zero spread
+        argv = ["sample", "--n-shots", "1000", "--alpha", "0.3", "--beta", "1.2", "--phi", "0.4"]
+        report = run_json(tmp_path, argv)
+        assert report["all_pass"] is True
+        one = next(c for c in report["checks"] if c["name"] == "moment_gap_one_one")
+        assert one["value"] == one["tolerance"] == 2.0**-53
+
     def test_verify_passes(self, tmp_path):
         report = run_json(tmp_path, ["verify", "--seed", "7"])
         assert report["all_pass"] is True
@@ -187,6 +217,17 @@ class TestExitCodes:
         assert rc == 1
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["all_pass"] is False
+
+    @pytest.mark.parametrize("tolerance, expect", [([], 1), (["--tolerance", "1e-3"], 0)])
+    def test_broken_coherence_identity_is_a_failed_check(
+        self, tmp_path, monkeypatch, tolerance, expect
+    ):
+        # 4 * coherence - tight bound = 4e-6: judged by the suite's check, at the run tolerance
+        coherence = bounds.coherence_bound_lhs
+        monkeypatch.setattr(bounds, "coherence_bound_lhs", lambda rho: coherence(rho) + 1e-6)
+        report = run_json(tmp_path, ["bound", "--state", "mixed", *tolerance], expect=expect)
+        failed = [name for name, passed in report["pass_flags"].items() if not passed]
+        assert failed == ([] if expect == 0 else ["coherence_tight_identity"])
 
     def test_unknown_subcommand(self, capsys):
         assert main(["explode"]) == 2

@@ -58,6 +58,11 @@ class TestTypes:
             SingleOutcomeDistribution(bad)
         SingleOutcomeDistribution(bad, hypothetical=True)
 
+    @pytest.mark.parametrize("hypothetical", [False, True])
+    def test_nan_distribution_rejected(self, hypothetical):
+        with pytest.raises(ValueError, match="sum to 1, got nan"):
+            SingleOutcomeDistribution({o: math.nan for o in OUTCOMES}, hypothetical)
+
 
 class TestPovmElement:
     def test_projective_limit_in_x(self):

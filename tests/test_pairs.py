@@ -203,6 +203,11 @@ class TestFormulaDistribution:
         with pytest.raises(ValueError, match="hypothetical"):
             PairOutcomeDistribution(bad)
 
+    @pytest.mark.parametrize("hypothetical", [False, True])
+    def test_nan_distribution_rejected(self, hypothetical):
+        with pytest.raises(ValueError, match="sum to 1, got nan"):
+            PairOutcomeDistribution({o: math.nan for o in PAIR_OUTCOMES}, hypothetical)
+
 
 class TestPairMoments:
     def test_normalization_moment(self):
