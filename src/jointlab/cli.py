@@ -120,6 +120,8 @@ class RunConfig:
             )
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")
+        if self.format == "csv" and not self.output_path:
+            raise ValueError("--format csv requires --output; stdout takes only JSON")
         if not 2 <= self.n_shots <= N_SHOTS_MAX:
             raise ValueError(f"n-shots must lie in [2, {N_SHOTS_MAX}]")
         if self.state_file is not None and self.state != "file":

@@ -75,6 +75,17 @@ def _check_probabilities(probs: np.ndarray, hypothetical) -> None:
     raise ValueError(f"negative probability in a distribution not flagged hypothetical{_member(k)}")
 
 
+def _check_labels(probs: Mapping, labels: tuple) -> None:
+    """The mapping's keys are exactly ``labels``; otherwise name the missing and foreign ones."""
+    if set(probs) != set(labels):
+        missing = [o for o in labels if o not in probs]
+        foreign = [o for o in probs if o not in labels]
+        raise ValueError(
+            f"distribution must have exactly the {len(labels)} outcome labels; "
+            f"missing {missing}, foreign {foreign}"
+        )
+
+
 def _validate_outcome(outcome: OutcomeLabel) -> OutcomeLabel:
     x, y = outcome
     if x not in (-1, 1) or y not in (-1, 1):
@@ -141,9 +152,8 @@ class SingleOutcomeDistribution:
     hypothetical: bool = False
 
     def __post_init__(self):
+        _check_labels(self.probs, OUTCOMES)
         probs = {o: float(self.probs[o]) for o in OUTCOMES}
-        if len(self.probs) != len(OUTCOMES):
-            raise ValueError("distribution must have exactly four entries")
         _check_probabilities(np.array(list(probs.values())), np.bool_(self.hypothetical))
         object.__setattr__(self, "probs", probs)
 

@@ -32,6 +32,7 @@ from .joint import (
     NEGATIVE_PROB_TOL,
     OUTCOMES,
     VisibilityPair,
+    _check_labels,
     _check_probabilities,
     admissible_visibilities,
     povm_elements,
@@ -202,8 +203,7 @@ class PairOutcomeDistribution:
     hypothetical: bool = False
 
     def __post_init__(self):
-        if len(self.probs) != len(PAIR_OUTCOMES):
-            raise ValueError("distribution must have exactly sixteen entries")
+        _check_labels(self.probs, PAIR_OUTCOMES)
         probs = {o: float(self.probs[o]) for o in PAIR_OUTCOMES}
         _check_probabilities(np.array(list(probs.values())), np.bool_(self.hypothetical))
         object.__setattr__(self, "probs", probs)

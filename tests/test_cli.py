@@ -554,6 +554,12 @@ class TestOutputHandling:
         assert len(lines) > 5
         assert all(line.endswith(("true", "false")) for line in lines[1:])
 
+    def test_csv_format_without_output_exits_2(self, capsys):
+        assert main(["bound", "--format", "csv"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --format csv requires --output; stdout takes only JSON\n"
+
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("JOINTLAB_OUTPUT_DIR", str(tmp_path))
         assert main(["scan", "--what", "chsh-surface", "--grid-steps", "16",

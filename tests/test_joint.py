@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,14 @@ class TestTypes:
         with pytest.raises(ValueError, match="hypothetical"):
             SingleOutcomeDistribution(bad)
         SingleOutcomeDistribution(bad, hypothetical=True)
+
+    def test_missing_or_foreign_labels_rejected(self):
+        missing = re.escape("missing [(1, -1), (-1, 1), (-1, -1)], foreign []")
+        with pytest.raises(ValueError, match=missing):
+            SingleOutcomeDistribution({(1, 1): 1.0})
+        probs = {(1, 1): 0.25, (1, -1): 0.25, (-1, 1): 0.25, (0, 0): 0.25}
+        with pytest.raises(ValueError, match=re.escape("missing [(-1, -1)], foreign [(0, 0)]")):
+            SingleOutcomeDistribution(probs)
 
     @pytest.mark.parametrize("hypothetical", [False, True])
     def test_nan_distribution_rejected(self, hypothetical):

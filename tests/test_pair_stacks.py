@@ -49,6 +49,13 @@ from jointlab.sampling import (
 )
 from jointlab.verify import coherence_identity_residuals, pair_structure_residuals
 
+
+def assert_same_bytes(actual, expected):
+    actual, expected = np.ascontiguousarray(actual), np.ascontiguousarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert np.array_equal(actual.reshape(-1).view(np.uint8), expected.reshape(-1).view(np.uint8))
+
+
 REFERENCE_FACTORS = {
     "one": lambda x, y: 1.0,
     "x": lambda x, y: float(x),
@@ -154,7 +161,7 @@ def reference_coherence_identity(seed, n):
 
 
 def ginibre_stack(seed, n):
-    return random_state_stack("ginibre", [SeededSampler(seed).derive(i) for i in range(n)])
+    return random_state_stack("ginibre", SeededSampler(seed), range(n))
 
 
 class TestTraceKernel:
@@ -286,15 +293,30 @@ class TestStateStacks:
         [("bell-diagonal", bell_diagonal_random_state), ("ginibre", ginibre_random_mixed_state)],
     )
     def test_members_bit_equal_to_lone_generators(self, kind, lone):
-        samplers = [SeededSampler(16).derive(i) for i in range(30)]
-        stack = random_state_stack(kind, samplers)
+        master = SeededSampler(16)
+        stack = random_state_stack(kind, master, range(30))
         assert not stack.flags.writeable
-        for member, s in zip(stack, samplers):
-            assert np.array_equal(member, lone(s).mat)
+        for i, member in enumerate(stack):
+            assert_same_bytes(member, lone(master.derive(i)).mat)
+
+    @pytest.mark.parametrize(
+        "kind, lone, first, n",
+        [
+            ("bell-diagonal", bell_diagonal_random_state, 1000, 1000),
+            ("ginibre", ginibre_random_mixed_state, 2000, 200),
+            ("ginibre", ginibre_random_mixed_state, 3000, 1000),
+        ],
+    )
+    def test_verify_stacks_bit_equal_to_per_member_loop(self, kind, lone, first, n):
+        """The stacks criteria 4 and 8 draw at the default seed, one lone generator per member."""
+        master = SeededSampler(7)
+        stack = random_state_stack(kind, master, np.arange(first, first + n))
+        reference = np.array([lone(master.derive(first + i)).mat for i in range(n)])
+        assert_same_bytes(stack, reference)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
-            random_state_stack("haar", [SeededSampler(1)])
+            random_state_stack("haar", SeededSampler(1), [0])
 
     @pytest.mark.parametrize(
         "defect, match",

@@ -203,6 +203,15 @@ class TestFormulaDistribution:
         with pytest.raises(ValueError, match="hypothetical"):
             PairOutcomeDistribution(bad)
 
+    def test_missing_or_foreign_labels_rejected(self):
+        probs = {(k,): 1.0 / 16.0 for k in range(16)}
+        with pytest.raises(ValueError, match=r"16 outcome labels; missing \[\(1, 1, 1, 1\), .*"
+                           r"foreign \[\(0,\), .*\(15,\)\]"):
+            PairOutcomeDistribution(probs)
+        probs = {o: 1.0 / 16.0 for o in PAIR_OUTCOMES[:15]}
+        with pytest.raises(ValueError, match=r"missing \[\(-1, -1, -1, -1\)\], foreign \[\]"):
+            PairOutcomeDistribution(probs)
+
     @pytest.mark.parametrize("hypothetical", [False, True])
     def test_nan_distribution_rejected(self, hypothetical):
         with pytest.raises(ValueError, match="sum to 1, got nan"):
