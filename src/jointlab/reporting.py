@@ -139,7 +139,6 @@ class Report:
     config_echo: Mapping[str, Any]
     results: Mapping[str, Any]
     checks: Sequence[Any]  # verify.Check instances
-    artifact_version: str = ARTIFACT_VERSION
     timestamp: str = ""
 
     @property
@@ -153,7 +152,7 @@ class Report:
 
 def report_to_json(report: Report) -> str:
     payload = {
-        "artifact_version": report.artifact_version,
+        "artifact_version": ARTIFACT_VERSION,
         "timestamp": report.timestamp,
         "config": dict(report.config_echo),
         "results": dict(report.results),
@@ -190,12 +189,6 @@ def report_to_csv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _shot_indices(record) -> np.ndarray:
-    if not (np.abs(record.outcomes) == 1).all():
-        raise ValueError("shot outcomes must be +-1")
-    return record.index
-
-
 def _block_digits() -> np.ndarray:
     """ASCII digits of 0 .. ``_SHOT_BLOCK_ROWS - 1``, zero-padded, as ``(rows, 5)`` uint8."""
     digits = np.frombuffer(b"0123456789", dtype=np.uint8)
@@ -224,7 +217,7 @@ def _shot_csv_blocks(index: np.ndarray):
 
 def shots_csv_text(record) -> str:
     """Shot archive as CSV with columns (index, x_a, y_a, x_b, y_b)."""
-    return "".join(_shot_csv_blocks(_shot_indices(record)))
+    return "".join(_shot_csv_blocks(record.index))
 
 
 def write_report(report: Report, path: str | Path, fmt: str = "json") -> None:
@@ -240,6 +233,5 @@ def write_report(report: Report, path: str | Path, fmt: str = "json") -> None:
 
 def write_shots_csv(record, path: str | Path) -> None:
     """Write ``shots_csv_text(record)`` to ``path`` block by block, without building it whole."""
-    index = _shot_indices(record)
     with Path(path).open("w", encoding="utf-8") as fh:
-        fh.writelines(_shot_csv_blocks(index))
+        fh.writelines(_shot_csv_blocks(record.index))

@@ -396,23 +396,31 @@ def correlation_ensemble(n: int, s: SeededSampler, kind: str = "haar") -> np.nda
 class ShotRecord:
     """Finite sample of pair outcomes.
 
-    ``outcomes`` is an (n, 4) int8 array of +-1 rows (x_a, y_a, x_b, y_b);
-    ``source`` documents the distribution and sampler that produced it.
+    ``outcomes`` is an (n, 4) int8 array of +-1 rows (x_a, y_a, x_b, y_b),
+    checked as given, before the int8 cast would wrap 300 to 44 or cut 1.7
+    to 1; ``source`` documents the distribution and sampler that produced it.
     ``index`` is each shot's index in ``PAIR_OUTCOMES``, computed on first
     use and shared by every moment estimate and the shot archive; ``counts``
     is how many shots fell on each of the 16 outcomes.
     """
 
     outcomes: np.ndarray
-    n: int
     source: str
 
     def __post_init__(self):
-        out = np.asarray(self.outcomes, dtype=np.int8)
-        if out.shape != (self.n, 4):
-            raise ValueError(f"expected outcome shape ({self.n}, 4), got {out.shape}")
+        given = np.asarray(self.outcomes)
+        if given.ndim != 2 or given.shape[1] != 4:
+            raise ValueError(f"expected outcome shape (n, 4), got {given.shape}")
+        if not (np.abs(given) == 1).all():
+            raise ValueError("shot outcomes must be +-1")
+        out = np.asarray(given, dtype=np.int8)
         out.setflags(write=False)
         object.__setattr__(self, "outcomes", out)
+
+    @property
+    def n(self) -> int:
+        """Number of shots."""
+        return len(self.outcomes)
 
     @functools.cached_property
     def index(self) -> np.ndarray:
@@ -461,7 +469,7 @@ def sample_outcomes(
     cdf[-1] = 1.0
     idx = _inverse_cdf(cdf, s.rng().random(n))
     source = f"{label + ';' if label else ''}{s.describe()}"
-    return ShotRecord(_PAIR_OUTCOME_WORDS[idx].view(np.int8).reshape(n, 4), n, source)
+    return ShotRecord(_PAIR_OUTCOME_WORDS[idx].view(np.int8).reshape(n, 4), source)
 
 
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:

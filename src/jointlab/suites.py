@@ -92,9 +92,9 @@ def run_single_suite(seed: int, tolerance: float, grid_steps: int) -> tuple[dict
         check_le(
             "distribution_vs_trace_residual", _distribution_trace_residual(seed), 0.0, tolerance
         ),
-        *criterion_outcome_product_rule(seed, tolerance=tolerance).checks,
+        *criterion_outcome_product_rule(seed, tolerance=tolerance),
         check_le("admissibility_psd_mismatches", povm_grid_mismatches(grid_steps), 0.0),
-        *criterion_bloch_disk_bound(seed, tolerance=tolerance).checks,
+        *criterion_bloch_disk_bound(seed, tolerance=tolerance),
     ]
     results = {"grid_steps": grid_steps}
     results.update((c.name, c.value) for c in checks if c.name != "sweep_vs_distribution_residual")
@@ -103,9 +103,8 @@ def run_single_suite(seed: int, tolerance: float, grid_steps: int) -> tuple[dict
 
 def run_pair_suite(seed: int, tolerance: float) -> tuple[dict, list[Check]]:
     """Two-qubit checks: moment structure, factorization, closed form vs trace."""
-    criterion = criterion_pair_moment_structure(seed, 400, marginal_states=100, tolerance=tolerance)
-    checks = list(criterion.checks)
-    return {"states": 400, **{c.name: c.value for c in checks}}, checks
+    checks = criterion_pair_moment_structure(seed, 400, marginal_states=100, tolerance=tolerance)
+    return {"states": 400, **{c.name: c.value for c in checks}}, list(checks)
 
 
 def _resolve_state(

@@ -3,8 +3,12 @@
 Each criterion function measures residuals or extrema with an independent
 route (closed forms, brute-force grids, sampling estimators) and returns a
 tuple of named checks carrying value, bound, tolerance and a pass flag.
-``run_acceptance`` evaluates all ten criteria on one master seed; the
-10^5-state ensembles are generated once and shared.
+``CRITERIA`` is the one place that names the ten criteria: each entry gives
+a key, a title and how to run the criterion's checks, in report order.
+``run_acceptance`` evaluates them on one master seed, times each one and
+packages it as a ``CriterionResult``; the 10^5-state ensembles are built
+once per run, by the first criterion that asks for them, which is charged
+for the build.
 
 Every check a criterion makes is built here, once: the CLI subcommands
 (``suites``) compose these criteria and their check functions at their own
@@ -17,6 +21,7 @@ tightens, the floors on minimum probabilities and the sweep residual.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -91,7 +96,7 @@ MONTE_CARLO_SPECS = (
 __all__ = [
     "Check",
     "CriterionResult",
-    "CorrelationEnsembles",
+    "CRITERIA",
     "RUNTIME_LIMITS",
     "check_le",
     "check_ge",
@@ -196,17 +201,8 @@ def povm_grid_mismatches(grid_steps: int = 101, tol: float = 1e-10) -> int:
     return mismatches
 
 
-def criterion_povm_positivity() -> CriterionResult:
-    start = time.perf_counter()
-    mismatches = povm_grid_mismatches()
-    elapsed = time.perf_counter() - start
-    checks = (check_le("povm_grid_mismatches", mismatches, 0.0),)
-    return CriterionResult(
-        "povm_positivity_grid",
-        "visibility admissibility matches POVM positivity on the unit grid",
-        checks,
-        elapsed,
-    )
+def criterion_povm_positivity() -> tuple[Check, ...]:
+    return (check_le("povm_grid_mismatches", povm_grid_mismatches(), 0.0),)
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +221,11 @@ def moment_identity_residuals(seed: int, n: int = 1000) -> tuple[float, float]:
 
 def criterion_outcome_product_rule(
     seed: int, n: int = 1000, tolerance: float | None = None
-) -> CriterionResult:
-    start = time.perf_counter()
+) -> tuple[Check, ...]:
     max_xy, max_prop = moment_identity_residuals(seed, n)
-    checks = (
+    return (
         check_le("outcome_product_mean_max", max_xy, 0.0, _run_tol(tolerance, 1e-14)),
         check_le("visibility_scaling_residual_max", max_prop, 0.0, _run_tol(tolerance, 1e-12)),
-    )
-    return CriterionResult(
-        "outcome_product_rule",
-        "outcome product averages to zero; outcome means scale by the visibilities",
-        checks,
-        time.perf_counter() - start,
     )
 
 
@@ -277,19 +266,12 @@ def bloch_disk_sweep(seed: int) -> tuple[float, float, float]:
     return worst_unphysical, best_physical, max_residual(np.abs(spot - table[i, j]))
 
 
-def criterion_bloch_disk_bound(seed: int, tolerance: float | None = None) -> CriterionResult:
-    start = time.perf_counter()
+def criterion_bloch_disk_bound(seed: int, tolerance: float | None = None) -> tuple[Check, ...]:
     worst_unphysical, best_physical, api_residual = bloch_disk_sweep(seed)
-    checks = (
+    return (
         check_le("unphysical_state_witness_probability", worst_unphysical, -1e-9),
         check_ge("physical_state_min_probability", best_physical, 0.0, _floor_tol(tolerance, 1e-12)),
         check_le("sweep_vs_distribution_residual", api_residual, 0.0, _floor_tol(tolerance, 1e-15)),
-    )
-    return CriterionResult(
-        "bloch_disk_bound",
-        "states outside the Bloch disk force negative probabilities; states inside never do",
-        checks,
-        time.perf_counter() - start,
     )
 
 
@@ -305,11 +287,9 @@ _STRUCTURE_SIGNS = np.stack([moment_signs(spec) for spec in _XY_SPECS + _CORRELA
 
 def _random_admissible_visibilities(gen: np.random.Generator, n: int) -> np.ndarray:
     """(n, 2) admissible pairs (r cos theta, r sin theta), each from one (theta, r) draw."""
-    out = np.empty((n, 2))
-    for k, (u, radius) in enumerate(gen.random((n, 2)).tolist()):
-        theta = 0.5 * math.pi * u
-        out[k] = radius * math.cos(theta), radius * math.sin(theta)
-    return out
+    u, radius = gen.random((n, 2)).T
+    theta = 0.5 * math.pi * u
+    return np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
 
 
 def pair_structure_residuals(
@@ -355,23 +335,16 @@ def pair_structure_residuals(
 
 def criterion_pair_moment_structure(
     seed: int, n: int = 1000, marginal_states: int = 200, tolerance: float | None = None
-) -> CriterionResult:
-    start = time.perf_counter()
+) -> tuple[Check, ...]:
     max_xy, max_factor, max_formula, max_marginal, min_prob = pair_structure_residuals(
         seed, n, marginal_states
     )
-    checks = (
+    return (
         check_le("pair_xy_moment_max", max_xy, 0.0, _run_tol(tolerance, 1e-12)),
         check_le("correlation_factorization_residual", max_factor, 0.0, _run_tol(tolerance, 1e-12)),
         check_le("formula_vs_trace_residual", max_formula, 0.0, _run_tol(tolerance, 1e-11)),
         check_le("marginal_consistency_residual", max_marginal, 0.0, _run_tol(tolerance, 1e-12)),
         check_ge("pair_min_probability", min_prob, 0.0, _floor_tol(tolerance, 1e-12)),
-    )
-    return CriterionResult(
-        "pair_moment_structure",
-        "xy moments vanish, correlations factor, closed form matches the trace path",
-        checks,
-        time.perf_counter() - start,
     )
 
 
@@ -379,47 +352,33 @@ def criterion_pair_moment_structure(
 # 5 + 7. random-state ensembles for the tight bound and the CHSH corollary
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CorrelationEnsembles:
-    """Correlations of 10^5-scale random pure and mixed ensembles."""
-
-    pure: np.ndarray
-    mixed: np.ndarray
-    elapsed: float
+#: (n, 4) correlations of a random pure ensemble and of a random mixed one.
+Ensembles = tuple[np.ndarray, np.ndarray]
 
 
-def build_correlation_ensembles(seed: int, n: int = 100_000) -> CorrelationEnsembles:
-    start = time.perf_counter()
+def build_correlation_ensembles(seed: int, n: int = 100_000) -> Ensembles:
     master = SeededSampler(seed)
     pure = correlation_ensemble(n, master.derive(50), "haar")
     mixed = correlation_ensemble(n, master.derive(51), "ginibre")
-    return CorrelationEnsembles(pure, mixed, time.perf_counter() - start)
+    return pure, mixed
 
 
-def _ensemble_max(ens: CorrelationEnsembles, fn) -> tuple[float, float]:
-    vp = fn(ens.pure[:, 0], ens.pure[:, 1], ens.pure[:, 2], ens.pure[:, 3])
-    vm = fn(ens.mixed[:, 0], ens.mixed[:, 1], ens.mixed[:, 2], ens.mixed[:, 3])
-    return float(vp.max()), float(vm.max())
+def _ensemble_max(ensembles: Ensembles, fn) -> tuple[float, float]:
+    """The largest ``fn(c_xx, c_xy, c_yx, c_yy)`` over the pure and over the mixed ensemble."""
+    pure, mixed = (float(fn(*c.T).max()) for c in ensembles)
+    return pure, mixed
 
 
-def criterion_tight_bound(ens: CorrelationEnsembles) -> CriterionResult:
-    start = time.perf_counter()
-    max_pure, max_mixed = _ensemble_max(ens, tight_bound_from_components)
+def criterion_tight_bound(ensembles: Ensembles) -> tuple[Check, ...]:
+    max_pure, max_mixed = _ensemble_max(ensembles, tight_bound_from_components)
     phis = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
     bell_dev = max_residual(
         abs(tight_bound_lhs(bell_family_correlations(float(p))) - 2.0) for p in phis
     )
-    checks = (
+    return (
         check_le("tight_bound_max_pure", max_pure, 2.0, 1e-9),
         check_le("tight_bound_max_mixed", max_mixed, 2.0, 1e-9),
         check_close("tight_bound_bell_family", bell_dev, 0.0, 1e-12),
-    )
-    elapsed = ens.elapsed + (time.perf_counter() - start)
-    return CriterionResult(
-        "tight_bound_validity",
-        "tight bound holds on random ensembles and is saturated by the Bell family",
-        checks,
-        elapsed,
     )
 
 
@@ -440,32 +399,18 @@ def sup_identity_residual(sampler: SeededSampler, n: int) -> float:
     return max_residual(np.abs(sup_over_angles(c) - closed))
 
 
-def criterion_sup_identity(seed: int, n: int = 1000) -> CriterionResult:
-    start = time.perf_counter()
+def criterion_sup_identity(seed: int, n: int = 1000) -> tuple[Check, ...]:
     worst = sup_identity_residual(SeededSampler(seed).derive(6), n)
-    checks = (check_le("sup_vs_closed_form_residual", worst, 0.0, 1e-9),)
-    return CriterionResult(
-        "sup_matches_closed_form",
-        "numeric angle supremum equals the two-radical closed form",
-        checks,
-        time.perf_counter() - start,
-    )
+    return (check_le("sup_vs_closed_form_residual", worst, 0.0, 1e-9),)
 
 
-def criterion_tsirelson(ens: CorrelationEnsembles) -> CriterionResult:
-    start = time.perf_counter()
+def criterion_tsirelson(ensembles: Ensembles) -> tuple[Check, ...]:
     bell_value = chsh_value(bell_family_correlations(0.25 * math.pi))
-    max_pure, max_mixed = _ensemble_max(ens, chsh_from_components)
-    checks = (
+    max_pure, max_mixed = _ensemble_max(ensembles, chsh_from_components)
+    return (
         check_close("chsh_bell_quarter_pi", bell_value, TSIRELSON_BOUND, 1e-12),
         check_le("chsh_max_pure", max_pure, TSIRELSON_BOUND, 1e-9),
         check_le("chsh_max_mixed", max_mixed, TSIRELSON_BOUND, 1e-9),
-    )
-    return CriterionResult(
-        "tsirelson_corollary",
-        "CHSH reaches 2*sqrt(2) on the Bell family and never exceeds it",
-        checks,
-        time.perf_counter() - start,
     )
 
 
@@ -492,19 +437,12 @@ def coherence_identity_residuals(seed: int, n: int = 1000) -> tuple[float, float
     return max_identity, bell_dev, mixture_dev
 
 
-def criterion_coherence_identity(seed: int, n: int = 1000) -> CriterionResult:
-    start = time.perf_counter()
+def criterion_coherence_identity(seed: int, n: int = 1000) -> tuple[Check, ...]:
     max_identity, bell_dev, mixture_dev = coherence_identity_residuals(seed, n)
-    checks = (
+    return (
         check_le("coherence_identity_residual", max_identity, 0.0, 1e-10),
         check_le("coherence_bell_family_dev", bell_dev, 0.0, 1e-12),
         check_le("coherence_bell_mixture_dev", mixture_dev, 0.0, 1e-12),
-    )
-    return CriterionResult(
-        "coherence_identity",
-        "tight bound equals four times the coherence sum; both saturate at 1/2",
-        checks,
-        time.perf_counter() - start,
     )
 
 
@@ -549,21 +487,14 @@ def zero_probability_checks(
     )
 
 
-def criterion_observable_optima() -> CriterionResult:
-    start = time.perf_counter()
+def criterion_observable_optima() -> tuple[Check, ...]:
     quarter_pi = 0.25 * math.pi
     unconstrained = max_experimental_chsh(quarter_pi)
-    checks = (
+    return (
         check_close("experimental_chsh_max", unconstrained.value, math.sqrt(2.0), 1e-6),
         check_close("experimental_chsh_argmax_alpha", unconstrained.alpha, quarter_pi, 1e-6),
         check_close("experimental_chsh_argmax_beta", unconstrained.beta, quarter_pi, 1e-6),
     ) + zero_probability_checks(zero_probability_curve_max(), _SUPPRESSED_PHIS, _MIDPOINT_PHIS)
-    return CriterionResult(
-        "observable_optima",
-        "observed CHSH optima: sqrt(2) unconstrained, 1.25 under a zero-probability outcome",
-        checks,
-        time.perf_counter() - start,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +528,7 @@ def moment_gap_checks(
     return checks, moments
 
 
-def criterion_monte_carlo(seed: int, n: int = 1_000_000) -> CriterionResult:
-    start = time.perf_counter()
+def criterion_monte_carlo(seed: int, n: int = 1_000_000) -> tuple[Check, ...]:
     master = SeededSampler(seed)
     quarter_pi = 0.25 * math.pi
     v = VisibilityPair(math.cos(quarter_pi), math.sin(quarter_pi))
@@ -619,28 +549,57 @@ def criterion_monte_carlo(seed: int, n: int = 1_000_000) -> CriterionResult:
     second = sample_outcomes(dist, 5000, master.derive(102))
     identical = shots_csv_text(first) == shots_csv_text(second)
     checks.append(check_ge("identical_seed_archives", 1.0 if identical else 0.0, 1.0))
-    return CriterionResult(
-        "monte_carlo_consistency",
-        "finite samples reproduce population moments; the suppressed outcome never occurs",
-        tuple(checks),
-        time.perf_counter() - start,
-    )
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------
 
+#: The ten criteria in report order: (key, title, checks_of(seed, ensembles)),
+#: where ``ensembles()`` returns the run's 10^5-state ensembles.
+CRITERIA = (
+    ("povm_positivity_grid",
+     "visibility admissibility matches POVM positivity on the unit grid",
+     lambda seed, ensembles: criterion_povm_positivity()),
+    ("outcome_product_rule",
+     "outcome product averages to zero; outcome means scale by the visibilities",
+     lambda seed, ensembles: criterion_outcome_product_rule(seed)),
+    ("bloch_disk_bound",
+     "states outside the Bloch disk force negative probabilities; states inside never do",
+     lambda seed, ensembles: criterion_bloch_disk_bound(seed)),
+    ("pair_moment_structure",
+     "xy moments vanish, correlations factor, closed form matches the trace path",
+     lambda seed, ensembles: criterion_pair_moment_structure(seed)),
+    ("tight_bound_validity",
+     "tight bound holds on random ensembles and is saturated by the Bell family",
+     lambda seed, ensembles: criterion_tight_bound(ensembles())),
+    ("sup_matches_closed_form",
+     "numeric angle supremum equals the two-radical closed form",
+     lambda seed, ensembles: criterion_sup_identity(seed)),
+    ("tsirelson_corollary",
+     "CHSH reaches 2*sqrt(2) on the Bell family and never exceeds it",
+     lambda seed, ensembles: criterion_tsirelson(ensembles())),
+    ("coherence_identity",
+     "tight bound equals four times the coherence sum; both saturate at 1/2",
+     lambda seed, ensembles: criterion_coherence_identity(seed)),
+    ("observable_optima",
+     "observed CHSH optima: sqrt(2) unconstrained, 1.25 under a zero-probability outcome",
+     lambda seed, ensembles: criterion_observable_optima()),
+    ("monte_carlo_consistency",
+     "finite samples reproduce population moments; the suppressed outcome never occurs",
+     lambda seed, ensembles: criterion_monte_carlo(seed)),
+)
+
+
 def run_acceptance(seed: int) -> tuple[CriterionResult, ...]:
-    """Evaluate all ten acceptance criteria with one master seed."""
-    ensembles = build_correlation_ensembles(seed)
-    return (
-        criterion_povm_positivity(),
-        criterion_outcome_product_rule(seed),
-        criterion_bloch_disk_bound(seed),
-        criterion_pair_moment_structure(seed),
-        criterion_tight_bound(ensembles),
-        criterion_sup_identity(seed),
-        criterion_tsirelson(ensembles),
-        criterion_coherence_identity(seed),
-        criterion_observable_optima(),
-        criterion_monte_carlo(seed),
-    )
+    """Evaluate every criterion of ``CRITERIA`` with one master seed, timing each.
+
+    The ensembles are built on first use, so the first criterion that asks
+    for them (``tight_bound_validity``) is charged for the build.
+    """
+    ensembles = functools.cache(lambda: build_correlation_ensembles(seed))
+    results = []
+    for key, title, checks_of in CRITERIA:
+        start = time.perf_counter()
+        checks = checks_of(seed, ensembles)
+        results.append(CriterionResult(key, title, checks, time.perf_counter() - start))
+    return tuple(results)

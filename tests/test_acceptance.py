@@ -1,80 +1,27 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-summary lines; the same checks back the CLI ``verify`` subcommand.
+summary lines; the same ``run_acceptance`` backs the CLI ``verify`` subcommand.
 """
 
 import pytest
 
-from jointlab.verify import (
-    RUNTIME_LIMITS,
-    build_correlation_ensembles,
-    criterion_bloch_disk_bound,
-    criterion_coherence_identity,
-    criterion_monte_carlo,
-    criterion_observable_optima,
-    criterion_outcome_product_rule,
-    criterion_pair_moment_structure,
-    criterion_povm_positivity,
-    criterion_sup_identity,
-    criterion_tight_bound,
-    criterion_tsirelson,
-)
+from jointlab.verify import CRITERIA, RUNTIME_LIMITS, run_acceptance
 
 SEED = 7
 
 
 @pytest.fixture(scope="module")
-def ensembles():
-    return build_correlation_ensembles(SEED)
+def results():
+    return {result.key: result for result in run_acceptance(SEED)}
 
 
-def report(result):
+@pytest.mark.parametrize("key", [key for key, _, _ in CRITERIA])
+def test_criterion(results, key):
+    result = results[key]
     status = "PASS" if result.passed else "FAIL"
     print(f"[acceptance] {result.key}: {status} ({len(result.checks)} checks, {result.elapsed:.2f}s)")
     failures = [c for c in result.checks if not c.passed]
     assert not failures, f"failing checks: {failures}"
-
-
-def test_criterion_01_povm_positivity_grid():
-    result = criterion_povm_positivity()
-    report(result)
-    assert result.elapsed < RUNTIME_LIMITS["povm_positivity_grid"]
-
-
-def test_criterion_02_outcome_product_rule():
-    report(criterion_outcome_product_rule(SEED))
-
-
-def test_criterion_03_bloch_disk_bound():
-    report(criterion_bloch_disk_bound(SEED))
-
-
-def test_criterion_04_pair_moment_structure():
-    report(criterion_pair_moment_structure(SEED))
-
-
-def test_criterion_05_tight_bound_validity(ensembles):
-    result = criterion_tight_bound(ensembles)
-    report(result)
-    assert result.elapsed < RUNTIME_LIMITS["tight_bound_validity"]
-
-
-def test_criterion_06_sup_matches_closed_form():
-    report(criterion_sup_identity(SEED))
-
-
-def test_criterion_07_tsirelson_corollary(ensembles):
-    report(criterion_tsirelson(ensembles))
-
-
-def test_criterion_08_coherence_identity():
-    report(criterion_coherence_identity(SEED))
-
-
-def test_criterion_09_observable_optima():
-    report(criterion_observable_optima())
-
-
-def test_criterion_10_monte_carlo_consistency():
-    report(criterion_monte_carlo(SEED))
+    if key in RUNTIME_LIMITS:
+        assert result.elapsed < RUNTIME_LIMITS[key]

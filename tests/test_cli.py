@@ -30,6 +30,7 @@ from jointlab.cli import (
 from jointlab.pairs import BellFamilyState
 from jointlab.reporting import dumps_json
 from jointlab.sampling import ShotRecord
+from jointlab.verify import CRITERIA
 
 
 def run_json(tmp_path, args, name="report.json", expect=0):
@@ -179,8 +180,11 @@ class TestSubcommands:
     def test_verify_passes(self, tmp_path):
         report = run_json(tmp_path, ["verify", "--seed", "7"])
         assert report["all_pass"] is True
-        assert len(report["results"]["criteria"]) == 10
-        assert all(entry["passed"] for entry in report["results"]["criteria"].values())
+        criteria = report["results"]["criteria"]
+        assert [(key, entry["title"]) for key, entry in criteria.items()] == [
+            (key, title) for key, title, _ in CRITERIA
+        ]
+        assert all(entry["passed"] for entry in criteria.values())
 
 
 class TestDeterminism:
@@ -673,7 +677,7 @@ def test_malformed_argv_exits_cleanly(tmp_path, monkeypatch, argv):
     """No numerical work runs: every suite is a stub, and the sample one returns two shots."""
     for name in ("single", "pair", "bound", "scan", "verify"):
         monkeypatch.setattr(suites, f"run_{name}_suite", lambda *args, **kwargs: ({}, []))
-    two_shots = ShotRecord(np.ones((2, 4), dtype=np.int8), 2, "stub")
+    two_shots = ShotRecord(np.ones((2, 4), dtype=np.int8), "stub")
     monkeypatch.setattr(suites, "run_sample_suite", lambda *args, **kwargs: ({}, [], two_shots))
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))

@@ -55,16 +55,16 @@ def reference_scan_table(what, phi, grid_steps):
 
 def random_record(n, seed=0):
     outcomes = np.random.default_rng(seed).choice(np.array([1, -1], np.int8), size=(n, 4))
-    return ShotRecord(outcomes, n, f"test;n={n}")
+    return ShotRecord(outcomes, f"test;n={n}")
 
 
 def hashed_record(n):
     """n shots whose outcome index is a multiplicative hash of the row number (no RNG)."""
     index = (np.arange(n, dtype=np.int64) * 2_654_435_761 % 2**32) >> 28
-    return ShotRecord(np.array(PAIR_OUTCOMES, dtype=np.int8)[index], n, f"hashed;n={n}")
+    return ShotRecord(np.array(PAIR_OUTCOMES, dtype=np.int8)[index], f"hashed;n={n}")
 
 
-ALL_OUTCOMES = ShotRecord(np.array(PAIR_OUTCOMES), len(PAIR_OUTCOMES), "all outcomes")
+ALL_OUTCOMES = ShotRecord(np.array(PAIR_OUTCOMES), "all outcomes")
 
 #: sha256 of ``reference_shots_csv_text(hashed_record(1_000_001))``.
 HASHED_1_000_001_SHA256 = "8f57c9c9b37c2567cf7b22e28ac5bb24c4c5ed302cf003c1f599319fd0eb5a41"
@@ -104,15 +104,6 @@ class TestShotArchive:
         path = tmp_path / "shots.csv"
         write_shots_csv(record, path)
         assert path.read_bytes() == shots_csv_text(record).encode("utf-8")
-
-    def test_outcome_other_than_plus_minus_one_rejected_before_writing(self, tmp_path):
-        bad = ShotRecord(np.array([[1, -1, 1, 1], [1, 0, -1, 1]]), 2, "bad")
-        path = tmp_path / "shots.csv"
-        with pytest.raises(ValueError, match="must be \\+-1"):
-            shots_csv_text(bad)
-        with pytest.raises(ValueError, match="must be \\+-1"):
-            write_shots_csv(bad, path)
-        assert not path.exists()
 
 
 TABLES = [

@@ -6,7 +6,7 @@ import pytest
 
 from jointlab import suites, verify
 from jointlab.joint import OUTCOMES, VisibilityPair, povm_element
-from jointlab.sampling import CurveOptimum
+from jointlab.sampling import CurveOptimum, SeededSampler
 from jointlab.verify import povm_grid_mismatches
 
 
@@ -77,7 +77,7 @@ CURVE = CurveOptimum(1.25, math.pi / 3)
 
 
 def _small_ensembles():
-    return verify.CorrelationEnsembles(np.zeros((4, 4)), np.zeros((4, 4)), 0.0)
+    return np.zeros((4, 4)), np.zeros((4, 4))
 
 
 # (module, name patched, call made NaN, how, run, check that must fail); every
@@ -86,37 +86,37 @@ def _small_ensembles():
 NAN_CASES = {
     "outcome_product_mean": (
         verify, "outcome_moments", 1, nan_at(6, 2),
-        lambda: verify.criterion_outcome_product_rule(7, n=20).checks,
+        lambda: verify.criterion_outcome_product_rule(7, n=20),
         "outcome_product_mean_max",
     ),
     "visibility_scaling": (
         verify, "outcome_moments", 1, nan_at(6, 0),
-        lambda: verify.criterion_outcome_product_rule(7, n=20).checks,
+        lambda: verify.criterion_outcome_product_rule(7, n=20),
         "visibility_scaling_residual_max",
     ),
     "bloch_disk_spot_check": (
         verify, "outcome_probabilities", 1, nan_at(4),
-        lambda: verify.criterion_bloch_disk_bound(7).checks,
+        lambda: verify.criterion_bloch_disk_bound(7),
         "sweep_vs_distribution_residual",
     ),
     "marginals": (
         verify, "pair_marginals", 1, _nan_marginals,
-        lambda: verify.criterion_pair_moment_structure(7, n=5, marginal_states=5).checks,
+        lambda: verify.criterion_pair_moment_structure(7, n=5, marginal_states=5),
         "marginal_consistency_residual",
     ),
     "tight_bound_bell_family": (
         verify, "tight_bound_lhs", 9, _nan,
-        lambda: verify.criterion_tight_bound(_small_ensembles()).checks,
+        lambda: verify.criterion_tight_bound(_small_ensembles()),
         "tight_bound_bell_family",
     ),
     "sup_identity": (
         verify, "sup_over_angles", 1, lambda sup: np.where(np.arange(sup.size) == 3, math.nan, sup),
-        lambda: verify.criterion_sup_identity(7, n=10).checks,
+        lambda: verify.criterion_sup_identity(7, n=10),
         "sup_vs_closed_form_residual",
     ),
     "coherence_bell_family": (
         verify, "validate_densities", 1, nan_at(9, 0, 3),
-        lambda: verify.criterion_coherence_identity(7, n=3).checks,
+        lambda: verify.criterion_coherence_identity(7, n=3),
         "coherence_bell_family_dev",
     ),
     "suppressed_outcome": (
@@ -156,3 +156,36 @@ def test_max_residual():
     assert verify.max_residual(x for x in (0.5, 2.0, 1.0)) == 2.0
     assert math.isnan(verify.max_residual([0.0, math.nan, 1.0]))
     assert math.isnan(verify.max_residual((np.float64(1.0), np.float64(math.nan))))
+
+
+@pytest.mark.parametrize("criteria, builds", [(10, [7]), (4, [])])
+def test_ensembles_built_once_per_run_on_first_use(monkeypatch, criteria, builds):
+    """The ten criteria build the ensembles once; the first four, which never ask, do not."""
+    calls = []
+
+    def build(seed):
+        calls.append(seed)
+        return _small_ensembles()
+
+    monkeypatch.setattr(verify, "build_correlation_ensembles", build)
+    monkeypatch.setattr(verify, "CRITERIA", verify.CRITERIA[:criteria])
+    results = verify.run_acceptance(7)
+    assert [r.key for r in results] == [key for key, _, _ in verify.CRITERIA]
+    assert calls == builds
+
+
+def loop_admissible_visibilities(gen, n):
+    """The visibility draws one (theta, r) pair at a time on Python floats (the reference)."""
+    out = np.empty((n, 2))
+    for k, (u, radius) in enumerate(gen.random((n, 2)).tolist()):
+        theta = 0.5 * math.pi * u
+        out[k] = radius * math.cos(theta), radius * math.sin(theta)
+    return out
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_admissible_visibilities_bit_equal_to_loop(seed):
+    n = 2 * (1000 + 200)  # criterion 4's draws in one verify run, from stream 4
+    expected = loop_admissible_visibilities(SeededSampler(seed).derive(4).rng(), n)
+    got = verify._random_admissible_visibilities(SeededSampler(seed).derive(4).rng(), n)
+    assert got.tobytes() == expected.tobytes()
