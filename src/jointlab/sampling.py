@@ -396,9 +396,9 @@ def correlation_ensemble(n: int, s: SeededSampler, kind: str = "haar") -> np.nda
 class ShotRecord:
     """Finite sample of pair outcomes.
 
-    ``outcomes`` is an (n, 4) int8 array of +-1 rows (x_a, y_a, x_b, y_b),
-    checked as given, before the int8 cast would wrap 300 to 44 or cut 1.7
-    to 1; ``source`` documents the distribution and sampler that produced it.
+    ``outcomes`` is the record's own read-only (n, 4) int8 copy of the +-1 rows
+    (x_a, y_a, x_b, y_b) given, checked before the cast could turn 300 into 44;
+    ``source`` documents the distribution and sampler that produced it.
     ``index`` is each shot's index in ``PAIR_OUTCOMES``, computed on first
     use and shared by every moment estimate and the shot archive; ``counts``
     is how many shots fell on each of the 16 outcomes.
@@ -411,9 +411,9 @@ class ShotRecord:
         given = np.asarray(self.outcomes)
         if given.ndim != 2 or given.shape[1] != 4:
             raise ValueError(f"expected outcome shape (n, 4), got {given.shape}")
-        if not (np.abs(given) == 1).all():
+        if not ((given == 1) | (given == -1)).all():
             raise ValueError("shot outcomes must be +-1")
-        out = np.asarray(given, dtype=np.int8)
+        out = given.astype(np.int8)
         out.setflags(write=False)
         object.__setattr__(self, "outcomes", out)
 

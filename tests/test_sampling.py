@@ -161,8 +161,8 @@ class TestSampling:
         with pytest.raises(ValueError, match="shape"):
             ShotRecord(np.ones((3, 5), dtype=np.int8), "bad")
 
-    # 1.7 would be cast to 1 and 300 to 44 if the values were not checked as given
-    @pytest.mark.parametrize("entry", [0, 1.7, 300])
+    # 1.7 would be cast to 1, 300 to 44 and 1j to 0 if the values were not checked as given
+    @pytest.mark.parametrize("entry", [0, 1.7, 300, 1j])
     def test_shot_record_rejects_outcome_other_than_plus_minus_one(self, entry):
         outcomes = np.array([[1, -1, 1, 1], [1, entry, -1, 1]])
         with pytest.raises(ValueError, match="must be \\+-1"):

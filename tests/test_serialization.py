@@ -105,6 +105,25 @@ class TestShotArchive:
         write_shots_csv(record, path)
         assert path.read_bytes() == shots_csv_text(record).encode("utf-8")
 
+    def test_outcome_other_than_plus_minus_one_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "shots.csv"
+        with pytest.raises(ValueError, match="must be \\+-1"):
+            write_shots_csv(ShotRecord(np.array([[1, -1, 1, 1], [1, 0, -1, 1]]), "bad"), path)
+        assert not path.exists()
+
+    # the array itself, and a strided view whose writable base outlives the record
+    @pytest.mark.parametrize("columns", [4, 8])
+    def test_archive_unchanged_by_writes_to_the_array_given(self, tmp_path, columns):
+        base = np.ones((3, columns), dtype=np.int8)
+        record = ShotRecord(base if columns == 4 else base[:, ::2], "given")
+        base[:] = -1
+        assert base.flags.writeable
+        path = tmp_path / "shots.csv"
+        write_shots_csv(record, path)
+        expected = "index,x_a,y_a,x_b,y_b\n" + "".join(f"{i},1,1,1,1\n" for i in range(3))
+        assert path.read_text() == expected
+        assert shots_csv_text(record) == expected
+
 
 TABLES = [
     np.random.default_rng(5).standard_normal((7, 3)) * 10.0 ** np.arange(-3, 4)[:, None],
