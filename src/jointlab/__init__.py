@@ -45,7 +45,6 @@ from .joint import (
     povm_elements,
 )
 from .linalg import (
-    ConvergenceError,
     hermitian_eigenvalues,
     is_positive_semidefinite,
     pauli,

@@ -20,7 +20,7 @@ and ``--grid-steps``, and ``pair`` and ``bound`` ignore ``--grid-steps``.
 
 Every run produces a Report; exit status is 0 exactly when all checks pass,
 1 when any check fails, and 2 for configuration or I/O errors and for
-numerical failures (an eigensolver that hits its sweep cap, or any
+numerical failures (a LAPACK ``LinAlgError`` from the eigensolver, or any
 ArithmeticError), each reported as one ``error:`` line on stderr. All angles
 are radians. Reports are deterministic for a fixed configuration and seed,
 apart from the timestamp.
@@ -42,7 +42,6 @@ from pathlib import Path
 import numpy as np
 
 from . import suites
-from .linalg import ConvergenceError
 from .reporting import Report, make_timestamp, report_to_json, write_report, write_shots_csv
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
@@ -52,7 +51,7 @@ SUBCOMMANDS = ("single", "pair", "bound", "scan", "sample", "verify")
 OUTPUT_DIR_ENV = "JOINTLAB_OUTPUT_DIR"
 
 #: Largest ``single --grid-steps``. The POVM grid certifies 4 * steps**2 2x2
-#: matrices at ~0.6 us each (2.4 s at 1024 steps); memory is set by the
+#: matrices at ~0.25 us each (1.0 s at 1024 steps); memory is set by the
 #: grid's row block, not by the step count.
 SINGLE_GRID_STEPS_MAX = 1024
 
@@ -290,11 +289,12 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(report_to_json(report))
         return 0 if report.all_pass else 1
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        # ahead of ValueError, which LinAlgError subclasses
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConvergenceError, ArithmeticError) as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,15 +1,15 @@
 """Dense complex linear algebra for single- and two-qubit operators.
 
 Everything here operates on plain numpy complex arrays of dimension 2 or 4:
-Pauli construction and a cyclic-Jacobi eigensolver used to certify
+Pauli construction and the Hermitian eigenvalues used to certify
 positivity of measurement operators and states.
-The closed-form 2x2 eigenvalue formula is deliberately not used in
-production, so a single eigenvalue path serves both dimensions; the test
-suite keeps the closed form around as an independent oracle.
 
-The eigensolver takes a lone ``(n, n)`` matrix or a ``(..., n, n)`` stack
-and runs one cyclic Jacobi on both: a stack runs each rotation for all of
-its members at once in numpy, and a lone matrix is a stack of one.
+The eigensolver takes a lone ``(n, n)`` matrix or a ``(..., n, n)`` stack,
+and a lone matrix is a stack of one. 2x2 matrices take the closed form,
+any other size numpy's batched LAPACK ``eigvalsh``. LAPACK pays a fixed cost
+per matrix that dominates at 2x2: on the POVM grid's stacks it takes about
+0.6 us per matrix, against about 0.13 us for the closed form with its
+validation (Python 3.11, numpy 2.4).
 
 All comparisons use absolute tolerances; every quantity in this package is
 O(1) by construction.
@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "DEFAULT_TOL",
     "PSD_TOL",
-    "ConvergenceError",
     "pauli",
     "hermitian_eigenvalues",
     "is_positive_semidefinite",
@@ -30,12 +29,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 PSD_TOL = 1e-10
-_JACOBI_MAX_SWEEPS = 100
-
-
-class ConvergenceError(RuntimeError):
-    """Jacobi sweep cap reached before the off-diagonal norm dropped below tolerance."""
-
 
 _PAULI = {
     "I": np.array([[1, 0], [0, 1]], dtype=np.complex128),
@@ -72,7 +65,7 @@ def _member(index: tuple[int, ...]) -> str:
 
 
 def _hermitian_stack(m: np.ndarray) -> np.ndarray:
-    """View ``m`` as an (N, n, n) stack, validating shape, finiteness, hermiticity."""
+    """Return ``m`` once its shape, finiteness and hermiticity are validated."""
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     k = _first_bad(~np.isfinite(m).all(axis=(-2, -1)))
@@ -85,78 +78,26 @@ def _hermitian_stack(m: np.ndarray) -> np.ndarray:
     k = _first_bad(~hermitian)
     if k is not None:
         raise ValueError(f"matrix is not Hermitian within tolerance{_member(k)}")
-    return m.reshape(-1, n, n)
-
-
-def _rotate_stack(w: np.ndarray, p: int, q: int) -> None:
-    """Jacobi rotation in the (p, q) plane of each member with |w_pq| >= DEFAULT_TOL, in place."""
-    r = np.abs(w[:, p, q])
-    hit = r >= DEFAULT_TOL
-    hits = np.count_nonzero(hit)
-    if hits == 0:
-        return
-    partial = hits < len(hit)
-    m, r = (w[hit], r[hit]) if partial else (w, r)
-    phase = m[:, p, q] / r
-    tau = (m[:, q, q].real - m[:, p, p].real) / (2.0 * r)
-    t = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-    t = np.where(tau < 0.0, -t, t)
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    sp = (s * phase)[:, None]
-    spc = (s * phase.conj())[:, None]
-    c = c[:, None]
-    cp, cq = m[:, :, p], m[:, :, q]
-    m[:, :, p], m[:, :, q] = c * cp - spc * cq, sp * cp + c * cq
-    rp, rq = m[:, p, :], m[:, q, :]
-    m[:, p, :], m[:, q, :] = c * rp - sp * rq, spc * rp + c * rq
-    # exact by construction; drop the rounding residue
-    m[:, p, q] = 0j
-    m[:, q, p] = 0j
-    m[:, p, p] = m[:, p, p].real
-    m[:, q, q] = m[:, q, q].real
-    if partial:
-        w[hit] = m
-
-
-def _jacobi_sweeps_stack(w: np.ndarray) -> None:
-    """Cyclic Jacobi on an (N, n, n) stack in place.
-
-    A member leaves the sweeps once all its off-diagonal magnitudes are below
-    ``DEFAULT_TOL``.
-    """
-    iu, ju = np.triu_indices(w.shape[-1], 1)
-    if iu.size == 0:
-        return
-    live = np.arange(len(w))
-    for _sweep in range(_JACOBI_MAX_SWEEPS):
-        live = live[np.abs(w[live[:, None], iu, ju]).max(axis=1) >= DEFAULT_TOL]
-        if live.size == 0:
-            return
-        sub = w if live.size == len(w) else w[live]
-        for p, q in zip(iu.tolist(), ju.tolist()):
-            _rotate_stack(sub, p, q)
-        if sub is not w:
-            w[live] = sub
-    off = float(np.abs(w[live[:, None], iu, ju]).max())
-    raise ConvergenceError(
-        f"no convergence after {_JACOBI_MAX_SWEEPS} sweeps; off-diagonal residual {off:.3e}"
-        f" ({live.size} of {len(w)} stack members)"
-    )
+    return m
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix or stack, ascending, via the Jacobi path.
+    """Eigenvalues of a Hermitian matrix or stack, ascending.
 
     A lone ``(n, n)`` matrix gives shape ``(n,)`` and a ``(..., n, n)`` stack
-    gives ``(..., n)``. Every member must be Hermitian within ``DEFAULT_TOL``,
-    which is also the off-diagonal magnitude below which Jacobi stops, and
-    ConvergenceError is raised if any member hits the sweep cap.
+    gives ``(..., n)``. Every member must have finite entries and be
+    Hermitian within ``DEFAULT_TOL``; an error names the first bad member.
+    2x2 matrices take the closed form (a+d)/2 -+ hypot((a-d)/2, |b|), any
+    other size ``np.linalg.eigvalsh``, whose ``LinAlgError`` on a member
+    that does not converge reaches the caller unchanged.
     """
-    m = np.array(a, dtype=np.complex128)
-    w = _hermitian_stack(m)
-    _jacobi_sweeps_stack(w)
-    return np.sort(np.diagonal(w, axis1=1, axis2=2).real, axis=1).reshape(m.shape[:-1])
+    m = _hermitian_stack(np.array(a, dtype=np.complex128))
+    if m.shape[-1] == 2:
+        m00, m11 = m[..., 0, 0].real, m[..., 1, 1].real
+        mean = 0.5 * (m00 + m11)
+        half_gap = np.hypot(0.5 * (m00 - m11), np.abs(m[..., 0, 1]))
+        return np.stack((mean - half_gap, mean + half_gap), axis=-1)
+    return np.linalg.eigvalsh(m)
 
 
 def is_positive_semidefinite(a, tol: float = PSD_TOL) -> np.ndarray:

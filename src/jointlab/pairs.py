@@ -119,8 +119,8 @@ class DensityOperator4:
     """A validated two-qubit density operator.
 
     Construction runs ``validate_densities``: hermiticity and unit trace
-    within 1e-12, positive semidefiniteness within 1e-10 (certified by the
-    Jacobi eigensolver); the stored matrix is a read-only copy.
+    within 1e-12, positive semidefiniteness within 1e-10 (certified by
+    ``hermitian_eigenvalues``); the stored matrix is a read-only copy.
     """
 
     mat: np.ndarray

@@ -188,7 +188,7 @@ def povm_grid_mismatches(grid_steps: int = 101, tol: float = 1e-10) -> int:
 
     The unit grid of visibilities is walked ``POVM_GRID_BLOCK_ROWS`` rows at
     a time; all four POVM elements of every point in a block are certified by
-    one batched Jacobi call.
+    one stacked eigenvalue call.
     """
     values = np.linspace(0.0, 1.0, grid_steps)
     mismatches = 0

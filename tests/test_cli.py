@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from jointlab import bounds, linalg, suites
+from jointlab import bounds, suites
 from jointlab.cli import (
     CHSH_SURFACE_STEPS_MAX,
     N_SHOTS_MAX,
@@ -413,12 +413,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
 
-    def test_convergence_failure_is_exit_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 1)
+    def test_solver_failure_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError, so it must not fall into the
+        # configuration-error clause
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
         out = tmp_path / "report.json"
-        assert main(["single", "--grid-steps", "8", "--output", str(out)]) == 2
+        assert main(["bound", "--state", "mixed", "--output", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: numerical failure: no convergence") and err.count("\n") == 1
+        assert err == "error: numerical failure: Eigenvalues did not converge\n"
         assert not out.exists()
 
     def test_arithmetic_error_is_exit_2(self, tmp_path, capsys, monkeypatch):

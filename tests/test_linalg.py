@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointlab.linalg import (
+    PSD_TOL,
     hermitian_eigenvalues,
     is_positive_semidefinite,
     pauli,
 )
+from jointlab.pairs import validate_densities
 
 
 def eig2_closed_form(m):
@@ -158,6 +160,40 @@ def ginibre_hermitian_stack(rng, shape, n):
     return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
 
 
+def known_spectrum_stack(rng, spectra):
+    """U diag(lam) U^dagger for each row lam of ``spectra``.
+
+    U is unitary, from the QR of a complex Gaussian.
+    """
+    spectra = np.asarray(spectra, dtype=float)
+    n = spectra.shape[-1]
+    g = rng.normal(size=spectra.shape + (n,)) + 1j * rng.normal(size=spectra.shape + (n,))
+    u, _ = np.linalg.qr(g)
+    return (u * spectra[..., None, :]) @ u.conj().swapaxes(-1, -2)
+
+
+# exact zeros, repeated values and negatives on the PSD_TOL scale, per size
+KNOWN_SPECTRA = {
+    1: [[0.0], [-1e-10], [0.7], [-2.0]],
+    2: [[0.0, 0.0], [-1e-10, 0.0], [0.5, 0.5], [-0.5e-10, 1.0], [-1.0, 1.0], [0.0, 1.0]],
+    3: [
+        [0.0, 0.0, 1.0],
+        [-1e-10, -1e-10, 0.5],
+        [0.25, 0.25, 0.25],
+        [-2e-10, 0.0, 0.0],
+        [-1.0, 0.0, 2.0],
+    ],
+    4: [
+        [0.0, 0.0, 0.0, 1.0],
+        [-2e-10, 0.0, 0.5, 0.5],
+        [0.25, 0.25, 0.25, 0.25],
+        [-1.0, -1.0, 1.0, 1.0],
+        [-0.5e-10, -0.5e-10, 0.0, 1.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ],
+}
+
+
 class TestStackedEigenvalues:
     """The batched path on (..., n, n) stacks, against independent references."""
 
@@ -169,22 +205,30 @@ class TestStackedEigenvalues:
         )
     )
     @settings(max_examples=100)
-    def test_2x2_stack_matches_closed_form(self, entries):
+    def test_2x2_stack_matches_closed_form_and_eigvalsh(self, entries):
         stack = np.array([[[a, br + 1j * bi], [br - 1j * bi, d]] for a, d, br, bi in entries])
         eigs = hermitian_eigenvalues(stack)
         assert eigs.shape == (len(entries), 2)
         for m, w in zip(stack, eigs):
             assert tuple(w) == pytest.approx(eig2_closed_form(m), abs=1e-12)
+        # production sends 2x2 to its closed form, so LAPACK is an independent oracle here
+        assert np.abs(eigs - np.linalg.eigvalsh(stack)).max() < 1e-12
 
-    def test_ginibre_4x4_stack_matches_scalar_path_and_eigvalsh(self):
+    @pytest.mark.parametrize("n", sorted(KNOWN_SPECTRA))
+    def test_known_spectra(self, n):
+        spectra = np.repeat(KNOWN_SPECTRA[n], 50, axis=0)
+        stack = known_spectrum_stack(np.random.default_rng(19 + n), spectra)
+        eigs = hermitian_eigenvalues(stack)
+        assert eigs.shape == spectra.shape
+        assert np.abs(eigs - np.sort(spectra, axis=1)).max() < 1e-12
+
+    def test_ginibre_4x4_stack_matches_scalar_path(self):
         stack = ginibre_hermitian_stack(np.random.default_rng(11), (25, 20), 4)
         eigs = hermitian_eigenvalues(stack)
         assert eigs.shape == (25, 20, 4)
         # each lone matrix is its row of the stack, bit for bit
         lone = np.array([[hermitian_eigenvalues(m) for m in row] for row in stack])
         assert lone.tobytes() == eigs.tobytes()
-        # numpy's LAPACK solver as a test-only oracle
-        assert np.abs(eigs - np.linalg.eigvalsh(stack)).max() < 1e-12
 
     def test_stack_positivity_matches_scalar_path(self):
         rng = np.random.default_rng(5)
@@ -192,8 +236,24 @@ class TestStackedEigenvalues:
         flags = is_positive_semidefinite(stack)
         assert flags.shape == (200,) and flags.any() and not flags.all()
         assert flags.tolist() == [bool(is_positive_semidefinite(m)) for m in stack]
-        # numpy's LAPACK solver as a test-only oracle
-        assert flags.tolist() == (np.linalg.eigvalsh(stack)[:, 0] >= -1e-10).tolist()
+
+    @pytest.mark.parametrize("lam_min, passes", [(-0.5 * PSD_TOL, True), (-2.0 * PSD_TOL, False)])
+    @pytest.mark.parametrize("n, via", [(2, "lone"), (4, "lone"), (4, "validate_densities")])
+    def test_psd_tol_boundary(self, n, via, lam_min, passes):
+        # unit-trace spectra, so that validate_densities judges positivity alone
+        low = [lam_min, 1.0 - lam_min] if n == 2 else [lam_min, 0.2, 0.3, 0.5 - lam_min]
+        if via == "lone":
+            m = known_spectrum_stack(np.random.default_rng(23), low)
+            assert is_positive_semidefinite(m) == passes
+            return
+        spectra = [[0.0, 0.2, 0.3, 0.5]] * 5
+        spectra[2] = spectra[4] = low
+        stack = known_spectrum_stack(np.random.default_rng(29), spectra)
+        if passes:
+            assert validate_densities(stack).shape == (5, 4, 4)
+        else:
+            with pytest.raises(ValueError, match=r"not positive semidefinite \(stack member 2\)"):
+                validate_densities(stack)
 
     def test_lone_matrix_gives_an_array(self):
         w = hermitian_eigenvalues(np.eye(2))
@@ -251,10 +311,13 @@ class TestStackedEigenvalues:
         with pytest.raises(ValueError, match="square"):
             hermitian_eigenvalues(np.zeros((3, 2, 4)))
 
-    def test_sweep_cap_raises_on_stack(self, monkeypatch):
-        import jointlab.linalg as linalg
+    def test_solver_error_reaches_validate_densities_caller(self, monkeypatch):
+        failure = np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        stack = ginibre_hermitian_stack(np.random.default_rng(3), (10,), 4)
-        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 2)
-        with pytest.raises(linalg.ConvergenceError, match="residual"):
-            hermitian_eigenvalues(stack)
+        def no_convergence(*args, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            validate_densities(np.stack([np.eye(4) / 4] * 3))
+        assert info.value is failure

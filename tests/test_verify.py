@@ -13,8 +13,9 @@ from jointlab.verify import povm_grid_mismatches
 def per_point_mismatches(grid_steps, tol):
     """The grid count built one point at a time (the reference).
 
-    Positivity comes from numpy's LAPACK solver, a test-only oracle
-    independent of the Jacobi path, run once over all the elements.
+    Positivity comes from numpy's LAPACK solver, which production uses only
+    for sizes other than 2x2, so it is independent of the closed form that
+    certifies the grid; it runs once over all the elements.
     """
     values = np.linspace(0.0, 1.0, grid_steps)
     points = [VisibilityPair(float(vx), float(vy)) for vx in values for vy in values]
