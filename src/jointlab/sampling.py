@@ -15,10 +15,14 @@ gives it. A lone ``derive`` stays on numpy's ``SeedSequence``, and ``rng()``
 on numpy's Philox, which is faster for one stream. ``correlation_ensemble``
 forms only rho's antidiagonal and trace, since the four correlation
 operators are antidiagonal, summing in real arithmetic in the order einsum
-sums the full matrices. ``sample_outcomes`` inverts the CDF through a table of
-4,096 equal buckets and searches only the shots whose bucket holds a CDF
-entry. ``estimate_moment`` takes the mean from the 16 outcome counts and sums
-the squared deviations in the order ``std(ddof=1)`` does. Each matches the
+sums the full matrices. It builds the members in blocks of 2,048 that fit in
+L2: each block reads its uniforms from the ensemble's one long stream at its
+own offsets, through ``Philox.advance``, and the blocks run on one thread per
+CPU the process may use, so the bits do not depend on the thread count.
+``sample_outcomes`` inverts the CDF through a table of 4,096 equal buckets
+and searches only the shots whose bucket holds a CDF entry.
+``estimate_moment`` takes the mean from the 16 outcome counts and sums the
+squared deviations in the order ``std(ddof=1)`` does. Each matches the
 direct numpy form bit for bit.
 
 The experiment helpers evaluate the CHSH combination actually observed
@@ -36,6 +40,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +102,11 @@ _PAIR_OUTCOME_WORDS = _PAIR_OUTCOME_ARRAY.view(np.int32).ravel()
 #: Equal-width buckets over [0, 1) for the inverse CDF; u * _BUCKETS is exact.
 _BUCKETS = 4096
 _BUCKET_EDGES = np.arange(_BUCKETS + 1) / _BUCKETS
+
+#: Ensemble members per block: a Ginibre block's working arrays fit in L2.
+_ENSEMBLE_BLOCK = 2048
+#: Gaussian normals per ensemble member: a 4-vector or a 4x4 matrix.
+_NORMALS_PER_MEMBER = {"haar": 4, "ginibre": 16}
 
 
 @dataclass(frozen=True)
@@ -264,7 +275,10 @@ def _complex_normals(gen: np.random.Generator, shape: tuple[int, ...]) -> np.nda
 
 
 def _haar_kets(gen: np.random.Generator, n: int) -> np.ndarray:
-    psi = _complex_normals(gen, (n, 4))
+    return _unit_rows(_complex_normals(gen, (n, 4)))
+
+
+def _unit_rows(psi: np.ndarray) -> np.ndarray:
     return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
@@ -376,20 +390,92 @@ def correlation_ensemble(n: int, s: SeededSampler, kind: str = "haar") -> np.nda
 
     Only rho's antidiagonal and trace are formed, never the states
     themselves; the result is bit-equal to the einsum correlations of the
-    full states drawn from the same stream.
+    full states drawn from the same stream. The members are built in blocks
+    of ``_ENSEMBLE_BLOCK``, each reading its uniforms from its own offsets
+    in the stream, on one thread per usable CPU.
     """
     if n < 1:
         raise ValueError(f"ensemble size must be positive, got {n}")
-    gen = s.rng()
+    if kind not in _NORMALS_PER_MEMBER:
+        raise ValueError(f"unknown ensemble kind {kind!r}")
+    out = np.empty((n, 4))
+    _run_blocks(lambda i0: _ensemble_block(out, s, kind, i0), range(0, n, _ENSEMBLE_BLOCK))
+    return out
+
+
+def _stream_at(s: SeededSampler, position: int) -> np.random.Generator:
+    """``s.rng()`` with its first ``position`` outputs skipped; position is a multiple of 4."""
+    bits = _ALGORITHMS[s.algorithm_id](key=s.seed)
+    bits.advance(position // 4)  # Philox's counter steps once per four outputs
+    return np.random.Generator(bits)
+
+
+def _ensemble_block(out: np.ndarray, s: SeededSampler, kind: str, i0: int) -> None:
+    """Correlations of members [i0, i0 + _ENSEMBLE_BLOCK) of ``out``, written in place.
+
+    ``_normal_parts`` over the whole ensemble draws all n * per u1 before all
+    n * per u2, so member i's u1 sit at stream position per * i and its u2
+    at per * (n + i).
+    """
+    n = len(out)
+    i1 = min(i0 + _ENSEMBLE_BLOCK, n)
+    per = _NORMALS_PER_MEMBER[kind]
+    count = per * (i1 - i0)
+    u1 = _stream_at(s, per * i0).random(count)
+    u2 = _stream_at(s, per * (n + i0)).random(count)
     if kind == "haar":
-        psi = _haar_kets(gen, n)[:, :, None]
-        return _antidiagonal_correlations(*_antidiagonal(psi.real, psi.imag))
-    if kind == "ginibre":
-        a, b = _normal_parts(gen, (n, 4, 4))
+        psi = np.empty((i1 - i0, 4), dtype=np.complex128)
+        psi.real, psi.imag = _box_muller(u1, u2, psi.shape)
+        psi = _unit_rows(psi)[:, :, None]
+        out[i0:i1] = _antidiagonal_correlations(*_antidiagonal(psi.real, psi.imag))
+    else:
+        a, b = _box_muller(u1, u2, (i1 - i0, 4, 4))
         scale = 1.0 / _sum_last(_sum_last(a * a + b * b))
         re, im = _antidiagonal(a, b)
-        return _antidiagonal_correlations(re * scale[:, None], im * scale[:, None])
-    raise ValueError(f"unknown ensemble kind {kind!r}")
+        out[i0:i1] = _antidiagonal_correlations(re * scale[:, None], im * scale[:, None])
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_blocks(work, starts) -> None:
+    """Call ``work(start)`` for every start, on one thread per usable CPU.
+
+    The caller's thread is one of the workers, and the others are joined
+    before this returns. After a block fails no new block starts, and the
+    first failure is raised again here.
+    """
+    pending = iter(starts)
+    lock = threading.Lock()
+    errors = []
+
+    def worker():
+        while not errors:
+            with lock:
+                start = next(pending, None)
+            if start is None:
+                return
+            try:
+                work(start)
+            except BaseException as exc:  # raised again below, once every worker has stopped
+                errors.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(min(_usable_cpus(), len(starts)) - 1):
+            thread = threading.Thread(target=worker)
+            thread.start()
+            helpers.append(thread)
+        worker()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 @dataclass(frozen=True)
@@ -399,9 +485,10 @@ class ShotRecord:
     ``outcomes`` is the record's own read-only (n, 4) int8 copy of the +-1 rows
     (x_a, y_a, x_b, y_b) given, checked before the cast could turn 300 into 44;
     ``source`` documents the distribution and sampler that produced it.
-    ``index`` is each shot's index in ``PAIR_OUTCOMES``, computed on first
-    use and shared by every moment estimate and the shot archive; ``counts``
-    is how many shots fell on each of the 16 outcomes.
+    ``index`` is each shot's index in ``PAIR_OUTCOMES``, given by
+    ``sample_outcomes`` or else computed on first use, and shared by every
+    moment estimate and the shot archive; ``counts`` is how many shots fell
+    on each of the 16 outcomes.
     """
 
     outcomes: np.ndarray
@@ -469,7 +556,10 @@ def sample_outcomes(
     cdf[-1] = 1.0
     idx = _inverse_cdf(cdf, s.rng().random(n))
     source = f"{label + ';' if label else ''}{s.describe()}"
-    return ShotRecord(_PAIR_OUTCOME_WORDS[idx].view(np.int8).reshape(n, 4), source)
+    record = ShotRecord(_PAIR_OUTCOME_WORDS[idx].view(np.int8).reshape(n, 4), source)
+    idx.setflags(write=False)
+    vars(record)["index"] = idx  # seeds the cached property: the rows were drawn by index
+    return record
 
 
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:

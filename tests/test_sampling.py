@@ -201,13 +201,17 @@ class TestEstimators:
         )
         v = saturated(QUARTER_PI)
         d = pair_distribution_formula(bell_family_correlations(QUARTER_PI), v, v)
-        shots = sample_outcomes(d, 2000, SeededSampler(5))
-        for spec in MONTE_CARLO_SPECS:
-            estimate_moment(shots, spec)
-        shots_csv_text(shots)
-        assert len(calls) == 1
-        assert shots.index.dtype == np.uint8 and not shots.index.flags.writeable
-        assert np.array_equal(shots.index, outcome_indices(shots.outcomes))
+        sampled = sample_outcomes(d, 2000, SeededSampler(5))
+        # the sampler gives the index it drew by; a record built from outcomes
+        # computes it on first use
+        for shots, computed in ((sampled, 0), (ShotRecord(sampled.outcomes, "given"), 1)):
+            calls.clear()
+            for spec in MONTE_CARLO_SPECS:
+                estimate_moment(shots, spec)
+            shots_csv_text(shots)
+            assert len(calls) == computed
+            assert shots.index.dtype == np.uint8 and not shots.index.flags.writeable
+            assert np.array_equal(shots.index, outcome_indices(shots.outcomes))
 
     def test_std_error_scales_inverse_sqrt_n(self):
         v = saturated(QUARTER_PI)

@@ -10,6 +10,11 @@ last-bit rounding difference fails.
 """
 
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from jointlab.pairs import (
     PairOutcomeDistribution,
     bell_family_correlations,
     moment_signs,
+    outcome_indices,
     pair_distribution_formula,
 )
 from jointlab.sampling import (
@@ -36,6 +42,7 @@ from jointlab.sampling import (
 ALL_SPECS = [(fa, fb) for fa in FACTOR_SIGNS for fb in FACTOR_SIGNS]
 OUTCOME_ROWS = np.array(PAIR_OUTCOMES, dtype=np.int8)
 EDGES = np.arange(sampling._BUCKETS + 1) / sampling._BUCKETS
+BLOCK = sampling._ENSEMBLE_BLOCK
 
 
 def assert_same_bytes(actual, expected):
@@ -159,11 +166,67 @@ class TestBatchedStreams:
 
 class TestCorrelationEnsembles:
     @pytest.mark.parametrize("kind", ["haar", "ginibre"])
-    @pytest.mark.parametrize("n", [1, 2, 7, 100_000])
+    # around the block size: a block ending mid-ensemble, a full last block, a short one
+    @pytest.mark.parametrize("n", [1, 2, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7, 100_000])
     def test_bit_equal_to_einsum_correlations(self, kind, n):
         for seed in (0, 3, 7, 12345, 2**64 - 1):
             s = SeededSampler(seed)
             assert_same_bytes(correlation_ensemble(n, s, kind), reference_ensemble(n, s, kind))
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    @pytest.mark.parametrize("kind", ["haar", "ginibre"])
+    def test_bits_do_not_depend_on_worker_count(self, monkeypatch, kind, cpus):
+        # up to 8 workers switching every microsecond: each block runs exactly once
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
+        starts = []
+        block = sampling._ensemble_block
+
+        def counted_block(out, s, kind, i0):
+            starts.append(i0)
+            block(out, s, kind, i0)
+
+        monkeypatch.setattr(sampling, "_ensemble_block", counted_block)
+        s, n = SeededSampler(7), 8 * BLOCK + 5
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = correlation_ensemble(n, s, kind)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(starts) == list(range(0, n, BLOCK))
+        assert_same_bytes(got, reference_ensemble(n, s, kind))
+
+    def test_workers_live_only_for_the_call(self):
+        before = threading.active_count()
+        correlation_ensemble(4 * BLOCK + 1, SeededSampler(3), "ginibre")
+        assert threading.active_count() == before
+
+    def test_failing_block_reaches_the_caller(self, monkeypatch):
+        error = RuntimeError("block failed")
+        box_muller = sampling._box_muller
+
+        def fail_on_short_block(u1, u2, shape):
+            if shape[0] == 7:
+                raise error
+            return box_muller(u1, u2, shape)
+
+        monkeypatch.setattr(sampling, "_box_muller", fail_on_short_block)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            correlation_ensemble(2 * BLOCK + 7, SeededSampler(3), "haar")
+        assert info.value is error
+        assert threading.active_count() == before
+
+    def test_cli_import_leaves_thread_pools_and_logging_unloaded(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        code = (
+            "import sys, jointlab.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.returncode == 0 and proc.stdout == "[]\n"
 
     @pytest.mark.parametrize("shape", [(1,), (3,), (4, 4), (5, 4, 4)])
     def test_complex_normals_bit_equal_to_concatenated_box_muller(self, shape):
@@ -188,6 +251,15 @@ class TestInverseCdf:
         assert_same_bytes(
             sampling._inverse_cdf(cdf, u), np.searchsorted(cdf, u, side="right").astype(np.uint8)
         )
+
+    @pytest.mark.parametrize(
+        "d", [UNIFORM, BELL_QUARTER_PI, ZERO_PROBABILITY_POINT], ids=["uniform", "bell", "zero"]
+    )
+    def test_index_given_by_the_sampler_equals_outcome_indices(self, d):
+        shots = sample_outcomes(d, 100_000, SeededSampler(21))
+        assert "index" in vars(shots)  # given by the sampler, not computed on first use
+        assert not shots.index.flags.writeable
+        assert_same_bytes(shots.index, outcome_indices(shots.outcomes))
 
     @pytest.mark.parametrize("k", [0, 3, 9, 15])
     def test_point_mass(self, k):
