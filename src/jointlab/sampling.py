@@ -8,17 +8,15 @@ bit-for-bit, independent of library version details of higher-level
 distributions.
 
 The hot paths are exact kernels on that stream. ``random_state_stack`` draws
-many short child streams at once: it evaluates numpy's ``SeedSequence``
-child seeds and their Philox4x64-10 blocks over all members as uint32 and
-uint64 array operations, so member i gets the bits ``master.derive(i)``
-gives it. A lone ``derive`` stays on numpy's ``SeedSequence``, and ``rng()``
-on numpy's Philox, which is faster for one stream. ``correlation_ensemble``
-forms only rho's antidiagonal and trace, since the four correlation
-operators are antidiagonal, summing in real arithmetic in the order einsum
-sums the full matrices. It builds the members in blocks of 2,048 that fit in
-L2: each block reads its uniforms from the ensemble's one long stream at its
-own offsets, through ``Philox.advance``, and the blocks run on one thread per
-CPU the process may use, so the bits do not depend on the thread count.
+all its members from one stream, laid out as the lone generators lay out
+one state, so a stack of one is the lone state bit for bit.
+``correlation_ensemble`` forms only rho's antidiagonal and trace, since the
+four correlation operators are antidiagonal, summing in real arithmetic in
+the order einsum sums the full matrices. It builds the members in blocks of
+2,048 that fit in L2: each block reads its uniforms from the ensemble's one
+long stream at its own offsets, through ``Philox.advance``, and the blocks
+run on one thread per CPU the process may use, so the bits do not depend on
+the thread count.
 ``sample_outcomes`` inverts the CDF through a table of 4,096 equal buckets
 and searches only the shots whose bucket holds a CDF entry.
 ``estimate_moment`` takes the mean from the 16 outcome counts and sums the
@@ -138,105 +136,6 @@ class SeededSampler:
         return f"{self.algorithm_id}:{self.seed}"
 
 
-#: numpy's SeedSequence hash constants: initial values and multipliers of the
-#: two hash-constant sequences, the two mixing multipliers and the xorshift.
-_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
-_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_SS_SHIFT = np.uint32(16)
-_MASK32 = 0xFFFFFFFF
-
-#: Philox4x64-10 multipliers with their 32-bit limbs, and the Weyl key increments.
-_PHILOX_M = tuple(
-    (np.uint64(m), np.uint64(m & _MASK32), np.uint64(m >> 32))
-    for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-)
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
-_SHIFT11 = np.uint64(11)
-
-
-def _hash_constants(init: int, mult: int):
-    """SeedSequence's hash-constant pairs (before, after) the multiply, as uint32 scalars."""
-    h = init
-    while True:
-        after = (h * mult) & _MASK32
-        yield np.uint32(h), np.uint32(after)
-        h = after
-
-
-def _hashmix(value: np.ndarray, constants) -> np.ndarray:
-    before, after = next(constants)
-    value = (value ^ before) * after
-    return value ^ (value >> _SS_SHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _SS_MIX_L * x - _SS_MIX_R * y
-    return result ^ (result >> _SS_SHIFT)
-
-
-def _derive_seeds(seed: int, indices) -> np.ndarray:
-    """uint64 seeds of ``SeededSampler(seed).derive(i)`` for every i in ``indices``, in one pass.
-
-    Evaluates ``SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(1,
-    np.uint64)`` on uint32 lanes: the entropy words are [seed low, seed high,
-    0, 0, i], and the hash constants follow a fixed sequence that does not
-    depend on the data, so every step is one array operation.
-    """
-    idx = np.asarray(indices)
-    if idx.ndim != 1 or (
-        idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() > _MASK32)
-    ):
-        raise ValueError("derive indices must be a 1-d sequence of integers in [0, 2**32)")
-    words = np.array([seed & _MASK32, seed >> 32, 0, 0], dtype=np.uint32)[:, None]
-    entropy = [*words, idx.astype(np.uint32)]
-    mixing = _hash_constants(_SS_INIT_A, _SS_MULT_A)
-    pool = [_hashmix(word, mixing) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], mixing))
-    for dst in range(4):
-        pool[dst] = _mix(pool[dst], _hashmix(entropy[4], mixing))
-    output = _hash_constants(_SS_INIT_B, _SS_MULT_B)
-    low, high = (_hashmix(word, output).astype(np.uint64) for word in pool[:2])
-    return low | (high << _SHIFT32)
-
-
-def _mulhilo(m: tuple[np.uint64, np.uint64, np.uint64], x: np.ndarray):
-    """High and low words of the 128-bit product m * x, built from 32-bit limbs."""
-    m_full, m_lo, m_hi = m
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    cross_lo, cross_hi = m_lo * x_hi, m_hi * x_lo
-    mid = ((m_lo * x_lo) >> _SHIFT32) + (cross_lo & _LOW32) + (cross_hi & _LOW32)
-    high = m_hi * x_hi + (cross_lo >> _SHIFT32) + (cross_hi >> _SHIFT32) + (mid >> _SHIFT32)
-    return high, m_full * x
-
-
-def _philox_uniforms(keys: np.ndarray, count: int) -> np.ndarray:
-    """(n, count) doubles; row i is ``Generator(Philox(key=keys[i])).random(count)``.
-
-    Philox4x64-10 over n * ceil(count / 4) lanes. Lane (i, j) has key
-    [keys[i], 0] and counter [j + 1, 0, 0, 0], since numpy steps the counter
-    before each block of four outputs; each output x becomes (x >> 11) 2**-53.
-    """
-    blocks = -(-count // 4)
-    n = len(keys)
-    zero = np.zeros(1, dtype=np.uint64)
-    k0, k1 = np.repeat(np.asarray(keys, dtype=np.uint64), blocks), zero
-    c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), n)
-    c1 = c2 = c3 = zero
-    for r in range(10):
-        if r:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    out = np.stack((c0, c1, c2, c3), axis=-1).reshape(n, 4 * blocks)
-    return (out[:, :count] >> _SHIFT11).astype(np.float64) * 2.0**-53
-
-
 def _normal_parts(
     gen: np.random.Generator, shape: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -283,11 +182,8 @@ def _unit_rows(psi: np.ndarray) -> np.ndarray:
 
 
 def _ginibre_rhos(gen: np.random.Generator, n: int) -> np.ndarray:
-    return _ginibre_from_normals(_complex_normals(gen, (n, 4, 4)))
-
-
-def _ginibre_from_normals(g: np.ndarray) -> np.ndarray:
-    """G G^dagger / tr(G G^dagger) for an (n, 4, 4) stack of complex Gaussian G."""
+    """G G^dagger / tr(G G^dagger) for n complex Gaussian 4x4 G drawn from ``gen``."""
+    g = _complex_normals(gen, (n, 4, 4))
     rho = np.einsum("nij,nkj->nik", g, g.conj())
     tr = np.einsum("nii->n", rho).real
     return rho / tr[:, None, None]
@@ -363,25 +259,21 @@ def _bell_mixtures(cuts: np.ndarray) -> np.ndarray:
     return rho
 
 
-def random_state_stack(kind: str, master: SeededSampler, indices) -> np.ndarray:
-    """Certified (n, 4, 4) stack of random states, member i from ``master.derive(indices[i])``.
+def random_state_stack(kind: str, s: SeededSampler, n: int) -> np.ndarray:
+    """Certified (n, 4, 4) stack of random states, all n drawn from the one stream ``s``.
 
-    ``kind`` is "bell-diagonal" or "ginibre". Member i is bit-identical to
-    ``bell_diagonal_random_state(master.derive(indices[i]))`` or
-    ``ginibre_random_mixed_state(master.derive(indices[i]))``: the child seeds
-    and their Philox streams are evaluated for all members at once, and the
-    stack is certified by one ``validate_densities`` call. Indices must lie
-    in [0, 2**32).
+    ``kind`` is "bell-diagonal" or "ginibre". The stream is laid out as for
+    the lone generators, so a stack of one is bit-identical to
+    ``bell_diagonal_random_state(s)`` or ``ginibre_random_mixed_state(s)``,
+    and a Ginibre stack's correlations to ``correlation_ensemble(n, s,
+    "ginibre")``. The stack is certified by one ``validate_densities`` call.
     """
-    keys = _derive_seeds(master.seed, indices)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"stack size must be a non-negative integer, got {n!r}")
     if kind == "bell-diagonal":
-        return validate_densities(_bell_mixtures(_philox_uniforms(keys, 3)))
+        return validate_densities(_bell_mixtures(s.rng().random((n, 3))))
     if kind == "ginibre":
-        # per member 16 u1 then 16 u2, as _normal_parts draws them
-        u = _philox_uniforms(keys, 32)
-        g = np.empty((len(keys), 4, 4), dtype=np.complex128)
-        g.real, g.imag = _box_muller(u[:, :16].ravel(), u[:, 16:].ravel(), g.shape)
-        return validate_densities(_ginibre_from_normals(g))
+        return validate_densities(_ginibre_rhos(s.rng(), n))
     raise ValueError(f"unknown stack kind {kind!r}; expected 'bell-diagonal' or 'ginibre'")
 
 

@@ -297,11 +297,11 @@ def pair_structure_residuals(
 ) -> tuple[float, float, float, float, float]:
     """Residuals of the pair-moment structure on certified stacks of random states.
 
-    ``n`` Bell-diagonal states (streams 1000 + i) give the xy moments, the
-    factorization residual, the formula-vs-trace residual and the smallest
-    probability; ``marginal_states`` Ginibre states (streams 2000 + i) give
-    the marginal residual. Each state takes two visibility pairs from stream
-    4, in that order.
+    ``n`` Bell-diagonal states, one stack from stream 1000, give the xy
+    moments, the factorization residual, the formula-vs-trace residual and
+    the smallest probability; ``marginal_states`` Ginibre states, one stack
+    from stream 2000, give the marginal residual. Each state takes two
+    visibility pairs from stream 4, in that order.
     """
     master = SeededSampler(seed)
     vis = _random_admissible_visibilities(master.derive(4).rng(), 2 * (n + marginal_states))
@@ -309,7 +309,7 @@ def pair_structure_residuals(
     max_xy = max_factor = max_formula = max_marginal = 0.0
     min_prob = math.inf
     if n:
-        rho = random_state_stack("bell-diagonal", master, np.arange(1000, 1000 + n))
+        rho = random_state_stack("bell-diagonal", master.derive(1000), n)
         probs, _ = pair_probabilities_trace(rho, va[:n], vb[:n])
         c = correlation_components(rho)
         formula, _ = pair_probabilities_formula(c, va[:n], vb[:n])
@@ -321,7 +321,7 @@ def pair_structure_residuals(
         max_formula = float(np.abs(probs - formula).max())
         min_prob = float(probs.min())
     if marginal_states:
-        rho = random_state_stack("ginibre", master, np.arange(2000, 2000 + marginal_states))
+        rho = random_state_stack("ginibre", master.derive(2000), marginal_states)
         probs, _ = pair_probabilities_trace(rho, va[n:], vb[n:])
         means = local_mean_components(rho)
         marg_a, marg_b = pair_marginals(probs)
@@ -422,7 +422,7 @@ def coherence_identity_residuals(seed: int, n: int = 1000) -> tuple[float, float
     master = SeededSampler(seed)
     max_identity = 0.0
     if n:
-        rho = random_state_stack("ginibre", master, np.arange(3000, 3000 + n))
+        rho = random_state_stack("ginibre", master.derive(3000), n)
         c = correlation_components(rho).T
         gap = np.abs(4.0 * coherence_from_matrices(rho) - tight_bound_from_components(*c))
         max_identity = float(gap.max())

@@ -4,7 +4,9 @@ The reference functions below are the one-state-at-a-time implementations
 the stacked core replaced: one ``np.kron`` per outcome pair for the trace
 path, outcome-function lambdas summed with ``math.fsum`` for moments, column
 products for shot estimates, and Python loops over ``DensityOperator4``
-states for the acceptance residuals.
+states for the acceptance residuals. The random states themselves are built
+by hand from the stack's one stream: Bell-diagonal states one member's cuts
+at a time, Ginibre states from concatenated Box-Muller halves and an einsum.
 """
 
 import math
@@ -12,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from jointlab import sampling, verify
 from jointlab.bounds import coherence_bound_lhs, tight_bound_lhs
 from jointlab.joint import (
     FACTOR_SIGNS,
@@ -42,6 +45,7 @@ from jointlab.sampling import (
     SeededSampler,
     ShotRecord,
     bell_diagonal_random_state,
+    correlation_ensemble,
     estimate_moment,
     ginibre_random_mixed_state,
     random_state_stack,
@@ -111,13 +115,44 @@ def reference_visibility(gen):
     return VisibilityPair(radius * math.cos(theta), radius * math.sin(theta))
 
 
+#: The four Bell kets, each projector |B><B| mixed in by hand below.
+REFERENCE_BELL_KETS = np.array(
+    [[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, 0.0]]
+) / math.sqrt(2.0)
+
+
+def reference_bell_stack(s, n):
+    """n Bell-diagonal states, one ``gen.random(3)`` of simplex cuts per member on one stream."""
+    gen = s.rng()
+    out = []
+    for _ in range(n):
+        c0, c1, c2 = sorted(gen.random(3).tolist())
+        weights = (c0, c1 - c0, c2 - c1, 1.0 - c2)
+        rho = np.zeros((4, 4), dtype=complex)
+        for w, ket in zip(weights, REFERENCE_BELL_KETS):
+            rho = rho + w * np.outer(ket, ket.conj())
+        out.append(rho)
+    return np.array(out).reshape(n, 4, 4)
+
+
+def reference_ginibre_stack(s, n):
+    """n Ginibre states: all 16 n u1 then all u2, Box-Muller halves concatenated, one einsum."""
+    gen = s.rng()
+    u1, u2 = gen.random(16 * n), gen.random(16 * n)
+    radius, angle = np.sqrt(-2.0 * np.log1p(-u1)), (2.0 * math.pi) * u2
+    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+    g = (z[: 16 * n] + 1j * z[16 * n :]).reshape(n, 4, 4)
+    rho = np.einsum("nij,nkj->nik", g, g.conj())
+    return rho / np.einsum("nii->n", rho).real[:, None, None]
+
+
 def reference_pair_structure(seed, n, marginal_states):
     master = SeededSampler(seed)
     gen = master.derive(4).rng()
     max_xy = max_factor = max_formula = 0.0
     min_prob = math.inf
-    for i in range(n):
-        rho = bell_diagonal_random_state(master.derive(1000 + i))
+    for mat in reference_bell_stack(master.derive(1000), n):
+        rho = DensityOperator4(mat)
         va, vb = reference_visibility(gen), reference_visibility(gen)
         dist_t = pair_distribution_trace(rho, va, vb)
         c = correlations_of_state(rho)
@@ -135,8 +170,8 @@ def reference_pair_structure(seed, n, marginal_states):
         for spec, value in factors.items():
             max_factor = max(max_factor, abs(reference_moment(dist_t, spec) - value))
     max_marginal = 0.0
-    for i in range(marginal_states):
-        rho = ginibre_random_mixed_state(master.derive(2000 + i))
+    for mat in reference_ginibre_stack(master.derive(2000), marginal_states):
+        rho = DensityOperator4(mat)
         va, vb = reference_visibility(gen), reference_visibility(gen)
         dist = pair_distribution_trace(rho, va, vb)
         ax, ay, bx, by = local_mean_components(rho.mat).tolist()
@@ -151,17 +186,16 @@ def reference_pair_structure(seed, n, marginal_states):
 
 
 def reference_coherence_identity(seed, n):
-    master = SeededSampler(seed)
     worst = 0.0
-    for i in range(n):
-        rho = ginibre_random_mixed_state(master.derive(3000 + i))
+    for mat in reference_ginibre_stack(SeededSampler(seed).derive(3000), n):
+        rho = DensityOperator4(mat)
         gap = abs(4.0 * coherence_bound_lhs(rho) - tight_bound_lhs(correlations_of_state(rho)))
         worst = max(worst, gap)
     return worst
 
 
 def ginibre_stack(seed, n):
-    return random_state_stack("ginibre", SeededSampler(seed), range(n))
+    return random_state_stack("ginibre", SeededSampler(seed), n)
 
 
 class TestTraceKernel:
@@ -287,36 +321,61 @@ class TestCorrelations:
             assert means[k].tolist() == local_mean_components(lone.mat).tolist()
 
 
+LONE_GENERATORS = [
+    ("bell-diagonal", bell_diagonal_random_state),
+    ("ginibre", ginibre_random_mixed_state),
+]
+
+
 class TestStateStacks:
-    @pytest.mark.parametrize(
-        "kind, lone",
-        [("bell-diagonal", bell_diagonal_random_state), ("ginibre", ginibre_random_mixed_state)],
-    )
-    def test_members_bit_equal_to_lone_generators(self, kind, lone):
-        master = SeededSampler(16)
-        stack = random_state_stack(kind, master, range(30))
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("kind, lone", LONE_GENERATORS)
+    def test_stack_of_one_is_the_lone_state(self, kind, lone, seed):
+        s = SeededSampler(seed)
+        stack = random_state_stack(kind, s, 1)
         assert not stack.flags.writeable
-        for i, member in enumerate(stack):
-            assert_same_bytes(member, lone(master.derive(i)).mat)
+        assert_same_bytes(stack[0], lone(s).mat)
 
     @pytest.mark.parametrize(
-        "kind, lone, first, n",
+        "kind, reference, stream, n",
         [
-            ("bell-diagonal", bell_diagonal_random_state, 1000, 1000),
-            ("ginibre", ginibre_random_mixed_state, 2000, 200),
-            ("ginibre", ginibre_random_mixed_state, 3000, 1000),
+            ("bell-diagonal", reference_bell_stack, 1000, 1000),
+            ("ginibre", reference_ginibre_stack, 2000, 200),
+            ("ginibre", reference_ginibre_stack, 3000, 1000),
         ],
     )
-    def test_verify_stacks_bit_equal_to_per_member_loop(self, kind, lone, first, n):
-        """The stacks criteria 4 and 8 draw at the default seed, one lone generator per member."""
-        master = SeededSampler(7)
-        stack = random_state_stack(kind, master, np.arange(first, first + n))
-        reference = np.array([lone(master.derive(first + i)).mat for i in range(n)])
-        assert_same_bytes(stack, reference)
+    def test_verify_stacks_bit_equal_to_per_member_loop(self, kind, reference, stream, n):
+        """The stacks criteria 4 and 8 draw at the default seed, against the hand-built states."""
+        s = SeededSampler(7).derive(stream)
+        assert_same_bytes(random_state_stack(kind, s, n), reference(s, n))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("n", [1, 7, sampling._ENSEMBLE_BLOCK + 1])
+    def test_ginibre_correlations_equal_the_ensemble(self, n, seed):
+        """The certified full-matrix stack and the blocked antidiagonal ensemble agree."""
+        s = SeededSampler(seed)
+        stack = random_state_stack("ginibre", s, n)
+        assert_same_bytes(correlation_components(stack), correlation_ensemble(n, s, "ginibre"))
+
+    @pytest.mark.parametrize("kind", ["bell-diagonal", "ginibre"])
+    def test_stack_sizes(self, kind):
+        s = SeededSampler(21)
+        assert random_state_stack(kind, s, 0).shape == (0, 4, 4)
+        assert_same_bytes(random_state_stack(kind, s, np.int64(3)), random_state_stack(kind, s, 3))
+
+    @pytest.mark.parametrize("n", [-1, np.int64(-2), 2.0, 0.5, "3", None, True, [3]])
+    def test_bad_stack_size_rejected_before_any_draw(self, n, monkeypatch):
+        def no_draw(self):
+            raise AssertionError("the stream was read before the size was checked")
+
+        monkeypatch.setattr(SeededSampler, "rng", no_draw)
+        for kind, _ in LONE_GENERATORS:
+            with pytest.raises(ValueError, match="stack size must be a non-negative integer"):
+                random_state_stack(kind, SeededSampler(1), n)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
-            random_state_stack("haar", SeededSampler(1), [0])
+            random_state_stack("haar", SeededSampler(1), 1)
 
     @pytest.mark.parametrize(
         "defect, match",
@@ -357,13 +416,36 @@ class TestStateStacks:
             validate_densities(np.zeros(shape))
 
 
+def record_stacks(monkeypatch):
+    """The stacks ``verify`` draws, in order, each as its ``random_state_stack`` returned it."""
+    drawn = []
+
+    def recording(kind, s, n):
+        drawn.append(random_state_stack(kind, s, n))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "random_state_stack", recording)
+    return drawn
+
+
 class TestResidualsAgainstPerStateLoop:
-    def test_pair_structure(self):
+    """The residuals alone do not tell states apart (any state gives ~1e-16), so the
+    stacks ``verify`` drew are compared with the hand-built ones byte for byte."""
+
+    def test_pair_structure(self, monkeypatch):
+        drawn = record_stacks(monkeypatch)
         got = pair_structure_residuals(19, 50, marginal_states=50)
         expected = reference_pair_structure(19, 50, 50)
         for a, b in zip(got, expected):
             assert abs(a - b) <= 1e-15
+        master = SeededSampler(19)
+        assert len(drawn) == 2
+        assert_same_bytes(drawn[0], reference_bell_stack(master.derive(1000), 50))
+        assert_same_bytes(drawn[1], reference_ginibre_stack(master.derive(2000), 50))
 
-    def test_coherence_identity(self):
+    def test_coherence_identity(self, monkeypatch):
+        drawn = record_stacks(monkeypatch)
         got = coherence_identity_residuals(20, 50)[0]
         assert abs(got - reference_coherence_identity(20, 50)) <= 1e-15
+        assert len(drawn) == 1
+        assert_same_bytes(drawn[0], reference_ginibre_stack(SeededSampler(20).derive(3000), 50))

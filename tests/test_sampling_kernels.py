@@ -1,12 +1,11 @@
 """The sampling kernels against the forms they replace, bit for bit.
 
-The references are the forms the kernels replaced: numpy's own
-``SeedSequence`` and ``Philox`` for the batched child streams, complex
-Box-Muller normals built with ``z + 1j*z`` after a ``concatenate``, the
-einsum density matrices and correlations, one ``np.searchsorted`` over the
-whole sample, ``values.mean()``/``values.std(ddof=1)`` and a scan over
-outcome rows. Every comparison is on raw bytes, so a signed zero or a
-last-bit rounding difference fails.
+The references are the forms the kernels replaced: complex Box-Muller
+normals built with ``z + 1j*z`` after a ``concatenate``, the einsum density
+matrices and correlations, one ``np.searchsorted`` over the whole sample,
+``values.mean()``/``values.std(ddof=1)`` and a scan over outcome rows. Every
+comparison is on raw bytes, so a signed zero or a last-bit rounding
+difference fails.
 """
 
 import math
@@ -120,48 +119,6 @@ weights = st.lists(
     min_size=16,
     max_size=16,
 ).filter(lambda w: max(w) > 0.0 and max(w) >= 1e-3 * sum(w))
-
-
-STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1]
-STREAM_INDICES = [0, 1, 2**32 - 1]
-
-
-def reference_derive(seed, index):
-    child = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return int(child.generate_state(1, np.uint64)[0])
-
-
-class TestBatchedStreams:
-    @pytest.mark.parametrize("seed", STREAM_SEEDS)
-    def test_derive_seeds_match_seed_sequence(self, seed):
-        got = sampling._derive_seeds(seed, STREAM_INDICES)
-        assert got.dtype == np.uint64
-        assert got.tolist() == [reference_derive(seed, i) for i in STREAM_INDICES]
-        assert got.tolist() == [SeededSampler(seed).derive(i).seed for i in STREAM_INDICES]
-
-    @given(seed=st.integers(0, 2**64 - 1), indices=st.lists(st.integers(0, 2**32 - 1), max_size=8))
-    def test_derive_seeds_fuzzed(self, seed, indices):
-        got = sampling._derive_seeds(seed, indices)
-        assert got.tolist() == [reference_derive(seed, i) for i in indices]
-
-    @pytest.mark.parametrize("count", [1, 3, 4, 5, 32])
-    @pytest.mark.parametrize("seed", STREAM_SEEDS)
-    def test_philox_uniforms_match_philox(self, seed, count):
-        keys = [seed, *sampling._derive_seeds(seed, STREAM_INDICES).tolist()]
-        got = sampling._philox_uniforms(keys, count)
-        reference = [np.random.Generator(np.random.Philox(key=k)).random(count) for k in keys]
-        assert_same_bytes(got, np.array(reference))
-
-    @pytest.mark.parametrize(
-        "indices", [[2**32], [-1], [3, 2**64 - 1], [0, -5], [2**70], [[0, 1]], [0.5]]
-    )
-    def test_indices_outside_32_bits_rejected(self, indices):
-        with pytest.raises(ValueError, match=r"1-d sequence of integers in \[0, 2\*\*32\)"):
-            sampling._derive_seeds(7, indices)
-
-    def test_empty_indices(self):
-        assert sampling._derive_seeds(7, []).shape == (0,)
-        assert sampling._philox_uniforms(sampling._derive_seeds(7, []), 3).shape == (0, 3)
 
 
 class TestCorrelationEnsembles:
