@@ -321,6 +321,9 @@ class TestCorrelations:
             assert means[k].tolist() == local_mean_components(lone.mat).tolist()
 
 
+#: Seeds on either side of the 32- and 64-bit boundaries of a Philox key.
+EDGE_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1]
+
 LONE_GENERATORS = [
     ("bell-diagonal", bell_diagonal_random_state),
     ("ginibre", ginibre_random_mixed_state),
@@ -328,7 +331,7 @@ LONE_GENERATORS = [
 
 
 class TestStateStacks:
-    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
     @pytest.mark.parametrize("kind, lone", LONE_GENERATORS)
     def test_stack_of_one_is_the_lone_state(self, kind, lone, seed):
         s = SeededSampler(seed)
@@ -349,7 +352,7 @@ class TestStateStacks:
         s = SeededSampler(7).derive(stream)
         assert_same_bytes(random_state_stack(kind, s, n), reference(s, n))
 
-    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
     @pytest.mark.parametrize("n", [1, 7, sampling._ENSEMBLE_BLOCK + 1])
     def test_ginibre_correlations_equal_the_ensemble(self, n, seed):
         """The certified full-matrix stack and the blocked antidiagonal ensemble agree."""

@@ -43,6 +43,10 @@ from jointlab.sampling import (
 from jointlab.verify import MONTE_CARLO_SPECS
 
 QUARTER_PI = 0.25 * math.pi
+#: Seeds on either side of the 32- and 64-bit boundaries of a Philox key.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1]
+#: Child indices: the first two, the streams ``verify`` draws its stacks from, the top 32-bit one.
+CHILD_INDICES = [0, 1, 1000, 2000, 3000, 2**32 - 1]
 
 
 def saturated(angle):
@@ -72,6 +76,25 @@ class TestSeededSampler:
         a = master.derive(3).rng().random(8)
         b = master.derive(4).rng().random(8)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_derive_is_the_seed_sequence_child(self, seed):
+        """The documented child: ``SeedSequence(entropy=seed, spawn_key=(i,))``'s first word."""
+        master = SeededSampler(seed)
+        for i in CHILD_INDICES:
+            child = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+            expected = int(child.generate_state(1, np.uint64)[0])
+            assert master.derive(i) == SeededSampler(expected, master.algorithm_id)
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_rng_is_philox_keyed_by_the_seed(self, seed):
+        got = SeededSampler(seed).rng().random(9)
+        expected = np.random.Generator(np.random.Philox(key=seed)).random(9)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_derive_rejects_a_negative_index(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            SeededSampler(7).derive(-1)
 
 
 class TestRandomStates:
