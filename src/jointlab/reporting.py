@@ -6,11 +6,12 @@ produce byte-identical files apart from the timestamp. Tables in a results
 payload are ``(n, k)`` float64 arrays; ``dumps_json`` writes them byte for
 byte as the equivalent list of row lists, formatting each distinct double
 once and joining the cells in one pass. CSV reports carry one row per scalar
-check. Shot archives are CSV with one outcome row per draw, written to the
-file in decimal-aligned blocks of ``_SHOT_BLOCK_ROWS`` rows. Each block is
-one ``uint8`` character matrix: the row numbers' digits, from a table of
-every 5-digit string, beside each shot's line tail, from a table indexed by
-its place in ``PAIR_OUTCOMES`` (``ShotRecord.index``).
+check. Shot archives are CSV with one outcome row per draw, formatted in
+decimal-aligned blocks of ``_SHOT_BLOCK_ROWS`` rows on every core and
+written to the file in order. Each block is one ``uint8`` character matrix:
+the row numbers' digits, from a table of every 4-digit string, beside each
+shot's line tail, from a table indexed by its place in ``PAIR_OUTCOMES``
+(``ShotRecord.index``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Any
 import numpy as np
 
 from .pairs import PAIR_OUTCOMES
+from .sampling import _run_blocks_in_order
 
 __all__ = [
     "ARTIFACT_VERSION",
@@ -53,11 +55,24 @@ _SHOT_SUFFIX_BYTES = np.frombuffer(
 ).reshape(len(_SHOT_SUFFIXES), _SHOT_SUFFIX_WIDTH)
 
 #: Digits of the row number below the block's constant prefix.
-_SHOT_BLOCK_DIGITS = 5
+_SHOT_BLOCK_DIGITS = 4
 
-#: Shot-archive rows formatted and written per block; a power of ten, so
-#: every row of a block shares the digits above the last five.
+#: Shot-archive rows formatted per block; a power of ten, so every row of a
+#: block shares the digits above the last four, and small enough that a
+#: worker's block stays in L2.
 _SHOT_BLOCK_ROWS = 10**_SHOT_BLOCK_DIGITS
+
+_SHOT_HEADER = b"index,x_a,y_a,x_b,y_b\n"
+
+_BLOCK_ROW = np.arange(_SHOT_BLOCK_ROWS)[:, None]
+_PLACE_VALUE = 10 ** np.arange(_SHOT_BLOCK_DIGITS - 1, -1, -1)
+#: ASCII digits of 0 .. ``_SHOT_BLOCK_ROWS - 1``, zero-padded, as ``(rows, 4)`` uint8.
+_PADDED_DIGITS = (ord("0") + _BLOCK_ROW // _PLACE_VALUE % 10).astype(np.uint8)
+#: The same with each leading zero as NUL, for the first block, whose row
+#: numbers have no prefix; the units digit always stays.
+_FIRST_BLOCK_DIGITS = np.where(
+    (_BLOCK_ROW >= _PLACE_VALUE) | (_PLACE_VALUE == 1), _PADDED_DIGITS, np.uint8(0)
+)
 
 
 def _format_float(x: float) -> str:
@@ -189,35 +204,33 @@ def report_to_csv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _block_digits() -> np.ndarray:
-    """ASCII digits of 0 .. ``_SHOT_BLOCK_ROWS - 1``, zero-padded, as ``(rows, 5)`` uint8."""
-    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
-    product = np.meshgrid(*[digits] * _SHOT_BLOCK_DIGITS, indexing="ij")
-    return np.stack(product, axis=-1).reshape(_SHOT_BLOCK_ROWS, _SHOT_BLOCK_DIGITS)
+def _shot_csv_block(index: np.ndarray, start: int) -> np.ndarray:
+    """Archive lines ``start`` .. ``start + _SHOT_BLOCK_ROWS - 1`` as one ASCII uint8 array."""
+    block = index[start : start + _SHOT_BLOCK_ROWS]
+    rows = len(block)
+    if start == 0:
+        numbers = [_FIRST_BLOCK_DIGITS[:rows]]
+    else:
+        prefix = np.frombuffer(str(start // _SHOT_BLOCK_ROWS).encode("ascii"), np.uint8)
+        numbers = [np.broadcast_to(prefix, (rows, prefix.size)), _PADDED_DIGITS[:rows]]
+    chars = np.concatenate([*numbers, np.take(_SHOT_SUFFIX_BYTES, block, axis=0)], axis=1)
+    return chars[chars != 0]
 
 
 def _shot_csv_blocks(index: np.ndarray):
-    """The shot archive's text: the header, then ``_SHOT_BLOCK_ROWS`` lines at a time."""
-    yield "index,x_a,y_a,x_b,y_b\n"
-    padded = _block_digits()
-    for start in range(0, len(index), _SHOT_BLOCK_ROWS):
-        block = index[start : start + _SHOT_BLOCK_ROWS]
-        rows = len(block)
-        if start == 0:  # no prefix: the leading zeros become NUL, the units digit stays
-            digits = padded[:rows].copy()
-            for place in range(_SHOT_BLOCK_DIGITS - 1):
-                digits[: 10 ** (_SHOT_BLOCK_DIGITS - 1 - place), place] = 0
-            numbers = [digits]
-        else:
-            prefix = np.frombuffer(str(start // _SHOT_BLOCK_ROWS).encode("ascii"), np.uint8)
-            numbers = [np.broadcast_to(prefix, (rows, prefix.size)), padded[:rows]]
-        chars = np.concatenate([*numbers, _SHOT_SUFFIX_BYTES[block]], axis=1)
-        yield chars[chars != 0].tobytes().decode("ascii")
+    """The shot archive's bytes: the header, then ``_SHOT_BLOCK_ROWS`` lines at a time.
+
+    The blocks are formatted on every core, two per worker at a time.
+    """
+    yield _SHOT_HEADER
+    yield from _run_blocks_in_order(
+        lambda start: _shot_csv_block(index, start), range(0, len(index), _SHOT_BLOCK_ROWS)
+    )
 
 
 def shots_csv_text(record) -> str:
     """Shot archive as CSV with columns (index, x_a, y_a, x_b, y_b)."""
-    return "".join(_shot_csv_blocks(record.index))
+    return b"".join(_shot_csv_blocks(record.index)).decode("ascii")
 
 
 def write_report(report: Report, path: str | Path, fmt: str = "json") -> None:
@@ -232,6 +245,10 @@ def write_report(report: Report, path: str | Path, fmt: str = "json") -> None:
 
 
 def write_shots_csv(record, path: str | Path) -> None:
-    """Write ``shots_csv_text(record)`` to ``path`` block by block, without building it whole."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    """Write ``shots_csv_text(record)`` to ``path`` block by block, without building it whole.
+
+    The blocks are written in order through one sequential binary stream, so
+    ``path`` may be a pipe or a FIFO.
+    """
+    with Path(path).open("wb") as fh:
         fh.writelines(_shot_csv_blocks(record.index))

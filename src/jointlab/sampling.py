@@ -103,6 +103,9 @@ _BUCKET_EDGES = np.arange(_BUCKETS + 1) / _BUCKETS
 
 #: Ensemble members per block: a Ginibre block's working arrays fit in L2.
 _ENSEMBLE_BLOCK = 2048
+#: Shots per sampling block: a block's working arrays fit in L2, and a multiple
+#: of 4, so every block's uniforms start on a Philox counter step.
+_SHOT_BLOCK = 32768
 #: Gaussian normals per ensemble member: a 4-vector or a 4x4 matrix.
 _NORMALS_PER_MEMBER = {"haar": 4, "ginibre": 16}
 
@@ -370,6 +373,20 @@ def _run_blocks(work, starts) -> None:
         raise errors[0]
 
 
+def _run_blocks_in_order(work, starts):
+    """Yield ``work(start)`` for every start, in order, computed by ``_run_blocks``.
+
+    Two blocks per worker are computed at a time, so only that many results
+    are held at once, and the workers are joined before each batch is yielded.
+    """
+    batch = 2 * _usable_cpus()
+    for b0 in range(0, len(starts), batch):
+        chunk = starts[b0 : b0 + batch]
+        results = [None] * len(chunk)
+        _run_blocks(lambda k: results.__setitem__(k, work(chunk[k])), range(len(chunk)))
+        yield from results
+
+
 @dataclass(frozen=True)
 class ShotRecord:
     """Finite sample of pair outcomes.
@@ -446,28 +463,51 @@ def sample_outcomes(
     p = np.where(p < _PROB_FLOOR, 0.0, p)
     cdf = np.cumsum(p / p.sum())
     cdf[-1] = 1.0
-    idx = _inverse_cdf(cdf, s.rng().random(n))
+    invert = _inverse_cdf(cdf)
+    idx = np.empty(n, dtype=np.uint8)
+    words = np.empty(n, dtype=_PAIR_OUTCOME_WORDS.dtype)
+    starts = range(0, n, _SHOT_BLOCK)
+    counts = np.empty((len(starts), 16), dtype=np.intp)
+
+    def draw_block(i0: int) -> None:
+        # shots [i0, i1) read the stream at their own offsets, as s.rng().random(n)[i0:i1]
+        i1 = min(i0 + _SHOT_BLOCK, n)
+        drawn = invert(_stream_at(s, i0).random(i1 - i0))
+        idx[i0:i1] = drawn
+        # drawn < 16 always (cdf[-1] = 1 > u), so "clip" only spares take its out buffer
+        np.take(_PAIR_OUTCOME_WORDS, drawn, out=words[i0:i1], mode="clip")
+        counts[i0 // _SHOT_BLOCK] = np.bincount(drawn, minlength=16)
+
+    _run_blocks(draw_block, starts)
     source = f"{label + ';' if label else ''}{s.describe()}"
-    record = ShotRecord(_PAIR_OUTCOME_WORDS[idx].view(np.int8).reshape(n, 4), source)
-    idx.setflags(write=False)
-    vars(record)["index"] = idx  # seeds the cached property: the rows were drawn by index
+    record = ShotRecord(words.view(np.int8).reshape(n, 4), source)
+    counts = counts.sum(axis=0)
+    for array in (idx, counts):
+        array.setflags(write=False)
+    # seed the cached properties: the rows were drawn by index and counted per block
+    vars(record).update(index=idx, counts=counts)
     return record
 
 
-def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """uint8 count #{cdf <= u} for each u in [0, 1), as ``searchsorted(cdf, u, "right")``.
+def _inverse_cdf(cdf: np.ndarray):
+    """u -> uint8 count #{cdf <= u} for each u in [0, 1), as ``searchsorted(cdf, u, "right")``.
 
     Every u in a bucket [k, k + 1) / _BUCKETS that holds no cdf entry
     strictly inside gets the count at the bucket's start; only the shots in
-    the few buckets that hold one are searched.
+    the few buckets that hold one are searched. The bucket table is built
+    once, here, for every block the returned function inverts.
     """
     start = np.searchsorted(cdf, _BUCKET_EDGES[:-1], "right").astype(np.uint8)
     holds_entry = np.searchsorted(cdf, _BUCKET_EDGES[1:], "left") != start
-    bucket = (u * _BUCKETS).astype(np.uint16)
-    idx = start[bucket]
-    search = np.flatnonzero(holds_entry[bucket])
-    idx[search] = np.searchsorted(cdf, u[search], "right")
-    return idx
+
+    def invert(u: np.ndarray) -> np.ndarray:
+        bucket = (u * _BUCKETS).astype(np.uint16)
+        idx = np.take(start, bucket)
+        search = np.flatnonzero(np.take(holds_entry, bucket))
+        idx[search] = np.searchsorted(cdf, u[search], "right")
+        return idx
+
+    return invert
 
 
 def estimate_moment(r: ShotRecord, spec: MomentSpec) -> EstimateWithError:

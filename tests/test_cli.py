@@ -3,9 +3,11 @@ import io
 import json
 import math
 import os
+import select
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +344,44 @@ class TestExitCodes:
         )
         assert proc.returncode == 0 and proc.stderr == ""
         assert json.loads(proc.stdout)["config"]["state_file"] == "/dev/stdin"
+
+    def test_shots_output_into_missing_directory(self, tmp_path, capsys):
+        before = threading.active_count()
+        missing = tmp_path / "missing" / "shots.csv"
+        argv = ["sample", "--n-shots", "50000", "--shots-output", str(missing),
+                "--output", str(tmp_path / "report.json")]
+        assert main(argv) == 2
+        assert threading.active_count() == before
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert str(missing) in err and not missing.parent.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    def test_shots_output_into_closed_pipe(self, tmp_path, capsys):
+        # the reader closes its end once the archive starts to arrive, so the
+        # rest of the archive meets a pipe with no reader
+        fifo = tmp_path / "shots.fifo"
+        os.mkfifo(fifo)
+        read_end = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+
+        def close_on_first_bytes():
+            select.select([read_end], [], [], 60.0)
+            os.close(read_end)
+
+        before = threading.active_count()
+        reader = threading.Thread(target=close_on_first_bytes)
+        reader.start()
+        argv = ["sample", "--n-shots", "200000", "--shots-output", str(fifo),
+                "--output", str(tmp_path / "report.json")]
+        try:
+            assert main(argv) == 2
+        finally:
+            reader.join(timeout=60.0)
+        assert not reader.is_alive()
+        assert threading.active_count() == before
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert "Broken pipe" in err
 
     def test_empty_state_file_path(self, capsys, monkeypatch):
         def no_work(*args, **kwargs):

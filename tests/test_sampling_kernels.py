@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from jointlab import sampling
+from jointlab import reporting, sampling
 from jointlab.joint import FACTOR_SIGNS, VisibilityPair
 from jointlab.pairs import (
     PAIR_OUTCOMES,
@@ -31,6 +31,7 @@ from jointlab.pairs import (
     outcome_indices,
     pair_distribution_formula,
 )
+from jointlab.reporting import shots_csv_text, write_shots_csv
 from jointlab.sampling import (
     SeededSampler,
     correlation_ensemble,
@@ -42,6 +43,7 @@ ALL_SPECS = [(fa, fb) for fa in FACTOR_SIGNS for fb in FACTOR_SIGNS]
 OUTCOME_ROWS = np.array(PAIR_OUTCOMES, dtype=np.int8)
 EDGES = np.arange(sampling._BUCKETS + 1) / sampling._BUCKETS
 BLOCK = sampling._ENSEMBLE_BLOCK
+SHOT_BLOCK = sampling._SHOT_BLOCK
 
 
 def assert_same_bytes(actual, expected):
@@ -206,7 +208,7 @@ class TestInverseCdf:
         cdf = reference_cdf(d)
         u = np.concatenate([EDGES[:-1], np.nextafter(EDGES[1:], 0.0), cdf[cdf < 1.0]])
         assert_same_bytes(
-            sampling._inverse_cdf(cdf, u), np.searchsorted(cdf, u, side="right").astype(np.uint8)
+            sampling._inverse_cdf(cdf)(u), np.searchsorted(cdf, u, side="right").astype(np.uint8)
         )
 
     @pytest.mark.parametrize(
@@ -238,7 +240,7 @@ class TestInverseCdf:
         cdf = reference_cdf(d)
         u = EDGES[:-1]
         assert_same_bytes(
-            sampling._inverse_cdf(cdf, u), np.searchsorted(cdf, u, side="right").astype(np.uint8)
+            sampling._inverse_cdf(cdf)(u), np.searchsorted(cdf, u, side="right").astype(np.uint8)
         )
 
     @pytest.mark.parametrize("seed", [7, 3])
@@ -246,6 +248,37 @@ class TestInverseCdf:
         s = SeededSampler(seed)
         shots = sample_outcomes(ZERO_PROBABILITY_POINT, 1_000_000, s)
         assert_same_bytes(shots.outcomes, reference_outcomes(ZERO_PROBABILITY_POINT, 1_000_000, s))
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    @pytest.mark.parametrize("n", [SHOT_BLOCK - 1, SHOT_BLOCK, SHOT_BLOCK + 1, 2 * SHOT_BLOCK + 3])
+    def test_bits_do_not_depend_on_worker_count(self, monkeypatch, tmp_path, n, cpus):
+        # up to 8 workers switching every microsecond: each block is drawn and
+        # formatted exactly once, and no worker outlives the call
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
+        drawn, formatted = [], []
+        stream_at, csv_block = sampling._stream_at, reporting._shot_csv_block
+        monkeypatch.setattr(sampling, "_stream_at", lambda s, i0: drawn.append(i0) or stream_at(s, i0))
+        monkeypatch.setattr(
+            reporting, "_shot_csv_block", lambda index, i0: formatted.append(i0) or csv_block(index, i0)
+        )
+        s, path = SeededSampler(7), tmp_path / "shots.csv"
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            shots = sample_outcomes(BELL_QUARTER_PI, n, s)
+            assert threading.active_count() == before
+            write_shots_csv(shots, path)
+            assert threading.active_count() == before
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(drawn) == list(range(0, n, SHOT_BLOCK))
+        assert sorted(formatted) == list(range(0, n, reporting._SHOT_BLOCK_ROWS))
+        index = np.searchsorted(reference_cdf(BELL_QUARTER_PI), s.rng().random(n), "right")
+        assert_same_bytes(shots.index, index.astype(np.uint8))
+        assert_same_bytes(shots.outcomes, OUTCOME_ROWS[index])
+        assert_same_bytes(shots.counts, np.bincount(index, minlength=16))
+        assert path.read_bytes() == shots_csv_text(shots).encode("ascii")
 
 
 class TestMomentsFromCounts:

@@ -74,9 +74,11 @@ class TestShotArchive:
     def test_outcome_indices_follow_pair_outcomes(self):
         assert outcome_indices(ALL_OUTCOMES.outcomes).tolist() == list(range(16))
 
-    @pytest.mark.parametrize("n", [1, 9, 10, 11, 99_999, 100_000, 100_001, 200_001])
+    @pytest.mark.parametrize(
+        "n", [1, 9, 10, 11, 9_999, 10_000, 10_001, 20_001, 99_999, 100_000, 100_001, 200_001]
+    )
     def test_text_equals_per_row_loop(self, n):
-        assert _SHOT_BLOCK_ROWS == 100_000  # the sizes straddle the first two block ends
+        assert _SHOT_BLOCK_ROWS == 10_000  # the sizes straddle the first two block ends
         record = random_record(n, seed=n)
         assert shots_csv_text(record) == reference_shots_csv_text(record)
 
