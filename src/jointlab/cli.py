@@ -64,9 +64,9 @@ CHSH_SURFACE_STEPS_MAX = 512
 #: beyond ~31,400 steps only the table grows, the refined optimum does not.
 ZERO_PROB_CURVE_STEPS_MAX = 100_001
 
-#: Largest ``sample --n-shots``. A shot costs ~0.09 us and ~18 B of RSS (about
-#: 0.17 s and 34 MiB at the cap); ``--shots-output`` writes the archive in
-#: blocks, adding ~0.1 us per shot and no memory.
+#: Largest ``sample --n-shots``. A shot costs ~0.035 us and ~13 B of RSS on 2
+#: CPUs (about 0.07 s and 26 MiB at the cap); ``--shots-output`` writes the
+#: archive in blocks, adding ~0.09 us per shot and no memory.
 N_SHOTS_MAX = 2_000_000
 
 #: Largest ``bound --state-file`` in bytes. A 4x4 matrix of [re, im] pairs

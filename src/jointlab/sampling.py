@@ -17,11 +17,13 @@ the order einsum sums the full matrices. It builds the members in blocks of
 long stream at its own offsets, through ``Philox.advance``, and the blocks
 run on one thread per CPU the process may use, so the bits do not depend on
 the thread count.
-``sample_outcomes`` inverts the CDF through a table of 4,096 equal buckets
-and searches only the shots whose bucket holds a CDF entry.
-``estimate_moment`` takes the mean from the 16 outcome counts and sums the
-squared deviations in the order ``std(ddof=1)`` does. Each matches the
-direct numpy form bit for bit.
+``sample_outcomes`` draws its shots the same way, in blocks of 32,768 on
+every usable CPU. It inverts the CDF through a table of 4,096 equal buckets
+and searches only the shots whose bucket holds a CDF entry. Each of these
+matches the direct numpy form bit for bit.
+``estimate_moment`` reads only the 16 outcome counts: the mean as ``mean()``
+gives it, and the standard error from the exact sample variance of +-1
+values, 4 n_plus n_minus / (n (n - 1)), rounded once.
 
 The experiment helpers evaluate the CHSH combination actually observed
 through two saturated local joint measurements on a maximally entangled
@@ -394,10 +396,10 @@ class ShotRecord:
     ``outcomes`` is the record's own read-only (n, 4) int8 copy of the +-1 rows
     (x_a, y_a, x_b, y_b) given, checked before the cast could turn 300 into 44;
     ``source`` documents the distribution and sampler that produced it.
-    ``index`` is each shot's index in ``PAIR_OUTCOMES``, given by
-    ``sample_outcomes`` or else computed on first use, and shared by every
-    moment estimate and the shot archive; ``counts`` is how many shots fell
-    on each of the 16 outcomes.
+    ``index`` is each shot's index in ``PAIR_OUTCOMES``, and ``counts`` is how
+    many shots fell on each of the 16 outcomes. Both are given by
+    ``sample_outcomes`` or else computed on first use; the shot archive reads
+    ``index`` and every moment estimate reads ``counts``.
     """
 
     outcomes: np.ndarray
@@ -513,18 +515,20 @@ def _inverse_cdf(cdf: np.ndarray):
 def estimate_moment(r: ShotRecord, spec: MomentSpec) -> EstimateWithError:
     """Sample estimate of a pair moment with std_error = sample std / sqrt(n).
 
-    The mean comes from the outcome counts (``r.counts``), exactly, since
-    the sum of +-1 values is an integer. The variance sums the squared
-    deviations of every shot, looked up by ``r.index``, in the order
-    ``values.std(ddof=1)`` sums them, so both equal numpy's bit for bit.
+    Both come from the 16 outcome counts (``r.counts``), so no step reads
+    the shots themselves. The mean is exact before its one rounding, since
+    the sum of +-1 values is an integer. Every moment takes only the values
+    +-1, so with n_plus shots at +1 and n_minus at -1 the sample variance is
+    exactly 4 n_plus n_minus / (n (n - 1)), a ratio of integers that Python
+    rounds once, correctly.
     """
     if r.n < 2:
         raise ValueError("need at least two shots to estimate a moment")
     signs = moment_signs(spec)
     mean = (r.counts * signs).sum() / r.n
-    deviation = signs - mean
-    variance = (deviation * deviation)[r.index].sum() / (r.n - 1)
-    return EstimateWithError(float(mean), float(np.sqrt(variance) / math.sqrt(r.n)), r.n)
+    n_plus = int(r.counts[signs > 0].sum())
+    variance = 4 * n_plus * (r.n - n_plus) / (r.n * (r.n - 1))
+    return EstimateWithError(float(mean), math.sqrt(variance) / math.sqrt(r.n), r.n)
 
 
 def _chsh(phi: float, alpha: float, beta: float) -> float:

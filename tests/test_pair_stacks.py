@@ -106,7 +106,12 @@ def reference_estimate(r, spec):
 
     out = r.outcomes.astype(np.float64)
     values = column(spec[0], out[:, 0], out[:, 1]) * column(spec[1], out[:, 2], out[:, 3])
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(r.n))
+    # the standard error from the +-1 values in integers, rounded once:
+    # sum((n v - S)**2) = n**2 (n - 1) var, exact in int64 for n up to 2**20
+    ints = values.astype(np.int64)
+    scaled = r.n * ints - int(ints.sum())
+    variance = int((scaled * scaled).sum()) / (r.n * r.n * (r.n - 1))
+    return float(values.mean()), math.sqrt(variance) / math.sqrt(r.n), values
 
 
 def reference_visibility(gen):
@@ -281,7 +286,10 @@ class TestFormulaAndMoments:
         shots = sample_outcomes(d, 20_000, SeededSampler(13))
         for spec in ALL_SPECS:
             est = estimate_moment(shots, spec)
-            assert (est.value, est.std_error) == reference_estimate(shots, spec)
+            value, error, values = reference_estimate(shots, spec)
+            assert (est.value, est.std_error) == (value, error)
+            numpy_error = float(values.std(ddof=1) / math.sqrt(shots.n))
+            assert abs(est.std_error - numpy_error) <= 1e-15 * numpy_error
 
     def test_estimate_reads_strided_outcomes(self):
         wide = np.tile(np.array([[1, -1, -1, 1]], dtype=np.int8), (5, 2))

@@ -3,9 +3,10 @@
 The references are the forms the kernels replaced: complex Box-Muller
 normals built with ``z + 1j*z`` after a ``concatenate``, the einsum density
 matrices and correlations, one ``np.searchsorted`` over the whole sample,
-``values.mean()``/``values.std(ddof=1)`` and a scan over outcome rows. Every
-comparison is on raw bytes, so a signed zero or a last-bit rounding
-difference fails.
+``values.mean()``, the standard error from the +-1 values in exact integer
+arithmetic (and within 1e-15 of ``values.std(ddof=1)``) and a scan over
+outcome rows. Every comparison is on raw bytes, so a signed zero or a
+last-bit rounding difference fails.
 """
 
 import math
@@ -87,8 +88,24 @@ def reference_outcomes(d, n, s):
 
 
 def reference_estimate(shots, spec):
+    """``values.mean()``, and the standard error from the +-1 values in integers, rounded once.
+
+    sum((n v - S)**2) = n**2 (n - 1) var holds exactly in int64 for n up to 2**20.
+    """
     values = np.take(moment_signs(spec), shots.index)
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(shots.n))
+    n, ints = shots.n, values.astype(np.int64)
+    scaled = n * ints - int(ints.sum())
+    variance = int((scaled * scaled).sum()) / (n * n * (n - 1))
+    return float(values.mean()), math.sqrt(variance) / math.sqrt(n)
+
+
+def assert_estimate(est, shots, spec):
+    """Bit-equal to ``reference_estimate``; the error within 1e-15 relative of numpy's."""
+    expected = reference_estimate(shots, spec)
+    assert_same_bytes(np.array([est.value, est.std_error]), np.array(expected))
+    values = np.take(moment_signs(spec), shots.index)
+    numpy_error = float(values.std(ddof=1) / math.sqrt(shots.n))
+    assert abs(est.std_error - numpy_error) <= 1e-15 * numpy_error
 
 
 def distribution(p):
@@ -287,19 +304,13 @@ class TestMomentsFromCounts:
     def test_every_spec_bit_equal_to_mean_and_std(self, n, d):
         shots = sample_outcomes(d, n, SeededSampler(n))
         for spec in ALL_SPECS:
-            est = estimate_moment(shots, spec)
-            assert_same_bytes(
-                np.array([est.value, est.std_error]), np.array(reference_estimate(shots, spec))
-            )
+            assert_estimate(estimate_moment(shots, spec), shots, spec)
 
     @given(w=weights, n=st.integers(2, 3000), seed=st.integers(0, 2**64 - 1))
     def test_fuzzed_distributions(self, w, n, seed):
         shots = sample_outcomes(distribution(w), n, SeededSampler(seed))
         for spec in ALL_SPECS:
-            est = estimate_moment(shots, spec)
-            assert_same_bytes(
-                np.array([est.value, est.std_error]), np.array(reference_estimate(shots, spec))
-            )
+            assert_estimate(estimate_moment(shots, spec), shots, spec)
 
     def test_counts_match_the_row_scan(self):
         shots = sample_outcomes(BELL_QUARTER_PI, 200_000, SeededSampler(8))
