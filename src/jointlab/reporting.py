@@ -62,8 +62,6 @@ _SHOT_BLOCK_DIGITS = 4
 #: worker's block stays in L2.
 _SHOT_BLOCK_ROWS = 10**_SHOT_BLOCK_DIGITS
 
-_SHOT_HEADER = b"index,x_a,y_a,x_b,y_b\n"
-
 _BLOCK_ROW = np.arange(_SHOT_BLOCK_ROWS)[:, None]
 _PLACE_VALUE = 10 ** np.arange(_SHOT_BLOCK_DIGITS - 1, -1, -1)
 #: ASCII digits of 0 .. ``_SHOT_BLOCK_ROWS - 1``, zero-padded, as ``(rows, 4)`` uint8.
@@ -222,7 +220,7 @@ def _shot_csv_blocks(index: np.ndarray):
 
     The blocks are formatted on every core, two per worker at a time.
     """
-    yield _SHOT_HEADER
+    yield b"index,x_a,y_a,x_b,y_b\n"
     yield from _run_blocks_in_order(
         lambda start: _shot_csv_block(index, start), range(0, len(index), _SHOT_BLOCK_ROWS)
     )
