@@ -28,6 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .joint import _require_finite
 from .pairs import CorrelationVector, DensityOperator4, PairOutcomeLabel, correlations_of_state
 
 __all__ = [
@@ -74,10 +75,7 @@ class AnglePair:
 
     def __post_init__(self):
         for name in ("alpha", "beta"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,8 @@ SUBCOMMANDS = ("single", "pair", "bound", "scan", "sample", "verify")
 OUTPUT_DIR_ENV = "JOINTLAB_OUTPUT_DIR"
 
 #: Largest ``single --grid-steps``. The POVM grid certifies 4 * steps**2 2x2
-#: matrices at ~0.25 us each (1.0 s at 1024 steps); memory is set by the
-#: grid's row block, not by the step count.
+#: matrices at ~0.065 us each (~0.3 s for ``single`` at 1024 steps); memory is
+#: set by the grid's row block, not by the step count.
 SINGLE_GRID_STEPS_MAX = 1024
 
 #: Largest ``scan --what chsh-surface --grid-steps``. The table holds steps**2
@@ -64,9 +64,9 @@ CHSH_SURFACE_STEPS_MAX = 512
 #: beyond ~31,400 steps only the table grows, the refined optimum does not.
 ZERO_PROB_CURVE_STEPS_MAX = 100_001
 
-#: Largest ``sample --n-shots``. A shot costs ~0.035 us and ~13 B of RSS on 2
-#: CPUs (about 0.07 s and 26 MiB at the cap); ``--shots-output`` writes the
-#: archive in blocks, adding ~0.09 us per shot and no memory.
+#: Largest ``sample --n-shots``. A shot costs ~0.013 us and ~2 B of RSS on 2
+#: CPUs (about 0.03 s and 3.5 MiB at the cap); ``--shots-output`` writes the
+#: archive in blocks, adding ~0.08 us per shot and no memory.
 N_SHOTS_MAX = 2_000_000
 
 #: Largest ``bound --state-file`` in bytes. A 4x4 matrix of [re, im] pairs

@@ -5,11 +5,15 @@ Pauli construction and the Hermitian eigenvalues used to certify
 positivity of measurement operators and states.
 
 The eigensolver takes a lone ``(n, n)`` matrix or a ``(..., n, n)`` stack,
-and a lone matrix is a stack of one. 2x2 matrices take the closed form,
-any other size numpy's batched LAPACK ``eigvalsh``. LAPACK pays a fixed cost
-per matrix that dominates at 2x2: on the POVM grid's stacks it takes about
-0.6 us per matrix, against about 0.13 us for the closed form with its
-validation (Python 3.11, numpy 2.4).
+and a lone matrix is a stack of one. One check (``_hermitian_stack``) guards
+every matrix given from outside, and one kernel (``_eigenvalues``) computes
+every eigenvalue: 2x2 matrices take the closed form, any other size numpy's
+batched LAPACK ``eigvalsh``. Stacks the package builds Hermitian, such as
+the POVM grid's, go straight to the kernel. LAPACK pays a fixed cost per
+matrix that dominates at 2x2: on an 8-row block of the 201-step POVM grid
+(6,432 matrices) it takes about 1 us per matrix, against about 0.02 us for
+the closed form and 0.19 us for the check and the closed form together
+(medians of 51 calls; Python 3.11, numpy 2.4, 2-core Xeon host).
 
 All comparisons use absolute tolerances; every quantity in this package is
 O(1) by construction.
@@ -65,20 +69,30 @@ def _member(index: tuple[int, ...]) -> str:
 
 
 def _hermitian_stack(m: np.ndarray) -> np.ndarray:
-    """Return ``m`` once its shape, finiteness and hermiticity are validated."""
+    """Return ``m`` once it is square, finite and Hermitian, max |m - m^dagger| <= DEFAULT_TOL."""
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     k = _first_bad(~np.isfinite(m).all(axis=(-2, -1)))
     if k is not None:
         raise ValueError(f"matrix entries must be finite{_member(k)}")
-    n = m.shape[-1]
-    iu, ju = np.triu_indices(n, 1)
-    hermitian = (np.abs(np.diagonal(m, axis1=-2, axis2=-1).imag) <= DEFAULT_TOL).all(axis=-1)
-    hermitian &= (np.abs(m[..., iu, ju] - m[..., ju, iu].conj()) <= DEFAULT_TOL).all(axis=-1)
-    k = _first_bad(~hermitian)
+    asymmetry = np.abs(m - m.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+    k = _first_bad(asymmetry > DEFAULT_TOL)
     if k is not None:
         raise ValueError(f"matrix is not Hermitian within tolerance{_member(k)}")
     return m
+
+
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a ``(..., n, n)`` complex stack that ``_hermitian_stack`` passes.
+
+    Unchecked: 2x2 by the closed form (a+d)/2 -+ hypot((a-d)/2, |b|), else ``eigvalsh``.
+    """
+    if m.shape[-1] == 2:
+        m00, m11 = m[..., 0, 0].real, m[..., 1, 1].real
+        mean = 0.5 * (m00 + m11)
+        half_gap = np.hypot(0.5 * (m00 - m11), np.abs(m[..., 0, 1]))
+        return np.stack((mean - half_gap, mean + half_gap), axis=-1)
+    return np.linalg.eigvalsh(m)
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
@@ -86,18 +100,12 @@ def hermitian_eigenvalues(a) -> np.ndarray:
 
     A lone ``(n, n)`` matrix gives shape ``(n,)`` and a ``(..., n, n)`` stack
     gives ``(..., n)``. Every member must have finite entries and be
-    Hermitian within ``DEFAULT_TOL``; an error names the first bad member.
-    2x2 matrices take the closed form (a+d)/2 -+ hypot((a-d)/2, |b|), any
-    other size ``np.linalg.eigvalsh``, whose ``LinAlgError`` on a member
-    that does not converge reaches the caller unchanged.
+    Hermitian, max |m - m^dagger| <= ``DEFAULT_TOL``; an error names the
+    first bad member. 2x2 matrices take the closed form, any other size
+    ``np.linalg.eigvalsh``, whose ``LinAlgError`` on a member that does not
+    converge reaches the caller unchanged.
     """
-    m = _hermitian_stack(np.array(a, dtype=np.complex128))
-    if m.shape[-1] == 2:
-        m00, m11 = m[..., 0, 0].real, m[..., 1, 1].real
-        mean = 0.5 * (m00 + m11)
-        half_gap = np.hypot(0.5 * (m00 - m11), np.abs(m[..., 0, 1]))
-        return np.stack((mean - half_gap, mean + half_gap), axis=-1)
-    return np.linalg.eigvalsh(m)
+    return _eigenvalues(_hermitian_stack(np.asarray(a, dtype=np.complex128)))
 
 
 def is_positive_semidefinite(a, tol: float = PSD_TOL) -> np.ndarray:

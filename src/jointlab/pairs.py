@@ -34,10 +34,11 @@ from .joint import (
     VisibilityPair,
     _check_labels,
     _check_probabilities,
+    _require_finite,
     admissible_visibilities,
     povm_elements,
 )
-from .linalg import DEFAULT_TOL, _first_bad, _member, is_positive_semidefinite, pauli
+from .linalg import DEFAULT_TOL, PSD_TOL, _eigenvalues, _first_bad, _hermitian_stack, _member, pauli
 
 __all__ = [
     "PAIR_OUTCOMES",
@@ -119,8 +120,8 @@ class DensityOperator4:
     """A validated two-qubit density operator.
 
     Construction runs ``validate_densities``: hermiticity and unit trace
-    within 1e-12, positive semidefiniteness within 1e-10 (certified by
-    ``hermitian_eigenvalues``); the stored matrix is a read-only copy.
+    within 1e-12, positive semidefiniteness within 1e-10; the stored matrix
+    is a read-only copy.
     """
 
     mat: np.ndarray
@@ -137,25 +138,20 @@ def validate_densities(a) -> np.ndarray:
 
     Every member must have finite entries, be Hermitian and have unit trace
     within ``DEFAULT_TOL`` (1e-12), and be positive semidefinite within
-    ``PSD_TOL`` (1e-10). Positivity is certified by one ``is_positive_semidefinite``
-    call on the whole stack (a lone matrix is a stack of one). A failing
-    stack raises ValueError naming its first bad member.
+    ``PSD_TOL`` (1e-10), checked in that order. The entries and hermiticity
+    are checked once, by ``linalg``'s one matrix check, and positivity by
+    one eigenvalue call on the whole stack (a lone matrix is a stack of
+    one). A failing stack raises ValueError naming its first bad member.
     """
     m = np.array(a, dtype=np.complex128)
     if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {m.shape}")
-    k = _first_bad(~np.isfinite(m).all(axis=(-2, -1)))
-    if k is not None:
-        raise ValueError(f"density matrix entries must be finite{_member(k)}")
-    asymmetry = np.abs(m - m.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
-    k = _first_bad(asymmetry > DEFAULT_TOL)
-    if k is not None:
-        raise ValueError(f"density matrix is not Hermitian{_member(k)}")
+    _hermitian_stack(m)
     tr = np.trace(m, axis1=-2, axis2=-1)
     k = _first_bad(np.abs(tr - 1.0) > DEFAULT_TOL)
     if k is not None:
         raise ValueError(f"density matrix trace is {tr[k]!r}, expected 1{_member(k)}")
-    k = _first_bad(~is_positive_semidefinite(m))
+    k = _first_bad(~(_eigenvalues(m)[..., 0] >= -PSD_TOL))
     if k is not None:
         raise ValueError(f"density matrix is not positive semidefinite{_member(k)}")
     m.setflags(write=False)
@@ -233,7 +229,7 @@ class BellFamilyState:
     phi: float
 
     def __post_init__(self):
-        phi = _finite_angle(self.phi) % (2.0 * math.pi)
+        phi = _require_finite("angle", self.phi) % (2.0 * math.pi)
         object.__setattr__(self, "phi", phi)
 
     def ket(self) -> np.ndarray:
@@ -241,13 +237,6 @@ class BellFamilyState:
 
     def to_density(self) -> DensityOperator4:
         return pure_density(self.ket())
-
-
-def _finite_angle(value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"angle must be finite, got {value!r}")
-    return value
 
 
 def correlation_components(rho) -> np.ndarray:
@@ -384,5 +373,5 @@ def pair_moment(d: PairOutcomeDistribution, spec: MomentSpec) -> float:
 
 def bell_family_correlations(phi: float) -> CorrelationVector:
     """Correlations (cos phi, sin phi, sin phi, -cos phi) of the Bell family."""
-    phi = _finite_angle(phi)
+    phi = _require_finite("angle", phi)
     return CorrelationVector(math.cos(phi), math.sin(phi), math.sin(phi), -math.cos(phi))

@@ -96,8 +96,6 @@ _BELL_PROJECTORS = tuple(np.outer(ket, ket.conj()) for ket in _BELL_KETS)
 
 _PAIR_OUTCOME_ARRAY = np.array(PAIR_OUTCOMES, dtype=np.int8)
 _PAIR_OUTCOME_ARRAY.setflags(write=False)
-#: Each outcome's four int8 entries as one int32, so drawing a row moves one word.
-_PAIR_OUTCOME_WORDS = _PAIR_OUTCOME_ARRAY.view(np.int32).ravel()
 
 #: Equal-width buckets over [0, 1) for the inverse CDF; u * _BUCKETS is exact.
 _BUCKETS = 4096
@@ -139,6 +137,14 @@ class SeededSampler:
 
     def describe(self) -> str:
         return f"{self.algorithm_id}:{self.seed}"
+
+
+def _require_size(what: str, n, minimum: int) -> int:
+    """``n`` as an int once it is an integer (not a bool) of at least ``minimum``, 0 or 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < minimum:
+        kind = "positive" if minimum else "non-negative"
+        raise ValueError(f"{what} must be a {kind} integer, got {n!r}")
+    return int(n)
 
 
 def _normal_parts(
@@ -273,8 +279,7 @@ def random_state_stack(kind: str, s: SeededSampler, n: int) -> np.ndarray:
     and a Ginibre stack's correlations to ``correlation_ensemble(n, s,
     "ginibre")``. The stack is certified by one ``validate_densities`` call.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"stack size must be a non-negative integer, got {n!r}")
+    n = _require_size("stack size", n, 0)
     if kind == "bell-diagonal":
         return validate_densities(_bell_mixtures(s.rng().random((n, 3))))
     if kind == "ginibre":
@@ -291,8 +296,7 @@ def correlation_ensemble(n: int, s: SeededSampler, kind: str = "haar") -> np.nda
     of ``_ENSEMBLE_BLOCK``, each reading its uniforms from its own offsets
     in the stream, on one thread per usable CPU.
     """
-    if n < 1:
-        raise ValueError(f"ensemble size must be positive, got {n}")
+    n = _require_size("ensemble size", n, 1)
     if kind not in _NORMALS_PER_MEMBER:
         raise ValueError(f"unknown ensemble kind {kind!r}")
     out = np.empty((n, 4))
@@ -391,41 +395,50 @@ def _run_blocks_in_order(work, starts):
 
 @dataclass(frozen=True)
 class ShotRecord:
-    """Finite sample of pair outcomes.
+    """Finite sample of pair outcomes, stored as each shot's index in ``PAIR_OUTCOMES``.
 
-    ``outcomes`` is the record's own read-only (n, 4) int8 copy of the +-1 rows
-    (x_a, y_a, x_b, y_b) given, checked before the cast could turn 300 into 44;
-    ``source`` documents the distribution and sampler that produced it.
-    ``index`` is each shot's index in ``PAIR_OUTCOMES``, and ``counts`` is how
-    many shots fell on each of the 16 outcomes. Both are given by
-    ``sample_outcomes`` or else computed on first use; the shot archive reads
-    ``index`` and every moment estimate reads ``counts``.
+    ``index`` is the record's own read-only (n,) uint8 copy of the indices
+    given, each checked to lie in [0, 16) before the cast; ``sample_outcomes``
+    gives the indices it drew, the shot archive reads them and every moment
+    estimate reads ``counts``, derived from them. ``source`` documents the
+    distribution and sampler that produced the record. ``from_outcomes``
+    builds a record from (n, 4) rows of +-1 outcomes (x_a, y_a, x_b, y_b).
     """
 
-    outcomes: np.ndarray
+    index: np.ndarray
     source: str
 
     def __post_init__(self):
-        given = np.asarray(self.outcomes)
+        given = np.asarray(self.index)
+        if given.ndim != 1 or given.dtype.kind not in "iu":
+            raise ValueError(f"shot index must be 1-d integers, got {given.dtype} {given.shape}")
+        if given.size and not (given.min() >= 0 and given.max() < len(PAIR_OUTCOMES)):
+            raise ValueError(f"shot index must lie in [0, {len(PAIR_OUTCOMES)})")
+        index = given.astype(np.uint8)
+        index.setflags(write=False)
+        object.__setattr__(self, "index", index)
+
+    @classmethod
+    def from_outcomes(cls, rows, source: str) -> "ShotRecord":
+        """Record of (n, 4) +-1 outcome rows, checked as given before any cast."""
+        given = np.asarray(rows)
         if given.ndim != 2 or given.shape[1] != 4:
             raise ValueError(f"expected outcome shape (n, 4), got {given.shape}")
         if not ((given == 1) | (given == -1)).all():
             raise ValueError("shot outcomes must be +-1")
-        out = given.astype(np.int8)
-        out.setflags(write=False)
-        object.__setattr__(self, "outcomes", out)
+        return cls(outcome_indices(given), source)
 
     @property
     def n(self) -> int:
         """Number of shots."""
-        return len(self.outcomes)
+        return len(self.index)
 
     @functools.cached_property
-    def index(self) -> np.ndarray:
-        """Read-only (n,) uint8 ``outcome_indices(outcomes)``."""
-        idx = outcome_indices(self.outcomes)
-        idx.setflags(write=False)
-        return idx
+    def outcomes(self) -> np.ndarray:
+        """Read-only (n, 4) int8 +-1 rows, ``PAIR_OUTCOMES[index]``."""
+        rows = _PAIR_OUTCOME_ARRAY[self.index]
+        rows.setflags(write=False)
+        return rows
 
     @functools.cached_property
     def counts(self) -> np.ndarray:
@@ -457,8 +470,7 @@ def sample_outcomes(
     within floating-point noise of zero are treated as exact zeros, so an
     analytically suppressed outcome never shows up in the sample.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be positive, got {n}")
+    n = _require_size("sample size", n, 1)
     p = d.as_array()
     if p.min() < -NEGATIVE_PROB_TOL:
         raise ValueError("distribution has negative entries and cannot be sampled")
@@ -467,28 +479,14 @@ def sample_outcomes(
     cdf[-1] = 1.0
     invert = _inverse_cdf(cdf)
     idx = np.empty(n, dtype=np.uint8)
-    words = np.empty(n, dtype=_PAIR_OUTCOME_WORDS.dtype)
-    starts = range(0, n, _SHOT_BLOCK)
-    counts = np.empty((len(starts), 16), dtype=np.intp)
 
     def draw_block(i0: int) -> None:
         # shots [i0, i1) read the stream at their own offsets, as s.rng().random(n)[i0:i1]
         i1 = min(i0 + _SHOT_BLOCK, n)
-        drawn = invert(_stream_at(s, i0).random(i1 - i0))
-        idx[i0:i1] = drawn
-        # drawn < 16 always (cdf[-1] = 1 > u), so "clip" only spares take its out buffer
-        np.take(_PAIR_OUTCOME_WORDS, drawn, out=words[i0:i1], mode="clip")
-        counts[i0 // _SHOT_BLOCK] = np.bincount(drawn, minlength=16)
+        idx[i0:i1] = invert(_stream_at(s, i0).random(i1 - i0))
 
-    _run_blocks(draw_block, starts)
-    source = f"{label + ';' if label else ''}{s.describe()}"
-    record = ShotRecord(words.view(np.int8).reshape(n, 4), source)
-    counts = counts.sum(axis=0)
-    for array in (idx, counts):
-        array.setflags(write=False)
-    # seed the cached properties: the rows were drawn by index and counted per block
-    vars(record).update(index=idx, counts=counts)
-    return record
+    _run_blocks(draw_block, range(0, n, _SHOT_BLOCK))
+    return ShotRecord(idx, f"{label + ';' if label else ''}{s.describe()}")
 
 
 def _inverse_cdf(cdf: np.ndarray):

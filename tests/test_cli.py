@@ -722,7 +722,7 @@ def test_malformed_argv_exits_cleanly(tmp_path, monkeypatch, argv):
     """No numerical work runs: every suite is a stub, and the sample one returns two shots."""
     for name in ("single", "pair", "bound", "scan", "verify"):
         monkeypatch.setattr(suites, f"run_{name}_suite", lambda *args, **kwargs: ({}, []))
-    two_shots = ShotRecord(np.ones((2, 4), dtype=np.int8), "stub")
+    two_shots = ShotRecord.from_outcomes(np.ones((2, 4), dtype=np.int8), "stub")
     monkeypatch.setattr(suites, "run_sample_suite", lambda *args, **kwargs: ({}, [], two_shots))
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))

@@ -321,3 +321,21 @@ class TestStackedEigenvalues:
         with pytest.raises(np.linalg.LinAlgError) as info:
             validate_densities(np.stack([np.eye(4) / 4] * 3))
         assert info.value is failure
+
+
+# max |m - m^dagger| <= 1e-12 allows a diagonal imaginary part of at most 5e-13
+@pytest.mark.parametrize("imag, accepted", [(4e-13, True), (6e-13, False)])
+def test_one_hermitian_rule_for_eigenvalues_and_states(imag, accepted):
+    rho = np.eye(4, dtype=np.complex128) / 4
+    rho[1, 1] += 1j * imag
+    calls = (
+        lambda: hermitian_eigenvalues(rho),
+        lambda: hermitian_eigenvalues(rho[:2, :2]),  # the 2x2 closed form
+        lambda: validate_densities(rho),
+    )
+    for call in calls:
+        if accepted:
+            call()
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                call()

@@ -293,7 +293,7 @@ class TestFormulaAndMoments:
 
     def test_estimate_reads_strided_outcomes(self):
         wide = np.tile(np.array([[1, -1, -1, 1]], dtype=np.int8), (5, 2))
-        shots = ShotRecord(wide[:, ::2], "strided")
+        shots = ShotRecord.from_outcomes(wide[:, ::2], "strided")
         assert estimate_moment(shots, ("x", "y")).value == reference_estimate(shots, ("x", "y"))[0]
 
     def test_factor_signs_follow_outcome_values(self):

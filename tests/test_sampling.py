@@ -36,6 +36,7 @@ from jointlab.sampling import (
     ginibre_random_mixed_state,
     haar_random_pure_state,
     max_experimental_chsh,
+    random_state_stack,
     sample_outcomes,
     zero_probability_chsh,
     zero_probability_curve_max,
@@ -182,14 +183,43 @@ class TestSampling:
 
     def test_shot_record_shape_validated(self):
         with pytest.raises(ValueError, match="shape"):
-            ShotRecord(np.ones((3, 5), dtype=np.int8), "bad")
+            ShotRecord.from_outcomes(np.ones((3, 5), dtype=np.int8), "bad")
 
     # 1.7 would be cast to 1, 300 to 44 and 1j to 0 if the values were not checked as given
     @pytest.mark.parametrize("entry", [0, 1.7, 300, 1j])
     def test_shot_record_rejects_outcome_other_than_plus_minus_one(self, entry):
         outcomes = np.array([[1, -1, 1, 1], [1, entry, -1, 1]])
         with pytest.raises(ValueError, match="must be \\+-1"):
-            ShotRecord(outcomes, "bad")
+            ShotRecord.from_outcomes(outcomes, "bad")
+
+
+BELL_QUARTER_PI = pair_distribution_formula(
+    bell_family_correlations(QUARTER_PI), saturated(QUARTER_PI), saturated(QUARTER_PI)
+)
+#: (sampler of size n, its smallest valid size)
+SIZED_SAMPLERS = [
+    (lambda n: sample_outcomes(BELL_QUARTER_PI, n, SeededSampler(1)), 1),
+    (lambda n: correlation_ensemble(n, SeededSampler(1), "haar"), 1),
+    (lambda n: random_state_stack("ginibre", SeededSampler(1), n), 0),
+]
+
+
+@pytest.mark.parametrize(
+    "draw, minimum", SIZED_SAMPLERS, ids=["sample", "ensemble", "stack"]
+)
+@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0), True, "3", -1, 0])
+def test_bad_size_rejected_before_any_draw(draw, minimum, n, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("the stream was read before the size was checked")
+
+    monkeypatch.setattr(SeededSampler, "rng", no_draw)
+    monkeypatch.setattr(sampling, "_stream_at", no_draw)
+    if isinstance(n, int) and not isinstance(n, bool) and n >= minimum:
+        with pytest.raises(AssertionError, match="stream was read"):
+            draw(n)
+    else:
+        with pytest.raises(ValueError, match="size must be a"):
+            draw(n)
 
 
 class TestEstimators:
@@ -224,17 +254,19 @@ class TestEstimators:
         )
         v = saturated(QUARTER_PI)
         d = pair_distribution_formula(bell_family_correlations(QUARTER_PI), v, v)
+        # the sampler stores the index it drew by; from_outcomes computes it once
         sampled = sample_outcomes(d, 2000, SeededSampler(5))
-        # the sampler gives the index it drew by; a record built from outcomes
-        # computes it on first use
-        for shots, computed in ((sampled, 0), (ShotRecord(sampled.outcomes, "given"), 1)):
-            calls.clear()
+        assert len(calls) == 0
+        given = ShotRecord.from_outcomes(sampled.outcomes, "given")
+        assert len(calls) == 1
+        for shots in (sampled, given):
             for spec in MONTE_CARLO_SPECS:
                 estimate_moment(shots, spec)
             shots_csv_text(shots)
-            assert len(calls) == computed
             assert shots.index.dtype == np.uint8 and not shots.index.flags.writeable
-            assert np.array_equal(shots.index, outcome_indices(shots.outcomes))
+        assert len(calls) == 1
+        assert np.array_equal(given.index, sampled.index)
+        assert np.array_equal(sampled.index, outcome_indices(sampled.outcomes))
 
     def test_std_error_scales_inverse_sqrt_n(self):
         v = saturated(QUARTER_PI)

@@ -55,16 +55,17 @@ def reference_scan_table(what, phi, grid_steps):
 
 def random_record(n, seed=0):
     outcomes = np.random.default_rng(seed).choice(np.array([1, -1], np.int8), size=(n, 4))
-    return ShotRecord(outcomes, f"test;n={n}")
+    return ShotRecord.from_outcomes(outcomes, f"test;n={n}")
 
 
 def hashed_record(n):
     """n shots whose outcome index is a multiplicative hash of the row number (no RNG)."""
     index = (np.arange(n, dtype=np.int64) * 2_654_435_761 % 2**32) >> 28
-    return ShotRecord(np.array(PAIR_OUTCOMES, dtype=np.int8)[index], f"hashed;n={n}")
+    rows = np.array(PAIR_OUTCOMES, dtype=np.int8)[index]
+    return ShotRecord.from_outcomes(rows, f"hashed;n={n}")
 
 
-ALL_OUTCOMES = ShotRecord(np.array(PAIR_OUTCOMES), "all outcomes")
+ALL_OUTCOMES = ShotRecord.from_outcomes(np.array(PAIR_OUTCOMES), "all outcomes")
 
 #: sha256 of ``reference_shots_csv_text(hashed_record(1_000_001))``.
 HASHED_1_000_001_SHA256 = "8f57c9c9b37c2567cf7b22e28ac5bb24c4c5ed302cf003c1f599319fd0eb5a41"
@@ -110,14 +111,15 @@ class TestShotArchive:
     def test_outcome_other_than_plus_minus_one_rejected_before_writing(self, tmp_path):
         path = tmp_path / "shots.csv"
         with pytest.raises(ValueError, match="must be \\+-1"):
-            write_shots_csv(ShotRecord(np.array([[1, -1, 1, 1], [1, 0, -1, 1]]), "bad"), path)
+            rows = np.array([[1, -1, 1, 1], [1, 0, -1, 1]])
+            write_shots_csv(ShotRecord.from_outcomes(rows, "bad"), path)
         assert not path.exists()
 
     # the array itself, and a strided view whose writable base outlives the record
     @pytest.mark.parametrize("columns", [4, 8])
     def test_archive_unchanged_by_writes_to_the_array_given(self, tmp_path, columns):
         base = np.ones((3, columns), dtype=np.int8)
-        record = ShotRecord(base if columns == 4 else base[:, ::2], "given")
+        record = ShotRecord.from_outcomes(base if columns == 4 else base[:, ::2], "given")
         base[:] = -1
         assert base.flags.writeable
         path = tmp_path / "shots.csv"
@@ -125,6 +127,40 @@ class TestShotArchive:
         expected = "index,x_a,y_a,x_b,y_b\n" + "".join(f"{i},1,1,1,1\n" for i in range(3))
         assert path.read_text() == expected
         assert shots_csv_text(record) == expected
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_archive_unchanged_by_writes_to_the_index_given(self, tmp_path, dtype):
+        given = np.array([0, 5, 15], dtype=dtype)
+        record = ShotRecord(given, "given")
+        given[:] = 3
+        path = tmp_path / "shots.csv"
+        write_shots_csv(record, path)
+        rows = [PAIR_OUTCOMES[k] for k in (0, 5, 15)]
+        expected = "index,x_a,y_a,x_b,y_b\n" + "".join(
+            f"{i},{','.join(map(str, row))}\n" for i, row in enumerate(rows)
+        )
+        assert path.read_text() == expected
+        assert record.index.dtype == np.uint8 and not record.index.flags.writeable
+
+    # a cast would turn -1 into 255, 16 into an out-of-table index and 1.5 into 1
+    @pytest.mark.parametrize(
+        "index",
+        [
+            np.zeros((2, 2), dtype=np.uint8),
+            np.array([0.0, 1.0]),
+            np.array([1.5]),
+            np.array([True, False]),
+            np.array([1j]),
+            np.array([0, -1]),
+            np.array([16, 0]),
+            np.array([300], dtype=np.int64),
+        ],
+    )
+    def test_bad_index_rejected_before_writing(self, tmp_path, index):
+        path = tmp_path / "shots.csv"
+        with pytest.raises(ValueError, match="shot index"):
+            write_shots_csv(ShotRecord(index, "bad"), path)
+        assert not path.exists()
 
 
 TABLES = [
