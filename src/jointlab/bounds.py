@@ -178,10 +178,10 @@ def _angle_lhs(p, q, r, s, alpha, beta, cos, sin):
 
 
 def tight_bound_from_components(c_xx, c_xy, c_yx, c_yy):
-    """Tight-bound left-hand side from raw components (scalars or arrays)."""
-    return np.sqrt((c_xx - c_yy) ** 2 + (c_xy + c_yx) ** 2) + np.sqrt(
-        (c_xx + c_yy) ** 2 + (c_xy - c_yx) ** 2
-    )
+    """Tight-bound left-hand side from raw components; scalars and arrays square as ``x * x``."""
+    p, q = c_xx - c_yy, c_xy + c_yx
+    r, s = c_xx + c_yy, c_xy - c_yx
+    return np.sqrt(p * p + q * q) + np.sqrt(r * r + s * s)
 
 
 def tight_bound_lhs(c: CorrelationVector) -> float:
@@ -191,7 +191,8 @@ def tight_bound_lhs(c: CorrelationVector) -> float:
 
 def simplified_bound_lhs(c: CorrelationVector) -> float:
     """(c_xx - c_yy)**2 + (c_xy + c_yx)**2; quantum states satisfy <= 4."""
-    return (c.c_xx - c.c_yy) ** 2 + (c.c_xy + c.c_yx) ** 2
+    p, q = c.c_xx - c.c_yy, c.c_xy + c.c_yx
+    return p * p + q * q
 
 
 def chsh_from_components(c_xx, c_xy, c_yx, c_yy):
@@ -205,9 +206,10 @@ def chsh_value(c: CorrelationVector) -> float:
 
 
 def coherence_from_matrices(rho):
-    """|<00|rho|11>| + |<10|rho|01>| for a (..., 4, 4) stack of states."""
+    """|<00|rho|11>| + |<10|rho|01>|, moduli by ``hypot``, for a (..., 4, 4) state or stack."""
     rho = np.asarray(rho)
-    return np.abs(rho[..., 0, 3]) + np.abs(rho[..., 2, 1])
+    a, b = rho[..., 0, 3], rho[..., 2, 1]
+    return np.hypot(a.real, a.imag) + np.hypot(b.real, b.imag)
 
 
 def coherence_bound_lhs(rho: DensityOperator4) -> float:
@@ -215,10 +217,9 @@ def coherence_bound_lhs(rho: DensityOperator4) -> float:
 
     Equals a quarter of the tight-bound left-hand side of the state's
     correlations, since each coherence collects one pair of correlation
-    combinations. Uses Python's complex ``abs``, which can differ from
-    numpy's (``coherence_from_matrices``) in the last bit.
+    combinations.
     """
-    return float(abs(rho.mat[0, 3]) + abs(rho.mat[2, 1]))
+    return float(coherence_from_matrices(rho.mat))
 
 
 def _golden_section_max(f, lo: float | np.ndarray, hi: float | np.ndarray, iters: int):

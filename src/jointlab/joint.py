@@ -175,12 +175,12 @@ class Moments:
 
 def admissible_visibilities(v_x, v_y, tol: float = DEFAULT_TOL):
     """Uncertainty relation v_x**2 + v_y**2 <= 1 (+ tol), elementwise on arrays."""
-    return v_x**2 + v_y**2 <= 1.0 + tol
+    return v_x * v_x + v_y * v_y <= 1.0 + tol
 
 
 def bloch_bound_lhs(ex, ey):
     """ex**2 + ey**2, elementwise on arrays; physical states satisfy <= 1."""
-    return ex**2 + ey**2
+    return ex * ex + ey * ey
 
 
 def _hermitian_2x2(diagonal: float, off) -> np.ndarray:

@@ -3,9 +3,8 @@
 Randomness policy: every public operation takes a ``SeededSampler`` naming a
 counter-based bit generator (Philox) plus a 64-bit seed, and Gaussian
 variates are produced by a Box-Muller transform of uniform pairs drawn from
-that stream. Identical (seed, algorithm_id) therefore reproduce results
-bit-for-bit, independent of library version details of higher-level
-distributions.
+that stream. Identical seeds therefore reproduce results bit-for-bit,
+independent of library version details of higher-level distributions.
 
 The hot paths are exact kernels on that stream. ``random_state_stack`` draws
 all its members from one stream, laid out as the lone generators lay out
@@ -79,8 +78,6 @@ __all__ = [
     "constrained_chsh_grid_max",
 ]
 
-_ALGORITHMS = {"philox-boxmuller-v1": np.random.Philox}
-
 #: Probabilities below this are floating-point zeros; treated as exact zeros
 #: when building a sampling CDF so analytically suppressed outcomes can
 #: never appear in a finite sample.
@@ -112,31 +109,28 @@ _NORMALS_PER_MEMBER = {"haar": 4, "ginibre": 16}
 
 @dataclass(frozen=True)
 class SeededSampler:
-    """Named, versioned pseudorandom stream specification.
+    """A Philox stream keyed by ``seed``, named ``philox-boxmuller-v1:{seed}``.
 
     ``rng()`` builds a fresh generator each call, so the same sampler value
     always reproduces the same draws.
     """
 
     seed: int
-    algorithm_id: str = "philox-boxmuller-v1"
 
     def __post_init__(self):
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.algorithm_id not in _ALGORITHMS:
-            raise ValueError(f"unknown algorithm_id {self.algorithm_id!r}")
 
     def rng(self) -> np.random.Generator:
-        return np.random.Generator(_ALGORITHMS[self.algorithm_id](key=self.seed))
+        return np.random.Generator(np.random.Philox(key=self.seed))
 
     def derive(self, index: int) -> "SeededSampler":
         """Independent child stream for task ``index`` of this master seed."""
         child = np.random.SeedSequence(entropy=self.seed, spawn_key=(int(index),))
-        return SeededSampler(int(child.generate_state(1, np.uint64)[0]), self.algorithm_id)
+        return SeededSampler(int(child.generate_state(1, np.uint64)[0]))
 
     def describe(self) -> str:
-        return f"{self.algorithm_id}:{self.seed}"
+        return f"philox-boxmuller-v1:{self.seed}"
 
 
 def _require_size(what: str, n, minimum: int) -> int:
@@ -185,11 +179,18 @@ def _complex_normals(gen: np.random.Generator, shape: tuple[int, ...]) -> np.nda
 
 
 def _haar_kets(gen: np.random.Generator, n: int) -> np.ndarray:
-    return _unit_rows(_complex_normals(gen, (n, 4)))
+    psi = np.empty((n, 4), dtype=np.complex128)
+    psi.real, psi.imag = _unit_rows(*_normal_parts(gen, (n, 4)))
+    return psi
 
 
-def _unit_rows(psi: np.ndarray) -> np.ndarray:
-    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+def _unit_rows(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parts of each row of re + i im over sqrt(((t0 + t1) + t2) + t3), t = re*re + im*im.
+
+    Real arithmetic throughout, so the bits equal a Python-float loop's on any host.
+    """
+    norm = np.sqrt(_sum_last(re * re + im * im))[:, None]
+    return re / norm, im / norm
 
 
 def _ginibre_rhos(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -306,7 +307,7 @@ def correlation_ensemble(n: int, s: SeededSampler, kind: str = "haar") -> np.nda
 
 def _stream_at(s: SeededSampler, position: int) -> np.random.Generator:
     """``s.rng()`` with its first ``position`` outputs skipped; position is a multiple of 4."""
-    bits = _ALGORITHMS[s.algorithm_id](key=s.seed)
+    bits = np.random.Philox(key=s.seed)
     bits.advance(position // 4)  # Philox's counter steps once per four outputs
     return np.random.Generator(bits)
 
@@ -325,10 +326,8 @@ def _ensemble_block(out: np.ndarray, s: SeededSampler, kind: str, i0: int) -> No
     u1 = _stream_at(s, per * i0).random(count)
     u2 = _stream_at(s, per * (n + i0)).random(count)
     if kind == "haar":
-        psi = np.empty((i1 - i0, 4), dtype=np.complex128)
-        psi.real, psi.imag = _box_muller(u1, u2, psi.shape)
-        psi = _unit_rows(psi)[:, :, None]
-        out[i0:i1] = _antidiagonal_correlations(*_antidiagonal(psi.real, psi.imag))
+        re, im = _unit_rows(*_box_muller(u1, u2, (i1 - i0, 4)))
+        out[i0:i1] = _antidiagonal_correlations(*_antidiagonal(re[:, :, None], im[:, :, None]))
     else:
         a, b = _box_muller(u1, u2, (i1 - i0, 4, 4))
         scale = 1.0 / _sum_last(_sum_last(a * a + b * b))
@@ -596,7 +595,8 @@ def zero_probability_chsh(phi: float) -> float:
     suppressed = (1.0 / 16.0) * (1.0 - math.cos(half + half - phi))
     if abs(suppressed) > 1e-12:
         raise ArithmeticError(f"suppressed outcome has probability {suppressed!r}")
-    return 1.0 + math.cos(phi) - math.cos(phi) ** 2
+    cos = math.cos(phi)
+    return 1.0 + cos - cos * cos
 
 
 @dataclass(frozen=True)
@@ -614,7 +614,8 @@ def zero_probability_curve_max(step: float = 1e-4) -> CurveOptimum:
     point to ~1e-11. The analytic optimum is 1.25 at cos(phi) = 1/2.
     """
     phis = np.arange(0.0, math.pi + 0.5 * step, step)
-    values = 1.0 + np.cos(phis) - np.cos(phis) ** 2
+    cos = np.cos(phis)
+    values = 1.0 + cos - cos * cos
     phi0 = float(phis[int(np.argmax(values))])
     phi_star, _ = _golden_section_max(
         zero_probability_chsh, max(0.0, phi0 - step), min(math.pi, phi0 + step), 80
@@ -645,5 +646,6 @@ def constrained_chsh_grid_max(phi: float) -> float:
     alphas = np.arange(lo + 1e-4, hi, 1e-4)
     if alphas.size == 0:
         return experimental_chsh(phi, AnglePair(0.5 * phi, 0.5 * phi))
-    values = np.cos(2.0 * alphas - phi) * math.cos(phi) + math.sin(phi) ** 2
+    sin = math.sin(phi)
+    values = np.cos(2.0 * alphas - phi) * math.cos(phi) + sin * sin
     return float(values.max())

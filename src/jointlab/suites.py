@@ -195,7 +195,8 @@ def run_scan_suite(
         return results, checks
     if what == "zero-prob-curve":
         phis = np.linspace(0.0, math.pi, grid_steps)
-        values = 1.0 + np.cos(phis) - np.cos(phis) ** 2
+        cos = np.cos(phis)
+        values = 1.0 + cos - cos * cos
         step = math.pi / max(grid_steps - 1, 1)
         curve = zero_probability_curve_max(step=min(step, 1e-4))
         checks = list(zero_probability_checks(curve, (curve.phi,), (curve.phi,)))

@@ -395,10 +395,7 @@ def sup_identity_residual(sampler: SeededSampler, n: int) -> float:
     of four, and are searched as one stack.
     """
     c = 2.0 * sampler.rng().random((n, 4)) - 1.0
-    # the closed form row by row on Python floats, as tight_bound_lhs takes it:
-    # Python's x ** 2 and numpy's array square differ in the last bit for ~0.1 % of x
-    closed = np.array([tight_bound_from_components(*row) for row in c.tolist()])
-    return max_residual(np.abs(sup_over_angles(c) - closed))
+    return max_residual(np.abs(sup_over_angles(c) - tight_bound_from_components(*c.T)))
 
 
 def criterion_sup_identity(seed: int, n: int = 1000) -> tuple[Check, ...]:
@@ -431,8 +428,7 @@ def coherence_identity_residuals(seed: int, n: int = 1000) -> tuple[float, float
     phis = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
     kets = np.array([BellFamilyState(float(phi)).ket() for phi in phis])
     bell = validate_densities(kets[:, :, None] * kets.conj()[:, None, :])
-    # Python's complex abs, as coherence_bound_lhs takes it; np.abs can differ in the last bit
-    bell_dev = max_residual(abs(abs(r[0][3]) + abs(r[2][1]) - 0.5) for r in bell.tolist())
+    bell_dev = max_residual(np.abs(coherence_from_matrices(bell) - 0.5))
     singlet_type = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
     mixture = DensityOperator4(0.5 * bell[0] + 0.5 * np.outer(singlet_type, singlet_type.conj()))
     mixture_dev = abs(coherence_bound_lhs(mixture) - 0.5)

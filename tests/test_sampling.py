@@ -61,10 +61,6 @@ class TestSeededSampler:
         with pytest.raises(ValueError, match="seed"):
             SeededSampler(2**64)
 
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError, match="algorithm"):
-            SeededSampler(1, algorithm_id="mystery-prng")
-
     def test_same_seed_same_stream(self):
         a = SeededSampler(123).rng().random(32)
         b = SeededSampler(123).rng().random(32)
@@ -85,7 +81,7 @@ class TestSeededSampler:
         for i in CHILD_INDICES:
             child = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
             expected = int(child.generate_state(1, np.uint64)[0])
-            assert master.derive(i) == SeededSampler(expected, master.algorithm_id)
+            assert master.derive(i) == SeededSampler(expected)
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
     def test_rng_is_philox_keyed_by_the_seed(self, seed):

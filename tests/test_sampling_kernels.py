@@ -1,12 +1,12 @@
 """The sampling kernels against the forms they replace, bit for bit.
 
 The references are the forms the kernels replaced: complex Box-Muller
-normals built with ``z + 1j*z`` after a ``concatenate``, the einsum density
-matrices and correlations, one ``np.searchsorted`` over the whole sample,
-``values.mean()``, the standard error from the +-1 values in exact integer
-arithmetic (and within 1e-15 of ``values.std(ddof=1)``) and a scan over
-outcome rows. Every comparison is on raw bytes, so a signed zero or a
-last-bit rounding difference fails.
+normals built with ``z + 1j*z`` after a ``concatenate``, Haar kets normalized
+in real arithmetic, the einsum density matrices and correlations, one
+``np.searchsorted`` over the whole sample, ``values.mean()``, the standard
+error from the +-1 values in exact integer arithmetic (and within 1e-15 of
+``values.std(ddof=1)``) and a scan over outcome rows. Every comparison is on
+raw bytes, so a signed zero or a last-bit rounding difference fails.
 """
 
 import math
@@ -67,7 +67,10 @@ def reference_ensemble(n, s, kind):
     gen = s.rng()
     if kind == "haar":
         psi = reference_complex_normals(gen, (n, 4))
-        psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
+        # the norm and both divisions in real arithmetic
+        t = psi.real * psi.real + psi.imag * psi.imag
+        norm = np.sqrt(((t[:, 0] + t[:, 1]) + t[:, 2]) + t[:, 3])[:, None]
+        psi = psi.real / norm + 1j * (psi.imag / norm)
         return np.einsum("ni,kij,nj->nk", psi.conj(), PAULI_PAIRS[:4], psi).real
     g = reference_complex_normals(gen, (n, 4, 4))
     rho = np.einsum("nij,nkj->nik", g, g.conj())
