@@ -90,6 +90,7 @@ from .sampling import (
     random_state_stack,
     sample_outcomes,
     zero_probability_chsh,
+    zero_probability_curve,
     zero_probability_curve_max,
 )
 

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import suites
-from .reporting import Report, make_timestamp, report_to_json, write_report, write_shots_csv
+from .reporting import Report, make_timestamp, report_json_pieces, write_report, write_shots_csv
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
 
@@ -56,7 +56,8 @@ OUTPUT_DIR_ENV = "JOINTLAB_OUTPUT_DIR"
 SINGLE_GRID_STEPS_MAX = 1024
 
 #: Largest ``scan --what chsh-surface --grid-steps``. The table holds steps**2
-#: rows (26.5 MB of JSON, about 0.45 s and +112 MiB of RSS at the cap).
+#: rows (26.5 MB of JSON, written in row blocks: about 0.27 s and +38 MiB of
+#: RSS at the cap).
 CHSH_SURFACE_STEPS_MAX = 512
 
 #: Largest ``scan --what zero-prob-curve --grid-steps``. The curve table costs
@@ -66,7 +67,7 @@ ZERO_PROB_CURVE_STEPS_MAX = 100_001
 
 #: Largest ``sample --n-shots``. A shot costs ~0.013 us and ~2 B of RSS on 2
 #: CPUs (about 0.03 s and 3.5 MiB at the cap); ``--shots-output`` writes the
-#: archive in blocks, adding ~0.08 us per shot and no memory.
+#: archive in blocks, adding ~0.06 us per shot and no memory.
 N_SHOTS_MAX = 2_000_000
 
 #: Largest ``bound --state-file`` in bytes. A 4x4 matrix of [re, im] pairs
@@ -287,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         if config.output_path:
             write_report(report, _resolve_output(config.output_path), config.format)
         else:
-            sys.stdout.write(report_to_json(report))
+            sys.stdout.writelines(report_json_pieces(report))
         return 0 if report.all_pass else 1
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         # ahead of ValueError, which LinAlgError subclasses

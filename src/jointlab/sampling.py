@@ -73,6 +73,7 @@ __all__ = [
     "experimental_chsh",
     "chsh_surface",
     "max_experimental_chsh",
+    "zero_probability_curve",
     "zero_probability_chsh",
     "zero_probability_curve_max",
     "constrained_chsh_grid_max",
@@ -379,17 +380,87 @@ def _run_blocks(work, starts) -> None:
 
 
 def _run_blocks_in_order(work, starts):
-    """Yield ``work(start)`` for every start, in order, computed by ``_run_blocks``.
+    """Yield ``work(start)`` for every start, in order, computed ahead on one thread per usable CPU.
 
-    Two blocks per worker are computed at a time, so only that many results
-    are held at once, and the workers are joined before each batch is yielded.
+    A bounded in-order pipeline: blocks are computed ahead of the one the
+    caller holds, at most ``2 * _usable_cpus()`` blocks at a time counting
+    that one, so the caller can write block k while block k + 1 and on are
+    computed. A block counts until the caller asks for the next one. The
+    caller's thread is one of the workers: while the block it asks for is not
+    ready, it computes the next block due, so a single block starts no
+    thread. After a block fails no new block starts, and the first failure is
+    raised here. When the caller stops early, closing the generator, the
+    workers stop after their current block; every worker is joined before
+    the generator ends.
     """
-    batch = 2 * _usable_cpus()
-    for b0 in range(0, len(starts), batch):
-        chunk = starts[b0 : b0 + batch]
-        results = [None] * len(chunk)
-        _run_blocks(lambda k: results.__setitem__(k, work(chunk[k])), range(len(chunk)))
-        yield from results
+    window = 2 * _usable_cpus()
+    ready = {}  # position in starts -> result, not yet yielded
+    errors = []
+    cond = threading.Condition()
+    handed_out = released = 0
+    stopped = False
+
+    def take():
+        """Under ``cond``: the position of the next block due, or None if none may start now."""
+        nonlocal handed_out
+        if stopped or errors or handed_out == len(starts) or handed_out - released >= window:
+            return None
+        handed_out += 1
+        return handed_out - 1
+
+    def compute(k):
+        try:
+            result = work(starts[k])
+        except BaseException as exc:  # raised again in the caller's thread
+            with cond:
+                errors.append(exc)
+                cond.notify_all()
+            return
+        with cond:
+            ready[k] = result
+            cond.notify_all()
+
+    def worker():
+        while True:
+            with cond:
+                k = take()
+                while k is None and not (stopped or errors or handed_out == len(starts)):
+                    cond.wait()
+                    k = take()
+            if k is None:
+                return
+            compute(k)
+
+    helpers = []
+    try:
+        for _ in range(min(_usable_cpus(), len(starts)) - 1):
+            thread = threading.Thread(target=worker, daemon=True)
+            thread.start()
+            helpers.append(thread)
+        for k in range(len(starts)):
+            while True:
+                with cond:
+                    if errors:
+                        raise errors[0]
+                    if k in ready:
+                        result = ready.pop(k)
+                        break
+                    j = take()
+                    if j is None:
+                        cond.wait()
+                        continue
+                compute(j)
+            yield result
+            del result
+            with cond:
+                released = k + 1
+                cond.notify_all()
+    finally:
+        with cond:
+            stopped = True
+            cond.notify_all()
+        for thread in helpers:
+            thread.join()
 
 
 @dataclass(frozen=True)
@@ -582,6 +653,11 @@ def max_experimental_chsh(phi: float, grid_steps: int = 181) -> ChshOptimum:
     return ChshOptimum(_chsh(phi, alpha, beta), alpha, beta)
 
 
+def zero_probability_curve(cos_phi):
+    """The zero-probability CHSH curve 1 + c - c * c at c = cos(phi), on a float or an array."""
+    return 1.0 + cos_phi - cos_phi * cos_phi
+
+
 def zero_probability_chsh(phi: float) -> float:
     """Observed CHSH value when one outcome probability is pinned at zero.
 
@@ -595,8 +671,7 @@ def zero_probability_chsh(phi: float) -> float:
     suppressed = (1.0 / 16.0) * (1.0 - math.cos(half + half - phi))
     if abs(suppressed) > 1e-12:
         raise ArithmeticError(f"suppressed outcome has probability {suppressed!r}")
-    cos = math.cos(phi)
-    return 1.0 + cos - cos * cos
+    return zero_probability_curve(math.cos(phi))
 
 
 @dataclass(frozen=True)
@@ -614,8 +689,7 @@ def zero_probability_curve_max(step: float = 1e-4) -> CurveOptimum:
     point to ~1e-11. The analytic optimum is 1.25 at cos(phi) = 1/2.
     """
     phis = np.arange(0.0, math.pi + 0.5 * step, step)
-    cos = np.cos(phis)
-    values = 1.0 + cos - cos * cos
+    values = zero_probability_curve(np.cos(phis))
     phi0 = float(phis[int(np.argmax(values))])
     phi_star, _ = _golden_section_max(
         zero_probability_chsh, max(0.0, phi0 - step), min(math.pi, phi0 + step), 80

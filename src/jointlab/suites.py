@@ -39,6 +39,7 @@ from .sampling import (
     haar_random_pure_state,
     max_experimental_chsh,
     sample_outcomes,
+    zero_probability_curve,
     zero_probability_curve_max,
 )
 from .verify import (
@@ -195,8 +196,7 @@ def run_scan_suite(
         return results, checks
     if what == "zero-prob-curve":
         phis = np.linspace(0.0, math.pi, grid_steps)
-        cos = np.cos(phis)
-        values = 1.0 + cos - cos * cos
+        values = zero_probability_curve(np.cos(phis))
         step = math.pi / max(grid_steps - 1, 1)
         curve = zero_probability_curve_max(step=min(step, 1e-4))
         checks = list(zero_probability_checks(curve, (curve.phi,), (curve.phi,)))

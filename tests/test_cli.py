@@ -595,6 +595,21 @@ class TestOutputHandling:
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_pass"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["scan", "--what", "chsh-surface", "--grid-steps", "256"], ["verify", "--seed", "7"]],
+    )
+    def test_stdout_report_equals_file_report(self, tmp_path, capsys, argv):
+        # both print the same pieces; only the timestamp and the echoed --output differ
+        def lines(text):
+            drop = ('"timestamp":', '"output_path":')
+            return [line for line in text.splitlines(True) if not line.lstrip().startswith(drop)]
+
+        out = tmp_path / "report.json"
+        assert main(argv + ["--output", str(out)]) == 0
+        assert main(argv) == 0
+        assert lines(capsys.readouterr().out) == lines(out.read_text())
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "report.csv"
         assert main(["bound", "--seed", "3", "--format", "csv", "--output", str(out)]) == 0

@@ -2,13 +2,23 @@
 
 The reference functions below are the implementations the array path
 replaced: one f-string per shot over the outcome rows for the shot archive,
-and scan tables built as Python lists of ``[alpha, beta, value]`` or
-``[phi, value]`` row lists, serialized through the recursive list branch of
-``dumps_json``.
+scan tables built as Python lists of ``[alpha, beta, value]`` or
+``[phi, value]`` row lists, and the recursive serializer that built each
+level's text whole by joining its children's texts. The JSON report is now
+written in pieces and the archive through an in-order pipeline; both are
+checked here against those references, byte for byte.
 """
 
 import hashlib
+import json
 import math
+import os
+import select
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,17 +26,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from jointlab import reporting, sampling
+from jointlab.cli import RunConfig, run
 from jointlab.pairs import PAIR_OUTCOMES, outcome_indices
 from jointlab.reporting import (
     Report,
     _SHOT_BLOCK_ROWS,
+    _TABLE_BLOCK_ROWS,
     dumps_json,
+    report_json_pieces,
     report_to_json,
     shots_csv_text,
+    write_report,
     write_shots_csv,
 )
 from jointlab.sampling import ShotRecord, chsh_surface
 from jointlab.suites import run_scan_suite
+from jointlab.verify import Check
 
 
 def reference_shot_line(i, row):
@@ -51,6 +67,34 @@ def reference_scan_table(what, phi, grid_steps):
     phis = np.linspace(0.0, math.pi, grid_steps)
     values = 1.0 + np.cos(phis) - np.cos(phis) ** 2
     return [[float(p), float(f)] for p, f in zip(phis, values)]
+
+
+def reference_dumps_json(obj, indent=0):
+    """The recursive serializer the piece writer replaced, for lists, dicts and scalars."""
+    pad = " " * indent
+    child = indent + 2
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        lines = [f"{' ' * child}{json.dumps(str(k))}: {reference_dumps_json(v, child)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(lines) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        lines = [f"{' ' * child}{reference_dumps_json(v, child)}" for v in obj]
+        return "[\n" + ",\n".join(lines) + f"\n{pad}]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError("non-finite value in report")
+        return format(obj, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    assert obj is None
+    return "null"
 
 
 def random_record(n, seed=0):
@@ -241,3 +285,225 @@ def test_scan_report_equals_reference_serialization(what, phi, grid_steps):
         return report_to_json(Report({"what": what}, payload, tuple(checks), timestamp="t"))
 
     assert report(results) == report(reference)
+
+
+def cli_report(argv):
+    """The Report one CLI run builds, from its argv words."""
+    subcommand, *rest = argv
+    options = dict(zip(rest[::2], rest[1::2]))
+    kwargs = {}
+    for flag, value in options.items():
+        name = flag[2:].replace("-", "_")
+        kwargs[name] = int(value) if name in ("seed", "grid_steps", "n_shots") else value
+    return run(RunConfig(subcommand, **kwargs))
+
+
+EVERY_SUBCOMMAND = [
+    ["single", "--grid-steps", "33"],
+    ["pair", "--seed", "11"],
+    ["bound", "--state", "bell"],
+    ["bound", "--state", "haar", "--seed", "11"],
+    ["bound", "--state", "mixed"],
+    ["sample", "--n-shots", "1000"],
+    ["verify"],
+    ["scan", "--what", "chsh-surface", "--grid-steps", "9"],
+    ["scan", "--what", "chsh-surface", "--grid-steps", "256"],
+    ["scan", "--what", "chsh-surface", "--grid-steps", "512"],
+    ["scan", "--what", "zero-prob-curve", "--grid-steps", "9"],
+    ["scan", "--what", "zero-prob-curve", "--grid-steps", "100001"],
+]
+
+
+class TestStreamedReport:
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=" ".join)
+    def test_written_bytes_equal_report_to_json(self, tmp_path, argv):
+        report = cli_report(argv)
+        path = tmp_path / "report.json"
+        write_report(report, path)
+        text = report_to_json(report)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert "".join(report_json_pieces(report)) == text
+
+    @pytest.mark.parametrize("argv", [a for a in EVERY_SUBCOMMAND if a[-1] not in ("512",)], ids=" ".join)
+    def test_report_equals_recursive_reference(self, argv):
+        text = report_to_json(cli_report(argv))
+        assert reference_dumps_json(json.loads(text)) + "\n" == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        obj=st.recursive(
+            st.none() | st.booleans() | st.integers() | st.text(max_size=5)
+            | st.floats(allow_nan=False, allow_infinity=False),
+            lambda children: st.lists(children, max_size=4)
+            | st.dictionaries(st.text(max_size=5), children, max_size=4),
+            max_leaves=30,
+        ),
+        indent=st.sampled_from([0, 2, 4]),
+    )
+    def test_any_payload_equals_recursive_reference(self, obj, indent):
+        assert dumps_json(obj, indent) == reference_dumps_json(obj, indent)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (_TABLE_BLOCK_ROWS - 1, 3),
+            (_TABLE_BLOCK_ROWS, 3),
+            (_TABLE_BLOCK_ROWS + 1, 3),
+            (2 * _TABLE_BLOCK_ROWS + 1, 2),
+            (2 * _TABLE_BLOCK_ROWS + 1, 1),
+            (0, 3),
+            (0, 0),
+            (5, 0),
+            (_TABLE_BLOCK_ROWS + 1, 0),
+        ],
+    )
+    def test_tables_around_the_row_block_size(self, tmp_path, shape):
+        n, k = shape
+        table = np.random.default_rng(n + k).standard_normal(shape)
+        table[::3] = np.round(table[::3], 1)  # repeated values, formatted once each
+        payload = {"results": {"table": table, "after": [1.5]}}
+        listed = {"results": {"table": table.tolist(), "after": [1.5]}}
+        pieces = list(reporting._json_pieces(payload))
+        assert "".join(pieces) == dumps_json(listed) == reference_dumps_json(listed)
+        if n and k:
+            # the text before the table, one piece per row block, the text after it
+            assert len(pieces) == 2 + -(-n // _TABLE_BLOCK_ROWS)
+            for piece in pieces[1:-1]:
+                assert piece.count("\n" + " " * 6 + "]") <= _TABLE_BLOCK_ROWS
+        report = Report({"what": "table"}, {"table": table}, (), timestamp="t")
+        path = tmp_path / "report.json"
+        write_report(report, path)
+        assert path.read_bytes() == report_to_json(report).encode()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("existing", [None, b"earlier report\n"])
+    def test_non_finite_table_raises_before_the_file_is_opened(self, tmp_path, bad, existing):
+        table = np.ones((3 * _TABLE_BLOCK_ROWS, 3))
+        table[-1, 2] = bad  # in the last row block
+        report = Report({"what": "table"}, {"first": 1.0, "table": table}, (), timestamp="t")
+        path = tmp_path / "report.json"
+        if existing is not None:
+            path.write_bytes(existing)
+        with pytest.raises(ValueError, match="non-finite"):
+            write_report(report, path)
+        with pytest.raises(ValueError, match="non-finite"):
+            report_json_pieces(report)
+        if existing is None:
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == existing
+
+    def test_non_finite_check_value_raises_before_the_file_is_opened(self, tmp_path):
+        check = Check("c", math.nan, 1.0, 1e-9, False)
+        report = Report({}, {"table": np.ones((4, 2))}, (check,), timestamp="t")
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_report(report, path)
+        assert not path.exists()
+
+    def test_surface_cap_rss_growth_below_twice_the_report(self, tmp_path):
+        # ru_maxrss is the peak resident set, in KiB on Linux and bytes on macOS
+        code = (
+            "import resource, sys, jointlab.cli\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "rc = jointlab.cli.main(['scan', '--what', 'chsh-surface', '--grid-steps', '512',"
+            " '--output', sys.argv[1]])\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(rc, after - before)\n"
+        )
+        path = tmp_path / "surface.json"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(path)], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        rc, growth = map(int, proc.stdout.split())
+        growth *= 1 if sys.platform == "darwin" else 1024
+        size = path.stat().st_size
+        assert rc == 0 and size > 25 * 2**20
+        assert growth < 2 * size, f"RSS grew {growth / 2**20:.1f} MiB for {size / 2**20:.1f} MiB"
+
+
+class TestShotPipeline:
+    RECORD = random_record(40 * _SHOT_BLOCK_ROWS + 7, seed=11)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_at_most_two_blocks_per_worker_held(self, monkeypatch, cpus):
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
+        lock = threading.Lock()
+        state = {"started": 0, "taken": 0, "peak": 0}
+        block = reporting._shot_csv_block
+
+        def counted(index, start):
+            with lock:
+                state["started"] += 1
+                state["peak"] = max(state["peak"], state["started"] - state["taken"])
+            return block(index, start)
+
+        monkeypatch.setattr(reporting, "_shot_csv_block", counted)
+        before = threading.active_count()
+        blocks = reporting._shot_csv_blocks(self.RECORD.index)
+        taken = [next(blocks)]  # the header
+        for b in blocks:
+            time.sleep(0.002)  # a slow writer, so the workers fill the window
+            taken.append(b)
+            with lock:
+                state["taken"] += 1
+        assert threading.active_count() == before
+        assert state["started"] == len(taken) - 1 == 41
+        # helpers run ahead of the writer, but never past the window; on one
+        # CPU the caller formats each block itself when it asks for it
+        assert state["peak"] <= 2 * cpus
+        assert state["peak"] > 1 if cpus > 1 else state["peak"] == 1
+        assert b"".join(taken) == shots_csv_text(self.RECORD).encode()
+
+    def test_failing_block_reaches_the_caller(self, monkeypatch, tmp_path):
+        error = RuntimeError("block failed")
+        block = reporting._shot_csv_block
+
+        def fail_at_block_five(index, start):
+            if start == 5 * _SHOT_BLOCK_ROWS:
+                raise error
+            return block(index, start)
+
+        monkeypatch.setattr(reporting, "_shot_csv_block", fail_at_block_five)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            write_shots_csv(self.RECORD, tmp_path / "shots.csv")
+        assert info.value is error
+        assert threading.active_count() == before
+        with pytest.raises(RuntimeError) as info:
+            shots_csv_text(self.RECORD)
+        assert info.value is error
+        assert threading.active_count() == before
+
+    def test_consumer_that_stops_after_one_block_leaves_no_worker(self):
+        before = threading.active_count()
+        blocks = reporting._shot_csv_blocks(self.RECORD.index)
+        assert next(blocks) == b"index,x_a,y_a,x_b,y_b\n"
+        first = next(blocks)
+        blocks.close()
+        assert threading.active_count() == before
+        text = shots_csv_text(self.RECORD).encode()
+        assert text.startswith(b"index,x_a,y_a,x_b,y_b\n" + first.tobytes())
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    def test_fifo_whose_reader_closes_leaves_no_worker(self, tmp_path):
+        fifo = tmp_path / "shots.fifo"
+        os.mkfifo(fifo)
+        read_end = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+
+        def close_on_first_bytes():
+            select.select([read_end], [], [], 60.0)
+            os.close(read_end)
+
+        before = threading.active_count()
+        reader = threading.Thread(target=close_on_first_bytes)
+        reader.start()
+        try:
+            with pytest.raises(BrokenPipeError):
+                write_shots_csv(self.RECORD, fifo)
+        finally:
+            reader.join(timeout=60.0)
+        assert not reader.is_alive()
+        assert threading.active_count() == before
