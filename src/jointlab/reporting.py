@@ -97,7 +97,7 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _dumps_table(table: np.ndarray, indent: int, out: list) -> None:
+def _encode_table(table: np.ndarray, indent: int, out: list) -> None:
     """Append a 2-D float array to ``out`` as ``_encode(table.tolist(), indent, out)`` would.
 
     Each distinct double (by bit pattern, so ``-0.0`` and ``0.0`` stay apart)
@@ -168,7 +168,7 @@ def _encode(obj: Any, indent: int, out: list) -> None:
         out.append(f"\n{' ' * indent}]")
         return
     if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f":
-        _dumps_table(obj, indent, out)
+        _encode_table(obj, indent, out)
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):

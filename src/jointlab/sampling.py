@@ -393,7 +393,8 @@ def _run_blocks_in_order(work, starts):
     workers stop after their current block; every worker is joined before
     the generator ends.
     """
-    window = 2 * _usable_cpus()
+    cpus = _usable_cpus()
+    window = 2 * cpus
     ready = {}  # position in starts -> result, not yet yielded
     errors = []
     cond = threading.Condition()
@@ -433,7 +434,8 @@ def _run_blocks_in_order(work, starts):
 
     helpers = []
     try:
-        for _ in range(min(_usable_cpus(), len(starts)) - 1):
+        for _ in range(min(cpus, len(starts)) - 1):
+            # daemon: a generator that is never closed must not keep the interpreter alive
             thread = threading.Thread(target=worker, daemon=True)
             thread.start()
             helpers.append(thread)

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from jointlab import reporting, sampling
-from jointlab.cli import RunConfig, run
+from jointlab.cli import RunConfig, build_parser, run
 from jointlab.pairs import PAIR_OUTCOMES, outcome_indices
 from jointlab.reporting import (
     Report,
@@ -288,14 +288,8 @@ def test_scan_report_equals_reference_serialization(what, phi, grid_steps):
 
 
 def cli_report(argv):
-    """The Report one CLI run builds, from its argv words."""
-    subcommand, *rest = argv
-    options = dict(zip(rest[::2], rest[1::2]))
-    kwargs = {}
-    for flag, value in options.items():
-        name = flag[2:].replace("-", "_")
-        kwargs[name] = int(value) if name in ("seed", "grid_steps", "n_shots") else value
-    return run(RunConfig(subcommand, **kwargs))
+    """The Report one CLI run builds from ``argv``."""
+    return run(RunConfig(**vars(build_parser().parse_args(argv))))
 
 
 EVERY_SUBCOMMAND = [
