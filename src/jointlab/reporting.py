@@ -184,7 +184,7 @@ def _encode(obj: Any, indent: int, out: list) -> None:
 
 
 def _json_pieces(obj: Any, indent: int = 0) -> Iterator[str]:
-    """The text of ``dumps_json(obj, indent)`` as pieces: each run of scalar text, then each row block.
+    """``dumps_json(obj, indent)`` as pieces: each run of scalar text, then each row block.
 
     Everything is checked before this returns, so a non-finite value or an
     unserializable object raises before the first piece is taken.

@@ -76,7 +76,10 @@ def reference_dumps_json(obj, indent=0):
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        lines = [f"{' ' * child}{json.dumps(str(k))}: {reference_dumps_json(v, child)}" for k, v in obj.items()]
+        lines = [
+            f"{' ' * child}{json.dumps(str(k))}: {reference_dumps_json(v, child)}"
+            for k, v in obj.items()
+        ]
         return "{\n" + ",\n".join(lines) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -318,7 +321,8 @@ class TestStreamedReport:
         assert path.read_bytes() == text.encode("utf-8")
         assert "".join(report_json_pieces(report)) == text
 
-    @pytest.mark.parametrize("argv", [a for a in EVERY_SUBCOMMAND if a[-1] not in ("512",)], ids=" ".join)
+    # the 512-step surface is left out only for time: the recursive reference takes ~3 s on it
+    @pytest.mark.parametrize("argv", [a for a in EVERY_SUBCOMMAND if a[-1] != "512"], ids=" ".join)
     def test_report_equals_recursive_reference(self, argv):
         text = report_to_json(cli_report(argv))
         assert reference_dumps_json(json.loads(text)) + "\n" == text
@@ -408,7 +412,11 @@ class TestStreamedReport:
         path = tmp_path / "surface.json"
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
         proc = subprocess.run(
-            [sys.executable, "-c", code, str(path)], capture_output=True, text=True, timeout=120, env=env
+            [sys.executable, "-c", code, str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         rc, growth = map(int, proc.stdout.split())
