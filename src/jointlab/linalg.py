@@ -75,7 +75,8 @@ def _hermitian_stack(m: np.ndarray) -> np.ndarray:
     k = _first_bad(~np.isfinite(m).all(axis=(-2, -1)))
     if k is not None:
         raise ValueError(f"matrix entries must be finite{_member(k)}")
-    asymmetry = np.abs(m - m.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+    with np.errstate(over="ignore"):  # a difference past the largest double is inf, not Hermitian
+        asymmetry = np.abs(m - m.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
     k = _first_bad(asymmetry > DEFAULT_TOL)
     if k is not None:
         raise ValueError(f"matrix is not Hermitian within tolerance{_member(k)}")

@@ -19,10 +19,10 @@ outcome row per draw, formatted in decimal-aligned blocks of
 ``_SHOT_BLOCK_ROWS`` rows. Each block is one ``uint8`` character matrix: the
 row numbers' digits, from a table of every 4-digit string, beside each shot's
 line tail, from a table indexed by its place in ``PAIR_OUTCOMES``
-(``ShotRecord.index``). The blocks come through a bounded in-order pipeline
-(``sampling._run_blocks_in_order``): one worker per usable CPU formats the
-blocks ahead, at most two per worker at a time, while ``write_shots_csv``
-writes the earlier ones to the file in order.
+(``ShotRecord.index``). The blocks come through ``sampling._run_blocks``, the
+one bounded in-order scheduler that also runs the ensembles and shot draws:
+one worker per usable CPU formats the blocks ahead, at most two per worker at
+a time, while ``write_shots_csv`` writes the earlier ones to the file in order.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Any
 import numpy as np
 
 from .pairs import PAIR_OUTCOMES
-from .sampling import _run_blocks_in_order
+from .sampling import _run_blocks
 
 __all__ = [
     "ARTIFACT_VERSION",
@@ -301,10 +301,10 @@ def _shot_csv_blocks(index: np.ndarray):
     """The shot archive's bytes: the header, then ``_SHOT_BLOCK_ROWS`` lines at a time.
 
     The blocks are formatted ahead, in order, on every core while the caller
-    takes the earlier ones (``_run_blocks_in_order``).
+    takes the earlier ones (``_run_blocks``).
     """
     yield b"index,x_a,y_a,x_b,y_b\n"
-    yield from _run_blocks_in_order(
+    yield from _run_blocks(
         lambda start: _shot_csv_block(index, start), range(0, len(index), _SHOT_BLOCK_ROWS)
     )
 

@@ -13,13 +13,13 @@ one state, so a stack of one is the lone state bit for bit.
 four correlation operators are antidiagonal, summing in real arithmetic in
 the order einsum sums the full matrices. It builds the members in blocks of
 2,048 that fit in L2: each block reads its uniforms from the ensemble's one
-long stream at its own offsets, through ``Philox.advance``, and the blocks
-run on one thread per CPU the process may use, so the bits do not depend on
-the thread count.
-``sample_outcomes`` draws its shots the same way, in blocks of 32,768 on
-every usable CPU. It inverts the CDF through a table of 4,096 equal buckets
-and searches only the shots whose bucket holds a CDF entry. Each of these
-matches the direct numpy form bit for bit.
+long stream at its own offsets, through ``Philox.advance``, so the bits do
+not depend on the thread count. ``sample_outcomes`` draws its shots the same
+way, in blocks of 32,768, inverting the CDF through a table of 4,096 equal
+buckets and searching only the shots whose bucket holds a CDF entry. Each of
+these matches the direct numpy form bit for bit. These blocks, and the shot
+archive's, run through one scheduler, ``_run_blocks``: a bounded in-order
+pipeline with one worker per usable CPU, the caller's thread among them.
 ``estimate_moment`` reads only the 16 outcome counts: the mean as ``mean()``
 gives it, and the standard error from the exact sample variance of +-1
 values, 4 n_plus n_minus / (n (n - 1)), rounded once.
@@ -296,13 +296,15 @@ def correlation_ensemble(n: int, s: SeededSampler, kind: str = "haar") -> np.nda
     themselves; the result is bit-equal to the einsum correlations of the
     full states drawn from the same stream. The members are built in blocks
     of ``_ENSEMBLE_BLOCK``, each reading its uniforms from its own offsets
-    in the stream, on one thread per usable CPU.
+    in the stream and writing its rows in place, through ``_run_blocks``.
     """
     n = _require_size("ensemble size", n, 1)
     if kind not in _NORMALS_PER_MEMBER:
         raise ValueError(f"unknown ensemble kind {kind!r}")
     out = np.empty((n, 4))
-    _run_blocks(lambda i0: _ensemble_block(out, s, kind, i0), range(0, n, _ENSEMBLE_BLOCK))
+    starts = range(0, n, _ENSEMBLE_BLOCK)
+    for _ in _run_blocks(lambda i0: _ensemble_block(out, s, kind, i0), starts):
+        pass
     return out
 
 
@@ -343,55 +345,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_blocks(work, starts) -> None:
-    """Call ``work(start)`` for every start, on one thread per usable CPU.
+def _run_blocks(work, starts):
+    """Yield ``work(start)`` for every start, in order, computed ahead on every usable CPU.
 
-    The caller's thread is one of the workers, and the others are joined
-    before this returns. After a block fails no new block starts, and the
-    first failure is raised again here.
-    """
-    pending = iter(starts)
-    lock = threading.Lock()
-    errors = []
-
-    def worker():
-        while not errors:
-            with lock:
-                start = next(pending, None)
-            if start is None:
-                return
-            try:
-                work(start)
-            except BaseException as exc:  # raised again below, once every worker has stopped
-                errors.append(exc)
-
-    helpers = []
-    try:
-        for _ in range(min(_usable_cpus(), len(starts)) - 1):
-            thread = threading.Thread(target=worker)
-            thread.start()
-            helpers.append(thread)
-        worker()
-    finally:
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
-def _run_blocks_in_order(work, starts):
-    """Yield ``work(start)`` for every start, in order, computed ahead on one thread per usable CPU.
-
-    A bounded in-order pipeline: blocks are computed ahead of the one the
-    caller holds, at most ``2 * _usable_cpus()`` blocks at a time counting
-    that one, so the caller can write block k while block k + 1 and on are
-    computed. A block counts until the caller asks for the next one. The
-    caller's thread is one of the workers: while the block it asks for is not
-    ready, it computes the next block due, so a single block starts no
-    thread. After a block fails no new block starts, and the first failure is
-    raised here. When the caller stops early, closing the generator, the
-    workers stop after their current block; every worker is joined before
-    the generator ends.
+    The one block scheduler, a bounded in-order pipeline: blocks are computed
+    ahead of the one the caller holds, at most ``2 * _usable_cpus()`` at a
+    time counting that one until the caller asks for the next, so the caller
+    can write block k while the next ones are computed. The caller's thread
+    is one of the workers: while the block it asks for is not ready, it
+    computes the next block due, so a single block starts no thread. After a
+    block fails no new block starts, and the first failure is raised here.
+    When the caller stops early, closing the generator, the workers stop
+    after their current block; every worker is joined before the generator
+    ends. Blocks that write their results in place, as the ensembles and the
+    shot draw do, return None, and their caller just drains the generator.
     """
     cpus = _usable_cpus()
     window = 2 * cpus
@@ -557,7 +524,8 @@ def sample_outcomes(
         i1 = min(i0 + _SHOT_BLOCK, n)
         idx[i0:i1] = invert(_stream_at(s, i0).random(i1 - i0))
 
-    _run_blocks(draw_block, range(0, n, _SHOT_BLOCK))
+    for _ in _run_blocks(draw_block, range(0, n, _SHOT_BLOCK)):
+        pass
     return ShotRecord(idx, f"{label + ';' if label else ''}{s.describe()}")
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,19 @@ class TestExitCodes:
         assert main(["bound", "--state", "file", "--state-file", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: state file must hold") and err.count("\n") == 1
+
+    def test_state_file_whose_asymmetry_overflows(self, tmp_path, capsys):
+        # m - m^dagger at [0][1] is 2e308, past the largest double: rejected
+        # as not Hermitian, with no floating-point warning on the way
+        m = np.zeros((4, 4))
+        m[0, 1], m[1, 0] = 1e308, -1e308
+        state_file = tmp_path / "state.json"
+        state_file.write_text(json.dumps(_state_json(m)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["bound", "--state", "file", "--state-file", str(state_file)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: matrix is not Hermitian within tolerance\n"
 
     def test_deeply_nested_state_file(self, tmp_path, capsys):
         # deeper than the recursion limit, yet within STATE_FILE_MAX_BYTES

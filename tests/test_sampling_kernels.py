@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -180,21 +181,49 @@ class TestCorrelationEnsembles:
         correlation_ensemble(4 * BLOCK + 1, SeededSampler(3), "ginibre")
         assert threading.active_count() == before
 
-    def test_failing_block_reaches_the_caller(self, monkeypatch):
-        error = RuntimeError("block failed")
-        box_muller = sampling._box_muller
+    @pytest.mark.parametrize("caller", ["ensemble", "shots", "archive"])
+    def test_one_block_starts_no_thread(self, monkeypatch, tmp_path, caller):
+        # the caller's thread is one of the workers, so it runs a lone block itself
+        record = sample_outcomes(UNIFORM, reporting._SHOT_BLOCK_ROWS, SeededSampler(3))
+        calls = {
+            "ensemble": lambda: correlation_ensemble(BLOCK, SeededSampler(3), "ginibre"),
+            "shots": lambda: sample_outcomes(UNIFORM, SHOT_BLOCK, SeededSampler(3)),
+            "archive": lambda: write_shots_csv(record, tmp_path / "shots.csv"),
+        }
 
-        def fail_on_short_block(u1, u2, shape):
-            if shape[0] == 7:
+        def no_start(thread):
+            raise AssertionError("a one-block call started a thread")
+
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        calls[caller]()
+
+    @pytest.mark.parametrize("caller", ["ensemble", "shots"])
+    def test_failing_block_reaches_the_caller(self, monkeypatch, caller):
+        # block k fails slowly, so the other worker runs ahead: it may fill the
+        # window of 2 * cpus blocks but starts none past it, the block's own
+        # error reaches the caller, and no worker outlives the call
+        cpus, k, error, started = 2, 3, RuntimeError("block failed"), []
+        ensemble = caller == "ensemble"
+        name, size = ("_ensemble_block", BLOCK) if ensemble else ("_stream_at", SHOT_BLOCK)
+        block = getattr(sampling, name)
+
+        def fail_at_block_k(*args):  # each block's first index is the last argument
+            started.append(args[-1] // size)
+            if args[-1] == k * size:
+                time.sleep(0.05)
                 raise error
-            return box_muller(u1, u2, shape)
+            return block(*args)
 
-        monkeypatch.setattr(sampling, "_box_muller", fail_on_short_block)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sampling, name, fail_at_block_k)
         before = threading.active_count()
+        s, n = SeededSampler(3), 20 * size
         with pytest.raises(RuntimeError) as info:
-            correlation_ensemble(2 * BLOCK + 7, SeededSampler(3), "haar")
+            correlation_ensemble(n, s, "haar") if ensemble else sample_outcomes(UNIFORM, n, s)
         assert info.value is error
         assert threading.active_count() == before
+        assert k in started and max(started) <= k + 2 * cpus
 
     def test_cli_import_leaves_thread_pools_and_logging_unloaded(self):
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}

@@ -460,24 +460,32 @@ class TestShotPipeline:
         assert b"".join(taken) == shots_csv_text(self.RECORD).encode()
 
     def test_failing_block_reaches_the_caller(self, monkeypatch, tmp_path):
-        error = RuntimeError("block failed")
+        # block k fails slowly, so the other worker runs ahead: it may fill the
+        # window of 2 * cpus blocks but starts none past it, the block's own
+        # error reaches the caller, and no worker outlives the call
+        cpus, k, error, started = 2, 5, RuntimeError("block failed"), []
         block = reporting._shot_csv_block
 
-        def fail_at_block_five(index, start):
-            if start == 5 * _SHOT_BLOCK_ROWS:
+        def fail_at_block_k(index, start):
+            started.append(start // _SHOT_BLOCK_ROWS)
+            if start == k * _SHOT_BLOCK_ROWS:
+                time.sleep(0.05)
                 raise error
             return block(index, start)
 
-        monkeypatch.setattr(reporting, "_shot_csv_block", fail_at_block_five)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError) as info:
-            write_shots_csv(self.RECORD, tmp_path / "shots.csv")
-        assert info.value is error
-        assert threading.active_count() == before
-        with pytest.raises(RuntimeError) as info:
-            shots_csv_text(self.RECORD)
-        assert info.value is error
-        assert threading.active_count() == before
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(reporting, "_shot_csv_block", fail_at_block_k)
+        for write in (
+            lambda: write_shots_csv(self.RECORD, tmp_path / "shots.csv"),
+            lambda: shots_csv_text(self.RECORD),
+        ):
+            started.clear()
+            before = threading.active_count()
+            with pytest.raises(RuntimeError) as info:
+                write()
+            assert info.value is error
+            assert threading.active_count() == before
+            assert k in started and max(started) <= k + 2 * cpus
 
     def test_consumer_that_stops_after_one_block_leaves_no_worker(self):
         before = threading.active_count()
