@@ -43,6 +43,7 @@ import numpy as np
 
 from . import suites
 from .reporting import Report, make_timestamp, report_json_pieces, write_report, write_shots_csv
+from .sampling import _require_size
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
 
@@ -101,7 +102,10 @@ class RunConfig:
     def __post_init__(self):
         if self.subcommand not in SUBCOMMANDS:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        for name in ("seed", "grid_steps", "n_shots"):
+            value = _require_size(name.replace("_", "-"), getattr(self, name), 0)
+            object.__setattr__(self, name, value)
+        if self.seed >= 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")

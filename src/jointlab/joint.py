@@ -75,22 +75,24 @@ def _check_probabilities(probs: np.ndarray, hypothetical) -> None:
     raise ValueError(f"negative probability in a distribution not flagged hypothetical{_member(k)}")
 
 
-def _check_labels(probs: Mapping, labels: tuple) -> None:
-    """The mapping's keys are exactly ``labels``; otherwise name the missing and foreign ones."""
-    if set(probs) != set(labels):
-        missing = [o for o in labels if o not in probs]
-        foreign = [o for o in probs if o not in labels]
-        raise ValueError(
-            f"distribution must have exactly the {len(labels)} outcome labels; "
-            f"missing {missing}, foreign {foreign}"
-        )
+def _probability_row(probs, labels: tuple, hypothetical) -> np.ndarray:
+    """A read-only float64 copy of ``len(labels)`` probabilities in ``labels`` order, checked."""
+    if isinstance(probs, Mapping):
+        raise ValueError("probabilities must be an array in outcome order, not a mapping")
+    row = np.array(probs, dtype=np.float64)
+    if row.shape != (len(labels),):
+        raise ValueError(f"expected {len(labels)} probabilities in outcome order, got {row.shape}")
+    _check_probabilities(row, np.bool_(hypothetical))
+    row.setflags(write=False)
+    return row
 
 
-def _validate_outcome(outcome: OutcomeLabel) -> OutcomeLabel:
-    x, y = outcome
-    if x not in (-1, 1) or y not in (-1, 1):
-        raise ValueError(f"outcome labels must be +-1, got {outcome!r}")
-    return int(x), int(y)
+def _outcome_index(labels: tuple, outcome) -> int:
+    """Position of ``outcome`` in ``labels``; ValueError for a label not among them."""
+    try:
+        return labels.index(tuple(outcome))
+    except (TypeError, ValueError):
+        raise ValueError(f"unknown outcome label {outcome!r}") from None
 
 
 @dataclass(frozen=True)
@@ -143,25 +145,24 @@ class BlochEquatorial:
 class SingleOutcomeDistribution:
     """Probabilities over the four joint outcomes (x, y) in {+-1}^2.
 
-    Entries sum to one. Negative entries are only allowed when the
+    ``probs`` is a read-only float64 copy of shape ``(4,)`` in ``OUTCOMES``
+    order, i.e. one row of ``outcome_probabilities``; ``d[(x, y)]`` reads one
+    entry. Entries sum to one. Negative entries are only allowed when the
     distribution was produced from inadmissible visibilities or an
     unphysical Bloch vector, recorded in ``hypothetical``.
     """
 
-    probs: Mapping[OutcomeLabel, float]
+    probs: np.ndarray
     hypothetical: bool = False
 
     def __post_init__(self):
-        _check_labels(self.probs, OUTCOMES)
-        probs = {o: float(self.probs[o]) for o in OUTCOMES}
-        _check_probabilities(np.array(list(probs.values())), np.bool_(self.hypothetical))
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _probability_row(self.probs, OUTCOMES, self.hypothetical))
 
     def __getitem__(self, outcome: OutcomeLabel) -> float:
-        return self.probs[_validate_outcome(outcome)]
+        return float(self.probs[_outcome_index(OUTCOMES, outcome)])
 
     def min_probability(self) -> float:
-        return min(self.probs.values())
+        return float(self.probs.min())
 
 
 @dataclass(frozen=True)
@@ -219,7 +220,7 @@ def povm_element(v: VisibilityPair, outcome: OutcomeLabel) -> np.ndarray:
     The four elements sum to the identity exactly, and tr(rho E(x, y))
     reproduces ``outcome_distribution`` for every state rho.
     """
-    x, y = _validate_outcome(outcome)
+    x, y = OUTCOMES[_outcome_index(OUTCOMES, outcome)]
     return _hermitian_2x2(0.25, _povm_off_diagonal(x, y, v.v_x, v.v_y))
 
 
@@ -258,21 +259,16 @@ def equatorial_densities(ex, ey) -> np.ndarray:
     return _hermitian_2x2(0.5, 0.5 * (ex - 1j * ey))
 
 
-def _outcome_probability(x, y, a, b):
-    """P(x, y) for a = v_x ex and b = v_y ey, for Python scalars or broadcast arrays alike."""
-    return 0.25 * (1.0 + x * a + y * b)
-
-
 def outcome_probabilities(v_x, v_y, ex, ey) -> np.ndarray:
     """P(x, y) = (1/4)(1 + x v_x ex + y v_y ey) for broadcast arrays, shape ``(..., 4)``.
 
-    Axis -1 follows ``OUTCOMES``; entry ``[..., k]`` equals the probability
-    ``outcome_distribution`` gives for ``OUTCOMES[k]`` bit for bit. No range
-    checks: inputs outside the physical sets give the hypothetical values.
+    Axis -1 follows ``OUTCOMES``; ``outcome_distribution`` holds one row of
+    it. No range checks: inputs outside the physical sets give the
+    hypothetical values.
     """
     a = np.asarray(v_x * ex, dtype=np.float64)[..., None]
     b = np.asarray(v_y * ey, dtype=np.float64)[..., None]
-    return _outcome_probability(_OUTCOME_X, _OUTCOME_Y, a, b)
+    return 0.25 * (1.0 + _OUTCOME_X * a + _OUTCOME_Y * b)
 
 
 def outcome_distribution(v: VisibilityPair, s: BlochEquatorial) -> SingleOutcomeDistribution:
@@ -281,9 +277,7 @@ def outcome_distribution(v: VisibilityPair, s: BlochEquatorial) -> SingleOutcome
     Always defined; the result is flagged hypothetical when the visibilities
     are inadmissible or the state lies outside the Bloch disk.
     """
-    a = v.v_x * s.ex
-    b = v.v_y * s.ey
-    probs = {(x, y): _outcome_probability(x, y, a, b) for x, y in OUTCOMES}
+    probs = outcome_probabilities(v.v_x, v.v_y, s.ex, s.ey)
     hypothetical = not (v.is_admissible() and s.is_physical())
     return SingleOutcomeDistribution(probs, hypothetical)
 
@@ -312,4 +306,4 @@ def distribution_moments(d: SingleOutcomeDistribution) -> Moments:
     For any distribution produced by ``outcome_distribution`` these are
     v_x*ex, v_y*ey and exactly zero: the POVM carries no x-y cross term.
     """
-    return Moments(*outcome_moments([d.probs[o] for o in OUTCOMES]).tolist())
+    return Moments(*outcome_moments(d.probs).tolist())

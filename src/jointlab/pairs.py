@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping
 
 import numpy as np
 
@@ -32,8 +31,9 @@ from .joint import (
     NEGATIVE_PROB_TOL,
     OUTCOMES,
     VisibilityPair,
-    _check_labels,
     _check_probabilities,
+    _outcome_index,
+    _probability_row,
     _require_finite,
     admissible_visibilities,
     povm_elements,
@@ -159,7 +159,10 @@ def validate_densities(a) -> np.ndarray:
 
 
 def pure_density(ket: np.ndarray) -> DensityOperator4:
-    """Rank-1 density operator |psi><psi| from a normalized 4-vector."""
+    """Rank-1 density operator |psi><psi| from a normalized 4-vector.
+
+    Every lone pure state of the package is built here.
+    """
     psi = np.asarray(ket, dtype=np.complex128).reshape(4)
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > DEFAULT_TOL:
@@ -191,35 +194,32 @@ class CorrelationVector:
 class PairOutcomeDistribution:
     """Probabilities over the 16 outcomes of two local joint measurements.
 
-    Entries sum to one; negative entries require the ``hypothetical`` flag
-    (inadmissible visibilities or a non-quantum correlation vector).
+    ``probs`` is a read-only float64 copy of shape ``(16,)`` in
+    ``PAIR_OUTCOMES`` order, i.e. one row of ``pair_probabilities_trace`` or
+    ``pair_probabilities_formula``; ``d[(x_a, y_a, x_b, y_b)]`` reads one
+    entry. Entries sum to one; negative entries require the ``hypothetical``
+    flag (inadmissible visibilities or a non-quantum correlation vector).
     """
 
-    probs: Mapping[PairOutcomeLabel, float]
+    probs: np.ndarray
     hypothetical: bool = False
 
     def __post_init__(self):
-        _check_labels(self.probs, PAIR_OUTCOMES)
-        probs = {o: float(self.probs[o]) for o in PAIR_OUTCOMES}
-        _check_probabilities(np.array(list(probs.values())), np.bool_(self.hypothetical))
+        probs = _probability_row(self.probs, PAIR_OUTCOMES, self.hypothetical)
         object.__setattr__(self, "probs", probs)
 
     def __getitem__(self, outcome: PairOutcomeLabel) -> float:
-        return self.probs[tuple(outcome)]
-
-    def as_array(self) -> np.ndarray:
-        """The 16 probabilities in ``PAIR_OUTCOMES`` order."""
-        return np.fromiter(self.probs.values(), np.float64, len(PAIR_OUTCOMES))
+        return float(self.probs[_outcome_index(PAIR_OUTCOMES, outcome)])
 
     def min_probability(self) -> float:
-        return min(self.probs.values())
+        return float(self.probs.min())
 
     def marginal_a(self) -> dict[tuple[int, int], float]:
         """Distribution of (x_a, y_a) after summing out B's outcomes."""
-        return dict(zip(OUTCOMES, pair_marginals(self.as_array())[0].tolist()))
+        return dict(zip(OUTCOMES, pair_marginals(self.probs)[0].tolist()))
 
     def marginal_b(self) -> dict[tuple[int, int], float]:
-        return dict(zip(OUTCOMES, pair_marginals(self.as_array())[1].tolist()))
+        return dict(zip(OUTCOMES, pair_marginals(self.probs)[1].tolist()))
 
 
 @dataclass(frozen=True)
@@ -341,7 +341,7 @@ def pair_distribution_trace(
     are admissible; otherwise the result is flagged hypothetical.
     """
     probs, hypothetical = pair_probabilities_trace(rho.mat, (va.v_x, va.v_y), (vb.v_x, vb.v_y))
-    return PairOutcomeDistribution(dict(zip(PAIR_OUTCOMES, probs.tolist())), bool(hypothetical))
+    return PairOutcomeDistribution(probs, bool(hypothetical))
 
 
 def pair_distribution_formula(
@@ -357,7 +357,7 @@ def pair_distribution_formula(
     probs, hypothetical = pair_probabilities_formula(
         c.as_tuple(), (va.v_x, va.v_y), (vb.v_x, vb.v_y)
     )
-    return PairOutcomeDistribution(dict(zip(PAIR_OUTCOMES, probs.tolist())), bool(hypothetical))
+    return PairOutcomeDistribution(probs, bool(hypothetical))
 
 
 def pair_moment(d: PairOutcomeDistribution, spec: MomentSpec) -> float:
@@ -368,7 +368,7 @@ def pair_moment(d: PairOutcomeDistribution, spec: MomentSpec) -> float:
     The sum is correctly rounded (``math.fsum``), so the value does not
     depend on the order of the 16 terms.
     """
-    return math.fsum((d.as_array() * moment_signs(spec)).tolist())
+    return math.fsum((d.probs * moment_signs(spec)).tolist())
 
 
 def bell_family_correlations(phi: float) -> CorrelationVector:

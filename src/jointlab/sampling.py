@@ -54,6 +54,7 @@ from .pairs import (
     PairOutcomeDistribution,
     moment_signs,
     outcome_indices,
+    pure_density,
     validate_densities,
 )
 
@@ -90,7 +91,7 @@ _BELL_KETS = (
     np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0),
     np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0),
 )
-_BELL_PROJECTORS = tuple(np.outer(ket, ket.conj()) for ket in _BELL_KETS)
+_BELL_PROJECTORS = tuple(pure_density(ket).mat for ket in _BELL_KETS)
 
 _PAIR_OUTCOME_ARRAY = np.array(PAIR_OUTCOMES, dtype=np.int8)
 _PAIR_OUTCOME_ARRAY.setflags(write=False)
@@ -243,8 +244,7 @@ def _antidiagonal_correlations(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 def haar_random_pure_state(s: SeededSampler) -> DensityOperator4:
     """Rank-1 state from a normalized complex Gaussian 4-vector (Haar measure)."""
-    psi = _haar_kets(s.rng(), 1)[0]
-    return DensityOperator4(np.outer(psi, psi.conj()))
+    return pure_density(_haar_kets(s.rng(), 1)[0])
 
 
 def ginibre_random_mixed_state(s: SeededSampler) -> DensityOperator4:
@@ -510,7 +510,7 @@ def sample_outcomes(
     analytically suppressed outcome never shows up in the sample.
     """
     n = _require_size("sample size", n, 1)
-    p = d.as_array()
+    p = d.probs
     if p.min() < -NEGATIVE_PROB_TOL:
         raise ValueError("distribution has negative entries and cannot be sampled")
     p = np.where(p < _PROB_FLOOR, 0.0, p)

@@ -62,6 +62,7 @@ from .pairs import (
     pair_moment,
     pair_probabilities_formula,
     pair_probabilities_trace,
+    pure_density,
     validate_densities,
 )
 from .reporting import shots_csv_text
@@ -430,7 +431,7 @@ def coherence_identity_residuals(seed: int, n: int = 1000) -> tuple[float, float
     bell = validate_densities(kets[:, :, None] * kets.conj()[:, None, :])
     bell_dev = max_residual(np.abs(coherence_from_matrices(bell) - 0.5))
     singlet_type = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-    mixture = DensityOperator4(0.5 * bell[0] + 0.5 * np.outer(singlet_type, singlet_type.conj()))
+    mixture = DensityOperator4(0.5 * bell[0] + 0.5 * pure_density(singlet_type).mat)
     mixture_dev = abs(coherence_bound_lhs(mixture) - 0.5)
     return max_identity, bell_dev, mixture_dev
 
@@ -472,7 +473,7 @@ def zero_probability_checks(
         half = 0.5 * phi
         v = VisibilityPair(math.cos(half), math.sin(half))
         dist = pair_distribution_formula(bell_family_correlations(phi), v, v)
-        suppressed.append(abs(dist.probs[(1, 1, -1, -1)]))
+        suppressed.append(abs(dist[(1, 1, -1, -1)]))
     grid_dev = max_residual(
         abs(constrained_chsh_grid_max(phi) - zero_probability_chsh(phi)) for phi in midpoint_phis
     )

@@ -106,7 +106,7 @@ class TestOutcomeBound:
         vb = VisibilityPair(abs(math.cos(beta)), abs(math.sin(beta)))
         d = pair_distribution_formula(c, va, vb)
         expected = (1.0 / 16.0) * (1.0 - outcome_bound_lhs(c, sv))
-        assert d.probs[o] == pytest.approx(expected, abs=1e-12)
+        assert d[o] == pytest.approx(expected, abs=1e-12)
 
     @given(alpha=angles, beta=angles)
     def test_selected_outcome_has_non_negative_embedding(self, alpha, beta):

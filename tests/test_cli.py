@@ -56,6 +56,15 @@ class TestConfig:
             {"seed": -3},
             {"format": "yaml"},
             {"n_shots": 1},
+            {"grid_steps": 20.5},
+            {"grid_steps": "33"},
+            {"grid_steps": True},
+            {"seed": True},
+            {"seed": 7.0},
+            {"seed": "7"},
+            {"n_shots": 1000.0},
+            {"n_shots": False},
+            {"n_shots": "1000"},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

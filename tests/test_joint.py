@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -53,24 +52,40 @@ class TestTypes:
 
     def test_distribution_invariants(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            SingleOutcomeDistribution({o: 0.3 for o in OUTCOMES})
-        bad = {(1, 1): -0.1, (1, -1): 0.4, (-1, 1): 0.4, (-1, -1): 0.3}
+            SingleOutcomeDistribution(np.full(4, 0.3))
+        bad = np.array([-0.1, 0.4, 0.4, 0.3])
         with pytest.raises(ValueError, match="hypothetical"):
             SingleOutcomeDistribution(bad)
         SingleOutcomeDistribution(bad, hypothetical=True)
 
-    def test_missing_or_foreign_labels_rejected(self):
-        missing = re.escape("missing [(1, -1), (-1, 1), (-1, -1)], foreign []")
-        with pytest.raises(ValueError, match=missing):
-            SingleOutcomeDistribution({(1, 1): 1.0})
-        probs = {(1, 1): 0.25, (1, -1): 0.25, (-1, 1): 0.25, (0, 0): 0.25}
-        with pytest.raises(ValueError, match=re.escape("missing [(-1, -1)], foreign [(0, 0)]")):
+    @pytest.mark.parametrize(
+        "probs", [[1.0], np.full(5, 0.2), np.full((2, 2), 0.25), {o: 0.25 for o in OUTCOMES}]
+    )
+    def test_wrong_shape_or_mapping_rejected(self, probs):
+        with pytest.raises(ValueError, match="outcome order"):
             SingleOutcomeDistribution(probs)
+
+    def test_probs_are_a_read_only_copy(self):
+        source = np.array([0.4, 0.3, 0.2, 0.1])
+        d = SingleOutcomeDistribution(source)
+        assert isinstance(d.probs, np.ndarray) and d.probs.dtype == np.float64
+        assert not d.probs.flags.writeable
+        with pytest.raises(ValueError):
+            d.probs[0] = 1.0
+        source[0] = 1.0
+        assert d.probs.tolist() == [0.4, 0.3, 0.2, 0.1]
+        assert [d[o] for o in OUTCOMES] == [0.4, 0.3, 0.2, 0.1]
+
+    @pytest.mark.parametrize("label", [(0, 1), (1, 1, 1), (1,), "xy", 1])
+    def test_unknown_label_rejected(self, label):
+        d = SingleOutcomeDistribution(np.full(4, 0.25))
+        with pytest.raises(ValueError, match="unknown outcome label"):
+            d[label]
 
     @pytest.mark.parametrize("hypothetical", [False, True])
     def test_nan_distribution_rejected(self, hypothetical):
         with pytest.raises(ValueError, match="sum to 1, got nan"):
-            SingleOutcomeDistribution({o: math.nan for o in OUTCOMES}, hypothetical)
+            SingleOutcomeDistribution(np.full(4, math.nan), hypothetical)
 
 
 class TestPovmElement:
@@ -105,20 +120,20 @@ class TestPovmElement:
 class TestOutcomeDistribution:
     def test_perfect_x_measurement(self):
         d = outcome_distribution(VisibilityPair(1.0, 0.0), BlochEquatorial(1.0, 0.0))
-        assert d.probs[(1, 1)] == pytest.approx(0.5)
-        assert d.probs[(1, -1)] == pytest.approx(0.5)
-        assert d.probs[(-1, 1)] == pytest.approx(0.0, abs=1e-15)
-        assert d.probs[(-1, -1)] == pytest.approx(0.0, abs=1e-15)
+        assert d[(1, 1)] == pytest.approx(0.5)
+        assert d[(1, -1)] == pytest.approx(0.5)
+        assert d[(-1, 1)] == pytest.approx(0.0, abs=1e-15)
+        assert d[(-1, -1)] == pytest.approx(0.0, abs=1e-15)
 
     def test_boundary_case(self):
         v = VisibilityPair(INV_SQRT2, INV_SQRT2)
         s = BlochEquatorial(INV_SQRT2, INV_SQRT2)
         d = outcome_distribution(v, s)
         assert not d.hypothetical
-        assert d.probs[(1, 1)] == pytest.approx(0.5, abs=1e-12)
-        assert d.probs[(1, -1)] == pytest.approx(0.25, abs=1e-12)
-        assert d.probs[(-1, 1)] == pytest.approx(0.25, abs=1e-12)
-        assert d.probs[(-1, -1)] == pytest.approx(0.0, abs=1e-12)
+        assert d[(1, 1)] == pytest.approx(0.5, abs=1e-12)
+        assert d[(1, -1)] == pytest.approx(0.25, abs=1e-12)
+        assert d[(-1, 1)] == pytest.approx(0.25, abs=1e-12)
+        assert d[(-1, -1)] == pytest.approx(0.0, abs=1e-12)
 
     def test_inadmissible_visibilities_go_negative(self):
         d = outcome_distribution(
@@ -126,7 +141,7 @@ class TestOutcomeDistribution:
         )
         assert d.hypothetical
         # (1 - sqrt(2))/4
-        assert d.probs[(-1, -1)] == pytest.approx(-0.10355339059327379, abs=1e-12)
+        assert d[(-1, -1)] == pytest.approx(-0.10355339059327379, abs=1e-12)
 
     @given(v=visibilities, s=bloch_states)
     def test_matches_trace_oracle(self, v, s):
@@ -134,7 +149,7 @@ class TestOutcomeDistribution:
         d = outcome_distribution(v, s)
         for o in OUTCOMES:
             traced = np.einsum("ij,ji->", rho, povm_element(v, o)).real
-            assert d.probs[o] == pytest.approx(traced, abs=1e-12)
+            assert d[o] == pytest.approx(traced, abs=1e-12)
 
     def test_trace_oracle_bulk(self):
         rng = np.random.default_rng(3)
@@ -147,7 +162,7 @@ class TestOutcomeDistribution:
             d = outcome_distribution(v, s)
             for o in OUTCOMES:
                 worst = max(
-                    worst, abs(d.probs[o] - np.einsum("ij,ji->", rho, povm_element(v, o)).real)
+                    worst, abs(d[o] - np.einsum("ij,ji->", rho, povm_element(v, o)).real)
                 )
         assert worst < 1e-12
 
@@ -161,7 +176,7 @@ class TestMoments:
         assert m.mean_xy == pytest.approx(0.0, abs=1e-14)
 
     def test_uniform_distribution(self):
-        m = distribution_moments(SingleOutcomeDistribution({o: 0.25 for o in OUTCOMES}))
+        m = distribution_moments(SingleOutcomeDistribution(np.full(4, 0.25)))
         assert (m.mean_x, m.mean_y, m.mean_xy) == (0.0, 0.0, 0.0)
 
     @given(v=visibilities)

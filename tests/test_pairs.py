@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from jointlab.joint import BlochEquatorial, VisibilityPair, equatorial_density, outcome_distribution
+from jointlab.joint import (
+    OUTCOMES,
+    BlochEquatorial,
+    VisibilityPair,
+    equatorial_density,
+    outcome_distribution,
+)
 from jointlab.pairs import (
     PAIR_OUTCOMES,
     BellFamilyState,
@@ -103,7 +109,7 @@ class TestTraceDistribution:
             DensityOperator4(np.eye(4) / 4), saturated(0.3), saturated(1.2)
         )
         for o in PAIR_OUTCOMES:
-            assert d.probs[o] == pytest.approx(1.0 / 16.0, abs=1e-14)
+            assert d[o] == pytest.approx(1.0 / 16.0, abs=1e-14)
 
     def test_bell_family_closed_form(self):
         rng = np.random.default_rng(9)
@@ -114,7 +120,7 @@ class TestTraceDistribution:
                 BellFamilyState(phi).to_density(), saturated(alpha), saturated(beta)
             )
             expected = (1.0 - math.cos(alpha + beta - phi)) / 16.0
-            assert d.probs[(1, 1, -1, -1)] == pytest.approx(expected, abs=1e-12)
+            assert d[(1, 1, -1, -1)] == pytest.approx(expected, abs=1e-12)
 
     def test_product_state_factorizes(self):
         sa = BlochEquatorial(0.3, -0.5)
@@ -125,8 +131,8 @@ class TestTraceDistribution:
         da = outcome_distribution(va, sa)
         db = outcome_distribution(vb, sb)
         for xa, ya, xb, yb in PAIR_OUTCOMES:
-            assert d.probs[(xa, ya, xb, yb)] == pytest.approx(
-                da.probs[(xa, ya)] * db.probs[(xb, yb)], abs=1e-13
+            assert d[(xa, ya, xb, yb)] == pytest.approx(
+                da[(xa, ya)] * db[(xb, yb)], abs=1e-13
             )
 
     def test_positivity_for_admissible_visibilities(self):
@@ -150,7 +156,7 @@ class TestFormulaDistribution:
             CorrelationVector(0, 0, 0, 0), VisibilityPair(0.8, 0.2), VisibilityPair(0.1, 0.9)
         )
         for o in PAIR_OUTCOMES:
-            assert d.probs[o] == pytest.approx(1.0 / 16.0)
+            assert d[o] == pytest.approx(1.0 / 16.0)
 
     def test_printed_outcome_signs(self):
         # for outcome (+1, +1, -1, -1) all four sign products are -1
@@ -164,7 +170,7 @@ class TestFormulaDistribution:
             - va.v_y * vb.v_x * c.c_yx
             - va.v_y * vb.v_y * c.c_yy
         )
-        assert d.probs[(1, 1, -1, -1)] == pytest.approx(expected, abs=1e-15)
+        assert d[(1, 1, -1, -1)] == pytest.approx(expected, abs=1e-15)
 
     def test_hypothetical_correlations_go_negative(self):
         # beyond-quantum correlations plus asymmetric visibilities produce a
@@ -174,14 +180,14 @@ class TestFormulaDistribution:
             c, VisibilityPair(INV_SQRT2, INV_SQRT2), VisibilityPair(1.0, 0.0)
         )
         assert d.hypothetical
-        assert d.probs[(1, 1, -1, -1)] == pytest.approx(-0.025888347648318447, abs=1e-12)
+        assert d[(1, 1, -1, -1)] == pytest.approx(-0.025888347648318447, abs=1e-12)
 
     def test_equal_visibilities_cancel_for_these_correlations(self):
         c = CorrelationVector(1.0, 1.0, 1.0, -1.0)
         v = VisibilityPair(INV_SQRT2, INV_SQRT2)
         d = pair_distribution_formula(c, v, v)
         assert not d.hypothetical
-        assert d.probs[(1, 1, -1, -1)] == pytest.approx(0.0, abs=1e-15)
+        assert d[(1, 1, -1, -1)] == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_trace_path_on_bell_mixtures(self):
         master = SeededSampler(23)
@@ -193,29 +199,47 @@ class TestFormulaDistribution:
             vb = saturated(rng.uniform(0, 0.5 * math.pi))
             dt = pair_distribution_trace(rho, va, vb)
             df = pair_distribution_formula(correlations_of_state(rho), va, vb)
-            worst = max(worst, max(abs(dt.probs[o] - df.probs[o]) for o in PAIR_OUTCOMES))
+            worst = max(worst, max(abs(dt[o] - df[o]) for o in PAIR_OUTCOMES))
         assert worst < 1e-11
 
     def test_distribution_invariants(self):
-        bad = {o: 1.0 / 16.0 for o in PAIR_OUTCOMES}
-        bad[(1, 1, 1, 1)] = -0.05
-        bad[(1, 1, 1, -1)] = 2.0 / 16.0 + 0.05
+        bad = np.full(16, 1.0 / 16.0)
+        bad[PAIR_OUTCOMES.index((1, 1, 1, 1))] = -0.05
+        bad[PAIR_OUTCOMES.index((1, 1, 1, -1))] = 2.0 / 16.0 + 0.05
         with pytest.raises(ValueError, match="hypothetical"):
             PairOutcomeDistribution(bad)
 
-    def test_missing_or_foreign_labels_rejected(self):
-        probs = {(k,): 1.0 / 16.0 for k in range(16)}
-        with pytest.raises(ValueError, match=r"16 outcome labels; missing \[\(1, 1, 1, 1\), .*"
-                           r"foreign \[\(0,\), .*\(15,\)\]"):
+    @pytest.mark.parametrize(
+        "probs",
+        [np.full(15, 1.0 / 15.0), np.full(4, 0.25), np.full((4, 4), 1.0 / 16.0),
+         {o: 1.0 / 16.0 for o in PAIR_OUTCOMES}],
+    )
+    def test_wrong_shape_or_mapping_rejected(self, probs):
+        with pytest.raises(ValueError, match="outcome order"):
             PairOutcomeDistribution(probs)
-        probs = {o: 1.0 / 16.0 for o in PAIR_OUTCOMES[:15]}
-        with pytest.raises(ValueError, match=r"missing \[\(-1, -1, -1, -1\)\], foreign \[\]"):
-            PairOutcomeDistribution(probs)
+
+    def test_probs_are_a_read_only_copy(self):
+        source = np.arange(1.0, 17.0) / 136.0
+        expected = source.tolist()
+        d = PairOutcomeDistribution(source)
+        assert isinstance(d.probs, np.ndarray) and d.probs.dtype == np.float64
+        assert not d.probs.flags.writeable
+        with pytest.raises(ValueError):
+            d.probs[0] = 1.0
+        source[0] = 1.0
+        assert d.probs.tolist() == expected
+        assert [d[o] for o in PAIR_OUTCOMES] == expected
+
+    @pytest.mark.parametrize("label", [(1, 1, 0, 1), (1, 1), (1, 1, 1, 1, 1), "abcd", 1])
+    def test_unknown_label_rejected(self, label):
+        d = PairOutcomeDistribution(np.full(16, 1.0 / 16.0))
+        with pytest.raises(ValueError, match="unknown outcome label"):
+            d[label]
 
     @pytest.mark.parametrize("hypothetical", [False, True])
     def test_nan_distribution_rejected(self, hypothetical):
         with pytest.raises(ValueError, match="sum to 1, got nan"):
-            PairOutcomeDistribution({o: math.nan for o in PAIR_OUTCOMES}, hypothetical)
+            PairOutcomeDistribution(np.full(16, math.nan), hypothetical)
 
 
 class TestPairMoments:
@@ -265,9 +289,9 @@ class TestPairMoments:
             da = outcome_distribution(va, BlochEquatorial(ax, ay))
             db = outcome_distribution(vb, BlochEquatorial(bx, by))
             marg_a, marg_b = d.marginal_a(), d.marginal_b()
-            for o, p in da.probs.items():
+            for o, p in zip(OUTCOMES, da.probs.tolist()):
                 assert marg_a[o] == pytest.approx(p, abs=1e-12)
-            for o, p in db.probs.items():
+            for o, p in zip(OUTCOMES, db.probs.tolist()):
                 assert marg_b[o] == pytest.approx(p, abs=1e-12)
 
     def test_unknown_factor_rejected(self):

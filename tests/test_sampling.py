@@ -145,8 +145,8 @@ class TestSampling:
             assert abs(count - n / 16) < 5 * sigma
 
     def test_deterministic_distribution(self):
-        probs = {o: 0.0 for o in PAIR_OUTCOMES}
-        probs[(1, -1, -1, 1)] = 1.0
+        probs = np.zeros(16)
+        probs[PAIR_OUTCOMES.index((1, -1, -1, 1))] = 1.0
         from jointlab.pairs import PairOutcomeDistribution
 
         d = PairOutcomeDistribution(probs)
@@ -379,7 +379,7 @@ class TestZeroProbabilityCurve:
             half = 0.5 * phi
             v = saturated(half)
             d = pair_distribution_formula(bell_family_correlations(phi), v, v)
-            assert abs(d.probs[(1, 1, -1, -1)]) < 1e-12
+            assert abs(d[(1, 1, -1, -1)]) < 1e-12
 
     def test_suppressed_outcome_never_drawn(self):
         # 50 phase values, one million shots each: the constrained outcome

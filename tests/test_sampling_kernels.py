@@ -80,7 +80,7 @@ def reference_ensemble(n, s, kind):
 
 
 def reference_cdf(d):
-    p = d.as_array()
+    p = d.probs
     p = np.where(p < sampling._PROB_FLOOR, 0.0, p)
     cdf = np.cumsum(p / p.sum())
     cdf[-1] = 1.0
@@ -114,7 +114,7 @@ def assert_estimate(est, shots, spec):
 
 def distribution(p):
     p = np.asarray(p, dtype=float)
-    return PairOutcomeDistribution(dict(zip(PAIR_OUTCOMES, (p / p.sum()).tolist())))
+    return PairOutcomeDistribution(p / p.sum())
 
 
 def point_mass(k):

@@ -97,7 +97,7 @@ def reference_distribution_trace_residual(seed, n=1000):
         dist = outcome_distribution(v, s)
         for o in OUTCOMES:
             traced = float(np.einsum("ij,ji->", rho, povm_element(v, o)).real)
-            residuals.append(abs(dist.probs[o] - traced))
+            residuals.append(abs(dist[o] - traced))
     return verify.max_residual(residuals)
 
 

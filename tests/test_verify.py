@@ -1,11 +1,11 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from jointlab import suites, verify
 from jointlab.joint import OUTCOMES, VisibilityPair, povm_element
+from jointlab.pairs import PAIR_OUTCOMES, PairOutcomeDistribution
 from jointlab.sampling import CurveOptimum, SeededSampler
 from jointlab.verify import povm_grid_mismatches
 
@@ -64,7 +64,12 @@ def nan_at(*index):
 
 
 def _nan_probs(dist):
-    return SimpleNamespace(probs={(1, 1, -1, -1): math.nan})
+    """``dist`` with a NaN at (1, 1, -1, -1), built past the checks that would refuse it."""
+    probs = dist.probs.copy()
+    probs[PAIR_OUTCOMES.index((1, 1, -1, -1))] = math.nan
+    poisoned = object.__new__(PairOutcomeDistribution)
+    object.__setattr__(poisoned, "probs", probs)
+    return poisoned
 
 
 def _nan_marginals(marginals):
