@@ -225,44 +225,36 @@ def coherence_bound_lhs(rho: DensityOperator4) -> float:
 def _golden_section_max(f, lo: float | np.ndarray, hi: float | np.ndarray, iters: int):
     """Golden-section search for the maximum of a unimodal function on [lo, hi].
 
-    On Python floats this is one search with plain branches. When ``lo`` is
-    an ndarray, ``lo`` and ``hi`` bound one independent search per element
-    and ``f`` maps an array of points to an array of values: every step makes
-    the same choice per element with ``np.where``, evaluates ``f`` once at
-    the new points, and the final pick breaks ties as Python's ``max`` over
-    the ``(f, x)`` tuples does, so each element equals its own float search.
-    Returns ``(x, f(x))``.
+    On Python floats this is one search. When ``lo`` is an ndarray, ``lo``
+    and ``hi`` bound one independent search per element and ``f`` maps an
+    array of points to an array of values. Every step makes the same choice,
+    by ``pick`` (``np.where`` on arrays, a conditional expression on floats),
+    evaluates ``f`` once at the new points, and the final pick breaks ties as
+    Python's ``max`` over the ``(f, x)`` tuples does, so each element equals
+    its own float search. Returns ``(x, f(x))``.
     """
-    stacked = isinstance(lo, np.ndarray)
+    if isinstance(lo, np.ndarray):
+        pick = np.where
+    else:
+        def pick(cond, a, b):
+            return a if cond else b
+
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
     for _ in range(iters):
-        if stacked:
-            right = f1 < f2
-            lo = np.where(right, x1, lo)
-            hi = np.where(right, hi, x2)
-            x = np.where(right, lo + _GOLDEN * (hi - lo), hi - _GOLDEN * (hi - lo))
-            fx = f(x)
-            x1, x2 = np.where(right, x2, x), np.where(right, x, x1)
-            f1, f2 = np.where(right, f2, fx), np.where(right, fx, f1)
-        elif f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
+        right = f1 < f2
+        lo, hi = pick(right, x1, lo), pick(right, hi, x2)
+        x = pick(right, lo + _GOLDEN * (hi - lo), hi - _GOLDEN * (hi - lo))
+        fx = f(x)
+        x1, x2 = pick(right, x2, x), pick(right, x, x1)
+        f1, f2 = pick(right, f2, fx), pick(right, fx, f1)
     xm = 0.5 * (lo + hi)
     fm = f(xm)
-    if not stacked:
-        best = max([(f1, x1), (f2, x2), (fm, xm)])
-        return best[1], best[0]
     best_x, best_f = x1, f1
     for x, fx in ((x2, f2), (xm, fm)):
         later = (fx > best_f) | ((fx == best_f) & (x > best_x))
-        best_x, best_f = np.where(later, x, best_x), np.where(later, fx, best_f)
+        best_x, best_f = pick(later, x, best_x), pick(later, fx, best_f)
     return best_x, best_f
 
 

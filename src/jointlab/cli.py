@@ -66,9 +66,10 @@ CHSH_SURFACE_STEPS_MAX = 512
 #: beyond ~31,400 steps only the table grows, the refined optimum does not.
 ZERO_PROB_CURVE_STEPS_MAX = 100_001
 
-#: Largest ``sample --n-shots``. A shot costs ~0.013 us and ~2 B of RSS on 2
-#: CPUs (about 0.03 s and 3.5 MiB at the cap); ``--shots-output`` writes the
-#: archive in blocks, adding ~0.06 us per shot and no memory.
+#: Largest ``sample --n-shots``. A shot costs ~0.015 us and ~2 B of RSS on 2
+#: CPUs (about 0.03 s and 4.6 MiB at the cap: the drawn indices, the record's
+#: copy and the block buffers); ``--shots-output`` writes the archive in
+#: blocks, adding ~0.06 us per shot and no memory.
 N_SHOTS_MAX = 2_000_000
 
 #: Largest ``bound --state-file`` in bytes. A 4x4 matrix of [re, im] pairs

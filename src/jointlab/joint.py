@@ -141,7 +141,7 @@ class BlochEquatorial:
         return bloch_bound_lhs(self.ex, self.ey) <= 1.0 + tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingleOutcomeDistribution:
     """Probabilities over the four joint outcomes (x, y) in {+-1}^2.
 
@@ -149,7 +149,8 @@ class SingleOutcomeDistribution:
     order, i.e. one row of ``outcome_probabilities``; ``d[(x, y)]`` reads one
     entry. Entries sum to one. Negative entries are only allowed when the
     distribution was produced from inadmissible visibilities or an
-    unphysical Bloch vector, recorded in ``hypothetical``.
+    unphysical Bloch vector, recorded in ``hypothetical``. ``==`` and
+    ``hash`` go by identity.
     """
 
     probs: np.ndarray

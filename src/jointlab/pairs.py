@@ -115,13 +115,14 @@ def _real(values: np.ndarray, what: str) -> np.ndarray:
     return values.real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator4:
     """A validated two-qubit density operator.
 
     Construction runs ``validate_densities``: hermiticity and unit trace
     within 1e-12, positive semidefiniteness within 1e-10; the stored matrix
-    is a read-only copy.
+    is a read-only copy. ``==`` and ``hash`` go by identity, as an array
+    field has no truth value to compare by.
     """
 
     mat: np.ndarray
@@ -190,7 +191,7 @@ class CorrelationVector:
         return (self.c_xx, self.c_xy, self.c_yx, self.c_yy)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairOutcomeDistribution:
     """Probabilities over the 16 outcomes of two local joint measurements.
 
@@ -199,6 +200,7 @@ class PairOutcomeDistribution:
     ``pair_probabilities_formula``; ``d[(x_a, y_a, x_b, y_b)]`` reads one
     entry. Entries sum to one; negative entries require the ``hypothetical``
     flag (inadmissible visibilities or a non-quantum correlation vector).
+    ``==`` and ``hash`` go by identity.
     """
 
     probs: np.ndarray

@@ -22,7 +22,9 @@ archive's, run through one scheduler, ``_run_blocks``: a bounded in-order
 pipeline with one worker per usable CPU, the caller's thread among them.
 ``estimate_moment`` reads only the 16 outcome counts: the mean as ``mean()``
 gives it, and the standard error from the exact sample variance of +-1
-values, 4 n_plus n_minus / (n (n - 1)), rounded once.
+values, 4 n_plus n_minus / (n (n - 1)), rounded once. The counts are
+summed over the same blocks of 32,768 shots, so ``np.bincount``'s intp copy
+of the index never spans the whole sample.
 
 The experiment helpers evaluate the CHSH combination actually observed
 through two saturated local joint measurements on a maximally entangled
@@ -481,8 +483,14 @@ class ShotRecord:
 
     @functools.cached_property
     def counts(self) -> np.ndarray:
-        """Read-only (16,) ``np.bincount(index, minlength=16)``."""
-        counts = np.bincount(self.index, minlength=16)
+        """Read-only (16,) ``np.bincount(index, minlength=16)``, summed over shot blocks.
+
+        ``np.bincount`` casts its input to intp, eight bytes a shot; one
+        ``_SHOT_BLOCK`` at a time, that copy stays at 256 KiB.
+        """
+        counts = np.zeros(16, dtype=np.intp)
+        for i in range(0, self.n, _SHOT_BLOCK):
+            counts += np.bincount(self.index[i : i + _SHOT_BLOCK], minlength=16)
         counts.setflags(write=False)
         return counts
 

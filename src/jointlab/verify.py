@@ -6,9 +6,10 @@ tuple of named checks carrying value, bound, tolerance and a pass flag.
 ``CRITERIA`` is the one place that names the ten criteria: each entry gives
 a key, a title and how to run the criterion's checks, in report order.
 ``run_acceptance`` evaluates them on one master seed, times each one and
-packages it as a ``CriterionResult``; the 10^5-state ensembles are built
-once per run, by the first criterion that asks for them, which is charged
-for the build.
+packages it as a ``CriterionResult``. The two 10^5-state ensembles are
+built once per run, by the first criterion that asks for them, which is
+charged for the build; each is reduced to its two maxima, in row blocks,
+and released before the next is built, so the run keeps four floats of them.
 
 Every check a criterion makes is built here, once: the CLI subcommands
 (``suites``) compose these criteria and their check functions at their own
@@ -25,6 +26,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,6 +109,7 @@ __all__ = [
     "criterion_outcome_product_rule",
     "criterion_bloch_disk_bound",
     "criterion_pair_moment_structure",
+    "EnsembleMaxima",
     "build_correlation_ensembles",
     "criterion_tight_bound",
     "criterion_sup_identity",
@@ -355,25 +358,56 @@ def criterion_pair_moment_structure(
 # 5 + 7. random-state ensembles for the tight bound and the CHSH corollary
 # ---------------------------------------------------------------------------
 
-#: (n, 4) correlations of a random pure ensemble and of a random mixed one.
-Ensembles = tuple[np.ndarray, np.ndarray]
+#: Ensemble rows each function is evaluated on at a time: 4,096 rows of four
+#: doubles, 128 KiB, stay in cache, and no temporary spans the ensemble.
+ENSEMBLE_BLOCK_ROWS = 4096
 
 
-def build_correlation_ensembles(seed: int, n: int = 100_000) -> Ensembles:
+class EnsembleMaxima(NamedTuple):
+    """The largest tight-bound lhs and CHSH value, each as (pure, mixed).
+
+    The pure ensemble is Haar-random, the mixed one Ginibre-random; these
+    four numbers are all that criteria 5 and 7 read from them.
+    """
+
+    tight_bound: tuple[float, float]
+    chsh: tuple[float, float]
+
+
+def _block_max(fn, c: np.ndarray) -> float:
+    """``fn(*c.T).max()``, evaluated on ``ENSEMBLE_BLOCK_ROWS`` rows of ``c`` at a time.
+
+    ``np.max`` of the block maxima is NaN when any member is NaN, as the
+    whole-array maximum is.
+    """
+    rows = range(0, len(c), ENSEMBLE_BLOCK_ROWS)
+    return float(np.max([fn(*c[i : i + ENSEMBLE_BLOCK_ROWS].T).max() for i in rows]))
+
+
+def _ensemble_maxima(n: int, s: SeededSampler, kind: str) -> tuple[float, float]:
+    """(tight-bound max, CHSH max) of ``correlation_ensemble(n, s, kind)``.
+
+    The ensemble lives only in this call, so it is released before the
+    caller builds the next one.
+    """
+    c = correlation_ensemble(n, s, kind)
+    return _block_max(tight_bound_from_components, c), _block_max(chsh_from_components, c)
+
+
+def build_correlation_ensembles(seed: int, n: int = 100_000) -> EnsembleMaxima:
+    """The maxima of criteria 5 and 7 over ``n`` Haar and ``n`` Ginibre states.
+
+    One ensemble is built and reduced before the other is built, so at most
+    one (n, 4) array is alive at a time.
+    """
     master = SeededSampler(seed)
-    pure = correlation_ensemble(n, master.derive(50), "haar")
-    mixed = correlation_ensemble(n, master.derive(51), "ginibre")
-    return pure, mixed
+    tight_pure, chsh_pure = _ensemble_maxima(n, master.derive(50), "haar")
+    tight_mixed, chsh_mixed = _ensemble_maxima(n, master.derive(51), "ginibre")
+    return EnsembleMaxima((tight_pure, tight_mixed), (chsh_pure, chsh_mixed))
 
 
-def _ensemble_max(ensembles: Ensembles, fn) -> tuple[float, float]:
-    """The largest ``fn(c_xx, c_xy, c_yx, c_yy)`` over the pure and over the mixed ensemble."""
-    pure, mixed = (float(fn(*c.T).max()) for c in ensembles)
-    return pure, mixed
-
-
-def criterion_tight_bound(ensembles: Ensembles) -> tuple[Check, ...]:
-    max_pure, max_mixed = _ensemble_max(ensembles, tight_bound_from_components)
+def criterion_tight_bound(maxima: EnsembleMaxima) -> tuple[Check, ...]:
+    max_pure, max_mixed = maxima.tight_bound
     phis = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
     bell_dev = max_residual(
         abs(tight_bound_lhs(bell_family_correlations(float(p))) - 2.0) for p in phis
@@ -404,9 +438,9 @@ def criterion_sup_identity(seed: int, n: int = 1000) -> tuple[Check, ...]:
     return (check_le("sup_vs_closed_form_residual", worst, 0.0, 1e-9),)
 
 
-def criterion_tsirelson(ensembles: Ensembles) -> tuple[Check, ...]:
+def criterion_tsirelson(maxima: EnsembleMaxima) -> tuple[Check, ...]:
     bell_value = chsh_value(bell_family_correlations(0.25 * math.pi))
-    max_pure, max_mixed = _ensemble_max(ensembles, chsh_from_components)
+    max_pure, max_mixed = maxima.chsh
     return (
         check_close("chsh_bell_quarter_pi", bell_value, TSIRELSON_BOUND, 1e-12),
         check_le("chsh_max_pure", max_pure, TSIRELSON_BOUND, 1e-9),
@@ -553,52 +587,55 @@ def criterion_monte_carlo(seed: int, n: int = 1_000_000) -> tuple[Check, ...]:
 
 # ---------------------------------------------------------------------------
 
-#: The ten criteria in report order: (key, title, checks_of(seed, ensembles)),
-#: where ``ensembles()`` returns the run's 10^5-state ensembles.
+#: The ten criteria in report order: (key, title, checks_of(seed, maxima)),
+#: where ``maxima()`` returns the ``EnsembleMaxima`` of the run's 10^5-state
+#: ensembles.
 CRITERIA = (
     ("povm_positivity_grid",
      "visibility admissibility matches POVM positivity on the unit grid",
-     lambda seed, ensembles: criterion_povm_positivity()),
+     lambda seed, maxima: criterion_povm_positivity()),
     ("outcome_product_rule",
      "outcome product averages to zero; outcome means scale by the visibilities",
-     lambda seed, ensembles: criterion_outcome_product_rule(seed)),
+     lambda seed, maxima: criterion_outcome_product_rule(seed)),
     ("bloch_disk_bound",
      "states outside the Bloch disk force negative probabilities; states inside never do",
-     lambda seed, ensembles: criterion_bloch_disk_bound(seed)),
+     lambda seed, maxima: criterion_bloch_disk_bound(seed)),
     ("pair_moment_structure",
      "xy moments vanish, correlations factor, closed form matches the trace path",
-     lambda seed, ensembles: criterion_pair_moment_structure(seed)),
+     lambda seed, maxima: criterion_pair_moment_structure(seed)),
     ("tight_bound_validity",
      "tight bound holds on random ensembles and is saturated by the Bell family",
-     lambda seed, ensembles: criterion_tight_bound(ensembles())),
+     lambda seed, maxima: criterion_tight_bound(maxima())),
     ("sup_matches_closed_form",
      "numeric angle supremum equals the two-radical closed form",
-     lambda seed, ensembles: criterion_sup_identity(seed)),
+     lambda seed, maxima: criterion_sup_identity(seed)),
     ("tsirelson_corollary",
      "CHSH reaches 2*sqrt(2) on the Bell family and never exceeds it",
-     lambda seed, ensembles: criterion_tsirelson(ensembles())),
+     lambda seed, maxima: criterion_tsirelson(maxima())),
     ("coherence_identity",
      "tight bound equals four times the coherence sum; both saturate at 1/2",
-     lambda seed, ensembles: criterion_coherence_identity(seed)),
+     lambda seed, maxima: criterion_coherence_identity(seed)),
     ("observable_optima",
      "observed CHSH optima: sqrt(2) unconstrained, 1.25 under a zero-probability outcome",
-     lambda seed, ensembles: criterion_observable_optima()),
+     lambda seed, maxima: criterion_observable_optima()),
     ("monte_carlo_consistency",
      "finite samples reproduce population moments; the suppressed outcome never occurs",
-     lambda seed, ensembles: criterion_monte_carlo(seed)),
+     lambda seed, maxima: criterion_monte_carlo(seed)),
 )
 
 
 def run_acceptance(seed: int) -> tuple[CriterionResult, ...]:
     """Evaluate every criterion of ``CRITERIA`` with one master seed, timing each.
 
-    The ensembles are built on first use, so the first criterion that asks
-    for them (``tight_bound_validity``) is charged for the build.
+    The ensembles are built and reduced to their ``EnsembleMaxima`` on first
+    use, so the first criterion that asks for them (``tight_bound_validity``)
+    is charged for the build; only the four maxima are kept for the rest of
+    the run.
     """
-    ensembles = functools.cache(lambda: build_correlation_ensembles(seed))
+    maxima = functools.cache(lambda: build_correlation_ensembles(seed))
     results = []
     for key, title, checks_of in CRITERIA:
         start = time.perf_counter()
-        checks = checks_of(seed, ensembles)
+        checks = checks_of(seed, maxima)
         results.append(CriterionResult(key, title, checks, time.perf_counter() - start))
     return tuple(results)

@@ -1,4 +1,54 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 from hypothesis import settings
 
 settings.register_profile("jointlab", max_examples=100, deadline=None)
 settings.load_profile("jointlab")
+
+#: A fresh process that prints the exit code of ``jointlab.cli.main(argv)`` on
+#: two workers (each extra one adds about 1.6 MiB) and its peak-RSS growth over
+#: the call, in KiB. The peak is the process's own VmHWM where /proc has it:
+#: ``ru_maxrss`` carries the parent's peak across fork and exec, so under
+#: pytest it hides any child that stays below pytest's own peak. ``ru_maxrss``
+#: is in KiB on Linux and bytes on macOS.
+_RSS_CHILD = """\
+import resource, sys, jointlab.sampling, jointlab.cli
+jointlab.sampling._usable_cpus = lambda: 2
+
+def peak_kib():
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    except OSError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // (
+            1024 if sys.platform == "darwin" else 1
+        )
+
+before = peak_kib()
+rc = jointlab.cli.main(sys.argv[1:])
+print(rc, peak_kib() - before)
+"""
+
+
+@pytest.fixture
+def cli_rss_growth_mib():
+    """``run(argv)``: the exit code and peak-RSS growth, in MiB, of one CLI run in a fresh process."""
+
+    def run(argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", _RSS_CHILD, *map(str, argv)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rc, growth_kib = map(int, proc.stdout.split())
+        return rc, growth_kib / 1024
+
+    return run

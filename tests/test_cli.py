@@ -225,6 +225,19 @@ class TestDeterminism:
         assert dumps_json(json.loads(text)) + "\n" == text
 
 
+# verify keeps four maxima of its 10^5-state ensembles, not the ensembles;
+# the shot counts are summed a block at a time, never over an intp copy of
+# the whole index (16 MB at the cap)
+@pytest.mark.parametrize(
+    "args, limit_mib",
+    [(["verify", "--seed", "7"], 18.0), (["sample", "--n-shots", str(N_SHOTS_MAX)], 16.0)],
+)
+def test_peak_rss_growth_bounded(tmp_path, cli_rss_growth_mib, args, limit_mib):
+    rc, growth = cli_rss_growth_mib([*args, "--output", tmp_path / "report.json"])
+    assert rc == 0
+    assert growth < limit_mib, f"{' '.join(args)}: RSS grew {growth:.1f} MiB"
+
+
 class TestExitCodes:
     def test_failing_tolerance_flips_exit_status(self, tmp_path):
         rc = main(

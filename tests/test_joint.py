@@ -166,6 +166,13 @@ class TestOutcomeDistribution:
                 )
         assert worst < 1e-12
 
+    def test_equality_and_hash_go_by_identity(self):
+        a = SingleOutcomeDistribution(np.full(4, 0.25))
+        b = SingleOutcomeDistribution(np.full(4, 0.25))
+        assert a == a and not a == b and a != b
+        assert a in [b, a] and b not in [a] and len({a, b, a}) == 2
+        assert hash(a) == hash(a)
+
 
 class TestMoments:
     def test_linearity_example(self):

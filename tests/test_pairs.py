@@ -61,6 +61,12 @@ class TestDensityOperator:
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 9.0
 
+    def test_equality_and_hash_go_by_identity(self):
+        a, b = DensityOperator4(np.eye(4) / 4), DensityOperator4(np.eye(4) / 4)
+        assert a == a and not a == b and a != b
+        assert a in [b, a] and b not in [a] and len({a, b, a}) == 2
+        assert hash(a) == hash(a)
+
 
 class TestCorrelations:
     def test_maximally_mixed(self):
@@ -148,6 +154,13 @@ class TestTraceDistribution:
             BellFamilyState(0.0).to_density(), VisibilityPair(1.0, 1.0), saturated(0.2)
         )
         assert d.hypothetical
+
+    def test_equality_and_hash_go_by_identity(self):
+        a = PairOutcomeDistribution(np.full(16, 1.0 / 16.0))
+        b = PairOutcomeDistribution(np.full(16, 1.0 / 16.0))
+        assert a == a and not a == b and a != b
+        assert a in [b, a] and b not in [a] and len({a, b, a}) == 2
+        assert hash(a) == hash(a)
 
 
 class TestFormulaDistribution:

@@ -14,11 +14,8 @@ import json
 import math
 import os
 import select
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,31 +396,14 @@ class TestStreamedReport:
             write_report(report, path)
         assert not path.exists()
 
-    def test_surface_cap_rss_growth_below_twice_the_report(self, tmp_path):
-        # ru_maxrss is the peak resident set, in KiB on Linux and bytes on macOS
-        code = (
-            "import resource, sys, jointlab.cli\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "rc = jointlab.cli.main(['scan', '--what', 'chsh-surface', '--grid-steps', '512',"
-            " '--output', sys.argv[1]])\n"
-            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "print(rc, after - before)\n"
-        )
+    def test_surface_cap_rss_growth_below_twice_the_report(self, tmp_path, cli_rss_growth_mib):
         path = tmp_path / "surface.json"
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-        proc = subprocess.run(
-            [sys.executable, "-c", code, str(path)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env=env,
+        rc, growth = cli_rss_growth_mib(
+            ["scan", "--what", "chsh-surface", "--grid-steps", "512", "--output", path]
         )
-        assert proc.returncode == 0, proc.stderr
-        rc, growth = map(int, proc.stdout.split())
-        growth *= 1 if sys.platform == "darwin" else 1024
-        size = path.stat().st_size
-        assert rc == 0 and size > 25 * 2**20
-        assert growth < 2 * size, f"RSS grew {growth / 2**20:.1f} MiB for {size / 2**20:.1f} MiB"
+        size = path.stat().st_size / 2**20
+        assert rc == 0 and size > 25
+        assert growth < 2 * size, f"RSS grew {growth:.1f} MiB for {size:.1f} MiB"
 
 
 class TestShotPipeline:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from jointlab import suites, verify
+from jointlab.bounds import chsh_from_components, tight_bound_from_components
 from jointlab.joint import OUTCOMES, VisibilityPair, povm_element
 from jointlab.pairs import PAIR_OUTCOMES, PairOutcomeDistribution
-from jointlab.sampling import CurveOptimum, SeededSampler
+from jointlab.sampling import CurveOptimum, SeededSampler, correlation_ensemble
 from jointlab.verify import povm_grid_mismatches
 
 
@@ -83,7 +84,22 @@ CURVE = CurveOptimum(1.25, math.pi / 3)
 
 
 def _small_ensembles():
-    return np.zeros((4, 4)), np.zeros((4, 4))
+    return verify.EnsembleMaxima((0.0, 0.0), (0.0, 0.0))
+
+
+#: Ensemble size spanning two full row blocks and a remainder.
+N_BLOCKED = 2 * verify.ENSEMBLE_BLOCK_ROWS + 5
+
+
+def _ensemble_checks():
+    maxima = verify.build_correlation_ensembles(7, N_BLOCKED)
+    return verify.criterion_tight_bound(maxima) + verify.criterion_tsirelson(maxima)
+
+
+def _ensemble_nan_case(call, check_name):
+    """A NaN in the last row, in the remainder block, of the ``call``-th ensemble built."""
+    poison = nan_at(N_BLOCKED - 1, 3)
+    return verify, "correlation_ensemble", call, poison, _ensemble_checks, check_name
 
 
 # (module, name patched, call made NaN, how, run, check that must fail); every
@@ -115,6 +131,10 @@ NAN_CASES = {
         lambda: verify.criterion_tight_bound(_small_ensembles()),
         "tight_bound_bell_family",
     ),
+    "ensemble_tight_bound_pure": _ensemble_nan_case(1, "tight_bound_max_pure"),
+    "ensemble_tight_bound_mixed": _ensemble_nan_case(2, "tight_bound_max_mixed"),
+    "ensemble_chsh_pure": _ensemble_nan_case(1, "chsh_max_pure"),
+    "ensemble_chsh_mixed": _ensemble_nan_case(2, "chsh_max_mixed"),
     "sup_identity": (
         verify, "sup_over_angles", 1, lambda sup: np.where(np.arange(sup.size) == 3, math.nan, sup),
         lambda: verify.criterion_sup_identity(7, n=10),
@@ -178,6 +198,19 @@ def test_ensembles_built_once_per_run_on_first_use(monkeypatch, criteria, builds
     results = verify.run_acceptance(7)
     assert [r.key for r in results] == [key for key, _, _ in verify.CRITERIA]
     assert calls == builds
+
+
+@pytest.mark.parametrize("n", [1, verify.ENSEMBLE_BLOCK_ROWS, 3 * verify.ENSEMBLE_BLOCK_ROWS + 77])
+def test_ensemble_maxima_bit_equal_to_whole_array_maxima(n):
+    master = SeededSampler(7)
+    pure = correlation_ensemble(n, master.derive(50), "haar")
+    mixed = correlation_ensemble(n, master.derive(51), "ginibre")
+    maxima = verify.build_correlation_ensembles(7, n)
+    for got, fn in (
+        (maxima.tight_bound, tight_bound_from_components), (maxima.chsh, chsh_from_components)
+    ):
+        expected = tuple(float(fn(*c.T).max()) for c in (pure, mixed))
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
 def loop_admissible_visibilities(gen, n):
