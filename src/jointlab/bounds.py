@@ -174,7 +174,12 @@ def _angle_lhs(p, q, r, s, alpha, beta, cos, sin):
     """
     u = alpha + beta
     v = alpha - beta
-    return cos(u) * p + sin(u) * q + cos(v) * r - sin(v) * s
+    return _angle_combination(p, q, r, s, cos(u), sin(u), cos(v), sin(v))
+
+
+def _angle_combination(p, q, r, s, cu, su, cv, sv):
+    """cu p + su q + cv r - sv s, given the cosines and sines of u and v."""
+    return cu * p + su * q + cv * r - sv * s
 
 
 def tight_bound_from_components(c_xx, c_xy, c_yx, c_yy):
@@ -291,12 +296,16 @@ def sup_over_angles(c: CorrelationVector | np.ndarray) -> float | np.ndarray:
     r = c_xx + c_yy
     s = c_xy - c_yx
 
+    # each search holds one of u, v at +0.0 exactly (0.5 x - 0.5 x), whose
+    # cosine is 1.0 and sine +0.0, so only the varying angle takes trig
     def f_u(u):
-        return _angle_lhs(p, q, r, s, 0.5 * u, 0.5 * u, cos, sin)
+        u = 0.5 * u + 0.5 * u
+        return _angle_combination(p, q, r, s, cos(u), sin(u), 1.0, 0.0)
 
     def f_v(v):
         # alpha - beta = v with alpha + beta = 0 leaves only the v terms
-        return _angle_lhs(p, q, r, s, 0.5 * v, -0.5 * v, cos, sin)
+        v = 0.5 * v + 0.5 * v
+        return _angle_combination(p, q, r, s, 1.0, 0.0, cos(v), sin(v))
 
     u_values = np.cos(grid) * np.expand_dims(p, -1) + np.sin(grid) * np.expand_dims(q, -1)
     v_values = np.cos(grid) * np.expand_dims(r, -1) - np.sin(grid) * np.expand_dims(s, -1)

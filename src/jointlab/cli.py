@@ -29,6 +29,7 @@ apart from the timestamp.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -66,10 +67,10 @@ CHSH_SURFACE_STEPS_MAX = 512
 #: beyond ~31,400 steps only the table grows, the refined optimum does not.
 ZERO_PROB_CURVE_STEPS_MAX = 100_001
 
-#: Largest ``sample --n-shots``. A shot costs ~0.015 us and ~2 B of RSS on 2
-#: CPUs (about 0.03 s and 4.6 MiB at the cap: the drawn indices, the record's
-#: copy and the block buffers); ``--shots-output`` writes the archive in
-#: blocks, adding ~0.06 us per shot and no memory.
+#: Largest ``sample --n-shots``. A shot costs ~0.015 us and ~1.4 B of RSS on 2
+#: CPUs (about 0.03 s and 2.8 MiB at the cap: the drawn indices, which the
+#: record keeps, and the block buffers); ``--shots-output`` writes the archive
+#: in blocks, adding ~0.06 us per shot and no memory.
 N_SHOTS_MAX = 2_000_000
 
 #: Largest ``bound --state-file`` in bytes. A 4x4 matrix of [re, im] pairs
@@ -281,10 +282,21 @@ def run(config: RunConfig) -> Report:
     )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built by its first call, not at import."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one CLI command and return its exit status (0 pass, 1 check failed, 2 error).
+
+    Every call in a process parses with one parser, built on the first call:
+    argparse's build costs more than parsing, and a parse leaves no state in
+    the parser, since each one fills a fresh namespace.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

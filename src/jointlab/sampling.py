@@ -434,16 +434,26 @@ def _run_blocks(work, starts):
             thread.join()
 
 
+def _check_shot_index(given: np.ndarray) -> None:
+    """Raise unless ``given`` is a 1-d integer array of indices into ``PAIR_OUTCOMES``."""
+    if given.ndim != 1 or given.dtype.kind not in "iu":
+        raise ValueError(f"shot index must be 1-d integers, got {given.dtype} {given.shape}")
+    if given.size and not (given.min() >= 0 and given.max() < len(PAIR_OUTCOMES)):
+        raise ValueError(f"shot index must lie in [0, {len(PAIR_OUTCOMES)})")
+
+
 @dataclass(frozen=True)
 class ShotRecord:
     """Finite sample of pair outcomes, stored as each shot's index in ``PAIR_OUTCOMES``.
 
     ``index`` is the record's own read-only (n,) uint8 copy of the indices
-    given, each checked to lie in [0, 16) before the cast; ``sample_outcomes``
-    gives the indices it drew, the shot archive reads them and every moment
-    estimate reads ``counts``, derived from them. ``source`` documents the
-    distribution and sampler that produced the record. ``from_outcomes``
-    builds a record from (n, 4) rows of +-1 outcomes (x_a, y_a, x_b, y_b).
+    given, each checked to lie in [0, 16) before the cast; the shot archive
+    reads them and every moment estimate reads ``counts``, derived from
+    them. ``sample_outcomes`` hands over the uint8 array it drew, which
+    nothing else holds, through ``_adopt``: checked and made read-only, but
+    not copied. ``source`` documents the distribution and sampler that
+    produced the record. ``from_outcomes`` builds a record from (n, 4) rows
+    of +-1 outcomes (x_a, y_a, x_b, y_b).
     """
 
     index: np.ndarray
@@ -451,13 +461,20 @@ class ShotRecord:
 
     def __post_init__(self):
         given = np.asarray(self.index)
-        if given.ndim != 1 or given.dtype.kind not in "iu":
-            raise ValueError(f"shot index must be 1-d integers, got {given.dtype} {given.shape}")
-        if given.size and not (given.min() >= 0 and given.max() < len(PAIR_OUTCOMES)):
-            raise ValueError(f"shot index must lie in [0, {len(PAIR_OUTCOMES)})")
+        _check_shot_index(given)
         index = given.astype(np.uint8)
         index.setflags(write=False)
         object.__setattr__(self, "index", index)
+
+    @classmethod
+    def _adopt(cls, index: np.ndarray, source: str) -> "ShotRecord":
+        """Record that takes ``index``, a uint8 array no caller holds, without a copy."""
+        _check_shot_index(index)
+        index.setflags(write=False)
+        record = object.__new__(cls)
+        object.__setattr__(record, "index", index)
+        object.__setattr__(record, "source", source)
+        return record
 
     @classmethod
     def from_outcomes(cls, rows, source: str) -> "ShotRecord":
@@ -534,7 +551,7 @@ def sample_outcomes(
 
     for _ in _run_blocks(draw_block, range(0, n, _SHOT_BLOCK)):
         pass
-    return ShotRecord(idx, f"{label + ';' if label else ''}{s.describe()}")
+    return ShotRecord._adopt(idx, f"{label + ';' if label else ''}{s.describe()}")
 
 
 def _inverse_cdf(cdf: np.ndarray):

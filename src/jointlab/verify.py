@@ -240,6 +240,13 @@ def criterion_outcome_product_rule(
 # ---------------------------------------------------------------------------
 
 _BLOCH_ANGLE_STEP = 0.01
+#: State rows of the sweep's (state, angle) table built at a time.
+_BLOCH_BLOCK_ROWS = 256
+
+
+def _bloch_min_probability(ex, ey, cos_a, sin_a):
+    """min over outcomes of (1/4)(1 + x vx ex + y vy ey) at v = (cos a, sin a), broadcast."""
+    return 0.25 * (1.0 - np.abs(ex) * cos_a - np.abs(ey) * sin_a)
 
 
 def bloch_disk_sweep(seed: int) -> tuple[float, float, float]:
@@ -247,20 +254,24 @@ def bloch_disk_sweep(seed: int) -> tuple[float, float, float]:
 
     The visibilities (cos a, sin a) take a in steps of 0.01 rad over
     [0, pi/2], and 60 random (state, angle) spot checks compare the sweep
-    with ``outcome_probabilities``. Returns (worst minimum probability over
-    unphysical states, best-case minimum probability over physical states,
-    max deviation between the vectorized sweep and the production
-    distribution on the spot checks).
+    with ``outcome_probabilities``. The (state, angle) table is built
+    ``_BLOCH_BLOCK_ROWS`` state rows at a time and reduced to its row
+    minima; the spot checks evaluate the same formula on their own (state,
+    angle) pairs. Returns (worst minimum probability over unphysical
+    states, best-case minimum probability over physical states, max
+    deviation between the vectorized sweep and the production distribution
+    on the spot checks).
     """
     coords = np.linspace(-1.0, 1.0, 41)
     ex, ey = [a.ravel() for a in np.meshgrid(coords, coords)]
     alphas = np.arange(0.0, 0.5 * math.pi + 0.5 * _BLOCH_ANGLE_STEP, _BLOCH_ANGLE_STEP)
     cos_a, sin_a = np.cos(alphas), np.sin(alphas)
-    # min over outcomes of (1/4)(1 + x vx ex + y vy ey) at v = (cos a, sin a)
-    table = 0.25 * (
-        1.0 - np.abs(ex)[:, None] * cos_a[None, :] - np.abs(ey)[:, None] * sin_a[None, :]
-    )
-    min_prob = table.min(axis=1)
+    min_prob = np.concatenate([
+        _bloch_min_probability(
+            ex[i : i + _BLOCH_BLOCK_ROWS, None], ey[i : i + _BLOCH_BLOCK_ROWS, None], cos_a, sin_a
+        ).min(axis=1)
+        for i in range(0, ex.size, _BLOCH_BLOCK_ROWS)
+    ])
     unphysical = bloch_bound_lhs(ex, ey) > 1.0 + 1e-12
     worst_unphysical = float(min_prob[unphysical].max())
     best_physical = float(min_prob[~unphysical].min())
@@ -269,7 +280,8 @@ def bloch_disk_sweep(seed: int) -> tuple[float, float, float]:
     # one draw with alternating (state, angle) bounds: the stream of alternating scalar draws
     i, j = gen.integers(np.tile([ex.size, alphas.size], 60)).reshape(-1, 2).T
     spot = outcome_probabilities(cos_a[j], sin_a[j], ex[i], ey[i]).min(axis=-1)
-    return worst_unphysical, best_physical, max_residual(np.abs(spot - table[i, j]))
+    sweep = _bloch_min_probability(ex[i], ey[i], cos_a[j], sin_a[j])
+    return worst_unphysical, best_physical, max_residual(np.abs(spot - sweep))
 
 
 def criterion_bloch_disk_bound(seed: int, tolerance: float | None = None) -> tuple[Check, ...]:

@@ -163,6 +163,29 @@ def test_lone_vector_stays_a_python_float():
         assert value == reference_sup_over_angles(c)
 
 
+def signed_zero_vectors(scale):
+    """Random rows at ``scale`` with +-0.0 components, and all-zero rows of either sign."""
+    rows = scale * (2.0 * SeededSampler(5).rng().random((40, 4)) - 1.0)
+    rows[::3, 1] = 0.0
+    rows[1::4, 2] = -0.0
+    rows[2::5, 0] = -0.0
+    rows[3::6, 3] = 0.0
+    rows[-2] = 0.0
+    rows[-1] = -0.0
+    return rows
+
+
+# each search holds one angle at +0.0 and skips its trig; the reference takes
+# cos and sin of all four angles, so signed zeros and subnormals must agree
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e-310, 0.0])
+def test_fixed_angle_skips_no_signed_zero(scale):
+    rows = signed_zero_vectors(scale)
+    expected = reference_sups(rows)
+    assert sup_over_angles(rows).tobytes() == expected.tobytes()
+    lone = [sup_over_angles(CorrelationVector(*row)) for row in rows]
+    assert np.array(lone).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("shape", [(0, 4), (1, 4), (5, 4), (2, 3, 4), (4,)])
 def test_stack_shapes(shape):
     rows = 2.0 * SeededSampler(3).rng().random(shape) - 1.0

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from jointlab import bounds, suites
+from jointlab import bounds, cli, suites
 from jointlab.cli import (
     CHSH_SURFACE_STEPS_MAX,
     N_SHOTS_MAX,
@@ -29,9 +29,10 @@ from jointlab.cli import (
     RunConfig,
     build_parser,
     main,
+    run,
 )
 from jointlab.pairs import BellFamilyState
-from jointlab.reporting import dumps_json
+from jointlab.reporting import dumps_json, report_json_pieces
 from jointlab.sampling import ShotRecord
 from jointlab.verify import CRITERIA
 
@@ -238,6 +239,44 @@ def test_peak_rss_growth_bounded(tmp_path, cli_rss_growth_mib, args, limit_mib):
     assert growth < limit_mib, f"{' '.join(args)}: RSS grew {growth:.1f} MiB"
 
 
+@pytest.fixture(scope="class")
+def fifo_children(tmp_path_factory):
+    """Two ``bound --state file`` children on FIFOs, started together so that
+    their 1 s state-file deadlines run at the same time.
+
+    ``"without_writer"`` reads a FIFO that no process opens for writing;
+    ``"idle_writer"`` reads one whose write end this fixture holds open after
+    a partial write. The tests wait on them with a timeout, so that a
+    blocking open or read fails a test instead of hanging the suite.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    base = tmp_path_factory.mktemp("fifos")
+    fifos = {name: base / f"{name}.fifo" for name in ("without_writer", "idle_writer")}
+    for fifo in fifos.values():
+        os.mkfifo(fifo)
+    read_end = os.open(fifos["idle_writer"], os.O_RDONLY | os.O_NONBLOCK)
+    write_end = os.open(fifos["idle_writer"], os.O_WRONLY)
+    os.write(write_end, b"[[")
+    os.close(read_end)
+    children = {}
+    try:
+        for name, fifo in fifos.items():
+            children[name] = subprocess.Popen(
+                [sys.executable, "-m", "jointlab", "bound", "--state", "file",
+                 "--state-file", str(fifo)],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        yield children
+    finally:
+        for proc in children.values():
+            proc.kill()
+            proc.communicate()
+        os.close(write_end)
+
+
 class TestExitCodes:
     def test_failing_tolerance_flips_exit_status(self, tmp_path):
         rc = main(
@@ -328,45 +367,18 @@ class TestExitCodes:
         assert err.startswith("error: state file is larger than") and err.count("\n") == 1
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
-    def test_state_file_fifo_without_writer(self, tmp_path):
-        # a subprocess with a timeout, so that a blocking open fails the test
-        # instead of hanging the suite
-        fifo = tmp_path / "state.fifo"
-        os.mkfifo(fifo)
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-        proc = subprocess.run(
-            [sys.executable, "-m", "jointlab", "bound", "--state", "file", "--state-file", str(fifo)],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env=env,
-        )
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    def test_state_file_fifo_without_writer(self, fifo_children):
+        proc = fifo_children["without_writer"]
+        stdout, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 2 and stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
-    def test_state_file_fifo_with_idle_writer(self, tmp_path):
-        # the test holds the FIFO's write end open after a partial write; a
-        # subprocess with a timeout, so that a blocking read fails the test
-        fifo = tmp_path / "state.fifo"
-        os.mkfifo(fifo)
-        read_end = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
-        write_end = os.open(fifo, os.O_WRONLY)
-        os.write(write_end, b"[[")
-        os.close(read_end)
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "jointlab", "bound", "--state", "file", "--state-file", str(fifo)],
-                capture_output=True,
-                text=True,
-                timeout=60,
-                env=env,
-            )
-        finally:
-            os.close(write_end)
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr == f"error: state file did not end within {STATE_FILE_READ_SECONDS:g} s\n"
+    def test_state_file_fifo_with_idle_writer(self, fifo_children):
+        proc = fifo_children["idle_writer"]
+        stdout, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 2 and stdout == ""
+        assert stderr == f"error: state file did not end within {STATE_FILE_READ_SECONDS:g} s\n"
 
     def test_state_file_from_stdin_pipe(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
@@ -665,6 +677,48 @@ class TestOutputHandling:
         assert main(["scan", "--what", "chsh-surface", "--grid-steps", "16",
                      "--output", "report.json"]) == 0
         assert (tmp_path / "report.json").exists()
+
+
+def _without_timestamp(text):
+    return [line for line in text.splitlines(True) if not line.lstrip().startswith('"timestamp":')]
+
+
+class TestParserReuse:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The parsers ``build_parser`` returns from here on, starting from an empty cache."""
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(build_parser()) or built[-1])
+        cli._parser.cache_clear()
+        yield built
+        cli._parser.cache_clear()
+
+    def test_main_builds_the_parser_once(self, builds, capsys):
+        for argv in (["bound", "--state", "bell"], ["pair", "--seed", "3"], ["bound", "--phi"],
+                     ["verify", "--help"], ["bound", "--state", "bell", "--phi", "0.3"]):
+            main(argv)
+        assert len(builds) == 1
+
+    def test_reused_parser_writes_what_a_fresh_parser_does(self, capsys):
+        for argv in (["bound", "--state", "bell", "--phi", "0.3"], ["pair", "--seed", "3"]):
+            assert main(argv) == 0
+            got = capsys.readouterr().out
+            report = run(RunConfig(**vars(build_parser().parse_args(argv))))
+            assert _without_timestamp(got) == _without_timestamp("".join(report_json_pieces(report)))
+        # the first call's --phi does not reach the second call's config
+        assert json.loads(got)["config"]["phi"] == RunConfig.phi
+
+    def test_malformed_argv_between_good_ones(self, capsys):
+        good = ["bound", "--state", "bell", "--phi", "0.3"]
+        assert main(good) == 0
+        first = capsys.readouterr().out
+        assert main(["bound", "--state", "bell", "--phi", "x"]) == 2
+        assert capsys.readouterr().out == ""
+        assert main(good) == 0
+        assert _without_timestamp(capsys.readouterr().out) == _without_timestamp(first)
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
 
 
 def _state_json(m):

@@ -188,6 +188,30 @@ class TestSampling:
         with pytest.raises(ValueError, match="must be \\+-1"):
             ShotRecord.from_outcomes(outcomes, "bad")
 
+    def test_drawn_index_is_read_only_and_not_copied(self, monkeypatch):
+        adopted = []
+        adopt = ShotRecord._adopt.__func__
+        monkeypatch.setattr(
+            ShotRecord, "_adopt", classmethod(lambda cls, i, s: adopted.append(i) or adopt(cls, i, s))
+        )
+        shots = sample_outcomes(BELL_QUARTER_PI, 5000, SeededSampler(4))
+        assert shots.index is adopted[0]
+        assert shots.index.dtype == np.uint8 and not shots.index.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shots.index[0] = 0
+
+    def test_given_index_is_copied(self):
+        given = np.array([0, 15, 3, 3], dtype=np.uint8)
+        record = ShotRecord(given, "given")
+        given[:] = 7
+        assert record.index.tolist() == [0, 15, 3, 3] and given.flags.writeable
+        assert record.counts[[0, 3, 15]].tolist() == [1, 2, 1]
+
+    @pytest.mark.parametrize("bad", [np.array([0, 16], np.uint8), np.zeros((2, 2), np.uint8)])
+    def test_adopted_index_is_checked(self, bad):
+        with pytest.raises(ValueError, match="shot index"):
+            ShotRecord._adopt(bad, "bad")
+
 
 BELL_QUARTER_PI = pair_distribution_formula(
     bell_family_correlations(QUARTER_PI), saturated(QUARTER_PI), saturated(QUARTER_PI)

@@ -5,7 +5,7 @@ import pytest
 
 from jointlab import suites, verify
 from jointlab.bounds import chsh_from_components, tight_bound_from_components
-from jointlab.joint import OUTCOMES, VisibilityPair, povm_element
+from jointlab.joint import OUTCOMES, VisibilityPair, outcome_probabilities, povm_element
 from jointlab.pairs import PAIR_OUTCOMES, PairOutcomeDistribution
 from jointlab.sampling import CurveOptimum, SeededSampler, correlation_ensemble
 from jointlab.verify import povm_grid_mismatches
@@ -211,6 +211,34 @@ def test_ensemble_maxima_bit_equal_to_whole_array_maxima(n):
     ):
         expected = tuple(float(fn(*c.T).max()) for c in (pure, mixed))
         assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+def reference_bloch_disk_sweep(seed):
+    """The sweep as one whole (state, angle) table, its spot checks read from the table."""
+    coords = np.linspace(-1.0, 1.0, 41)
+    ex, ey = [a.ravel() for a in np.meshgrid(coords, coords)]
+    alphas = np.arange(0.0, 0.5 * math.pi + 0.005, 0.01)
+    cos_a, sin_a = np.cos(alphas), np.sin(alphas)
+    table = 0.25 * (
+        1.0 - np.abs(ex)[:, None] * cos_a[None, :] - np.abs(ey)[:, None] * sin_a[None, :]
+    )
+    min_prob = table.min(axis=1)
+    unphysical = ex * ex + ey * ey > 1.0 + 1e-12
+    gen = SeededSampler(seed).derive(3).rng()
+    i, j = gen.integers(np.tile([ex.size, alphas.size], 60)).reshape(-1, 2).T
+    spot = outcome_probabilities(cos_a[j], sin_a[j], ex[i], ey[i]).min(axis=-1)
+    return (
+        float(min_prob[unphysical].max()),
+        float(min_prob[~unphysical].min()),
+        float(np.abs(spot - table[i, j]).max()),
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bloch_disk_sweep_bit_equal_to_whole_table(seed):
+    assert verify._BLOCH_BLOCK_ROWS < 41 * 41  # more than one block, the last one short
+    got = np.array(verify.bloch_disk_sweep(seed))
+    assert got.tobytes() == np.array(reference_bloch_disk_sweep(seed)).tobytes()
 
 
 def loop_admissible_visibilities(gen, n):
