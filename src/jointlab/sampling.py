@@ -14,10 +14,13 @@ four correlation operators are antidiagonal, summing in real arithmetic in
 the order einsum sums the full matrices. It builds the members in blocks of
 2,048 that fit in L2: each block reads its uniforms from the ensemble's one
 long stream at its own offsets, through ``Philox.advance``, so the bits do
-not depend on the thread count. ``sample_outcomes`` draws its shots the same
-way, in blocks of 32,768, inverting the CDF through a table of 4,096 equal
-buckets and searching only the shots whose bucket holds a CDF entry. Each of
-these matches the direct numpy form bit for bit. These blocks, and the shot
+not depend on the thread count. ``_ensemble_maxima`` gives an ensemble's
+two maxima bit for bit without building it: it screens the same draws with
+float32 trig and recomputes exactly only the members near a maximum.
+``sample_outcomes`` draws its shots the same way, in blocks of 32,768,
+inverting the CDF through a table of 4,096 equal buckets and searching only
+the shots whose bucket holds a CDF entry. Each of these matches the direct
+numpy form bit for bit. These blocks, and the shot
 archive's, run through one scheduler, ``_run_blocks``: a bounded in-order
 pipeline with one worker per usable CPU, the caller's thread among them.
 ``estimate_moment`` reads only the 16 outcome counts: the mean as ``mean()``
@@ -47,7 +50,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import AnglePair, _golden_section_max
+from .bounds import (
+    AnglePair,
+    _golden_section_max,
+    chsh_from_components,
+    tight_bound_from_components,
+)
 from .joint import NEGATIVE_PROB_TOL
 from .pairs import (
     PAIR_OUTCOMES,
@@ -107,8 +115,28 @@ _ENSEMBLE_BLOCK = 2048
 #: Shots per sampling block: a block's working arrays fit in L2, and a multiple
 #: of 4, so every block's uniforms start on a Philox counter step.
 _SHOT_BLOCK = 32768
-#: Gaussian normals per ensemble member: a 4-vector or a 4x4 matrix.
-_NORMALS_PER_MEMBER = {"haar": 4, "ginibre": 16}
+#: Gaussian normals of one ensemble member: a 4-vector or a 4x4 matrix.
+_MEMBER_SHAPE = {"haar": (4,), "ginibre": (4, 4)}
+#: Normals per screened block of ``_ensemble_maxima``, 8,192 Haar or 2,048
+#: Ginibre members; a multiple of 4, as ``_SHOT_BLOCK`` is.
+_SCREEN_BLOCK = 32768
+#: How far below its block's screened maximum a member's screened value may
+#: lie and still be recomputed exactly. If every screened value is within eps
+#: of the exact one, a block's screened maximum is at most E* + eps and the
+#: exact maximizer's screened value at least E* - eps, so with a margin of
+#: 2 eps or more the maximizer is kept, and the maximum of the kept, exact
+#: values is E* bit for bit, whatever the screen's own bits.
+#: The bound, with u = 2**-24: the float32 angle (< 2 pi u = 3.8e-7 off), its
+#: cos and sin (1.5 ulp, 9e-8) and the cast radius and product (2u) put each
+#: normal z = r e^(i theta) within d r, d = 9.2e-7. A row product
+#: z_0k conj(z_3k) is then within 2 d r_0k r_3k <= d (r_0k**2 + r_3k**2), so
+#: the lhs, 4 (|rho_03| + |rho_12|), and the CHSH value, 4 (Re - Im) rho_03,
+#: over the squared norm t, move by at most 4 sqrt(2) d = 5.2e-6. The float32
+#: sums add at most 8u t to the row products and 20u relative to t, under
+#: 110u = 6.6e-6 in all, and float64 is within 1e-14: eps < 1.2e-5, against
+#: at most 1.3e-6 measured on 10^6 members of each kind. The margin is 80
+#: times the bound and keeps 0.1 to 0.25 % of the members.
+_SCREEN_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -151,23 +179,28 @@ def _normal_parts(
     """Real and imaginary parts of complex Gaussians; deterministic given the stream."""
     count = int(np.prod(shape))
     u1 = gen.random(count)
-    return _box_muller(u1, gen.random(count), shape)
+    return _box_muller_cartesian(*_box_muller_polar(u1, gen.random(count)), shape)
 
 
-def _box_muller(
-    u1: np.ndarray, u2: np.ndarray, shape: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """One Box-Muller transform per uniform pair (u1, u2) of contiguous 1-d arrays.
-
-    The real part, of the given shape, is its cosine branch and the
-    imaginary part its sine branch. u1 and u2 are overwritten.
-    """
+def _box_muller_polar(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Box-Muller's radius sqrt(-2 log1p(-u1)) and angle 2 pi u2, computed in u1 and u2."""
     radius, angle = u1, u2
     np.negative(radius, out=radius)
     np.log1p(radius, out=radius)  # 1 - u1 in (0, 1], log is finite
     radius *= -2.0
-    np.sqrt(radius, out=radius)  # sqrt(-2 log1p(-u1))
+    np.sqrt(radius, out=radius)
     angle *= 2.0 * math.pi
+    return radius, angle
+
+
+def _box_muller_cartesian(
+    radius: np.ndarray, angle: np.ndarray, shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real parts radius cos(angle) and imaginary parts radius sin(angle), of the given shape.
+
+    Each normal depends only on its own radius and angle, so any subset of
+    a transform's pairs gives those normals' bits.
+    """
     re, im = np.empty((2, radius.size))
     np.cos(angle, out=re)
     np.sin(angle, out=im)
@@ -301,7 +334,7 @@ def correlation_ensemble(n: int, s: SeededSampler, kind: str = "haar") -> np.nda
     in the stream and writing its rows in place, through ``_run_blocks``.
     """
     n = _require_size("ensemble size", n, 1)
-    if kind not in _NORMALS_PER_MEMBER:
+    if kind not in _MEMBER_SHAPE:
         raise ValueError(f"unknown ensemble kind {kind!r}")
     out = np.empty((n, 4))
     starts = range(0, n, _ENSEMBLE_BLOCK)
@@ -317,27 +350,104 @@ def _stream_at(s: SeededSampler, position: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def _ensemble_block(out: np.ndarray, s: SeededSampler, kind: str, i0: int) -> None:
-    """Correlations of members [i0, i0 + _ENSEMBLE_BLOCK) of ``out``, written in place.
+def _member_polar(
+    s: SeededSampler, kind: str, n: int, i0: int, i1: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Box-Muller radii and angles of members [i0, i1) of an n-member ``kind`` ensemble on ``s``.
 
     ``_normal_parts`` over the whole ensemble draws all n * per u1 before all
     n * per u2, so member i's u1 sit at stream position per * i and its u2
     at per * (n + i).
     """
-    n = len(out)
-    i1 = min(i0 + _ENSEMBLE_BLOCK, n)
-    per = _NORMALS_PER_MEMBER[kind]
+    per = math.prod(_MEMBER_SHAPE[kind])
     count = per * (i1 - i0)
     u1 = _stream_at(s, per * i0).random(count)
-    u2 = _stream_at(s, per * (n + i0)).random(count)
+    return _box_muller_polar(u1, _stream_at(s, per * (n + i0)).random(count))
+
+
+def _member_correlations(kind: str, radius: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """(k, 4) correlations, as einsum gives them, of k members from their Box-Muller parts.
+
+    A member's normals G = re + i im are a 4-vector for Haar, the ket G / |G|,
+    and a 4x4 matrix for Ginibre, the state G G^dagger / tr(G G^dagger).
+    """
+    re, im = _box_muller_cartesian(radius, angle, (-1,) + _MEMBER_SHAPE[kind])
     if kind == "haar":
-        re, im = _unit_rows(*_box_muller(u1, u2, (i1 - i0, 4)))
-        out[i0:i1] = _antidiagonal_correlations(*_antidiagonal(re[:, :, None], im[:, :, None]))
-    else:
-        a, b = _box_muller(u1, u2, (i1 - i0, 4, 4))
-        scale = 1.0 / _sum_last(_sum_last(a * a + b * b))
-        re, im = _antidiagonal(a, b)
-        out[i0:i1] = _antidiagonal_correlations(re * scale[:, None], im * scale[:, None])
+        re, im = _unit_rows(re, im)
+        return _antidiagonal_correlations(*_antidiagonal(re[:, :, None], im[:, :, None]))
+    scale = 1.0 / _sum_last(_sum_last(re * re + im * im))
+    re, im = _antidiagonal(re, im)
+    return _antidiagonal_correlations(re * scale[:, None], im * scale[:, None])
+
+
+def _ensemble_block(out: np.ndarray, s: SeededSampler, kind: str, i0: int) -> None:
+    """Correlations of members [i0, i0 + _ENSEMBLE_BLOCK) of ``out``, written in place."""
+    n = len(out)
+    i1 = min(i0 + _ENSEMBLE_BLOCK, n)
+    out[i0:i1] = _member_correlations(kind, *_member_polar(s, kind, n, i0, i1))
+
+
+def _ensemble_maxima(n: int, s: SeededSampler, kind: str) -> tuple[float, float]:
+    """(max tight-bound lhs, max CHSH) of ``correlation_ensemble(n, s, kind)``, bit for bit.
+
+    Each block of ``_SCREEN_BLOCK`` normals is screened in float32, and only
+    the members ``_near_top`` keeps are recomputed exactly; the result is the
+    maximum of the block maxima, NaN when any recomputed member is NaN.
+    """
+    n = _require_size("ensemble size", n, 1)
+    if kind not in _MEMBER_SHAPE:
+        raise ValueError(f"unknown ensemble kind {kind!r}")
+    per = math.prod(_MEMBER_SHAPE[kind])
+    size = _SCREEN_BLOCK // per
+
+    def block_maxima(i0: int) -> tuple[float, float]:
+        i1 = min(i0 + size, n)
+        radius, angle = _member_polar(s, kind, n, i0, i1)
+        kept = _near_top(*_screen(radius, angle, i1 - i0))
+        normals = (kept[:, None] * per + np.arange(per)).ravel()
+        c = _member_correlations(kind, radius[normals], angle[normals]).T
+        return tight_bound_from_components(*c).max(), chsh_from_components(*c).max()
+
+    tight, chsh = np.array(list(_run_blocks(block_maxima, range(0, n, size)))).max(axis=0)
+    return float(tight), float(chsh)
+
+
+def _screen(radius: np.ndarray, angle: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 (tight-bound lhs, CHSH) of k members from their Box-Muller radii and angles.
+
+    By the coherence identity, from each member's normals G, (4, 1) or
+    (4, 4): rho_03 and rho_12 are G's row products 0.3 and 1.2 over the sum
+    of the radii squared. Within ``_SCREEN_MARGIN`` / 2 of the exact values.
+    """
+    per = radius.size // k
+    r = np.empty((per, k), dtype=np.float32)  # planar: one row per normal of a member
+    r[...] = radius.reshape(k, per).T
+    t = np.empty_like(r)
+    t[...] = angle.reshape(k, per).T
+    a = np.cos(t)
+    a *= r
+    b = np.sin(t, out=t)
+    b *= r
+    r *= r
+    scale = 4.0 / r.sum(axis=0)
+    # (k, 4, m) views of the planes, so every operation runs along the members
+    re, im = _antidiagonal(*(x.reshape(4, -1, k).transpose(2, 0, 1) for x in (a, b)))
+    moduli = np.hypot(re, im)
+    return (moduli[:, 0] + moduli[:, 1]) * scale, (re[:, 0] - im[:, 0]) * scale
+
+
+def _near_top(*screened: np.ndarray) -> np.ndarray:
+    """Members within ``_SCREEN_MARGIN`` of their block's finite maximum in any of ``screened``.
+
+    A member whose screened value is not finite is kept too, so the kept
+    set always holds each quantity's exact maximizer.
+    """
+    kept = np.zeros(screened[0].shape, dtype=bool)
+    for values in screened:
+        finite = np.isfinite(values)
+        top = np.max(values, where=finite, initial=-np.inf)
+        kept |= ~finite | (values >= top - _SCREEN_MARGIN)
+    return np.flatnonzero(kept)
 
 
 def _usable_cpus() -> int:

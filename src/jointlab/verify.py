@@ -7,9 +7,10 @@ tuple of named checks carrying value, bound, tolerance and a pass flag.
 a key, a title and how to run the criterion's checks, in report order.
 ``run_acceptance`` evaluates them on one master seed, times each one and
 packages it as a ``CriterionResult``. The two 10^5-state ensembles are
-built once per run, by the first criterion that asks for them, which is
-charged for the build; each is reduced to its two maxima, in row blocks,
-and released before the next is built, so the run keeps four floats of them.
+reduced once per run, by the first criterion that asks for them, which is
+charged for it, to their largest tight-bound lhs and CHSH value: each is
+screened in float32 a block at a time and only its near-maximal members are
+recomputed exactly, so the run keeps four floats and never an ensemble.
 
 Every check a criterion makes is built here, once: the CLI subcommands
 (``suites``) compose these criteria and their check functions at their own
@@ -32,7 +33,6 @@ import numpy as np
 
 from .bounds import (
     TSIRELSON_BOUND,
-    chsh_from_components,
     chsh_value,
     coherence_bound_lhs,
     coherence_from_matrices,
@@ -72,8 +72,8 @@ from .sampling import (
     CurveOptimum,
     SeededSampler,
     ShotRecord,
+    _ensemble_maxima,
     constrained_chsh_grid_max,
-    correlation_ensemble,
     estimate_moment,
     max_experimental_chsh,
     random_state_stack,
@@ -370,11 +370,6 @@ def criterion_pair_moment_structure(
 # 5 + 7. random-state ensembles for the tight bound and the CHSH corollary
 # ---------------------------------------------------------------------------
 
-#: Ensemble rows each function is evaluated on at a time: 4,096 rows of four
-#: doubles, 128 KiB, stay in cache, and no temporary spans the ensemble.
-ENSEMBLE_BLOCK_ROWS = 4096
-
-
 class EnsembleMaxima(NamedTuple):
     """The largest tight-bound lhs and CHSH value, each as (pure, mixed).
 
@@ -386,31 +381,12 @@ class EnsembleMaxima(NamedTuple):
     chsh: tuple[float, float]
 
 
-def _block_max(fn, c: np.ndarray) -> float:
-    """``fn(*c.T).max()``, evaluated on ``ENSEMBLE_BLOCK_ROWS`` rows of ``c`` at a time.
-
-    ``np.max`` of the block maxima is NaN when any member is NaN, as the
-    whole-array maximum is.
-    """
-    rows = range(0, len(c), ENSEMBLE_BLOCK_ROWS)
-    return float(np.max([fn(*c[i : i + ENSEMBLE_BLOCK_ROWS].T).max() for i in rows]))
-
-
-def _ensemble_maxima(n: int, s: SeededSampler, kind: str) -> tuple[float, float]:
-    """(tight-bound max, CHSH max) of ``correlation_ensemble(n, s, kind)``.
-
-    The ensemble lives only in this call, so it is released before the
-    caller builds the next one.
-    """
-    c = correlation_ensemble(n, s, kind)
-    return _block_max(tight_bound_from_components, c), _block_max(chsh_from_components, c)
-
-
 def build_correlation_ensembles(seed: int, n: int = 100_000) -> EnsembleMaxima:
     """The maxima of criteria 5 and 7 over ``n`` Haar and ``n`` Ginibre states.
 
-    One ensemble is built and reduced before the other is built, so at most
-    one (n, 4) array is alive at a time.
+    Each equals the whole-array maximum over ``correlation_ensemble`` bit for
+    bit; ``_ensemble_maxima`` screens the members a block at a time and
+    recomputes only the near-maximal ones exactly, so no (n, 4) array is built.
     """
     master = SeededSampler(seed)
     tight_pure, chsh_pure = _ensemble_maxima(n, master.derive(50), "haar")
@@ -639,10 +615,9 @@ CRITERIA = (
 def run_acceptance(seed: int) -> tuple[CriterionResult, ...]:
     """Evaluate every criterion of ``CRITERIA`` with one master seed, timing each.
 
-    The ensembles are built and reduced to their ``EnsembleMaxima`` on first
-    use, so the first criterion that asks for them (``tight_bound_validity``)
-    is charged for the build; only the four maxima are kept for the rest of
-    the run.
+    The ensembles are reduced to their ``EnsembleMaxima`` on first use, so
+    the first criterion that asks for them (``tight_bound_validity``) is
+    charged for it; only the four maxima are kept for the rest of the run.
     """
     maxima = functools.cache(lambda: build_correlation_ensembles(seed))
     results = []

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -52,3 +53,21 @@ def cli_rss_growth_mib():
         return rc, growth_kib / 1024
 
     return run
+
+
+@pytest.fixture(scope="session")
+def exact_ensemble():
+    """``build(n, s, kind)``: ``correlation_ensemble(n, s, kind)``, read-only, built once.
+
+    Several tests read the same 10^5-member references; each is built on its
+    first use and shared after that.
+    """
+    from jointlab.sampling import correlation_ensemble
+
+    @functools.cache
+    def build(n, s, kind):
+        c = correlation_ensemble(n, s, kind)
+        c.setflags(write=False)
+        return c
+
+    return build

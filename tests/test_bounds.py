@@ -168,10 +168,10 @@ class TestClosedFormBounds:
             2.732050807568877, abs=1e-9
         )
 
-    def test_implication_chain_on_quantum_states(self):
+    def test_implication_chain_on_quantum_states(self, exact_ensemble):
         # each stage of the weakening chain holds on 10^5-state ensembles
         for kind, seed in (("haar", 19), ("ginibre", 20)):
-            c = correlation_ensemble(100_000, SeededSampler(seed), kind)
+            c = exact_ensemble(100_000, SeededSampler(seed), kind)
             cxx, cxy, cyx, cyy = c.T
             tight = tight_bound_from_components(cxx, cxy, cyx, cyy)
             simplified = (cxx - cyy) ** 2 + (cxy + cyx) ** 2

@@ -1,13 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from jointlab import suites, verify
+from jointlab import sampling, suites, verify
 from jointlab.bounds import chsh_from_components, tight_bound_from_components
 from jointlab.joint import OUTCOMES, VisibilityPair, outcome_probabilities, povm_element
 from jointlab.pairs import PAIR_OUTCOMES, PairOutcomeDistribution
-from jointlab.sampling import CurveOptimum, SeededSampler, correlation_ensemble
+from jointlab.sampling import CurveOptimum, SeededSampler
 from jointlab.verify import povm_grid_mismatches
 
 
@@ -38,13 +39,19 @@ def test_blocked_grid_matches_per_point_loop(grid_steps, tol):
 
 
 def nan_on_call(fn, call, poison):
-    """``fn`` with its ``call``-th result (1-based) replaced by ``poison(result)``."""
-    count = [0]
+    """``fn`` with its ``call``-th result (1-based) replaced by ``poison(result)``.
+
+    ``call`` may also be ``(accept, k)``: the k-th of the calls whose
+    arguments ``accept`` takes. A call counts when it starts, in one atomic
+    step, so calls from worker threads are counted once each.
+    """
+    accept, k = call if isinstance(call, tuple) else (lambda *args: True, call)
+    counter = itertools.count(1)
 
     def wrapped(*args, **kwargs):
-        count[0] += 1
+        hit = accept(*args) and next(counter) == k
         result = fn(*args, **kwargs)
-        return poison(result) if count[0] == call else result
+        return poison(result) if hit else result
 
     return wrapped
 
@@ -87,8 +94,14 @@ def _small_ensembles():
     return verify.EnsembleMaxima((0.0, 0.0), (0.0, 0.0))
 
 
-#: Ensemble size spanning two full row blocks and a remainder.
-N_BLOCKED = 2 * verify.ENSEMBLE_BLOCK_ROWS + 5
+#: Members per screened block of ``sampling._ensemble_maxima``, by kind.
+SCREEN_BLOCK = {
+    kind: sampling._SCREEN_BLOCK // math.prod(shape)
+    for kind, shape in sampling._MEMBER_SHAPE.items()
+}
+#: Ensemble size spanning two full Haar blocks and a remainder, and eight
+#: full Ginibre blocks and a remainder.
+N_BLOCKED = 2 * SCREEN_BLOCK["haar"] + 5
 
 
 def _ensemble_checks():
@@ -96,10 +109,10 @@ def _ensemble_checks():
     return verify.criterion_tight_bound(maxima) + verify.criterion_tsirelson(maxima)
 
 
-def _ensemble_nan_case(call, check_name):
-    """A NaN in the last row, in the remainder block, of the ``call``-th ensemble built."""
-    poison = nan_at(N_BLOCKED - 1, 3)
-    return verify, "correlation_ensemble", call, poison, _ensemble_checks, check_name
+def _ensemble_nan_case(kind, check_name):
+    """A NaN in the last member that the second ``kind`` block to refine recomputes exactly."""
+    accept = (lambda member_kind, *polar: member_kind == kind, 2)
+    return sampling, "_member_correlations", accept, nan_at(-1, 3), _ensemble_checks, check_name
 
 
 # (module, name patched, call made NaN, how, run, check that must fail); every
@@ -131,10 +144,10 @@ NAN_CASES = {
         lambda: verify.criterion_tight_bound(_small_ensembles()),
         "tight_bound_bell_family",
     ),
-    "ensemble_tight_bound_pure": _ensemble_nan_case(1, "tight_bound_max_pure"),
-    "ensemble_tight_bound_mixed": _ensemble_nan_case(2, "tight_bound_max_mixed"),
-    "ensemble_chsh_pure": _ensemble_nan_case(1, "chsh_max_pure"),
-    "ensemble_chsh_mixed": _ensemble_nan_case(2, "chsh_max_mixed"),
+    "ensemble_tight_bound_pure": _ensemble_nan_case("haar", "tight_bound_max_pure"),
+    "ensemble_tight_bound_mixed": _ensemble_nan_case("ginibre", "tight_bound_max_mixed"),
+    "ensemble_chsh_pure": _ensemble_nan_case("haar", "chsh_max_pure"),
+    "ensemble_chsh_mixed": _ensemble_nan_case("ginibre", "chsh_max_mixed"),
     "sup_identity": (
         verify, "sup_over_angles", 1, lambda sup: np.where(np.arange(sup.size) == 3, math.nan, sup),
         lambda: verify.criterion_sup_identity(7, n=10),
@@ -200,17 +213,87 @@ def test_ensembles_built_once_per_run_on_first_use(monkeypatch, criteria, builds
     assert calls == builds
 
 
-@pytest.mark.parametrize("n", [1, verify.ENSEMBLE_BLOCK_ROWS, 3 * verify.ENSEMBLE_BLOCK_ROWS + 77])
-def test_ensemble_maxima_bit_equal_to_whole_array_maxima(n):
-    master = SeededSampler(7)
-    pure = correlation_ensemble(n, master.derive(50), "haar")
-    mixed = correlation_ensemble(n, master.derive(51), "ginibre")
-    maxima = verify.build_correlation_ensembles(7, n)
-    for got, fn in (
-        (maxima.tight_bound, tight_bound_from_components), (maxima.chsh, chsh_from_components)
-    ):
-        expected = tuple(float(fn(*c.T).max()) for c in (pure, mixed))
-        assert np.array(got).tobytes() == np.array(expected).tobytes()
+def whole_array_maxima(exact_ensemble, seed, n):
+    """The ``EnsembleMaxima`` of criteria 5 and 7 from the whole (n, 4) ensembles."""
+    master = SeededSampler(seed)
+    pure = exact_ensemble(n, master.derive(50), "haar").T
+    mixed = exact_ensemble(n, master.derive(51), "ginibre").T
+    return verify.EnsembleMaxima(*(
+        (float(fn(*pure).max()), float(fn(*mixed).max()))
+        for fn in (tight_bound_from_components, chsh_from_components)
+    ))
+
+
+def assert_same_maxima(got, expected):
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+#: Sizes around each kind's screen block B: 1, B - 1, B, B + 1 and 3B + 77.
+SCREEN_SIZES = sorted({n for b in SCREEN_BLOCK.values() for n in (1, b - 1, b, b + 1, 3 * b + 77)})
+
+
+@pytest.mark.parametrize(
+    "seed, n", [(7, n) for n in SCREEN_SIZES] + [(seed, 100_000) for seed in range(5)]
+)
+def test_ensemble_maxima_bit_equal_to_whole_array_maxima(exact_ensemble, seed, n):
+    got = verify.build_correlation_ensembles(seed, n)
+    assert_same_maxima(got, whole_array_maxima(exact_ensemble, seed, n))
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_ensemble_maxima_do_not_depend_on_worker_count(monkeypatch, exact_ensemble, cpus):
+    n = 3 * SCREEN_BLOCK["haar"] + 77
+    monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
+    got = verify.build_correlation_ensembles(7, n)
+    assert_same_maxima(got, whole_array_maxima(exact_ensemble, 7, n))
+
+
+# the 10^5-member ensembles of test_bounds' implication chain
+@pytest.mark.parametrize("kind, seed", [("haar", 19), ("ginibre", 20)])
+def test_screen_error_and_refined_share(exact_ensemble, kind, seed):
+    """Every member's screened values lie within 1 % of the margin; at most 1 % are refined."""
+    n, s, size = 100_000, SeededSampler(seed), SCREEN_BLOCK[kind]
+    exact = exact_ensemble(n, s, kind)
+    errors, refined = [], 0
+    for i0 in range(0, n, size):
+        i1 = min(i0 + size, n)
+        screened = sampling._screen(*sampling._member_polar(s, kind, n, i0, i1), i1 - i0)
+        c = exact[i0:i1].T
+        for values, fn in zip(screened, (tight_bound_from_components, chsh_from_components)):
+            errors.append(np.abs(values - fn(*c)).max())
+        refined += sampling._near_top(*screened).size
+    assert np.max(errors) <= sampling._SCREEN_MARGIN / 100
+    assert refined <= n // 100
+
+
+def test_member_screened_as_nan_is_refined(monkeypatch, exact_ensemble):
+    """A member far from the maxima whose screened values are NaN is recomputed exactly."""
+    screen, near_top = sampling._screen, sampling._near_top
+    poisoned = []
+
+    def nan_screen(radius, angle, k):
+        lhs, chsh = screen(radius, angle, k)
+        low = int(np.argmin(lhs))
+        assert low not in near_top(lhs, chsh)
+        lhs[low] = chsh[low] = math.nan
+        poisoned.append(low)
+        return lhs, chsh
+
+    refined = []
+
+    def recording_near_top(lhs, chsh):
+        kept = near_top(lhs, chsh)
+        refined.append(poisoned[-1] in kept)
+        return kept
+
+    # one worker, so each block's screen is followed by its own selection
+    monkeypatch.setattr(sampling, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(sampling, "_screen", nan_screen)
+    monkeypatch.setattr(sampling, "_near_top", recording_near_top)
+    got = verify.build_correlation_ensembles(7, N_BLOCKED)
+    assert len(refined) == sum(-(-N_BLOCKED // size) for size in SCREEN_BLOCK.values())
+    assert all(refined)
+    assert_same_maxima(got, whole_array_maxima(exact_ensemble, 7, N_BLOCKED))
 
 
 def reference_bloch_disk_sweep(seed):
