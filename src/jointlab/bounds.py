@@ -164,17 +164,9 @@ def angle_inequality_lhs(c: CorrelationVector, a: AnglePair) -> float:
     """
     p, q = c.c_xx - c.c_yy, c.c_xy + c.c_yx
     r, s = c.c_xx + c.c_yy, c.c_xy - c.c_yx
-    return _angle_lhs(p, q, r, s, a.alpha, a.beta, math.cos, math.sin)
-
-
-def _angle_lhs(p, q, r, s, alpha, beta, cos, sin):
-    """cos(u) p + sin(u) q + cos(v) r - sin(v) s at u = alpha + beta, v = alpha - beta.
-
-    ``cos`` and ``sin`` are ``math``'s on Python floats or numpy's on arrays.
-    """
-    u = alpha + beta
-    v = alpha - beta
-    return _angle_combination(p, q, r, s, cos(u), sin(u), cos(v), sin(v))
+    u = a.alpha + a.beta
+    v = a.alpha - a.beta
+    return _angle_combination(p, q, r, s, math.cos(u), math.sin(u), math.cos(v), math.sin(v))
 
 
 def _angle_combination(p, q, r, s, cu, su, cv, sv):

@@ -6,23 +6,23 @@ variates are produced by a Box-Muller transform of uniform pairs drawn from
 that stream. Identical seeds therefore reproduce results bit-for-bit,
 independent of library version details of higher-level distributions.
 
-The hot paths are exact kernels on that stream. ``random_state_stack`` draws
-all its members from one stream, laid out as the lone generators lay out
-one state, so a stack of one is the lone state bit for bit.
-``correlation_ensemble`` forms only rho's antidiagonal and trace, since the
-four correlation operators are antidiagonal, summing in real arithmetic in
-the order einsum sums the full matrices. It builds the members in blocks of
-2,048 that fit in L2: each block reads its uniforms from the ensemble's one
-long stream at its own offsets, through ``Philox.advance``, so the bits do
-not depend on the thread count. ``_ensemble_maxima`` gives an ensemble's
-two maxima bit for bit without building it: it screens the same draws with
-float32 trig and recomputes exactly only the members near a maximum.
+The hot paths are exact kernels on that stream. Every Box-Muller draw reads
+its uniforms through ``_member_polar``, the one place of their layout, so a
+stack of one is the lone state bit for bit. ``correlation_ensemble`` forms
+only rho's antidiagonal and trace, since the four correlation operators are
+antidiagonal, summing in real arithmetic in the order einsum sums the full
+matrices; ``_ensemble_maxima`` gives its two maxima bit for bit, screening
+the same draws with float32 trig and recomputing exactly only the members
+near a maximum. Both run ``_ensemble_blocks``: blocks of 32,768 normals
+(8,192 Haar or 2,048 Ginibre members) that fit in L2, each reading its
+uniforms from the ensemble's one long stream at its own offsets, through
+``Philox.advance``, so the bits do not depend on the thread count.
 ``sample_outcomes`` draws its shots the same way, in blocks of 32,768,
 inverting the CDF through a table of 4,096 equal buckets and searching only
 the shots whose bucket holds a CDF entry. Each of these matches the direct
-numpy form bit for bit. These blocks, and the shot
-archive's, run through one scheduler, ``_run_blocks``: a bounded in-order
-pipeline with one worker per usable CPU, the caller's thread among them.
+numpy form bit for bit. These blocks, and the shot archive's, run through
+one scheduler, ``_run_blocks``: a bounded in-order pipeline with one worker
+per usable CPU, the caller's thread among them.
 ``estimate_moment`` reads only the 16 outcome counts: the mean as ``mean()``
 gives it, and the standard error from the exact sample variance of +-1
 values, 4 n_plus n_minus / (n (n - 1)), rounded once. The counts are
@@ -110,16 +110,14 @@ _PAIR_OUTCOME_ARRAY.setflags(write=False)
 _BUCKETS = 4096
 _BUCKET_EDGES = np.arange(_BUCKETS + 1) / _BUCKETS
 
-#: Ensemble members per block: a Ginibre block's working arrays fit in L2.
-_ENSEMBLE_BLOCK = 2048
 #: Shots per sampling block: a block's working arrays fit in L2, and a multiple
 #: of 4, so every block's uniforms start on a Philox counter step.
 _SHOT_BLOCK = 32768
 #: Gaussian normals of one ensemble member: a 4-vector or a 4x4 matrix.
 _MEMBER_SHAPE = {"haar": (4,), "ginibre": (4, 4)}
-#: Normals per screened block of ``_ensemble_maxima``, 8,192 Haar or 2,048
-#: Ginibre members; a multiple of 4, as ``_SHOT_BLOCK`` is.
-_SCREEN_BLOCK = 32768
+#: Normals per ensemble block, 8,192 Haar or 2,048 Ginibre members: a block's
+#: working arrays fit in L2, and a multiple of 4, as ``_SHOT_BLOCK`` is.
+_ENSEMBLE_NORMALS = 32768
 #: How far below its block's screened maximum a member's screened value may
 #: lie and still be recomputed exactly. If every screened value is within eps
 #: of the exact one, a block's screened maximum is at most E* + eps and the
@@ -173,13 +171,27 @@ def _require_size(what: str, n, minimum: int) -> int:
     return int(n)
 
 
-def _normal_parts(
-    gen: np.random.Generator, shape: tuple[int, ...]
+def _stream_at(s: SeededSampler, position: int) -> np.random.Generator:
+    """``s.rng()`` with its first ``position`` outputs skipped; position is a multiple of 4."""
+    bits = np.random.Philox(key=s.seed)
+    bits.advance(position // 4)  # Philox's counter steps once per four outputs
+    return np.random.Generator(bits)
+
+
+def _member_polar(
+    s: SeededSampler, kind: str, n: int, i0: int, i1: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of complex Gaussians; deterministic given the stream."""
-    count = int(np.prod(shape))
-    u1 = gen.random(count)
-    return _box_muller_cartesian(*_box_muller_polar(u1, gen.random(count)), shape)
+    """Box-Muller radii and angles of members [i0, i1) of an n-member ``kind`` ensemble on ``s``.
+
+    The one reader of Box-Muller uniforms, and so the one place of their
+    layout: with per normals a member, all n * per u1 come before all
+    n * per u2, so member i's u1 sit at stream position per * i and its u2 at
+    per * (n + i). A lone state or a stack reads members [0, n).
+    """
+    per = math.prod(_MEMBER_SHAPE[kind])
+    count = per * (i1 - i0)
+    u1 = _stream_at(s, per * i0).random(count)
+    return _box_muller_polar(u1, _stream_at(s, per * (n + i0)).random(count))
 
 
 def _box_muller_polar(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,15 +221,10 @@ def _box_muller_cartesian(
     return re.reshape(shape), im.reshape(shape)
 
 
-def _complex_normals(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    z = np.empty(shape, dtype=np.complex128)
-    z.real, z.imag = _normal_parts(gen, shape)
-    return z
-
-
-def _haar_kets(gen: np.random.Generator, n: int) -> np.ndarray:
+def _haar_kets(s: SeededSampler, n: int) -> np.ndarray:
     psi = np.empty((n, 4), dtype=np.complex128)
-    psi.real, psi.imag = _unit_rows(*_normal_parts(gen, (n, 4)))
+    normals = _box_muller_cartesian(*_member_polar(s, "haar", n, 0, n), (n, 4))
+    psi.real, psi.imag = _unit_rows(*normals)
     return psi
 
 
@@ -230,9 +237,10 @@ def _unit_rows(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return re / norm, im / norm
 
 
-def _ginibre_rhos(gen: np.random.Generator, n: int) -> np.ndarray:
-    """G G^dagger / tr(G G^dagger) for n complex Gaussian 4x4 G drawn from ``gen``."""
-    g = _complex_normals(gen, (n, 4, 4))
+def _ginibre_rhos(s: SeededSampler, n: int) -> np.ndarray:
+    """G G^dagger / tr(G G^dagger) for n complex Gaussian 4x4 G drawn from ``s``."""
+    g = np.empty((n, 4, 4), dtype=np.complex128)
+    g.real, g.imag = _box_muller_cartesian(*_member_polar(s, "ginibre", n, 0, n), (n, 4, 4))
     rho = np.einsum("nij,nkj->nik", g, g.conj())
     tr = np.einsum("nii->n", rho).real
     return rho / tr[:, None, None]
@@ -279,12 +287,12 @@ def _antidiagonal_correlations(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 def haar_random_pure_state(s: SeededSampler) -> DensityOperator4:
     """Rank-1 state from a normalized complex Gaussian 4-vector (Haar measure)."""
-    return pure_density(_haar_kets(s.rng(), 1)[0])
+    return pure_density(_haar_kets(s, 1)[0])
 
 
 def ginibre_random_mixed_state(s: SeededSampler) -> DensityOperator4:
     """Full-rank state G G^dagger / tr(G G^dagger) for complex Gaussian G."""
-    return DensityOperator4(_ginibre_rhos(s.rng(), 1)[0])
+    return DensityOperator4(_ginibre_rhos(s, 1)[0])
 
 
 def bell_diagonal_random_state(s: SeededSampler) -> DensityOperator4:
@@ -320,7 +328,7 @@ def random_state_stack(kind: str, s: SeededSampler, n: int) -> np.ndarray:
     if kind == "bell-diagonal":
         return validate_densities(_bell_mixtures(s.rng().random((n, 3))))
     if kind == "ginibre":
-        return validate_densities(_ginibre_rhos(s.rng(), n))
+        return validate_densities(_ginibre_rhos(s, n))
     raise ValueError(f"unknown stack kind {kind!r}; expected 'bell-diagonal' or 'ginibre'")
 
 
@@ -329,40 +337,35 @@ def correlation_ensemble(n: int, s: SeededSampler, kind: str = "haar") -> np.nda
 
     Only rho's antidiagonal and trace are formed, never the states
     themselves; the result is bit-equal to the einsum correlations of the
-    full states drawn from the same stream. The members are built in blocks
-    of ``_ENSEMBLE_BLOCK``, each reading its uniforms from its own offsets
-    in the stream and writing its rows in place, through ``_run_blocks``.
+    full states drawn from the same stream. Each block of
+    ``_ensemble_blocks`` writes its rows in place.
     """
-    n = _require_size("ensemble size", n, 1)
-    if kind not in _MEMBER_SHAPE:
-        raise ValueError(f"unknown ensemble kind {kind!r}")
+
+    def write(i0: int, i1: int, radius: np.ndarray, angle: np.ndarray) -> None:
+        out[i0:i1] = _member_correlations(kind, radius, angle)
+
+    blocks = _ensemble_blocks(n, s, kind, write)  # checks n and kind before out is made
     out = np.empty((n, 4))
-    starts = range(0, n, _ENSEMBLE_BLOCK)
-    for _ in _run_blocks(lambda i0: _ensemble_block(out, s, kind, i0), starts):
+    for _ in blocks:
         pass
     return out
 
 
-def _stream_at(s: SeededSampler, position: int) -> np.random.Generator:
-    """``s.rng()`` with its first ``position`` outputs skipped; position is a multiple of 4."""
-    bits = np.random.Philox(key=s.seed)
-    bits.advance(position // 4)  # Philox's counter steps once per four outputs
-    return np.random.Generator(bits)
+def _ensemble_blocks(n: int, s: SeededSampler, kind: str, block):
+    """``_run_blocks`` of ``block(i0, i1, radius, angle)`` over blocks of ``_ENSEMBLE_NORMALS``.
 
-
-def _member_polar(
-    s: SeededSampler, kind: str, n: int, i0: int, i1: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Box-Muller radii and angles of members [i0, i1) of an n-member ``kind`` ensemble on ``s``.
-
-    ``_normal_parts`` over the whole ensemble draws all n * per u1 before all
-    n * per u2, so member i's u1 sit at stream position per * i and its u2
-    at per * (n + i).
+    The ensembles' one block loop; ``n`` and ``kind`` are checked on the call.
     """
-    per = math.prod(_MEMBER_SHAPE[kind])
-    count = per * (i1 - i0)
-    u1 = _stream_at(s, per * i0).random(count)
-    return _box_muller_polar(u1, _stream_at(s, per * (n + i0)).random(count))
+    n = _require_size("ensemble size", n, 1)
+    if kind not in _MEMBER_SHAPE:
+        raise ValueError(f"unknown ensemble kind {kind!r}")
+    size = _ENSEMBLE_NORMALS // math.prod(_MEMBER_SHAPE[kind])
+
+    def run(i0: int):
+        i1 = min(i0 + size, n)
+        return block(i0, i1, *_member_polar(s, kind, n, i0, i1))
+
+    return _run_blocks(run, range(0, n, size))
 
 
 def _member_correlations(kind: str, radius: np.ndarray, angle: np.ndarray) -> np.ndarray:
@@ -380,35 +383,22 @@ def _member_correlations(kind: str, radius: np.ndarray, angle: np.ndarray) -> np
     return _antidiagonal_correlations(re * scale[:, None], im * scale[:, None])
 
 
-def _ensemble_block(out: np.ndarray, s: SeededSampler, kind: str, i0: int) -> None:
-    """Correlations of members [i0, i0 + _ENSEMBLE_BLOCK) of ``out``, written in place."""
-    n = len(out)
-    i1 = min(i0 + _ENSEMBLE_BLOCK, n)
-    out[i0:i1] = _member_correlations(kind, *_member_polar(s, kind, n, i0, i1))
-
-
 def _ensemble_maxima(n: int, s: SeededSampler, kind: str) -> tuple[float, float]:
     """(max tight-bound lhs, max CHSH) of ``correlation_ensemble(n, s, kind)``, bit for bit.
 
-    Each block of ``_SCREEN_BLOCK`` normals is screened in float32, and only
-    the members ``_near_top`` keeps are recomputed exactly; the result is the
+    Each block of ``_ensemble_blocks`` is screened in float32, and only the
+    members ``_near_top`` keeps are recomputed exactly; the result is the
     maximum of the block maxima, NaN when any recomputed member is NaN.
     """
-    n = _require_size("ensemble size", n, 1)
-    if kind not in _MEMBER_SHAPE:
-        raise ValueError(f"unknown ensemble kind {kind!r}")
-    per = math.prod(_MEMBER_SHAPE[kind])
-    size = _SCREEN_BLOCK // per
 
-    def block_maxima(i0: int) -> tuple[float, float]:
-        i1 = min(i0 + size, n)
-        radius, angle = _member_polar(s, kind, n, i0, i1)
+    def block_maxima(i0: int, i1: int, radius: np.ndarray, angle: np.ndarray):
+        per = radius.size // (i1 - i0)
         kept = _near_top(*_screen(radius, angle, i1 - i0))
         normals = (kept[:, None] * per + np.arange(per)).ravel()
         c = _member_correlations(kind, radius[normals], angle[normals]).T
         return tight_bound_from_components(*c).max(), chsh_from_components(*c).max()
 
-    tight, chsh = np.array(list(_run_blocks(block_maxima, range(0, n, size)))).max(axis=0)
+    tight, chsh = np.array(list(_ensemble_blocks(n, s, kind, block_maxima))).max(axis=0)
     return float(tight), float(chsh)
 
 
@@ -704,8 +694,9 @@ def estimate_moment(r: ShotRecord, spec: MomentSpec) -> EstimateWithError:
     return EstimateWithError(float(mean), math.sqrt(variance) / math.sqrt(r.n), r.n)
 
 
-def _chsh(phi: float, alpha: float, beta: float) -> float:
-    return math.cos(alpha - beta) * math.cos(phi) + math.sin(alpha + beta) * math.sin(phi)
+def _chsh(phi: float, alpha, beta, cos=math.cos, sin=math.sin):
+    """cos(alpha - beta) cos(phi) + sin(alpha + beta) sin(phi); numpy's cos, sin on arrays."""
+    return cos(alpha - beta) * math.cos(phi) + sin(alpha + beta) * math.sin(phi)
 
 
 def experimental_chsh(phi: float, a: AnglePair) -> float:
@@ -732,10 +723,7 @@ def chsh_surface(phi: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
     ``(steps, steps)`` surface with alpha along the first axis.
     """
     angles = (np.arange(steps) + 0.5) * (0.5 * math.pi / steps)
-    surface = np.cos(angles[:, None] - angles[None, :]) * math.cos(phi) + np.sin(
-        angles[:, None] + angles[None, :]
-    ) * math.sin(phi)
-    return angles, surface
+    return angles, _chsh(phi, angles[:, None], angles[None, :], np.cos, np.sin)
 
 
 def max_experimental_chsh(phi: float, grid_steps: int = 181) -> ChshOptimum:
@@ -772,11 +760,16 @@ def zero_probability_chsh(phi: float) -> float:
 
         1 + cos(phi) - cos(phi)**2.
     """
-    half = 0.5 * float(phi)
-    suppressed = (1.0 / 16.0) * (1.0 - math.cos(half + half - phi))
+    suppressed = _suppressed_probability(phi)
     if abs(suppressed) > 1e-12:
         raise ArithmeticError(f"suppressed outcome has probability {suppressed!r}")
     return zero_probability_curve(math.cos(phi))
+
+
+def _suppressed_probability(phi: float) -> float:
+    """(1/16)(1 - cos(alpha + beta - phi)) at alpha = beta = phi/2, the outcome pinned at zero."""
+    half = 0.5 * float(phi)
+    return (1.0 / 16.0) * (1.0 - math.cos(half + half - phi))
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,7 @@ from .sampling import (
     SeededSampler,
     ShotRecord,
     _ensemble_maxima,
+    _suppressed_probability,
     constrained_chsh_grid_max,
     estimate_moment,
     max_experimental_chsh,
@@ -561,7 +562,7 @@ def criterion_monte_carlo(seed: int, n: int = 1_000_000) -> tuple[Check, ...]:
     vz = VisibilityPair(math.cos(0.5 * phi_z), math.sin(0.5 * phi_z))
     dist_z = pair_distribution_formula(bell_family_correlations(phi_z), vz, vz)
     shots_z = sample_outcomes(dist_z, n, master.derive(101), label="zero-prob-point")
-    closed_prob = (1.0 / 16.0) * (1.0 - math.cos(0.5 * phi_z + 0.5 * phi_z - phi_z))
+    closed_prob = _suppressed_probability(phi_z)
     suppressed = shots_z.counts[PAIR_OUTCOMES.index((1, 1, -1, -1))]
     checks.append(check_le("suppressed_outcome_count", float(suppressed), 0.0))
     checks.append(check_le("suppressed_outcome_closed_form", abs(closed_prob), 0.0, 1e-12))

@@ -211,10 +211,10 @@ class TestCoherence:
             c = correlation_ensemble(100_000, sampler, kind)
             # the ensemble's own draws, as density matrices
             if kind == "haar":
-                psi = _haar_kets(sampler.rng(), 100_000)
+                psi = _haar_kets(sampler, 100_000)
                 rho = psi[:, :, None] * psi[:, None, :].conj()
             else:
-                rho = _ginibre_rhos(sampler.rng(), 100_000)
+                rho = _ginibre_rhos(sampler, 100_000)
             assert np.abs(correlation_components(rho) - c).max() < 1e-12
             coherences = coherence_from_matrices(rho)
             tight = tight_bound_from_components(c[:, 0], c[:, 1], c[:, 2], c[:, 3])

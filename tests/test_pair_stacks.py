@@ -332,6 +332,12 @@ class TestCorrelations:
 #: Seeds on either side of the 32- and 64-bit boundaries of a Philox key.
 EDGE_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1]
 
+#: Members per ensemble block, by kind.
+ENSEMBLE_BLOCK = {
+    kind: sampling._ENSEMBLE_NORMALS // math.prod(shape)
+    for kind, shape in sampling._MEMBER_SHAPE.items()
+}
+
 LONE_GENERATORS = [
     ("bell-diagonal", bell_diagonal_random_state),
     ("ginibre", ginibre_random_mixed_state),
@@ -361,7 +367,11 @@ class TestStateStacks:
         assert_same_bytes(random_state_stack(kind, s, n), reference(s, n))
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
-    @pytest.mark.parametrize("n", [1, 7, sampling._ENSEMBLE_BLOCK + 1])
+    # around each kind's ensemble block size: a block ending mid-ensemble, a full last block,
+    # a short one
+    @pytest.mark.parametrize(
+        "n", [1, 7] + [n for b in ENSEMBLE_BLOCK.values() for n in (b - 1, b, b + 1, 2 * b + 7)]
+    )
     def test_ginibre_correlations_equal_the_ensemble(self, n, seed):
         """The certified full-matrix stack and the blocked antidiagonal ensemble agree."""
         s = SeededSampler(seed)
@@ -376,10 +386,11 @@ class TestStateStacks:
 
     @pytest.mark.parametrize("n", [-1, np.int64(-2), 2.0, 0.5, "3", None, True, [3]])
     def test_bad_stack_size_rejected_before_any_draw(self, n, monkeypatch):
-        def no_draw(self):
+        def no_draw(*args):
             raise AssertionError("the stream was read before the size was checked")
 
         monkeypatch.setattr(SeededSampler, "rng", no_draw)
+        monkeypatch.setattr(sampling, "_stream_at", no_draw)
         for kind, _ in LONE_GENERATORS:
             with pytest.raises(ValueError, match="stack size must be a non-negative integer"):
                 random_state_stack(kind, SeededSampler(1), n)

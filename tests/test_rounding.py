@@ -70,10 +70,13 @@ def python_unit_rows(re, im):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_haar_kets_equal_a_python_float_normalization(seed):
     # the normals themselves are checked against a reference Box-Muller elsewhere
-    normals = sampling._normal_parts(SeededSampler(seed).rng(), (3000, 4))
-    kets = sampling._haar_kets(SeededSampler(seed).rng(), 3000)
-    assert same_bytes(kets, python_unit_rows(*normals))
-    (ket,) = python_unit_rows(*sampling._normal_parts(SeededSampler(seed).rng(), (1, 4)))
+    s = SeededSampler(seed)
+
+    def normals(n):
+        return sampling._box_muller_cartesian(*sampling._member_polar(s, "haar", n, 0, n), (n, 4))
+
+    assert same_bytes(sampling._haar_kets(s, 3000), python_unit_rows(*normals(3000)))
+    (ket,) = python_unit_rows(*normals(1))
     assert same_bytes(haar_random_pure_state(SeededSampler(seed)).mat, np.outer(ket, ket.conj()))
 
 

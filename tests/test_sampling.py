@@ -365,6 +365,14 @@ class TestExperimentalChsh:
                 expected = experimental_chsh(phi, AnglePair(float(alpha), float(beta)))
                 assert surface[i, j] == pytest.approx(expected, abs=1e-15)
 
+    @pytest.mark.parametrize("phi", [0.0, 0.3, QUARTER_PI, 0.5 * math.pi])
+    def test_surface_bit_equal_to_two_term_numpy_expression(self, phi):
+        angles, surface = chsh_surface(phi, 64)
+        alpha, beta = angles[:, None], angles[None, :]
+        expected = np.cos(alpha - beta) * math.cos(phi) + np.sin(alpha + beta) * math.sin(phi)
+        assert surface.dtype == expected.dtype and surface.shape == expected.shape
+        assert surface.tobytes() == expected.tobytes()
+
     def test_maximum_at_quarter_pi(self):
         opt = max_experimental_chsh(QUARTER_PI)
         assert opt.value == pytest.approx(math.sqrt(2.0), abs=1e-6)

@@ -44,7 +44,11 @@ from jointlab.sampling import (
 ALL_SPECS = [(fa, fb) for fa in FACTOR_SIGNS for fb in FACTOR_SIGNS]
 OUTCOME_ROWS = np.array(PAIR_OUTCOMES, dtype=np.int8)
 EDGES = np.arange(sampling._BUCKETS + 1) / sampling._BUCKETS
-BLOCK = sampling._ENSEMBLE_BLOCK
+#: Members per ensemble block, by kind.
+BLOCK = {
+    kind: sampling._ENSEMBLE_NORMALS // math.prod(shape)
+    for kind, shape in sampling._MEMBER_SHAPE.items()
+}
 SHOT_BLOCK = sampling._SHOT_BLOCK
 
 
@@ -145,10 +149,16 @@ weights = st.lists(
 
 
 class TestCorrelationEnsembles:
-    @pytest.mark.parametrize("kind", ["haar", "ginibre"])
-    # around the block size: a block ending mid-ensemble, a full last block, a short one
-    @pytest.mark.parametrize("n", [1, 2, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7, 100_000])
-    def test_bit_equal_to_einsum_correlations(self, kind, n):
+    # around each kind's block size: a block ending mid-ensemble, a full last block, a short one
+    @pytest.mark.parametrize(
+        "n, kind",
+        [
+            (n, kind)
+            for kind, b in BLOCK.items()
+            for n in [1, 2, 7, b - 1, b, b + 1, 2 * b + 7, 100_000]
+        ],
+    )
+    def test_bit_equal_to_einsum_correlations(self, n, kind):
         for seed in (0, 3, 7, 12345, 2**64 - 1):
             s = SeededSampler(seed)
             assert_same_bytes(correlation_ensemble(n, s, kind), reference_ensemble(n, s, kind))
@@ -159,26 +169,26 @@ class TestCorrelationEnsembles:
         # up to 8 workers switching every microsecond: each block runs exactly once
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
         starts = []
-        block = sampling._ensemble_block
+        member_polar = sampling._member_polar
 
-        def counted_block(out, s, kind, i0):
+        def counted_block(s, kind, n, i0, i1):
             starts.append(i0)
-            block(out, s, kind, i0)
+            return member_polar(s, kind, n, i0, i1)
 
-        monkeypatch.setattr(sampling, "_ensemble_block", counted_block)
-        s, n = SeededSampler(7), 8 * BLOCK + 5
+        monkeypatch.setattr(sampling, "_member_polar", counted_block)
+        s, n = SeededSampler(7), 8 * BLOCK[kind] + 5
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             got = correlation_ensemble(n, s, kind)
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(starts) == list(range(0, n, BLOCK))
+        assert sorted(starts) == list(range(0, n, BLOCK[kind]))
         assert_same_bytes(got, reference_ensemble(n, s, kind))
 
     def test_workers_live_only_for_the_call(self):
         before = threading.active_count()
-        correlation_ensemble(4 * BLOCK + 1, SeededSampler(3), "ginibre")
+        correlation_ensemble(4 * BLOCK["ginibre"] + 1, SeededSampler(3), "ginibre")
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("caller", ["ensemble", "shots", "archive"])
@@ -186,7 +196,7 @@ class TestCorrelationEnsembles:
         # the caller's thread is one of the workers, so it runs a lone block itself
         record = sample_outcomes(UNIFORM, reporting._SHOT_BLOCK_ROWS, SeededSampler(3))
         calls = {
-            "ensemble": lambda: correlation_ensemble(BLOCK, SeededSampler(3), "ginibre"),
+            "ensemble": lambda: correlation_ensemble(BLOCK["ginibre"], SeededSampler(3), "ginibre"),
             "shots": lambda: sample_outcomes(UNIFORM, SHOT_BLOCK, SeededSampler(3)),
             "archive": lambda: write_shots_csv(record, tmp_path / "shots.csv"),
         }
@@ -205,12 +215,13 @@ class TestCorrelationEnsembles:
         # error reaches the caller, and no worker outlives the call
         cpus, k, error, started = 2, 3, RuntimeError("block failed"), []
         ensemble = caller == "ensemble"
-        name, size = ("_ensemble_block", BLOCK) if ensemble else ("_stream_at", SHOT_BLOCK)
+        name, size = ("_member_polar", BLOCK["haar"]) if ensemble else ("_stream_at", SHOT_BLOCK)
         block = getattr(sampling, name)
 
-        def fail_at_block_k(*args):  # each block's first index is the last argument
-            started.append(args[-1] // size)
-            if args[-1] == k * size:
+        def fail_at_block_k(*args):
+            i0 = args[3] if ensemble else args[1]  # the block's first member or shot
+            started.append(i0 // size)
+            if i0 == k * size:
                 time.sleep(0.05)
                 raise error
             return block(*args)
@@ -236,13 +247,15 @@ class TestCorrelationEnsembles:
         )
         assert proc.returncode == 0 and proc.stdout == "[]\n"
 
-    @pytest.mark.parametrize("shape", [(1,), (3,), (4, 4), (5, 4, 4)])
-    def test_complex_normals_bit_equal_to_concatenated_box_muller(self, shape):
+    @pytest.mark.parametrize("kind, n", [("haar", 1), ("haar", 3), ("ginibre", 1), ("ginibre", 5)])
+    def test_member_normals_bit_equal_to_concatenated_box_muller(self, kind, n):
+        shape = (n,) + sampling._MEMBER_SHAPE[kind]
         for seed in (1, 2, 3):
-            gen_a, gen_b = SeededSampler(seed).rng(), SeededSampler(seed).rng()
-            assert_same_bytes(
-                sampling._complex_normals(gen_a, shape), reference_complex_normals(gen_b, shape)
-            )
+            s = SeededSampler(seed)
+            re, im = sampling._box_muller_cartesian(*sampling._member_polar(s, kind, n, 0, n), shape)
+            z = np.empty(shape, dtype=np.complex128)
+            z.real, z.imag = re, im
+            assert_same_bytes(z, reference_complex_normals(s.rng(), shape))
 
 
 class TestInverseCdf:

@@ -94,9 +94,9 @@ def _small_ensembles():
     return verify.EnsembleMaxima((0.0, 0.0), (0.0, 0.0))
 
 
-#: Members per screened block of ``sampling._ensemble_maxima``, by kind.
+#: Members per ensemble block of ``sampling._ensemble_maxima``, by kind.
 SCREEN_BLOCK = {
-    kind: sampling._SCREEN_BLOCK // math.prod(shape)
+    kind: sampling._ENSEMBLE_NORMALS // math.prod(shape)
     for kind, shape in sampling._MEMBER_SHAPE.items()
 }
 #: Ensemble size spanning two full Haar blocks and a remainder, and eight
