@@ -260,9 +260,7 @@ def run(config: RunConfig) -> Report:
             config.seed, config.tolerance, config.state, config.phi, state_matrix
         )
     elif config.subcommand == "scan":
-        results, checks = suites.run_scan_suite(
-            config.what, config.phi, config.grid_steps, config.tolerance
-        )
+        results, checks = suites.run_scan_suite(config.what, config.phi, config.grid_steps)
     elif config.subcommand == "sample":
         results, checks, shots = suites.run_sample_suite(
             config.seed, config.n_shots, config.phi, config.alpha, config.beta

@@ -722,6 +722,7 @@ def chsh_surface(phi: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
     Returns the ``steps`` grid angles, (k + 1/2) pi / (2 steps), and the
     ``(steps, steps)`` surface with alpha along the first axis.
     """
+    steps = _require_size("steps", steps, 1)
     angles = (np.arange(steps) + 0.5) * (0.5 * math.pi / steps)
     return angles, _chsh(phi, angles[:, None], angles[None, :], np.cos, np.sin)
 
@@ -734,6 +735,7 @@ def max_experimental_chsh(phi: float, grid_steps: int = 181) -> ChshOptimum:
     refinement in each coordinate.
     Peaks at sqrt(2), reached for alpha = beta = pi/4 when phi = pi/4.
     """
+    grid_steps = _require_size("grid_steps", grid_steps, 1)
     half_pi = 0.5 * math.pi
     step = half_pi / grid_steps
     grid, surface = chsh_surface(phi, grid_steps)
@@ -761,8 +763,8 @@ def zero_probability_chsh(phi: float) -> float:
         1 + cos(phi) - cos(phi)**2.
     """
     suppressed = _suppressed_probability(phi)
-    if abs(suppressed) > 1e-12:
-        raise ArithmeticError(f"suppressed outcome has probability {suppressed!r}")
+    if not abs(suppressed) <= 1e-12:  # a non-finite phi makes it NaN, which must fail
+        raise ArithmeticError(f"suppressed outcome has probability {suppressed!r} at phi={phi!r}")
     return zero_probability_curve(math.cos(phi))
 
 
@@ -786,6 +788,8 @@ def zero_probability_curve_max(step: float = 1e-4) -> CurveOptimum:
     quadratic top, while the three-point vertex recovers the stationary
     point to ~1e-11. The analytic optimum is 1.25 at cos(phi) = 1/2.
     """
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     phis = np.arange(0.0, math.pi + 0.5 * step, step)
     values = zero_probability_curve(np.cos(phis))
     phi0 = float(phis[int(np.argmax(values))])

@@ -163,9 +163,7 @@ def run_bound_suite(
     return results, checks
 
 
-def run_scan_suite(
-    what: str, phi: float, grid_steps: int, tolerance: float
-) -> tuple[dict, list[Check]]:
+def run_scan_suite(what: str, phi: float, grid_steps: int) -> tuple[dict, list[Check]]:
     """Observable-statistics scans: the CHSH surface or the zero-probability curve.
 
     The table is an ``(n, k)`` float64 array: ``[alpha, beta, value]`` rows with

@@ -1,8 +1,8 @@
 """Acceptance suite: every headline numerical claim as an executable check.
 
-Each criterion function measures residuals or extrema with an independent
-route (closed forms, brute-force grids, sampling estimators) and returns a
-tuple of named checks carrying value, bound, tolerance and a pass flag.
+Each criterion is one function: it measures residuals or extrema with an
+independent route (closed forms, brute-force grids, sampling estimators) and
+returns a tuple of named checks with value, bound, tolerance and a pass flag.
 ``CRITERIA`` is the one place that names the ten criteria: each entry gives
 a key, a title and how to run the criterion's checks, in report order.
 ``run_acceptance`` evaluates them on one master seed, times each one and
@@ -16,9 +16,9 @@ Every check a criterion makes is built here, once: the CLI subcommands
 (``suites``) compose these criteria and their check functions at their own
 sizes, and build only the checks that no criterion makes.
 
-Criteria 2, 3 and 4 take an optional run ``tolerance``: None keeps the
-pinned tolerances, a float replaces them on residuals and widens, but never
-tightens, the floors on minimum probabilities and the sweep residual.
+Criteria 2, 3 and 4 take an optional run ``tolerance``, which changes no value:
+None keeps the pinned tolerances, a float replaces them on residuals and widens,
+but never tightens, the floors on minimum probabilities and the sweep residual.
 """
 
 from __future__ import annotations
@@ -216,20 +216,16 @@ def criterion_povm_positivity() -> tuple[Check, ...]:
 # 2. outcome product rule and visibility scaling
 # ---------------------------------------------------------------------------
 
-def moment_identity_residuals(seed: int, n: int = 1000) -> tuple[float, float]:
+def criterion_outcome_product_rule(
+    seed: int, n: int = 1000, tolerance: float | None = None
+) -> tuple[Check, ...]:
     """Largest |<xy>| and largest |<x> - v_x ex|, |<y> - v_y ey| over n random inputs."""
     draws = SeededSampler(seed).derive(2).rng().random((n, 4))
     v_x, v_y = draws[:, 0], draws[:, 1]
     ex, ey = 2.0 * draws[:, 2] - 1.0, 2.0 * draws[:, 3] - 1.0
     m = outcome_moments(outcome_probabilities(v_x, v_y, ex, ey))
     prop = np.abs(m[:, :2] - np.column_stack([v_x * ex, v_y * ey]))
-    return max_residual(np.abs(m[:, 2])), max_residual(prop.ravel())
-
-
-def criterion_outcome_product_rule(
-    seed: int, n: int = 1000, tolerance: float | None = None
-) -> tuple[Check, ...]:
-    max_xy, max_prop = moment_identity_residuals(seed, n)
+    max_xy, max_prop = max_residual(np.abs(m[:, 2])), max_residual(prop.ravel())
     return (
         check_le("outcome_product_mean_max", max_xy, 0.0, _run_tol(tolerance, 1e-14)),
         check_le("visibility_scaling_residual_max", max_prop, 0.0, _run_tol(tolerance, 1e-12)),
@@ -250,7 +246,7 @@ def _bloch_min_probability(ex, ey, cos_a, sin_a):
     return 0.25 * (1.0 - np.abs(ex) * cos_a - np.abs(ey) * sin_a)
 
 
-def bloch_disk_sweep(seed: int) -> tuple[float, float, float]:
+def criterion_bloch_disk_bound(seed: int, tolerance: float | None = None) -> tuple[Check, ...]:
     """Scan a 41 x 41 state grid against the saturated visibility family.
 
     The visibilities (cos a, sin a) take a in steps of 0.01 rad over
@@ -258,10 +254,10 @@ def bloch_disk_sweep(seed: int) -> tuple[float, float, float]:
     with ``outcome_probabilities``. The (state, angle) table is built
     ``_BLOCH_BLOCK_ROWS`` state rows at a time and reduced to its row
     minima; the spot checks evaluate the same formula on their own (state,
-    angle) pairs. Returns (worst minimum probability over unphysical
-    states, best-case minimum probability over physical states, max
-    deviation between the vectorized sweep and the production distribution
-    on the spot checks).
+    angle) pairs. The checks are, in order: the worst minimum probability
+    over unphysical states, the best-case minimum probability over physical
+    states, and the max deviation between the vectorized sweep and the
+    production distribution on the spot checks.
     """
     coords = np.linspace(-1.0, 1.0, 41)
     ex, ey = [a.ravel() for a in np.meshgrid(coords, coords)]
@@ -282,11 +278,7 @@ def bloch_disk_sweep(seed: int) -> tuple[float, float, float]:
     i, j = gen.integers(np.tile([ex.size, alphas.size], 60)).reshape(-1, 2).T
     spot = outcome_probabilities(cos_a[j], sin_a[j], ex[i], ey[i]).min(axis=-1)
     sweep = _bloch_min_probability(ex[i], ey[i], cos_a[j], sin_a[j])
-    return worst_unphysical, best_physical, max_residual(np.abs(spot - sweep))
-
-
-def criterion_bloch_disk_bound(seed: int, tolerance: float | None = None) -> tuple[Check, ...]:
-    worst_unphysical, best_physical, api_residual = bloch_disk_sweep(seed)
+    api_residual = max_residual(np.abs(spot - sweep))
     return (
         check_le("unphysical_state_witness_probability", worst_unphysical, -1e-9),
         check_ge("physical_state_min_probability", best_physical, 0.0, _floor_tol(tolerance, 1e-12)),
@@ -311,10 +303,10 @@ def _random_admissible_visibilities(gen: np.random.Generator, n: int) -> np.ndar
     return np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
 
 
-def pair_structure_residuals(
-    seed: int, n: int = 1000, marginal_states: int = 200
-) -> tuple[float, float, float, float, float]:
-    """Residuals of the pair-moment structure on certified stacks of random states.
+def criterion_pair_moment_structure(
+    seed: int, n: int = 1000, marginal_states: int = 200, tolerance: float | None = None
+) -> tuple[Check, ...]:
+    """The pair-moment structure on certified stacks of random states.
 
     ``n`` Bell-diagonal states, one stack from stream 1000, give the xy
     moments, the factorization residual, the formula-vs-trace residual and
@@ -349,15 +341,6 @@ def pair_structure_residuals(
         max_marginal = max_residual(
             (np.abs(marg_a - local_a).max(), np.abs(marg_b - local_b).max())
         )
-    return max_xy, max_factor, max_formula, max_marginal, min_prob
-
-
-def criterion_pair_moment_structure(
-    seed: int, n: int = 1000, marginal_states: int = 200, tolerance: float | None = None
-) -> tuple[Check, ...]:
-    max_xy, max_factor, max_formula, max_marginal, min_prob = pair_structure_residuals(
-        seed, n, marginal_states
-    )
     return (
         check_le("pair_xy_moment_max", max_xy, 0.0, _run_tol(tolerance, 1e-12)),
         check_le("correlation_factorization_residual", max_factor, 0.0, _run_tol(tolerance, 1e-12)),
@@ -370,6 +353,9 @@ def criterion_pair_moment_structure(
 # ---------------------------------------------------------------------------
 # 5 + 7. random-state ensembles for the tight bound and the CHSH corollary
 # ---------------------------------------------------------------------------
+
+#: The Bell-family phases where criteria 5 and 8 check saturation.
+_BELL_FAMILY_PHIS = tuple(float(p) for p in np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False))
 
 class EnsembleMaxima(NamedTuple):
     """The largest tight-bound lhs and CHSH value, each as (pure, mixed).
@@ -397,9 +383,8 @@ def build_correlation_ensembles(seed: int, n: int = 100_000) -> EnsembleMaxima:
 
 def criterion_tight_bound(maxima: EnsembleMaxima) -> tuple[Check, ...]:
     max_pure, max_mixed = maxima.tight_bound
-    phis = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
     bell_dev = max_residual(
-        abs(tight_bound_lhs(bell_family_correlations(float(p))) - 2.0) for p in phis
+        abs(tight_bound_lhs(bell_family_correlations(phi)) - 2.0) for phi in _BELL_FAMILY_PHIS
     )
     return (
         check_le("tight_bound_max_pure", max_pure, 2.0, 1e-9),
@@ -441,7 +426,8 @@ def criterion_tsirelson(maxima: EnsembleMaxima) -> tuple[Check, ...]:
 # 8. coherence identity
 # ---------------------------------------------------------------------------
 
-def coherence_identity_residuals(seed: int, n: int = 1000) -> tuple[float, float, float]:
+def criterion_coherence_identity(seed: int, n: int = 1000) -> tuple[Check, ...]:
+    """Tight bound vs 4 x coherence sum on n Ginibre states; both at 1/2 on Bell states."""
     master = SeededSampler(seed)
     max_identity = 0.0
     if n:
@@ -449,18 +435,12 @@ def coherence_identity_residuals(seed: int, n: int = 1000) -> tuple[float, float
         c = correlation_components(rho).T
         gap = np.abs(4.0 * coherence_from_matrices(rho) - tight_bound_from_components(*c))
         max_identity = float(gap.max())
-    phis = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
-    kets = np.array([BellFamilyState(float(phi)).ket() for phi in phis])
+    kets = np.array([BellFamilyState(phi).ket() for phi in _BELL_FAMILY_PHIS])
     bell = validate_densities(kets[:, :, None] * kets.conj()[:, None, :])
     bell_dev = max_residual(np.abs(coherence_from_matrices(bell) - 0.5))
     singlet_type = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
     mixture = DensityOperator4(0.5 * bell[0] + 0.5 * pure_density(singlet_type).mat)
     mixture_dev = abs(coherence_bound_lhs(mixture) - 0.5)
-    return max_identity, bell_dev, mixture_dev
-
-
-def criterion_coherence_identity(seed: int, n: int = 1000) -> tuple[Check, ...]:
-    max_identity, bell_dev, mixture_dev = coherence_identity_residuals(seed, n)
     return (
         check_le("coherence_identity_residual", max_identity, 0.0, 1e-10),
         check_le("coherence_bell_family_dev", bell_dev, 0.0, 1e-12),

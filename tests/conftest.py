@@ -4,11 +4,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 settings.register_profile("jointlab", max_examples=100, deadline=None)
 settings.load_profile("jointlab")
+
+
+def assert_same_bytes(actual, expected):
+    """Same dtype, shape and bytes: unlike ``==``, tells -0.0 from 0.0 and NaN payloads apart."""
+    actual, expected = np.ascontiguousarray(actual), np.ascontiguousarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert np.array_equal(actual.reshape(-1).view(np.uint8), expected.reshape(-1).view(np.uint8))
+
 
 #: A fresh process that prints the exit code of ``jointlab.cli.main(argv)`` on
 #: two workers (each extra one adds about 1.6 MiB) and its peak-RSS growth over

@@ -51,13 +51,9 @@ from jointlab.sampling import (
     random_state_stack,
     sample_outcomes,
 )
-from jointlab.verify import coherence_identity_residuals, pair_structure_residuals
+from jointlab.verify import criterion_coherence_identity, criterion_pair_moment_structure
 
-
-def assert_same_bytes(actual, expected):
-    actual, expected = np.ascontiguousarray(actual), np.ascontiguousarray(expected)
-    assert actual.dtype == expected.dtype and actual.shape == expected.shape
-    assert np.array_equal(actual.reshape(-1).view(np.uint8), expected.reshape(-1).view(np.uint8))
+from conftest import assert_same_bytes
 
 
 REFERENCE_FACTORS = {
@@ -456,7 +452,7 @@ class TestResidualsAgainstPerStateLoop:
 
     def test_pair_structure(self, monkeypatch):
         drawn = record_stacks(monkeypatch)
-        got = pair_structure_residuals(19, 50, marginal_states=50)
+        got = [c.value for c in criterion_pair_moment_structure(19, 50, marginal_states=50)]
         expected = reference_pair_structure(19, 50, 50)
         for a, b in zip(got, expected):
             assert abs(a - b) <= 1e-15
@@ -467,7 +463,7 @@ class TestResidualsAgainstPerStateLoop:
 
     def test_coherence_identity(self, monkeypatch):
         drawn = record_stacks(monkeypatch)
-        got = coherence_identity_residuals(20, 50)[0]
+        got = criterion_coherence_identity(20, 50)[0].value
         assert abs(got - reference_coherence_identity(20, 50)) <= 1e-15
         assert len(drawn) == 1
         assert_same_bytes(drawn[0], reference_ginibre_stack(SeededSampler(20).derive(3000), 50))

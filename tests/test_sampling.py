@@ -426,6 +426,32 @@ class TestZeroProbabilityCurve:
             assert not np.any(np.all(shots.outcomes == target, axis=1))
 
 
+@pytest.mark.parametrize(
+    "call, parameter",
+    [
+        pytest.param(lambda: chsh_surface(0.3, 0), "steps", id="surface-zero-steps"),
+        pytest.param(lambda: chsh_surface(0.3, -1), "steps", id="surface-negative-steps"),
+        pytest.param(lambda: chsh_surface(0.3, 4.0), "steps", id="surface-float-steps"),
+        pytest.param(lambda: max_experimental_chsh(0.3, 0), "grid_steps", id="max-zero-steps"),
+        pytest.param(lambda: max_experimental_chsh(0.3, True), "grid_steps", id="max-bool-steps"),
+        pytest.param(lambda: zero_probability_curve_max(0.0), "step", id="curve-zero-step"),
+        pytest.param(lambda: zero_probability_curve_max(-1.0), "step", id="curve-negative-step"),
+        pytest.param(lambda: zero_probability_curve_max(math.nan), "step", id="curve-nan-step"),
+        pytest.param(lambda: zero_probability_curve_max(math.inf), "step", id="curve-inf-step"),
+    ],
+)
+def test_optimizer_rejects_bad_size_naming_the_parameter(call, parameter):
+    with pytest.raises(ValueError, match=f"^{parameter} must be"):
+        call()
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_zero_probability_chsh_fails_certification_on_non_finite_phi(phi):
+    # the suppressed probability is NaN there, and a NaN must not pass as <= 1e-12
+    with pytest.raises(ArithmeticError, match="suppressed outcome"):
+        zero_probability_chsh(phi)
+
+
 class TestViolationSearch:
     def test_no_violations_and_deterministic(self):
         c = correlation_ensemble(3000, SeededSampler(55), "haar")

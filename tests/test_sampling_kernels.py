@@ -41,6 +41,8 @@ from jointlab.sampling import (
     sample_outcomes,
 )
 
+from conftest import assert_same_bytes
+
 ALL_SPECS = [(fa, fb) for fa in FACTOR_SIGNS for fb in FACTOR_SIGNS]
 OUTCOME_ROWS = np.array(PAIR_OUTCOMES, dtype=np.int8)
 EDGES = np.arange(sampling._BUCKETS + 1) / sampling._BUCKETS
@@ -50,12 +52,6 @@ BLOCK = {
     for kind, shape in sampling._MEMBER_SHAPE.items()
 }
 SHOT_BLOCK = sampling._SHOT_BLOCK
-
-
-def assert_same_bytes(actual, expected):
-    actual, expected = np.ascontiguousarray(actual), np.ascontiguousarray(expected)
-    assert actual.dtype == expected.dtype and actual.shape == expected.shape
-    assert np.array_equal(actual.reshape(-1).view(np.uint8), expected.reshape(-1).view(np.uint8))
 
 
 def reference_complex_normals(gen, shape):

@@ -275,7 +275,7 @@ class TestTableJson:
     ],
 )
 def test_scan_report_equals_reference_serialization(what, phi, grid_steps):
-    results, checks = run_scan_suite(what, phi, grid_steps, 1e-9)
+    results, checks = run_scan_suite(what, phi, grid_steps)
     table = results["table"]
     assert isinstance(table, np.ndarray) and table.dtype == np.float64
     reference = dict(results, table=reference_scan_table(what, phi, grid_steps))

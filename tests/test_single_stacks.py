@@ -104,8 +104,14 @@ def reference_distribution_trace_residual(seed, n=1000):
 @pytest.mark.parametrize(
     "stacked, reference",
     [
-        (verify.moment_identity_residuals, reference_moment_identity_residuals),
-        (verify.bloch_disk_sweep, reference_bloch_disk_sweep),
+        (
+            lambda seed: [c.value for c in verify.criterion_outcome_product_rule(seed)],
+            lambda seed: list(reference_moment_identity_residuals(seed)),
+        ),
+        (
+            lambda seed: [c.value for c in verify.criterion_bloch_disk_bound(seed)],
+            lambda seed: list(reference_bloch_disk_sweep(seed)),
+        ),
         (suites._completeness_residual, reference_completeness_residual),
         (suites._distribution_trace_residual, reference_distribution_trace_residual),
     ],

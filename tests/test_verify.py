@@ -11,6 +11,8 @@ from jointlab.pairs import PAIR_OUTCOMES, PairOutcomeDistribution
 from jointlab.sampling import CurveOptimum, SeededSampler
 from jointlab.verify import povm_grid_mismatches
 
+from conftest import assert_same_bytes
+
 
 def per_point_mismatches(grid_steps, tol):
     """The grid count built one point at a time (the reference).
@@ -317,10 +319,26 @@ def reference_bloch_disk_sweep(seed):
     )
 
 
+@pytest.mark.parametrize(
+    "criterion",
+    [
+        verify.criterion_outcome_product_rule,
+        verify.criterion_bloch_disk_bound,
+        verify.criterion_pair_moment_structure,
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_run_tolerance_never_changes_a_value(criterion, seed):
+    pinned, loose = criterion(seed, tolerance=None), criterion(seed, tolerance=1e-3)
+    assert [c.name for c in loose] == [c.name for c in pinned]
+    assert [c.tolerance for c in loose] != [c.tolerance for c in pinned]
+    assert_same_bytes(np.array([c.value for c in loose]), np.array([c.value for c in pinned]))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_bloch_disk_sweep_bit_equal_to_whole_table(seed):
     assert verify._BLOCH_BLOCK_ROWS < 41 * 41  # more than one block, the last one short
-    got = np.array(verify.bloch_disk_sweep(seed))
+    got = np.array([c.value for c in verify.criterion_bloch_disk_bound(seed)])
     assert got.tobytes() == np.array(reference_bloch_disk_sweep(seed)).tobytes()
 
 
