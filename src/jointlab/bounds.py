@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .joint import _require_finite
+from .joint import _check_fields, admissible_visibilities
 from .pairs import CorrelationVector, DensityOperator4, PairOutcomeLabel, correlations_of_state
 
 __all__ = [
@@ -74,8 +74,7 @@ class AnglePair:
     beta: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -92,15 +91,9 @@ class SignedVisibilities:
     vb_y: float
 
     def __post_init__(self):
-        for name in ("va_x", "va_y", "vb_x", "vb_y"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or abs(value) > 1.0 + 1e-12:
-                raise ValueError(f"{name} must lie in [-1, 1], got {value!r}")
-            object.__setattr__(self, name, value)
-        for side in ("a", "b"):
-            vx = getattr(self, f"v{side}_x")
-            vy = getattr(self, f"v{side}_y")
-            if vx * vx + vy * vy > 1.0 + 1e-9:
+        _check_fields(self, -1.0, 1.0, 1e-12)
+        for side, vx, vy in (("a", self.va_x, self.va_y), ("b", self.vb_x, self.vb_y)):
+            if not admissible_visibilities(vx, vy, 1e-9):
                 raise ValueError(f"side {side} visibilities exceed the unit disk")
 
 

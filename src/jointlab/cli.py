@@ -34,7 +34,6 @@ import json
 import math
 import os
 import select
-import stat
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -77,8 +76,8 @@ N_SHOTS_MAX = 2_000_000
 #: needs well under 2 KiB even at full float precision.
 STATE_FILE_MAX_BYTES = 65_536
 
-#: Seconds a FIFO or socket ``--state-file`` has to deliver its data and end,
-#: so that a writer that holds it open without writing cannot stall the run.
+#: Seconds a ``--state-file`` has to deliver its data and end, so that a FIFO
+#: writer that holds it open without writing cannot stall the run.
 STATE_FILE_READ_SECONDS = 1.0
 
 
@@ -205,7 +204,10 @@ def _open_unblocked(path: str, flags: int) -> int:
 
 
 def _read_with_deadline(fd: int, limit: int) -> bytes:
-    """Up to ``limit`` bytes from a pipe or socket, which must end within the deadline."""
+    """Up to ``limit`` bytes from a file, FIFO or socket, which must end within the deadline.
+
+    ``select`` reports a regular file as ready at once.
+    """
     deadline = time.monotonic() + STATE_FILE_READ_SECONDS
     chunks, size = [], 0
     while size < limit:
@@ -223,11 +225,7 @@ def _read_with_deadline(fd: int, limit: int) -> bytes:
 def _load_state_file(path: str) -> np.ndarray:
     limit = STATE_FILE_MAX_BYTES + 1
     with open(path, "rb", opener=_open_unblocked) as f:
-        mode = os.fstat(f.fileno()).st_mode
-        if stat.S_ISFIFO(mode) or stat.S_ISSOCK(mode):
-            data = _read_with_deadline(f.fileno(), limit)
-        else:
-            data = f.read(limit)
+        data = _read_with_deadline(f.fileno(), limit)
     if len(data) > STATE_FILE_MAX_BYTES:
         raise ValueError(f"state file is larger than {STATE_FILE_MAX_BYTES} bytes")
     try:

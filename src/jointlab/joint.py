@@ -11,13 +11,17 @@ the unique completion built from I, X and Y alone that reproduces those
 statistics. Inadmissible visibilities and Bloch vectors outside the unit
 disk stay constructible on purpose: they are exactly the inputs whose
 distributions go negative, which is what certifies both bounds.
+
+Both outcome distributions (four outcomes here, 16 in ``pairs``) are one
+checked probability row, and every bounded record checks its fields by one
+rule: a finite real number, never text or a bool, inside its box.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, fields
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -51,14 +55,29 @@ OUTCOMES: tuple[OutcomeLabel, ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 #: Slack below which a probability entry still counts as non-negative.
 NEGATIVE_PROB_TOL = 1e-12
 
-_BOX_SLACK = 1e-9
+_FLOAT64 = np.dtype(np.float64)
 
 
-def _require_finite(name: str, value: float) -> float:
+def _require_finite(name: str, value, lo=-math.inf, hi=math.inf, slack=0.0) -> float:
+    """``value`` as a float once it is a finite real number in [lo - slack, hi + slack].
+
+    Text and truth values are refused, although ``float`` would take them.
+    """
+    if isinstance(value, (str, bytes, bool)) or getattr(value, "dtype", _FLOAT64).kind not in "iuf":
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    if not lo - slack <= value <= hi + slack:
+        raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
     return value
+
+
+def _check_fields(record, lo=-math.inf, hi=math.inf, slack=0.0) -> None:
+    """Replace every field of a frozen record by its ``_require_finite`` float."""
+    for f in fields(record):
+        value = _require_finite(f.name, getattr(record, f.name), lo, hi, slack)
+        object.__setattr__(record, f.name, value)
 
 
 def _check_probabilities(probs: np.ndarray, hypothetical) -> None:
@@ -73,18 +92,6 @@ def _check_probabilities(probs: np.ndarray, hypothetical) -> None:
         raise ValueError(f"probabilities must sum to 1, got {float(total[k])!r}{_member(k)}")
     k = _first_bad(bad_sign)
     raise ValueError(f"negative probability in a distribution not flagged hypothetical{_member(k)}")
-
-
-def _probability_row(probs, labels: tuple, hypothetical) -> np.ndarray:
-    """A read-only float64 copy of ``len(labels)`` probabilities in ``labels`` order, checked."""
-    if isinstance(probs, Mapping):
-        raise ValueError("probabilities must be an array in outcome order, not a mapping")
-    row = np.array(probs, dtype=np.float64)
-    if row.shape != (len(labels),):
-        raise ValueError(f"expected {len(labels)} probabilities in outcome order, got {row.shape}")
-    _check_probabilities(row, np.bool_(hypothetical))
-    row.setflags(write=False)
-    return row
 
 
 def _outcome_index(labels: tuple, outcome) -> int:
@@ -108,11 +115,7 @@ class VisibilityPair:
     v_y: float
 
     def __post_init__(self):
-        for name in ("v_x", "v_y"):
-            value = _require_finite(name, getattr(self, name))
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-            object.__setattr__(self, name, value)
+        _check_fields(self, 0.0, 1.0)
 
     def is_admissible(self, tol: float = DEFAULT_TOL) -> bool:
         return admissible_visibilities(self.v_x, self.v_y, tol)
@@ -131,18 +134,41 @@ class BlochEquatorial:
     ey: float
 
     def __post_init__(self):
-        for name in ("ex", "ey"):
-            value = _require_finite(name, getattr(self, name))
-            if abs(value) > 1.0 + _BOX_SLACK:
-                raise ValueError(f"{name} must lie in [-1, 1], got {value}")
-            object.__setattr__(self, name, value)
+        _check_fields(self, -1.0, 1.0, 1e-9)
 
     def is_physical(self, tol: float = DEFAULT_TOL) -> bool:
         return bloch_bound_lhs(self.ex, self.ey) <= 1.0 + tol
 
 
 @dataclass(frozen=True, eq=False)
-class SingleOutcomeDistribution:
+class _OutcomeRow:
+    """The checked probability row of both distributions, over the subclass's ``labels``."""
+
+    labels: ClassVar[tuple]
+    probs: np.ndarray
+    hypothetical: bool = False
+
+    def __post_init__(self):
+        if isinstance(self.probs, Mapping):
+            raise ValueError("probabilities must be an array in outcome order, not a mapping")
+        row = np.array(self.probs, dtype=np.float64)
+        if row.shape != (len(self.labels),):
+            raise ValueError(
+                f"expected {len(self.labels)} probabilities in outcome order, got {row.shape}"
+            )
+        _check_probabilities(row, np.bool_(self.hypothetical))
+        row.setflags(write=False)
+        object.__setattr__(self, "probs", row)
+
+    def __getitem__(self, outcome) -> float:
+        return float(self.probs[_outcome_index(self.labels, outcome)])
+
+    def min_probability(self) -> float:
+        return float(self.probs.min())
+
+
+@dataclass(frozen=True, eq=False)
+class SingleOutcomeDistribution(_OutcomeRow):
     """Probabilities over the four joint outcomes (x, y) in {+-1}^2.
 
     ``probs`` is a read-only float64 copy of shape ``(4,)`` in ``OUTCOMES``
@@ -153,17 +179,7 @@ class SingleOutcomeDistribution:
     ``hash`` go by identity.
     """
 
-    probs: np.ndarray
-    hypothetical: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", _probability_row(self.probs, OUTCOMES, self.hypothetical))
-
-    def __getitem__(self, outcome: OutcomeLabel) -> float:
-        return float(self.probs[_outcome_index(OUTCOMES, outcome)])
-
-    def min_probability(self) -> float:
-        return float(self.probs.min())
+    labels = OUTCOMES
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ general trace path valid for arbitrary states (``pair_distribution_trace``).
 Every formula is defined once, on stacks: states are ``(..., 4, 4)`` arrays,
 visibility pairs ``(..., 2)`` arrays ``(v_x, v_y)`` and distributions
 ``(..., 16)`` arrays in ``PAIR_OUTCOMES`` order. The dataclasses and the
-functions taking them are thin wrappers over those kernels for one state.
+functions taking them are thin wrappers over those kernels for one state;
+``PairOutcomeDistribution`` is the same checked row type as ``joint``'s
+four-outcome distribution, over ``PAIR_OUTCOMES``.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from .joint import (
     NEGATIVE_PROB_TOL,
     OUTCOMES,
     VisibilityPair,
+    _check_fields,
     _check_probabilities,
-    _outcome_index,
-    _probability_row,
+    _OutcomeRow,
     _require_finite,
     admissible_visibilities,
     povm_elements,
@@ -181,18 +183,14 @@ class CorrelationVector:
     c_yy: float
 
     def __post_init__(self):
-        for name in ("c_xx", "c_xy", "c_yx", "c_yy"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or abs(value) > 1.0 + 1e-9:
-                raise ValueError(f"{name} must lie in [-1, 1], got {value!r}")
-            object.__setattr__(self, name, value)
+        _check_fields(self, -1.0, 1.0, 1e-9)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.c_xx, self.c_xy, self.c_yx, self.c_yy)
 
 
 @dataclass(frozen=True, eq=False)
-class PairOutcomeDistribution:
+class PairOutcomeDistribution(_OutcomeRow):
     """Probabilities over the 16 outcomes of two local joint measurements.
 
     ``probs`` is a read-only float64 copy of shape ``(16,)`` in
@@ -203,18 +201,7 @@ class PairOutcomeDistribution:
     ``==`` and ``hash`` go by identity.
     """
 
-    probs: np.ndarray
-    hypothetical: bool = False
-
-    def __post_init__(self):
-        probs = _probability_row(self.probs, PAIR_OUTCOMES, self.hypothetical)
-        object.__setattr__(self, "probs", probs)
-
-    def __getitem__(self, outcome: PairOutcomeLabel) -> float:
-        return float(self.probs[_outcome_index(PAIR_OUTCOMES, outcome)])
-
-    def min_probability(self) -> float:
-        return float(self.probs.min())
+    labels = PAIR_OUTCOMES
 
     def marginal_a(self) -> dict[tuple[int, int], float]:
         """Distribution of (x_a, y_a) after summing out B's outcomes."""
@@ -231,8 +218,7 @@ class BellFamilyState:
     phi: float
 
     def __post_init__(self):
-        phi = _require_finite("angle", self.phi) % (2.0 * math.pi)
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi", _require_finite("phi", self.phi) % (2.0 * math.pi))
 
     def ket(self) -> np.ndarray:
         return np.array([1.0, 0.0, 0.0, np.exp(1j * self.phi)]) / math.sqrt(2.0)
@@ -375,5 +361,5 @@ def pair_moment(d: PairOutcomeDistribution, spec: MomentSpec) -> float:
 
 def bell_family_correlations(phi: float) -> CorrelationVector:
     """Correlations (cos phi, sin phi, sin phi, -cos phi) of the Bell family."""
-    phi = _require_finite("angle", phi)
+    phi = _require_finite("phi", phi)
     return CorrelationVector(math.cos(phi), math.sin(phi), math.sin(phi), -math.cos(phi))

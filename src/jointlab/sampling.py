@@ -141,22 +141,27 @@ _SCREEN_MARGIN = 1e-3
 class SeededSampler:
     """A Philox stream keyed by ``seed``, named ``philox-boxmuller-v1:{seed}``.
 
-    ``rng()`` builds a fresh generator each call, so the same sampler value
-    always reproduces the same draws.
+    The seed and each ``derive`` index are integers, never bools, and not
+    negative; the seed is below 2**64 and stored as a Python int. ``rng()``
+    builds a fresh generator each call, so the same sampler value always
+    reproduces the same draws.
     """
 
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        seed = _require_size("seed", self.seed, 0)
+        if seed >= 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        object.__setattr__(self, "seed", seed)
 
     def rng(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.seed))
 
     def derive(self, index: int) -> "SeededSampler":
         """Independent child stream for task ``index`` of this master seed."""
-        child = np.random.SeedSequence(entropy=self.seed, spawn_key=(int(index),))
+        index = _require_size("derive index", index, 0)
+        child = np.random.SeedSequence(entropy=self.seed, spawn_key=(index,))
         return SeededSampler(int(child.generate_state(1, np.uint64)[0]))
 
     def describe(self) -> str:

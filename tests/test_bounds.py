@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from jointlab.bounds import (
     TSIRELSON_BOUND,
     AnglePair,
+    SignedVisibilities,
     angle_inequality_lhs,
     bound_report,
     chsh_value,
@@ -21,7 +22,7 @@ from jointlab.bounds import (
     tight_bound_from_components,
     tight_bound_lhs,
 )
-from jointlab.joint import VisibilityPair
+from jointlab.joint import BlochEquatorial, VisibilityPair
 from jointlab.pairs import (
     BellFamilyState,
     CorrelationVector,
@@ -75,6 +76,35 @@ class TestSignedVisibilities:
     def test_angles_must_be_finite(self):
         with pytest.raises(ValueError, match="finite"):
             AnglePair(math.inf, 0.0)
+
+
+#: One field of each bounded record or phase argument, set by ``build(x)``.
+FIELD_BUILDERS = [
+    pytest.param(lambda x: VisibilityPair(x, 0.5), "v_x", id="VisibilityPair"),
+    pytest.param(lambda x: BlochEquatorial(x, 0.0), "ex", id="BlochEquatorial"),
+    pytest.param(lambda x: CorrelationVector(x, 0, 0, 0), "c_xx", id="CorrelationVector"),
+    pytest.param(lambda x: SignedVisibilities(0, 0, 0, x), "vb_y", id="SignedVisibilities"),
+    pytest.param(lambda x: AnglePair(x, 0), "alpha", id="AnglePair"),
+    pytest.param(BellFamilyState, "phi", id="BellFamilyState"),
+    pytest.param(bell_family_correlations, "phi", id="bell_family_correlations"),
+]
+
+
+class TestFieldChecks:
+    @pytest.mark.parametrize("value", ["0.5", b"0.5", True, False, np.bool_(True), np.array(True)])
+    @pytest.mark.parametrize("build,field", FIELD_BUILDERS)
+    def test_text_and_truth_values_are_refused(self, build, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+            build(value)
+
+    @pytest.mark.parametrize(
+        "value,number",
+        [(np.float64(0.5), 0.5), (np.float32(0.5), 0.5), (np.array(0.5), 0.5),
+         (np.int64(1), 1.0), (np.uint8(1), 1.0)],
+    )
+    @pytest.mark.parametrize("build,field", FIELD_BUILDERS)
+    def test_numpy_numbers_are_accepted(self, build, field, value, number):
+        assert build(value) == build(number)
 
 
 class TestOutcomeBound:

@@ -19,6 +19,7 @@ from jointlab.joint import (
     povm_elements,
 )
 from jointlab.linalg import hermitian_eigenvalues, is_positive_semidefinite
+from jointlab.pairs import PAIR_OUTCOMES, PairOutcomeDistribution
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -58,34 +59,87 @@ class TestTypes:
             SingleOutcomeDistribution(bad)
         SingleOutcomeDistribution(bad, hypothetical=True)
 
-    @pytest.mark.parametrize(
-        "probs", [[1.0], np.full(5, 0.2), np.full((2, 2), 0.25), {o: 0.25 for o in OUTCOMES}]
-    )
-    def test_wrong_shape_or_mapping_rejected(self, probs):
-        with pytest.raises(ValueError, match="outcome order"):
-            SingleOutcomeDistribution(probs)
 
-    def test_probs_are_a_read_only_copy(self):
-        source = np.array([0.4, 0.3, 0.2, 0.1])
-        d = SingleOutcomeDistribution(source)
+#: Both distributions are one checked row type; each row test runs on both.
+ROW_TYPES = [
+    pytest.param(SingleOutcomeDistribution, id="single"),
+    pytest.param(PairOutcomeDistribution, id="pair"),
+]
+
+
+def uniform(row_type):
+    return np.full(len(row_type.labels), 1.0 / len(row_type.labels))
+
+
+class TestOutcomeRows:
+    @pytest.mark.parametrize(
+        "row_type,probs",
+        [
+            pytest.param(SingleOutcomeDistribution, p, id=f"single-{k}")
+            for k, p in enumerate(
+                [[1.0], np.full(5, 0.2), np.full((2, 2), 0.25), {o: 0.25 for o in OUTCOMES}]
+            )
+        ]
+        + [
+            pytest.param(PairOutcomeDistribution, p, id=f"pair-{k}")
+            for k, p in enumerate(
+                [np.full(15, 1.0 / 15.0), np.full(4, 0.25), np.full((4, 4), 1.0 / 16.0),
+                 {o: 1.0 / 16.0 for o in PAIR_OUTCOMES}]
+            )
+        ],
+    )
+    def test_wrong_shape_or_mapping_rejected(self, row_type, probs):
+        with pytest.raises(ValueError, match="outcome order"):
+            row_type(probs)
+
+    @pytest.mark.parametrize(
+        "row_type,source",
+        [
+            pytest.param(SingleOutcomeDistribution, [0.4, 0.3, 0.2, 0.1], id="single"),
+            pytest.param(PairOutcomeDistribution, np.arange(1.0, 17.0) / 136.0, id="pair"),
+        ],
+    )
+    def test_probs_are_a_read_only_copy(self, row_type, source):
+        source = np.array(source)
+        expected = source.tolist()
+        d = row_type(source)
         assert isinstance(d.probs, np.ndarray) and d.probs.dtype == np.float64
         assert not d.probs.flags.writeable
         with pytest.raises(ValueError):
             d.probs[0] = 1.0
         source[0] = 1.0
-        assert d.probs.tolist() == [0.4, 0.3, 0.2, 0.1]
-        assert [d[o] for o in OUTCOMES] == [0.4, 0.3, 0.2, 0.1]
+        assert d.probs.tolist() == expected
+        assert [d[o] for o in row_type.labels] == expected
 
-    @pytest.mark.parametrize("label", [(0, 1), (1, 1, 1), (1,), "xy", 1])
-    def test_unknown_label_rejected(self, label):
-        d = SingleOutcomeDistribution(np.full(4, 0.25))
+    @pytest.mark.parametrize(
+        "row_type,label",
+        [
+            pytest.param(SingleOutcomeDistribution, label, id=f"single-{label!r}")
+            for label in [(0, 1), (1, 1, 1), (1,), "xy", 1]
+        ]
+        + [
+            pytest.param(PairOutcomeDistribution, label, id=f"pair-{label!r}")
+            for label in [(1, 1, 0, 1), (1, 1), (1, 1, 1, 1, 1), "abcd", 1]
+        ],
+    )
+    def test_unknown_label_rejected(self, row_type, label):
+        d = row_type(uniform(row_type))
         with pytest.raises(ValueError, match="unknown outcome label"):
             d[label]
 
     @pytest.mark.parametrize("hypothetical", [False, True])
-    def test_nan_distribution_rejected(self, hypothetical):
+    @pytest.mark.parametrize("row_type", ROW_TYPES)
+    def test_nan_distribution_rejected(self, row_type, hypothetical):
         with pytest.raises(ValueError, match="sum to 1, got nan"):
-            SingleOutcomeDistribution(np.full(4, math.nan), hypothetical)
+            row_type(np.full(len(row_type.labels), math.nan), hypothetical)
+
+    @pytest.mark.parametrize("row_type", ROW_TYPES)
+    def test_equality_and_hash_go_by_identity(self, row_type):
+        a = row_type(uniform(row_type))
+        b = row_type(uniform(row_type))
+        assert a == a and not a == b and a != b
+        assert a in [b, a] and b not in [a] and len({a, b, a}) == 2
+        assert hash(a) == hash(a)
 
 
 class TestPovmElement:
@@ -165,13 +219,6 @@ class TestOutcomeDistribution:
                     worst, abs(d[o] - np.einsum("ij,ji->", rho, povm_element(v, o)).real)
                 )
         assert worst < 1e-12
-
-    def test_equality_and_hash_go_by_identity(self):
-        a = SingleOutcomeDistribution(np.full(4, 0.25))
-        b = SingleOutcomeDistribution(np.full(4, 0.25))
-        assert a == a and not a == b and a != b
-        assert a in [b, a] and b not in [a] and len({a, b, a}) == 2
-        assert hash(a) == hash(a)
 
 
 class TestMoments:

@@ -55,11 +55,19 @@ def saturated(angle):
 
 
 class TestSeededSampler:
-    def test_seed_validation(self):
+    @pytest.mark.parametrize(
+        "seed", [-1, 2**64, True, np.bool_(True), 3.0, "3", b"3", np.int64(-1), None]
+    )
+    def test_seed_validation(self, seed):
         with pytest.raises(ValueError, match="seed"):
-            SeededSampler(-1)
-        with pytest.raises(ValueError, match="seed"):
-            SeededSampler(2**64)
+            SeededSampler(seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3), np.uint64(2**64 - 1)])
+    def test_numpy_integers_are_taken_as_ints(self, seed):
+        s = SeededSampler(seed)
+        assert type(s.seed) is int and s == SeededSampler(int(seed))
+        assert s.describe() == f"philox-boxmuller-v1:{int(seed)}"
+        assert s.derive(np.int64(3)) == s.derive(3)
 
     def test_same_seed_same_stream(self):
         a = SeededSampler(123).rng().random(32)
@@ -89,9 +97,10 @@ class TestSeededSampler:
         expected = np.random.Generator(np.random.Philox(key=seed)).random(9)
         assert got.tobytes() == expected.tobytes()
 
-    def test_derive_rejects_a_negative_index(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            SeededSampler(7).derive(-1)
+    @pytest.mark.parametrize("index", [-1, 2.7, 2.0, "3", True, np.bool_(False), None])
+    def test_derive_rejects_a_bad_index(self, index):
+        with pytest.raises(ValueError, match="derive index must be a non-negative integer"):
+            SeededSampler(7).derive(index)
 
 
 class TestRandomStates:
