@@ -42,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import suites
+from .joint import _require_finite
 from .reporting import Report, make_timestamp, report_json_pieces, write_report, write_shots_csv
 from .sampling import _require_size
 
@@ -108,11 +109,10 @@ class RunConfig:
             object.__setattr__(self, name, value)
         if self.seed >= 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if not 0.0 < self.tolerance < math.inf:
+        for name in ("tolerance", "phi", "alpha", "beta"):
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+        if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive and finite")
-        for name in ("phi", "alpha", "beta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if self.grid_steps < 8:
             raise ValueError("grid-steps must be at least 8")
         if self.subcommand == "single" and self.grid_steps > SINGLE_GRID_STEPS_MAX:

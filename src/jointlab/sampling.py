@@ -7,16 +7,18 @@ that stream. Identical seeds therefore reproduce results bit-for-bit,
 independent of library version details of higher-level distributions.
 
 The hot paths are exact kernels on that stream. Every Box-Muller draw reads
-its uniforms through ``_member_polar``, the one place of their layout, so a
-stack of one is the lone state bit for bit. ``correlation_ensemble`` forms
+its uniforms through ``_member_uniforms``, the one place of their layout, so
+a stack of one is the lone state bit for bit. ``correlation_ensemble`` forms
 only rho's antidiagonal and trace, since the four correlation operators are
 antidiagonal, summing in real arithmetic in the order einsum sums the full
-matrices; ``_ensemble_maxima`` gives its two maxima bit for bit, screening
-the same draws with float32 trig and recomputing exactly only the members
-near a maximum. Both run ``_ensemble_blocks``: blocks of 32,768 normals
-(8,192 Haar or 2,048 Ginibre members) that fit in L2, each reading its
-uniforms from the ensemble's one long stream at its own offsets, through
-``Philox.advance``, so the bits do not depend on the thread count.
+matrices; ``_ensemble_maxima`` gives its two maxima bit for bit. It screens
+each block straight from the uniforms, in float32, by the coherence identity
+in polar form, keeps the uniforms of the members near the block's maximum,
+and recomputes those exactly in one call per ensemble. Both run
+``_ensemble_blocks``: blocks of 32,768 normals (8,192 Haar or 2,048 Ginibre
+members) that fit in L2, each reading its uniforms from the ensemble's one
+long stream at its own offsets, through ``Philox.advance``, so the bits do
+not depend on the thread count.
 ``sample_outcomes`` draws its shots the same way, in blocks of 32,768,
 inverting the CDF through a table of 4,096 equal buckets and searching only
 the shots whose bucket holds a CDF entry. Each of these matches the direct
@@ -124,17 +126,27 @@ _ENSEMBLE_NORMALS = 32768
 #: exact maximizer's screened value at least E* - eps, so with a margin of
 #: 2 eps or more the maximizer is kept, and the maximum of the kept, exact
 #: values is E* bit for bit, whatever the screen's own bits.
-#: The bound, with u = 2**-24: the float32 angle (< 2 pi u = 3.8e-7 off), its
-#: cos and sin (1.5 ulp, 9e-8) and the cast radius and product (2u) put each
-#: normal z = r e^(i theta) within d r, d = 9.2e-7. A row product
-#: z_0k conj(z_3k) is then within 2 d r_0k r_3k <= d (r_0k**2 + r_3k**2), so
-#: the lhs, 4 (|rho_03| + |rho_12|), and the CHSH value, 4 (Re - Im) rho_03,
-#: over the squared norm t, move by at most 4 sqrt(2) d = 5.2e-6. The float32
-#: sums add at most 8u t to the row products and 20u relative to t, under
-#: 110u = 6.6e-6 in all, and float64 is within 1e-14: eps < 1.2e-5, against
-#: at most 1.3e-6 measured on 10^6 members of each kind. The margin is 80
-#: times the bound and keeps 0.1 to 0.25 % of the members.
 _SCREEN_MARGIN = 1e-3
+#: The bound eps of ``_screen``, each term relative to the trace t = sum(l),
+#: l = -log(1 - u1) = r**2 / 2, with u = 2**-24. A column's term w e^(i d) of
+#: the row pair (p, q) has w = sqrt(l_p l_q) <= (l_p + l_q) / 2, so the w of
+#: both pairs sum to at most t / 2. The casts of l (u), their product (u / 2)
+#: and the square root (u) put w within 2.5u. The angle d = 2 pi (u2_p - u2_q)
+#: takes two casts and a difference below 1 (3 * 2**-25 turns, 5.6e-7), the
+#: float32 2 pi (1.75e-7) and the product's rounding below 8 (2**-22): under
+#: 9.8e-7 in all. Cos and sin (1.5 ulp each) add 1.3e-7 and the products
+#: w cos d, w sin d another u, so each term is within 1.31e-6 w, and the
+#: float32 sums over at most four columns (3 sqrt(2) u) bring that to
+#: c = 1.57e-6 w. The lhs, 4 (|rho_03| + |rho_12|) <= 2, so moves by
+#: 2c = 3.2e-6, and the CHSH value, 4 (Re - Im) rho_03 <= 2 sqrt(2), by
+#: 2 sqrt(2) c = 4.5e-6. The float32 trace (16u) and its division (u), then
+#: the moduli, their sum and the product (4.5u) or the difference and the
+#: product (2u), add 21.5u and 19u relative, 2.6e-6 and 3.2e-6. With float64
+#: within 1e-14, eps < 7.7e-6, against at most 1.7e-6 measured on 10^6
+#: members of each kind. The margin is 130 times eps and keeps 0.1 to 0.25 %
+#: of the members.
+_SCREEN_ERROR = 7.7e-6
+assert _SCREEN_MARGIN >= 2 * _SCREEN_ERROR
 
 
 @dataclass(frozen=True)
@@ -183,10 +195,10 @@ def _stream_at(s: SeededSampler, position: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def _member_polar(
+def _member_uniforms(
     s: SeededSampler, kind: str, n: int, i0: int, i1: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Box-Muller radii and angles of members [i0, i1) of an n-member ``kind`` ensemble on ``s``.
+    """Box-Muller uniforms (u1, u2) of members [i0, i1) of an n-member ``kind`` ensemble on ``s``.
 
     The one reader of Box-Muller uniforms, and so the one place of their
     layout: with per normals a member, all n * per u1 come before all
@@ -195,8 +207,7 @@ def _member_polar(
     """
     per = math.prod(_MEMBER_SHAPE[kind])
     count = per * (i1 - i0)
-    u1 = _stream_at(s, per * i0).random(count)
-    return _box_muller_polar(u1, _stream_at(s, per * (n + i0)).random(count))
+    return _stream_at(s, per * i0).random(count), _stream_at(s, per * (n + i0)).random(count)
 
 
 def _box_muller_polar(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,7 +239,8 @@ def _box_muller_cartesian(
 
 def _haar_kets(s: SeededSampler, n: int) -> np.ndarray:
     psi = np.empty((n, 4), dtype=np.complex128)
-    normals = _box_muller_cartesian(*_member_polar(s, "haar", n, 0, n), (n, 4))
+    polar = _box_muller_polar(*_member_uniforms(s, "haar", n, 0, n))
+    normals = _box_muller_cartesian(*polar, (n, 4))
     psi.real, psi.imag = _unit_rows(*normals)
     return psi
 
@@ -245,7 +257,8 @@ def _unit_rows(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _ginibre_rhos(s: SeededSampler, n: int) -> np.ndarray:
     """G G^dagger / tr(G G^dagger) for n complex Gaussian 4x4 G drawn from ``s``."""
     g = np.empty((n, 4, 4), dtype=np.complex128)
-    g.real, g.imag = _box_muller_cartesian(*_member_polar(s, "ginibre", n, 0, n), (n, 4, 4))
+    polar = _box_muller_polar(*_member_uniforms(s, "ginibre", n, 0, n))
+    g.real, g.imag = _box_muller_cartesian(*polar, (n, 4, 4))
     rho = np.einsum("nij,nkj->nik", g, g.conj())
     tr = np.einsum("nii->n", rho).real
     return rho / tr[:, None, None]
@@ -346,8 +359,8 @@ def correlation_ensemble(n: int, s: SeededSampler, kind: str = "haar") -> np.nda
     ``_ensemble_blocks`` writes its rows in place.
     """
 
-    def write(i0: int, i1: int, radius: np.ndarray, angle: np.ndarray) -> None:
-        out[i0:i1] = _member_correlations(kind, radius, angle)
+    def write(i0: int, i1: int, u1: np.ndarray, u2: np.ndarray) -> None:
+        out[i0:i1] = _member_correlations(kind, *_box_muller_polar(u1, u2))
 
     blocks = _ensemble_blocks(n, s, kind, write)  # checks n and kind before out is made
     out = np.empty((n, 4))
@@ -357,7 +370,7 @@ def correlation_ensemble(n: int, s: SeededSampler, kind: str = "haar") -> np.nda
 
 
 def _ensemble_blocks(n: int, s: SeededSampler, kind: str, block):
-    """``_run_blocks`` of ``block(i0, i1, radius, angle)`` over blocks of ``_ENSEMBLE_NORMALS``.
+    """``_run_blocks`` of ``block(i0, i1, u1, u2)`` over blocks of ``_ENSEMBLE_NORMALS``.
 
     The ensembles' one block loop; ``n`` and ``kind`` are checked on the call.
     """
@@ -368,7 +381,7 @@ def _ensemble_blocks(n: int, s: SeededSampler, kind: str, block):
 
     def run(i0: int):
         i1 = min(i0 + size, n)
-        return block(i0, i1, *_member_polar(s, kind, n, i0, i1))
+        return block(i0, i1, *_member_uniforms(s, kind, n, i0, i1))
 
     return _run_blocks(run, range(0, n, size))
 
@@ -391,44 +404,57 @@ def _member_correlations(kind: str, radius: np.ndarray, angle: np.ndarray) -> np
 def _ensemble_maxima(n: int, s: SeededSampler, kind: str) -> tuple[float, float]:
     """(max tight-bound lhs, max CHSH) of ``correlation_ensemble(n, s, kind)``, bit for bit.
 
-    Each block of ``_ensemble_blocks`` is screened in float32, and only the
-    members ``_near_top`` keeps are recomputed exactly; the result is the
-    maximum of the block maxima, NaN when any recomputed member is NaN.
+    Each block of ``_ensemble_blocks`` is screened in float32 and hands back
+    the uniforms of the members ``_near_top`` keeps; those are recomputed
+    exactly in one call, and the result is their maximum, NaN when any
+    recomputed member is NaN.
     """
 
-    def block_maxima(i0: int, i1: int, radius: np.ndarray, angle: np.ndarray):
-        per = radius.size // (i1 - i0)
-        kept = _near_top(*_screen(radius, angle, i1 - i0))
+    def kept_uniforms(i0: int, i1: int, u1: np.ndarray, u2: np.ndarray):
+        per = u1.size // (i1 - i0)
+        kept = _near_top(*_screen(u1, u2, i1 - i0))
         normals = (kept[:, None] * per + np.arange(per)).ravel()
-        c = _member_correlations(kind, radius[normals], angle[normals]).T
-        return tight_bound_from_components(*c).max(), chsh_from_components(*c).max()
+        return u1[normals], u2[normals]
 
-    tight, chsh = np.array(list(_ensemble_blocks(n, s, kind, block_maxima))).max(axis=0)
-    return float(tight), float(chsh)
+    kept = list(_ensemble_blocks(n, s, kind, kept_uniforms))
+    u1, u2 = (np.concatenate(parts) for parts in zip(*kept))
+    c = _member_correlations(kind, *_box_muller_polar(u1, u2)).T
+    return float(tight_bound_from_components(*c).max()), float(chsh_from_components(*c).max())
 
 
-def _screen(radius: np.ndarray, angle: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float32 (tight-bound lhs, CHSH) of k members from their Box-Muller radii and angles.
+def _screen(u1: np.ndarray, u2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 (tight-bound lhs, CHSH) of k members from their Box-Muller uniforms.
 
-    By the coherence identity, from each member's normals G, (4, 1) or
-    (4, 4): rho_03 and rho_12 are G's row products 0.3 and 1.2 over the sum
-    of the radii squared. Within ``_SCREEN_MARGIN`` / 2 of the exact values.
+    By the coherence identity in polar form: with l = log(1 - u1) = -r**2 / 2
+    for each of a member's normals G, (4, 1) or (4, 4), and t their sum,
+    rho_03 and rho_12 are -sum_j w_j e^(i d_j) / t over G's columns j, where
+    w = sqrt(l_0j l_3j) and d = 2 pi (u2_0j - u2_3j) for rows 0 and 3, and
+    likewise for rows 1 and 2. Within ``_SCREEN_ERROR`` of the exact values.
     """
-    per = radius.size // k
-    r = np.empty((per, k), dtype=np.float32)  # planar: one row per normal of a member
-    r[...] = radius.reshape(k, per).T
-    t = np.empty_like(r)
-    t[...] = angle.reshape(k, per).T
-    a = np.cos(t)
-    a *= r
-    b = np.sin(t, out=t)
-    b *= r
-    r *= r
-    scale = 4.0 / r.sum(axis=0)
-    # (k, 4, m) views of the planes, so every operation runs along the members
-    re, im = _antidiagonal(*(x.reshape(4, -1, k).transpose(2, 0, 1) for x in (a, b)))
-    moduli = np.hypot(re, im)
-    return (moduli[:, 0] + moduli[:, 1]) * scale, (re[:, 0] - im[:, 0]) * scale
+    per = u1.size // k
+    log64 = np.negative(u1)
+    np.log1p(log64, out=log64)  # 1 - u1 in (0, 1], log is finite
+    log, turns = np.empty((2, per, k), dtype=np.float32)  # planar: one row per normal of a member
+    log[...] = log64.reshape(k, per).T
+    turns[...] = u2.reshape(k, per).T
+    scale = -4.0 / log.sum(axis=0)
+    # (row, column, member) views; rows 0 and 1 pair with rows 3 and 2. The
+    # pairs' weights and angles overwrite rows 0 and 1 and the cosines rows 2
+    # and 3 of log, which saves three allocations a block (2-4 % of the ensemble)
+    log, turns = log.reshape(4, -1, k), turns.reshape(4, -1, k)
+    weight, angle = log[:2], turns[:2]
+    weight *= log[:1:-1]
+    np.sqrt(weight, out=weight)
+    angle -= turns[:1:-1]
+    angle *= np.float32(2.0 * math.pi)
+    re = np.cos(angle, out=log[2:])
+    re *= weight
+    im = np.sin(angle, out=angle)
+    im *= weight
+    re, im = re.sum(axis=1), im.sum(axis=1)
+    moduli = re * re + im * im
+    np.sqrt(moduli, out=moduli)
+    return (moduli[0] + moduli[1]) * scale, (re[0] - im[0]) * scale
 
 
 def _near_top(*screened: np.ndarray) -> np.ndarray:

@@ -373,7 +373,8 @@ def build_correlation_ensembles(seed: int, n: int = 100_000) -> EnsembleMaxima:
 
     Each equals the whole-array maximum over ``correlation_ensemble`` bit for
     bit; ``_ensemble_maxima`` screens the members a block at a time and
-    recomputes only the near-maximal ones exactly, so no (n, 4) array is built.
+    recomputes only the near-maximal ones exactly, in one call per ensemble,
+    so no (n, 4) array is built.
     """
     master = SeededSampler(seed)
     tight_pure, chsh_pure = _ensemble_maxima(n, master.derive(50), "haar")

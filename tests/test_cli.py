@@ -66,6 +66,10 @@ class TestConfig:
             {"n_shots": 1000.0},
             {"n_shots": False},
             {"n_shots": "1000"},
+            {"phi": "0.3"},
+            {"tolerance": "1e-3"},
+            {"phi": True},
+            {"tolerance": True},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -73,7 +73,8 @@ def test_haar_kets_equal_a_python_float_normalization(seed):
     s = SeededSampler(seed)
 
     def normals(n):
-        return sampling._box_muller_cartesian(*sampling._member_polar(s, "haar", n, 0, n), (n, 4))
+        polar = sampling._box_muller_polar(*sampling._member_uniforms(s, "haar", n, 0, n))
+        return sampling._box_muller_cartesian(*polar, (n, 4))
 
     assert same_bytes(sampling._haar_kets(s, 3000), python_unit_rows(*normals(3000)))
     (ket,) = python_unit_rows(*normals(1))

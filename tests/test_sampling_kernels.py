@@ -165,13 +165,13 @@ class TestCorrelationEnsembles:
         # up to 8 workers switching every microsecond: each block runs exactly once
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
         starts = []
-        member_polar = sampling._member_polar
+        member_uniforms = sampling._member_uniforms
 
         def counted_block(s, kind, n, i0, i1):
             starts.append(i0)
-            return member_polar(s, kind, n, i0, i1)
+            return member_uniforms(s, kind, n, i0, i1)
 
-        monkeypatch.setattr(sampling, "_member_polar", counted_block)
+        monkeypatch.setattr(sampling, "_member_uniforms", counted_block)
         s, n = SeededSampler(7), 8 * BLOCK[kind] + 5
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -211,7 +211,7 @@ class TestCorrelationEnsembles:
         # error reaches the caller, and no worker outlives the call
         cpus, k, error, started = 2, 3, RuntimeError("block failed"), []
         ensemble = caller == "ensemble"
-        name, size = ("_member_polar", BLOCK["haar"]) if ensemble else ("_stream_at", SHOT_BLOCK)
+        name, size = ("_member_uniforms", BLOCK["haar"]) if ensemble else ("_stream_at", SHOT_BLOCK)
         block = getattr(sampling, name)
 
         def fail_at_block_k(*args):
@@ -248,7 +248,8 @@ class TestCorrelationEnsembles:
         shape = (n,) + sampling._MEMBER_SHAPE[kind]
         for seed in (1, 2, 3):
             s = SeededSampler(seed)
-            re, im = sampling._box_muller_cartesian(*sampling._member_polar(s, kind, n, 0, n), shape)
+            polar = sampling._box_muller_polar(*sampling._member_uniforms(s, kind, n, 0, n))
+            re, im = sampling._box_muller_cartesian(*polar, shape)
             z = np.empty(shape, dtype=np.complex128)
             z.real, z.imag = re, im
             assert_same_bytes(z, reference_complex_normals(s.rng(), shape))

@@ -112,8 +112,8 @@ def _ensemble_checks():
 
 
 def _ensemble_nan_case(kind, check_name):
-    """A NaN in the last member that the second ``kind`` block to refine recomputes exactly."""
-    accept = (lambda member_kind, *polar: member_kind == kind, 2)
+    """A NaN in the last member that the one ``kind`` refine recomputes exactly."""
+    accept = (lambda member_kind, *polar: member_kind == kind, 1)
     return sampling, "_member_correlations", accept, nan_at(-1, 3), _ensemble_checks, check_name
 
 
@@ -253,17 +253,21 @@ def test_ensemble_maxima_do_not_depend_on_worker_count(monkeypatch, exact_ensemb
 # the 10^5-member ensembles of test_bounds' implication chain
 @pytest.mark.parametrize("kind, seed", [("haar", 19), ("ginibre", 20)])
 def test_screen_error_and_refined_share(exact_ensemble, kind, seed):
-    """Every member's screened values lie within 1 % of the margin; at most 1 % are refined."""
+    """Every member's screened values lie within the derived bound, and 1 % of the margin.
+
+    At most 1 % of the members are refined.
+    """
     n, s, size = 100_000, SeededSampler(seed), SCREEN_BLOCK[kind]
     exact = exact_ensemble(n, s, kind)
     errors, refined = [], 0
     for i0 in range(0, n, size):
         i1 = min(i0 + size, n)
-        screened = sampling._screen(*sampling._member_polar(s, kind, n, i0, i1), i1 - i0)
+        screened = sampling._screen(*sampling._member_uniforms(s, kind, n, i0, i1), i1 - i0)
         c = exact[i0:i1].T
         for values, fn in zip(screened, (tight_bound_from_components, chsh_from_components)):
             errors.append(np.abs(values - fn(*c)).max())
         refined += sampling._near_top(*screened).size
+    assert np.max(errors) <= sampling._SCREEN_ERROR
     assert np.max(errors) <= sampling._SCREEN_MARGIN / 100
     assert refined <= n // 100
 
@@ -273,8 +277,8 @@ def test_member_screened_as_nan_is_refined(monkeypatch, exact_ensemble):
     screen, near_top = sampling._screen, sampling._near_top
     poisoned = []
 
-    def nan_screen(radius, angle, k):
-        lhs, chsh = screen(radius, angle, k)
+    def nan_screen(u1, u2, k):
+        lhs, chsh = screen(u1, u2, k)
         low = int(np.argmin(lhs))
         assert low not in near_top(lhs, chsh)
         lhs[low] = chsh[low] = math.nan
@@ -296,6 +300,24 @@ def test_member_screened_as_nan_is_refined(monkeypatch, exact_ensemble):
     assert len(refined) == sum(-(-N_BLOCKED // size) for size in SCREEN_BLOCK.values())
     assert all(refined)
     assert_same_maxima(got, whole_array_maxima(exact_ensemble, 7, N_BLOCKED))
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_one_exact_refine_per_ensemble(monkeypatch, cpus):
+    """Every block's kept members are recomputed together, in one call per ensemble."""
+    refine, calls = sampling._member_correlations, []
+
+    def counted_refine(kind, *polar):
+        calls.append(kind)
+        return refine(kind, *polar)
+
+    monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(sampling, "_member_correlations", counted_refine)
+    for n in SCREEN_SIZES:
+        for kind in SCREEN_BLOCK:
+            calls.clear()
+            sampling._ensemble_maxima(n, SeededSampler(7), kind)
+            assert calls == [kind], (n, kind)
 
 
 def reference_bloch_disk_sweep(seed):
