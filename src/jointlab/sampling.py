@@ -58,7 +58,7 @@ from .bounds import (
     chsh_from_components,
     tight_bound_from_components,
 )
-from .joint import NEGATIVE_PROB_TOL
+from .joint import NEGATIVE_PROB_TOL, _require_finite
 from .pairs import (
     PAIR_OUTCOMES,
     DensityOperator4,
@@ -356,17 +356,13 @@ def correlation_ensemble(n: int, s: SeededSampler, kind: str = "haar") -> np.nda
     Only rho's antidiagonal and trace are formed, never the states
     themselves; the result is bit-equal to the einsum correlations of the
     full states drawn from the same stream. Each block of
-    ``_ensemble_blocks`` writes its rows in place.
+    ``_ensemble_blocks`` returns its rows, and the blocks are concatenated.
     """
 
-    def write(i0: int, i1: int, u1: np.ndarray, u2: np.ndarray) -> None:
-        out[i0:i1] = _member_correlations(kind, *_box_muller_polar(u1, u2))
+    def rows(i0: int, i1: int, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+        return _member_correlations(kind, *_box_muller_polar(u1, u2))
 
-    blocks = _ensemble_blocks(n, s, kind, write)  # checks n and kind before out is made
-    out = np.empty((n, 4))
-    for _ in blocks:
-        pass
-    return out
+    return np.concatenate(list(_ensemble_blocks(n, s, kind, rows)))
 
 
 def _ensemble_blocks(n: int, s: SeededSampler, kind: str, block):
@@ -411,10 +407,8 @@ def _ensemble_maxima(n: int, s: SeededSampler, kind: str) -> tuple[float, float]
     """
 
     def kept_uniforms(i0: int, i1: int, u1: np.ndarray, u2: np.ndarray):
-        per = u1.size // (i1 - i0)
-        kept = _near_top(*_screen(u1, u2, i1 - i0))
-        normals = (kept[:, None] * per + np.arange(per)).ravel()
-        return u1[normals], u2[normals]
+        kept = _near_top(*_screen(u1, u2, i1 - i0))  # a member's uniforms are a row
+        return tuple(u.reshape(i1 - i0, -1)[kept].ravel() for u in (u1, u2))
 
     kept = list(_ensemble_blocks(n, s, kind, kept_uniforms))
     u1, u2 = (np.concatenate(parts) for parts in zip(*kept))
@@ -484,74 +478,61 @@ def _run_blocks(work, starts):
     The one block scheduler, a bounded in-order pipeline: blocks are computed
     ahead of the one the caller holds, at most ``2 * _usable_cpus()`` at a
     time counting that one until the caller asks for the next, so the caller
-    can write block k while the next ones are computed. The caller's thread
-    is one of the workers: while the block it asks for is not ready, it
-    computes the next block due, so a single block starts no thread. After a
-    block fails no new block starts, and the first failure is raised here.
+    can write block k while the next ones are computed. The helper threads
+    and the caller's thread run one loop, ``help_until``, the caller's until
+    the block it asks for is ready, so a single block starts no thread. The
+    first failure stops the run, no new block starts, and it is raised here.
     When the caller stops early, closing the generator, the workers stop
     after their current block; every worker is joined before the generator
-    ends. Blocks that write their results in place, as the ensembles and the
-    shot draw do, return None, and their caller just drains the generator.
+    ends. The shot draw's blocks write in place and return None.
     """
     cpus = _usable_cpus()
     window = 2 * cpus
     ready = {}  # position in starts -> result, not yet yielded
-    errors = []
+    failure = None  # the first block's exception
     cond = threading.Condition()
     handed_out = released = 0
-    stopped = False
+    stopped = False  # by the first failure, or by closing the generator
 
-    def take():
-        """Under ``cond``: the position of the next block due, or None if none may start now."""
-        nonlocal handed_out
-        if stopped or errors or handed_out == len(starts) or handed_out - released >= window:
-            return None
-        handed_out += 1
-        return handed_out - 1
-
-    def compute(k):
-        try:
-            result = work(starts[k])
-        except BaseException as exc:  # raised again in the caller's thread
-            with cond:
-                errors.append(exc)
-                cond.notify_all()
-            return
-        with cond:
-            ready[k] = result
-            cond.notify_all()
-
-    def worker():
+    def help_until(done):
+        """Claim the next block due and compute it, or wait, until ``done()`` or the run stops."""
+        nonlocal handed_out, failure, stopped
         while True:
             with cond:
-                k = take()
-                while k is None and not (stopped or errors or handed_out == len(starts)):
-                    cond.wait()
-                    k = take()
-            if k is None:
+                cond.wait_for(
+                    lambda: done() or stopped or handed_out < min(len(starts), released + window)
+                )
+                if done() or stopped:
+                    return
+                k = handed_out
+                handed_out += 1
+            try:
+                result = work(starts[k])
+            except BaseException as exc:  # raised again in the caller's thread
+                with cond:
+                    if failure is None:
+                        failure, stopped = exc, True
+                    cond.notify_all()
                 return
-            compute(k)
+            with cond:
+                ready[k] = result
+                cond.notify_all()
+            del result  # a waiting worker holds no block
 
     helpers = []
     try:
         for _ in range(min(cpus, len(starts)) - 1):
             # daemon: a generator that is never closed must not keep the interpreter alive
-            thread = threading.Thread(target=worker, daemon=True)
+            every_block_out = lambda: handed_out == len(starts)
+            thread = threading.Thread(target=help_until, args=(every_block_out,), daemon=True)
             thread.start()
             helpers.append(thread)
         for k in range(len(starts)):
-            while True:
-                with cond:
-                    if errors:
-                        raise errors[0]
-                    if k in ready:
-                        result = ready.pop(k)
-                        break
-                    j = take()
-                    if j is None:
-                        cond.wait()
-                        continue
-                compute(j)
+            help_until(lambda: k in ready)
+            with cond:
+                if failure is not None:
+                    raise failure
+                result = ready.pop(k)
             yield result
             del result
             with cond:
@@ -613,6 +594,8 @@ class ShotRecord:
         given = np.asarray(rows)
         if given.ndim != 2 or given.shape[1] != 4:
             raise ValueError(f"expected outcome shape (n, 4), got {given.shape}")
+        if given.dtype.kind not in "iuf":
+            raise ValueError(f"shot outcomes must be +-1 integers or floats, got {given.dtype}")
         if not ((given == 1) | (given == -1)).all():
             raise ValueError("shot outcomes must be +-1")
         return cls(outcome_indices(given), source)
@@ -737,7 +720,7 @@ def experimental_chsh(phi: float, a: AnglePair) -> float:
     maximally entangled state of phase phi measured with visibility balances
     (cos alpha, sin alpha) and (cos beta, sin beta).
     """
-    return _chsh(phi, a.alpha, a.beta)
+    return _chsh(_require_finite("phi", phi), a.alpha, a.beta)
 
 
 @dataclass(frozen=True)
@@ -753,6 +736,7 @@ def chsh_surface(phi: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
     Returns the ``steps`` grid angles, (k + 1/2) pi / (2 steps), and the
     ``(steps, steps)`` surface with alpha along the first axis.
     """
+    phi = _require_finite("phi", phi)
     steps = _require_size("steps", steps, 1)
     angles = (np.arange(steps) + 0.5) * (0.5 * math.pi / steps)
     return angles, _chsh(phi, angles[:, None], angles[None, :], np.cos, np.sin)
@@ -766,6 +750,7 @@ def max_experimental_chsh(phi: float, grid_steps: int = 181) -> ChshOptimum:
     refinement in each coordinate.
     Peaks at sqrt(2), reached for alpha = beta = pi/4 when phi = pi/4.
     """
+    phi = _require_finite("phi", phi)
     grid_steps = _require_size("grid_steps", grid_steps, 1)
     half_pi = 0.5 * math.pi
     step = half_pi / grid_steps
@@ -848,6 +833,7 @@ def constrained_chsh_grid_max(phi: float) -> float:
     min(pi/2, phi)); the midpoint is the interior maximum for phi in
     (0, pi/2] where cos(phi) is non-negative.
     """
+    phi = _require_finite("phi", phi)
     lo = max(0.0, phi - 0.5 * math.pi)
     hi = min(0.5 * math.pi, phi)
     alphas = np.arange(lo + 1e-4, hi, 1e-4)

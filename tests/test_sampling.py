@@ -197,6 +197,12 @@ class TestSampling:
         with pytest.raises(ValueError, match="must be \\+-1"):
             ShotRecord.from_outcomes(outcomes, "bad")
 
+    # a bool row would be taken as all +1 and a complex one compared by its real part
+    @pytest.mark.parametrize("dtype", [bool, complex])
+    def test_shot_record_rejects_rows_that_are_not_real_numbers(self, dtype):
+        with pytest.raises(ValueError, match=f"integers or floats, got {np.dtype(dtype)}"):
+            ShotRecord.from_outcomes(np.ones((2, 4), dtype), "bad")
+
     def test_drawn_index_is_read_only_and_not_copied(self, monkeypatch):
         adopted = []
         adopt = ShotRecord._adopt.__func__
@@ -447,6 +453,16 @@ class TestZeroProbabilityCurve:
         pytest.param(lambda: zero_probability_curve_max(-1.0), "step", id="curve-negative-step"),
         pytest.param(lambda: zero_probability_curve_max(math.nan), "step", id="curve-nan-step"),
         pytest.param(lambda: zero_probability_curve_max(math.inf), "step", id="curve-inf-step"),
+        pytest.param(
+            lambda: experimental_chsh(math.nan, AnglePair(0, 0)), "phi", id="chsh-nan-phi"
+        ),
+        pytest.param(lambda: experimental_chsh(True, AnglePair(0, 0)), "phi", id="chsh-bool-phi"),
+        pytest.param(lambda: chsh_surface(math.nan, 4), "phi", id="surface-nan-phi"),
+        pytest.param(lambda: chsh_surface("0.3", 4), "phi", id="surface-text-phi"),
+        pytest.param(lambda: max_experimental_chsh(math.nan), "phi", id="max-nan-phi"),
+        pytest.param(lambda: max_experimental_chsh(True), "phi", id="max-bool-phi"),
+        pytest.param(lambda: constrained_chsh_grid_max(math.nan), "phi", id="grid-nan-phi"),
+        pytest.param(lambda: constrained_chsh_grid_max(math.inf), "phi", id="grid-inf-phi"),
     ],
 )
 def test_optimizer_rejects_bad_size_naming_the_parameter(call, parameter):

@@ -204,12 +204,14 @@ class TestCorrelationEnsembles:
         monkeypatch.setattr(threading.Thread, "start", no_start)
         calls[caller]()
 
+    # at one CPU the caller computes every block itself, the failing one too
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
     @pytest.mark.parametrize("caller", ["ensemble", "shots"])
-    def test_failing_block_reaches_the_caller(self, monkeypatch, caller):
-        # block k fails slowly, so the other worker runs ahead: it may fill the
-        # window of 2 * cpus blocks but starts none past it, the block's own
+    def test_failing_block_reaches_the_caller(self, monkeypatch, caller, cpus):
+        # block k fails slowly, so the other workers run ahead: they may fill the
+        # window of 2 * cpus blocks but start none past it, the block's own
         # error reaches the caller, and no worker outlives the call
-        cpus, k, error, started = 2, 3, RuntimeError("block failed"), []
+        k, error, started = 3, RuntimeError("block failed"), []
         ensemble = caller == "ensemble"
         name, size = ("_member_uniforms", BLOCK["haar"]) if ensemble else ("_stream_at", SHOT_BLOCK)
         block = getattr(sampling, name)

@@ -439,11 +439,13 @@ class TestShotPipeline:
         assert state["peak"] > 1 if cpus > 1 else state["peak"] == 1
         assert b"".join(taken) == shots_csv_text(self.RECORD).encode()
 
-    def test_failing_block_reaches_the_caller(self, monkeypatch, tmp_path):
-        # block k fails slowly, so the other worker runs ahead: it may fill the
-        # window of 2 * cpus blocks but starts none past it, the block's own
+    # at one CPU the caller formats every block itself, the failing one too
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_failing_block_reaches_the_caller(self, monkeypatch, tmp_path, cpus):
+        # block k fails slowly, so the other workers run ahead: they may fill the
+        # window of 2 * cpus blocks but start none past it, the block's own
         # error reaches the caller, and no worker outlives the call
-        cpus, k, error, started = 2, 5, RuntimeError("block failed"), []
+        k, error, started = 5, RuntimeError("block failed"), []
         block = reporting._shot_csv_block
 
         def fail_at_block_k(index, start):
