@@ -29,19 +29,12 @@ from .bounds import (
 from .joint import (
     FACTOR_SIGNS,
     OUTCOMES,
-    BlochEquatorial,
-    Moments,
-    SingleOutcomeDistribution,
     VisibilityPair,
     admissible_visibilities,
     bloch_bound_lhs,
-    distribution_moments,
     equatorial_densities,
-    equatorial_density,
-    outcome_distribution,
     outcome_moments,
     outcome_probabilities,
-    povm_element,
     povm_elements,
 )
 from .linalg import (
@@ -62,9 +55,7 @@ from .pairs import (
     correlations_of_state,
     local_mean_components,
     moment_signs,
-    outcome_indices,
     pair_distribution_formula,
-    pair_distribution_trace,
     pair_marginals,
     pair_moment,
     pair_probabilities_formula,
@@ -78,7 +69,6 @@ from .sampling import (
     EstimateWithError,
     SeededSampler,
     ShotRecord,
-    bell_diagonal_random_state,
     chsh_surface,
     constrained_chsh_grid_max,
     correlation_ensemble,

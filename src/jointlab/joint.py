@@ -9,41 +9,34 @@ realized here by the four-element POVM
 
 the unique completion built from I, X and Y alone that reproduces those
 statistics. Inadmissible visibilities and Bloch vectors outside the unit
-disk stay constructible on purpose: they are exactly the inputs whose
+disk stay valid inputs on purpose: they are exactly the inputs whose
 distributions go negative, which is what certifies both bounds.
 
-Both outcome distributions (four outcomes here, 16 in ``pairs``) are one
-checked probability row, and every bounded record checks its fields by one
-rule: a finite real number, never text or a bool, inside its box.
+Every formula here is defined on broadcast arrays, and every bounded record
+checks its fields by one rule: a finite real number, never text or a bool,
+inside its box.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import ClassVar, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _first_bad, _member
+from .linalg import DEFAULT_TOL
 
 __all__ = [
     "OUTCOMES",
     "OutcomeLabel",
     "FACTOR_SIGNS",
     "VisibilityPair",
-    "BlochEquatorial",
-    "SingleOutcomeDistribution",
-    "Moments",
-    "povm_element",
     "povm_elements",
     "admissible_visibilities",
-    "equatorial_density",
     "equatorial_densities",
     "outcome_probabilities",
-    "outcome_distribution",
     "outcome_moments",
-    "distribution_moments",
     "bloch_bound_lhs",
 ]
 
@@ -51,9 +44,6 @@ OutcomeLabel = tuple[int, int]
 
 #: Fixed outcome ordering shared by distributions and samplers.
 OUTCOMES: tuple[OutcomeLabel, ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-#: Slack below which a probability entry still counts as non-negative.
-NEGATIVE_PROB_TOL = 1e-12
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -80,28 +70,6 @@ def _check_fields(record, lo=-math.inf, hi=math.inf, slack=0.0) -> None:
         object.__setattr__(record, f.name, value)
 
 
-def _check_probabilities(probs: np.ndarray, hypothetical) -> None:
-    """Each ``(..., k)`` member sums to one (a NaN sum fails); negatives only where hypothetical."""
-    total = probs.sum(axis=-1)
-    bad_sum = ~(np.abs(total - 1.0) <= DEFAULT_TOL)
-    bad_sign = ~hypothetical & (probs.min(axis=-1) < -NEGATIVE_PROB_TOL)
-    if not (bad_sum | bad_sign).any():
-        return
-    k = _first_bad(bad_sum)
-    if k is not None:
-        raise ValueError(f"probabilities must sum to 1, got {float(total[k])!r}{_member(k)}")
-    k = _first_bad(bad_sign)
-    raise ValueError(f"negative probability in a distribution not flagged hypothetical{_member(k)}")
-
-
-def _outcome_index(labels: tuple, outcome) -> int:
-    """Position of ``outcome`` in ``labels``; ValueError for a label not among them."""
-    try:
-        return labels.index(tuple(outcome))
-    except (TypeError, ValueError):
-        raise ValueError(f"unknown outcome label {outcome!r}") from None
-
-
 @dataclass(frozen=True)
 class VisibilityPair:
     """Visibilities (v_x, v_y) of one local joint measurement, each in [0, 1].
@@ -116,79 +84,6 @@ class VisibilityPair:
 
     def __post_init__(self):
         _check_fields(self, 0.0, 1.0)
-
-    def is_admissible(self, tol: float = DEFAULT_TOL) -> bool:
-        return admissible_visibilities(self.v_x, self.v_y, tol)
-
-
-@dataclass(frozen=True)
-class BlochEquatorial:
-    """Equatorial Bloch components (<X>, <Y>) of a qubit input state.
-
-    Physical states satisfy ex**2 + ey**2 <= 1. Points outside the disk are
-    representable (with each component still in [-1, 1]) so that the
-    negative probabilities they imply can be exhibited.
-    """
-
-    ex: float
-    ey: float
-
-    def __post_init__(self):
-        _check_fields(self, -1.0, 1.0, 1e-9)
-
-    def is_physical(self, tol: float = DEFAULT_TOL) -> bool:
-        return bloch_bound_lhs(self.ex, self.ey) <= 1.0 + tol
-
-
-@dataclass(frozen=True, eq=False)
-class _OutcomeRow:
-    """The checked probability row of both distributions, over the subclass's ``labels``."""
-
-    labels: ClassVar[tuple]
-    probs: np.ndarray
-    hypothetical: bool = False
-
-    def __post_init__(self):
-        if isinstance(self.probs, Mapping):
-            raise ValueError("probabilities must be an array in outcome order, not a mapping")
-        row = np.array(self.probs, dtype=np.float64)
-        if row.shape != (len(self.labels),):
-            raise ValueError(
-                f"expected {len(self.labels)} probabilities in outcome order, got {row.shape}"
-            )
-        _check_probabilities(row, np.bool_(self.hypothetical))
-        row.setflags(write=False)
-        object.__setattr__(self, "probs", row)
-
-    def __getitem__(self, outcome) -> float:
-        return float(self.probs[_outcome_index(self.labels, outcome)])
-
-    def min_probability(self) -> float:
-        return float(self.probs.min())
-
-
-@dataclass(frozen=True, eq=False)
-class SingleOutcomeDistribution(_OutcomeRow):
-    """Probabilities over the four joint outcomes (x, y) in {+-1}^2.
-
-    ``probs`` is a read-only float64 copy of shape ``(4,)`` in ``OUTCOMES``
-    order, i.e. one row of ``outcome_probabilities``; ``d[(x, y)]`` reads one
-    entry. Entries sum to one. Negative entries are only allowed when the
-    distribution was produced from inadmissible visibilities or an
-    unphysical Bloch vector, recorded in ``hypothetical``. ``==`` and
-    ``hash`` go by identity.
-    """
-
-    labels = OUTCOMES
-
-
-@dataclass(frozen=True)
-class Moments:
-    """First moments of a four-outcome distribution."""
-
-    mean_x: float
-    mean_y: float
-    mean_xy: float
 
 
 def admissible_visibilities(v_x, v_y, tol: float = DEFAULT_TOL):
@@ -211,11 +106,6 @@ def _hermitian_2x2(diagonal: float, off) -> np.ndarray:
     return out
 
 
-def _povm_off_diagonal(x, y, v_x, v_y):
-    """Entry (0, 1) of E(x, y), for Python scalars or broadcast arrays alike."""
-    return 0.25 * (x * v_x - 1j * y * v_y)
-
-
 _OUTCOME_X = np.array([x for x, _ in OUTCOMES], dtype=np.float64)
 _OUTCOME_Y = np.array([y for _, y in OUTCOMES], dtype=np.float64)
 
@@ -231,25 +121,13 @@ for _signs in FACTOR_SIGNS.values():
     _signs.setflags(write=False)
 
 
-def povm_element(v: VisibilityPair, outcome: OutcomeLabel) -> np.ndarray:
-    """POVM element E(x, y) = (1/4)(I + x v_x X + y v_y Y) as a 2x2 array.
-
-    The four elements sum to the identity exactly, and tr(rho E(x, y))
-    reproduces ``outcome_distribution`` for every state rho.
-    """
-    x, y = OUTCOMES[_outcome_index(OUTCOMES, outcome)]
-    return _hermitian_2x2(0.25, _povm_off_diagonal(x, y, v.v_x, v.v_y))
-
-
 def povm_elements(v_x, v_y) -> np.ndarray:
     """All four POVM elements for every visibility pair of two broadcast arrays.
 
-    Returns a complex array of shape ``(..., 4, 2, 2)``, where ``...`` is the
-    broadcast shape of ``v_x`` and ``v_y`` and axis -3 follows ``OUTCOMES``.
-    Both builders evaluate one formula, so entry ``[..., k, :, :]`` equals
-    ``povm_element(VisibilityPair(v_x, v_y), OUTCOMES[k])`` bit for bit; only
-    a subnormal visibility can flip the sign of a zero. Visibilities must be
-    finite and in [0, 1].
+    E(x, y) = (1/4)(I + x v_x X + y v_y Y). Returns a complex array of shape
+    ``(..., 4, 2, 2)``, where ``...`` is the broadcast shape of ``v_x`` and
+    ``v_y`` and axis -3 follows ``OUTCOMES``. The four elements sum to the
+    identity exactly. Visibilities must be finite and in [0, 1].
     """
     v_x, v_y = np.broadcast_arrays(
         np.asarray(v_x, dtype=np.float64), np.asarray(v_y, dtype=np.float64)
@@ -257,13 +135,8 @@ def povm_elements(v_x, v_y) -> np.ndarray:
     if not (np.all((v_x >= 0.0) & (v_x <= 1.0)) and np.all((v_y >= 0.0) & (v_y <= 1.0))):
         raise ValueError("visibilities must be finite and lie in [0, 1]")
     return _hermitian_2x2(
-        0.25, _povm_off_diagonal(_OUTCOME_X, _OUTCOME_Y, v_x[..., None], v_y[..., None])
+        0.25, 0.25 * (_OUTCOME_X * v_x[..., None] - 1j * _OUTCOME_Y * v_y[..., None])
     )
-
-
-def equatorial_density(s: BlochEquatorial) -> np.ndarray:
-    """Density matrix (1/2)(I + ex X + ey Y) for the given Bloch components."""
-    return equatorial_densities(s.ex, s.ey)
 
 
 def equatorial_densities(ex, ey) -> np.ndarray:
@@ -279,24 +152,12 @@ def equatorial_densities(ex, ey) -> np.ndarray:
 def outcome_probabilities(v_x, v_y, ex, ey) -> np.ndarray:
     """P(x, y) = (1/4)(1 + x v_x ex + y v_y ey) for broadcast arrays, shape ``(..., 4)``.
 
-    Axis -1 follows ``OUTCOMES``; ``outcome_distribution`` holds one row of
-    it. No range checks: inputs outside the physical sets give the
-    hypothetical values.
+    Axis -1 follows ``OUTCOMES``. No range checks: inputs outside the
+    physical sets give the hypothetical values.
     """
     a = np.asarray(v_x * ex, dtype=np.float64)[..., None]
     b = np.asarray(v_y * ey, dtype=np.float64)[..., None]
     return 0.25 * (1.0 + _OUTCOME_X * a + _OUTCOME_Y * b)
-
-
-def outcome_distribution(v: VisibilityPair, s: BlochEquatorial) -> SingleOutcomeDistribution:
-    """Joint outcome distribution P(x, y) = (1/4)(1 + x v_x ex + y v_y ey).
-
-    Always defined; the result is flagged hypothetical when the visibilities
-    are inadmissible or the state lies outside the Bloch disk.
-    """
-    probs = outcome_probabilities(v.v_x, v.v_y, s.ex, s.ey)
-    hypothetical = not (v.is_admissible() and s.is_physical())
-    return SingleOutcomeDistribution(probs, hypothetical)
 
 
 #: Signs of the outcome functions x, y and xy, (3, 4): the rows of ``outcome_moments``.
@@ -315,12 +176,3 @@ def outcome_moments(probs) -> np.ndarray:
     # rows go to Python floats one block at a time, so their memory does not grow with n
     sums = [math.fsum(r) for k in range(0, len(rows), 512) for r in rows[k : k + 512].tolist()]
     return np.array(sums, dtype=np.float64).reshape(terms.shape[:-1])
-
-
-def distribution_moments(d: SingleOutcomeDistribution) -> Moments:
-    """Outcome averages <x>, <y> and <xy> of a four-outcome distribution.
-
-    For any distribution produced by ``outcome_distribution`` these are
-    v_x*ex, v_y*ey and exactly zero: the POVM carries no x-y cross term.
-    """
-    return Moments(*outcome_moments(d.probs).tolist())

@@ -9,15 +9,14 @@ distribution is the closed form
 
     P(o) = (1/16) (1 + sum_{m,n in {x,y}} m_a n_b v_m(A) v_n(B) c_mn),
 
-implemented both directly (``pair_distribution_formula``) and through the
-general trace path valid for arbitrary states (``pair_distribution_trace``).
+implemented both directly (``pair_probabilities_formula``) and through the
+general trace path valid for arbitrary states (``pair_probabilities_trace``).
 
 Every formula is defined once, on stacks: states are ``(..., 4, 4)`` arrays,
 visibility pairs ``(..., 2)`` arrays ``(v_x, v_y)`` and distributions
 ``(..., 16)`` arrays in ``PAIR_OUTCOMES`` order. The dataclasses and the
 functions taking them are thin wrappers over those kernels for one state;
-``PairOutcomeDistribution`` is the same checked row type as ``joint``'s
-four-outcome distribution, over ``PAIR_OUTCOMES``.
+``PairOutcomeDistribution`` holds one checked row of them.
 """
 
 from __future__ import annotations
@@ -25,17 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from typing import Mapping
 
 import numpy as np
 
 from .joint import (
     FACTOR_SIGNS,
-    NEGATIVE_PROB_TOL,
-    OUTCOMES,
     VisibilityPair,
     _check_fields,
-    _check_probabilities,
-    _OutcomeRow,
     _require_finite,
     admissible_visibilities,
     povm_elements,
@@ -45,7 +41,6 @@ from .linalg import DEFAULT_TOL, PSD_TOL, _eigenvalues, _first_bad, _hermitian_s
 __all__ = [
     "PAIR_OUTCOMES",
     "PairOutcomeLabel",
-    "outcome_indices",
     "MomentSpec",
     "PAULI_PAIRS",
     "DensityOperator4",
@@ -62,7 +57,6 @@ __all__ = [
     "pair_probabilities_formula",
     "pair_marginals",
     "moment_signs",
-    "pair_distribution_trace",
     "pair_distribution_formula",
     "pair_moment",
     "bell_family_correlations",
@@ -74,15 +68,22 @@ PairOutcomeLabel = tuple[int, int, int, int]
 #: ``(*OUTCOMES[i], *OUTCOMES[j])`` sits at index ``4 * i + j``.
 PAIR_OUTCOMES: tuple[PairOutcomeLabel, ...] = tuple(product((1, -1), repeat=4))
 
+#: Slack below which a probability entry still counts as non-negative.
+NEGATIVE_PROB_TOL = 1e-12
 
-def outcome_indices(outcomes) -> np.ndarray:
-    """Index in ``PAIR_OUTCOMES`` of each ``(..., 4)`` row of +-1 outcomes, as uint8.
 
-    -1 in slot k sets bit 3 - k, so the index is 8*m0 + 4*m1 + 2*m2 + m3
-    over m = (outcomes < 0).
-    """
-    minus = (np.asarray(outcomes) < 0).view(np.uint8)
-    return 8 * minus[..., 0] + 4 * minus[..., 1] + 2 * minus[..., 2] + minus[..., 3]
+def _check_probabilities(probs: np.ndarray, hypothetical) -> None:
+    """Each ``(..., k)`` member sums to one (a NaN sum fails); negatives only where hypothetical."""
+    total = probs.sum(axis=-1)
+    bad_sum = ~(np.abs(total - 1.0) <= DEFAULT_TOL)
+    bad_sign = ~hypothetical & (probs.min(axis=-1) < -NEGATIVE_PROB_TOL)
+    if not (bad_sum | bad_sign).any():
+        return
+    k = _first_bad(bad_sum)
+    if k is not None:
+        raise ValueError(f"probabilities must sum to 1, got {float(total[k])!r}{_member(k)}")
+    k = _first_bad(bad_sign)
+    raise ValueError(f"negative probability in a distribution not flagged hypothetical{_member(k)}")
 
 
 MomentSpec = tuple[str, str]
@@ -131,9 +132,6 @@ class DensityOperator4:
 
     def __post_init__(self):
         object.__setattr__(self, "mat", validate_densities(self.mat))
-
-    def purity(self) -> float:
-        return float(np.einsum("ij,ji->", self.mat, self.mat).real)
 
 
 def validate_densities(a) -> np.ndarray:
@@ -190,7 +188,7 @@ class CorrelationVector:
 
 
 @dataclass(frozen=True, eq=False)
-class PairOutcomeDistribution(_OutcomeRow):
+class PairOutcomeDistribution:
     """Probabilities over the 16 outcomes of two local joint measurements.
 
     ``probs`` is a read-only float64 copy of shape ``(16,)`` in
@@ -201,14 +199,26 @@ class PairOutcomeDistribution(_OutcomeRow):
     ``==`` and ``hash`` go by identity.
     """
 
-    labels = PAIR_OUTCOMES
+    probs: np.ndarray
+    hypothetical: bool = False
 
-    def marginal_a(self) -> dict[tuple[int, int], float]:
-        """Distribution of (x_a, y_a) after summing out B's outcomes."""
-        return dict(zip(OUTCOMES, pair_marginals(self.probs)[0].tolist()))
+    def __post_init__(self):
+        if isinstance(self.probs, Mapping):
+            raise ValueError("probabilities must be an array in outcome order, not a mapping")
+        row = np.array(self.probs, dtype=np.float64)
+        if row.shape != (len(PAIR_OUTCOMES),):
+            raise ValueError(
+                f"expected {len(PAIR_OUTCOMES)} probabilities in outcome order, got {row.shape}"
+            )
+        _check_probabilities(row, np.bool_(self.hypothetical))
+        row.setflags(write=False)
+        object.__setattr__(self, "probs", row)
 
-    def marginal_b(self) -> dict[tuple[int, int], float]:
-        return dict(zip(OUTCOMES, pair_marginals(self.probs)[1].tolist()))
+    def __getitem__(self, outcome) -> float:
+        try:
+            return float(self.probs[PAIR_OUTCOMES.index(tuple(outcome))])
+        except (TypeError, ValueError):
+            raise ValueError(f"unknown outcome label {outcome!r}") from None
 
 
 @dataclass(frozen=True)
@@ -318,18 +328,6 @@ def moment_signs(spec: MomentSpec) -> np.ndarray:
     except KeyError:
         bad = next((f for f in spec if f not in FACTOR_SIGNS), spec)
         raise ValueError(f"unknown moment factor {bad!r}") from None
-
-
-def pair_distribution_trace(
-    rho: DensityOperator4, va: VisibilityPair, vb: VisibilityPair
-) -> PairOutcomeDistribution:
-    """Outcome distribution tr(rho (E_A tensor E_B)), valid for any state.
-
-    Yields a true probability distribution whenever both visibility pairs
-    are admissible; otherwise the result is flagged hypothetical.
-    """
-    probs, hypothetical = pair_probabilities_trace(rho.mat, (va.v_x, va.v_y), (vb.v_x, vb.v_y))
-    return PairOutcomeDistribution(probs, bool(hypothetical))
 
 
 def pair_distribution_formula(

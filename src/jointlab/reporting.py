@@ -11,8 +11,8 @@ scalar text, then each table in blocks of ``_TABLE_BLOCK_ROWS`` rows, each
 block joined in one pass. Every value is checked and every scalar formatted
 before the first piece is returned, so a report that cannot be written fails
 before its file is opened. ``write_report`` and the CLI's stdout write the
-pieces one by one, and ``dumps_json`` and ``report_to_json`` are their join,
-so there is one serializer and no whole-text copy on the way to a file.
+pieces one by one, so there is one serializer and no whole-text copy on the
+way to a file.
 
 CSV reports carry one row per scalar check. Shot archives are CSV with one
 outcome row per draw, formatted in decimal-aligned blocks of
@@ -45,8 +45,6 @@ from .sampling import _run_blocks
 __all__ = [
     "ARTIFACT_VERSION",
     "Report",
-    "dumps_json",
-    "report_to_json",
     "report_json_pieces",
     "report_to_csv",
     "shots_csv_text",
@@ -184,8 +182,10 @@ def _encode(obj: Any, indent: int, out: list) -> None:
 
 
 def _json_pieces(obj: Any, indent: int = 0) -> Iterator[str]:
-    """``dumps_json(obj, indent)`` as pieces: each run of scalar text, then each row block.
+    """``obj`` as JSON pieces: each run of scalar text, then each row block.
 
+    Nested dicts, lists and scalars serialize with floats at 17 significant
+    digits; a 2-D float ndarray serializes as its list of row lists.
     Everything is checked before this returns, so a non-finite value or an
     unserializable object raises before the first piece is taken.
     """
@@ -205,14 +205,6 @@ def _joined_runs(items: list) -> Iterator[str]:
             yield from item
     if run:
         yield "".join(run)
-
-
-def dumps_json(obj: Any, indent: int = 0) -> str:
-    """Serialize nested dicts/lists/scalars with floats at 17 significant digits.
-
-    A 2-D float ndarray is serialized as its list of row lists.
-    """
-    return "".join(_json_pieces(obj, indent))
 
 
 def make_timestamp() -> str:
@@ -238,7 +230,7 @@ class Report:
 
 
 def report_json_pieces(report: Report) -> Iterator[str]:
-    """``report_to_json(report)`` as a sequence of pieces, for writing without the whole text.
+    """The JSON report as a sequence of pieces, for writing without the whole text.
 
     Every value is checked before this returns (see ``_json_pieces``).
     """
@@ -261,10 +253,6 @@ def report_json_pieces(report: Report) -> Iterator[str]:
         "all_pass": report.all_pass,
     }
     return itertools.chain(_json_pieces(payload), ("\n",))
-
-
-def report_to_json(report: Report) -> str:
-    return "".join(report_json_pieces(report))
 
 
 def report_to_csv(report: Report) -> str:

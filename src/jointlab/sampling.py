@@ -58,14 +58,14 @@ from .bounds import (
     chsh_from_components,
     tight_bound_from_components,
 )
-from .joint import NEGATIVE_PROB_TOL, _require_finite
+from .joint import _require_finite
 from .pairs import (
+    NEGATIVE_PROB_TOL,
     PAIR_OUTCOMES,
     DensityOperator4,
     MomentSpec,
     PairOutcomeDistribution,
     moment_signs,
-    outcome_indices,
     pure_density,
     validate_densities,
 )
@@ -78,7 +78,6 @@ __all__ = [
     "CurveOptimum",
     "haar_random_pure_state",
     "ginibre_random_mixed_state",
-    "bell_diagonal_random_state",
     "random_state_stack",
     "correlation_ensemble",
     "sample_outcomes",
@@ -104,9 +103,6 @@ _BELL_KETS = (
     np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0),
 )
 _BELL_PROJECTORS = tuple(pure_density(ket).mat for ket in _BELL_KETS)
-
-_PAIR_OUTCOME_ARRAY = np.array(PAIR_OUTCOMES, dtype=np.int8)
-_PAIR_OUTCOME_ARRAY.setflags(write=False)
 
 #: Equal-width buckets over [0, 1) for the inverse CDF; u * _BUCKETS is exact.
 _BUCKETS = 4096
@@ -313,15 +309,6 @@ def ginibre_random_mixed_state(s: SeededSampler) -> DensityOperator4:
     return DensityOperator4(_ginibre_rhos(s, 1)[0])
 
 
-def bell_diagonal_random_state(s: SeededSampler) -> DensityOperator4:
-    """Random convex mixture of the four Bell states (uniform simplex weights).
-
-    Every such state has exactly vanishing local X and Y means, which makes
-    the family the canonical test set for the closed-form pair distribution.
-    """
-    return DensityOperator4(_bell_mixtures(s.rng().random(3)))
-
-
 def _bell_mixtures(cuts: np.ndarray) -> np.ndarray:
     """Bell-diagonal states weighted by the gaps between (..., 3) sorted uniform cuts."""
     cuts = np.sort(cuts, axis=-1)
@@ -336,11 +323,12 @@ def _bell_mixtures(cuts: np.ndarray) -> np.ndarray:
 def random_state_stack(kind: str, s: SeededSampler, n: int) -> np.ndarray:
     """Certified (n, 4, 4) stack of random states, all n drawn from the one stream ``s``.
 
-    ``kind`` is "bell-diagonal" or "ginibre". The stream is laid out as for
-    the lone generators, so a stack of one is bit-identical to
-    ``bell_diagonal_random_state(s)`` or ``ginibre_random_mixed_state(s)``,
-    and a Ginibre stack's correlations to ``correlation_ensemble(n, s,
-    "ginibre")``. The stack is certified by one ``validate_densities`` call.
+    ``kind`` is "bell-diagonal" (uniform simplex weights on the four Bell
+    states, so every local X and Y mean vanishes exactly) or "ginibre". A
+    Ginibre stack is laid out as for the lone generator, so a stack of one is
+    bit-identical to ``ginibre_random_mixed_state(s)``, and its correlations
+    to ``correlation_ensemble(n, s, "ginibre")``. The stack is certified by
+    one ``validate_densities`` call.
     """
     n = _require_size("stack size", n, 0)
     if kind == "bell-diagonal":
@@ -564,8 +552,7 @@ class ShotRecord:
     them. ``sample_outcomes`` hands over the uint8 array it drew, which
     nothing else holds, through ``_adopt``: checked and made read-only, but
     not copied. ``source`` documents the distribution and sampler that
-    produced the record. ``from_outcomes`` builds a record from (n, 4) rows
-    of +-1 outcomes (x_a, y_a, x_b, y_b).
+    produced the record.
     """
 
     index: np.ndarray
@@ -588,29 +575,10 @@ class ShotRecord:
         object.__setattr__(record, "source", source)
         return record
 
-    @classmethod
-    def from_outcomes(cls, rows, source: str) -> "ShotRecord":
-        """Record of (n, 4) +-1 outcome rows, checked as given before any cast."""
-        given = np.asarray(rows)
-        if given.ndim != 2 or given.shape[1] != 4:
-            raise ValueError(f"expected outcome shape (n, 4), got {given.shape}")
-        if given.dtype.kind not in "iuf":
-            raise ValueError(f"shot outcomes must be +-1 integers or floats, got {given.dtype}")
-        if not ((given == 1) | (given == -1)).all():
-            raise ValueError("shot outcomes must be +-1")
-        return cls(outcome_indices(given), source)
-
     @property
     def n(self) -> int:
         """Number of shots."""
         return len(self.index)
-
-    @functools.cached_property
-    def outcomes(self) -> np.ndarray:
-        """Read-only (n, 4) int8 +-1 rows, ``PAIR_OUTCOMES[index]``."""
-        rows = _PAIR_OUTCOME_ARRAY[self.index]
-        rows.setflags(write=False)
-        return rows
 
     @functools.cached_property
     def counts(self) -> np.ndarray:
@@ -628,15 +596,16 @@ class ShotRecord:
 
 @dataclass(frozen=True)
 class EstimateWithError:
-    """Sample mean with its standard error."""
+    """Sample mean with its standard error, over ``n`` shots."""
 
     value: float
     std_error: float
     n: int
 
     def __post_init__(self):
-        if self.std_error < 0.0:
-            raise ValueError("standard error must be non-negative")
+        object.__setattr__(self, "value", _require_finite("value", self.value))
+        object.__setattr__(self, "std_error", _require_finite("std_error", self.std_error, 0.0))
+        object.__setattr__(self, "n", _require_size("n", self.n, 1))
 
 
 def sample_outcomes(
@@ -778,8 +747,9 @@ def zero_probability_chsh(phi: float) -> float:
 
         1 + cos(phi) - cos(phi)**2.
     """
+    phi = _require_finite("phi", phi)
     suppressed = _suppressed_probability(phi)
-    if not abs(suppressed) <= 1e-12:  # a non-finite phi makes it NaN, which must fail
+    if not abs(suppressed) <= 1e-12:
         raise ArithmeticError(f"suppressed outcome has probability {suppressed!r} at phi={phi!r}")
     return zero_probability_curve(math.cos(phi))
 
@@ -804,8 +774,9 @@ def zero_probability_curve_max(step: float = 1e-4) -> CurveOptimum:
     quadratic top, while the three-point vertex recovers the stationary
     point to ~1e-11. The analytic optimum is 1.25 at cos(phi) = 1/2.
     """
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step!r}")
+    step = _require_finite("step", step)
+    if not step > 0.0:
+        raise ValueError(f"step must be positive, got {step!r}")
     phis = np.arange(0.0, math.pi + 0.5 * step, step)
     values = zero_probability_curve(np.cos(phis))
     phi0 = float(phis[int(np.argmax(values))])

@@ -8,8 +8,43 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from jointlab.joint import OUTCOMES
+from jointlab.linalg import pauli
+from jointlab.pairs import PAIR_OUTCOMES
+
 settings.register_profile("jointlab", max_examples=100, deadline=None)
 settings.load_profile("jointlab")
+
+_I, _X, _Y = (pauli(k) for k in "IXY")
+_OUTCOME_SIGNS = np.array(OUTCOMES, dtype=np.float64).T[..., None, None]  # x and y, (2, 4, 1, 1)
+
+
+def pauli_povm(v_x, v_y):
+    """E(x, y) = (I + x v_x X + y v_y Y)/4 from ``linalg.pauli``, shape ``(..., 4, 2, 2)``.
+
+    Axis -3 follows ``OUTCOMES``. A reference that shares no code with ``joint``.
+    """
+    x, y = _OUTCOME_SIGNS
+    v_x = np.asarray(v_x, dtype=np.float64)[..., None, None, None]
+    v_y = np.asarray(v_y, dtype=np.float64)[..., None, None, None]
+    return (_I + x * v_x * _X + y * v_y * _Y) / 4
+
+
+def pauli_density(ex, ey):
+    """rho = (I + e_x X + e_y Y)/2 from ``linalg.pauli``: ``(..., 2, 2)``."""
+    ex = np.asarray(ex, dtype=np.float64)[..., None, None]
+    ey = np.asarray(ey, dtype=np.float64)[..., None, None]
+    return (_I + ex * _X + ey * _Y) / 2
+
+
+def python_probabilities(v_x, v_y, ex, ey):
+    """P(x, y) = (1/4)(1 + x v_x ex + y v_y ey) in Python floats, in ``OUTCOMES`` order."""
+    return [0.25 * (1.0 + x * (v_x * ex) + y * (v_y * ey)) for x, y in OUTCOMES]
+
+
+def outcome_rows(record):
+    """The (n, 4) int8 +-1 outcome rows (x_a, y_a, x_b, y_b) of a ``ShotRecord``."""
+    return np.array(PAIR_OUTCOMES, dtype=np.int8)[record.index]
 
 
 def assert_same_bytes(actual, expected):

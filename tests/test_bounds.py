@@ -22,7 +22,7 @@ from jointlab.bounds import (
     tight_bound_from_components,
     tight_bound_lhs,
 )
-from jointlab.joint import BlochEquatorial, VisibilityPair
+from jointlab.joint import VisibilityPair
 from jointlab.pairs import (
     BellFamilyState,
     CorrelationVector,
@@ -33,6 +33,7 @@ from jointlab.pairs import (
     pair_distribution_formula,
 )
 from jointlab.sampling import (
+    EstimateWithError,
     SeededSampler,
     _ginibre_rhos,
     _haar_kets,
@@ -81,7 +82,7 @@ class TestSignedVisibilities:
 #: One field of each bounded record or phase argument, set by ``build(x)``.
 FIELD_BUILDERS = [
     pytest.param(lambda x: VisibilityPair(x, 0.5), "v_x", id="VisibilityPair"),
-    pytest.param(lambda x: BlochEquatorial(x, 0.0), "ex", id="BlochEquatorial"),
+    pytest.param(lambda x: EstimateWithError(x, 0.1, 10), "value", id="EstimateWithError"),
     pytest.param(lambda x: CorrelationVector(x, 0, 0, 0), "c_xx", id="CorrelationVector"),
     pytest.param(lambda x: SignedVisibilities(0, 0, 0, x), "vb_y", id="SignedVisibilities"),
     pytest.param(lambda x: AnglePair(x, 0), "alpha", id="AnglePair"),

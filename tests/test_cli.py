@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from jointlab import bounds, cli, suites
+from jointlab import bounds, cli, reporting, suites
 from jointlab.cli import (
     CHSH_SURFACE_STEPS_MAX,
     N_SHOTS_MAX,
@@ -32,7 +32,7 @@ from jointlab.cli import (
     run,
 )
 from jointlab.pairs import BellFamilyState
-from jointlab.reporting import dumps_json, report_json_pieces
+from jointlab.reporting import report_json_pieces
 from jointlab.sampling import ShotRecord
 from jointlab.verify import CRITERIA
 
@@ -213,7 +213,7 @@ class TestDeterminism:
         assert main(args) == 0
         b = json.loads((tmp_path / "report.json").read_text())
         a.pop("timestamp"), b.pop("timestamp")
-        assert dumps_json(a) == dumps_json(b)
+        assert "".join(reporting._json_pieces(a)) == "".join(reporting._json_pieces(b))
 
     def test_shot_archives_byte_identical(self, tmp_path):
         args = ["sample", "--seed", "23", "--n-shots", "5000"]
@@ -227,7 +227,7 @@ class TestDeterminism:
         out = tmp_path / "report.json"
         assert main(["bound", "--seed", "3", "--output", str(out)]) == 0
         text = out.read_text()
-        assert dumps_json(json.loads(text)) + "\n" == text
+        assert "".join(reporting._json_pieces(json.loads(text))) + "\n" == text
 
 
 # verify keeps four maxima of its 10^5-state ensembles, not the ensembles;
@@ -831,7 +831,7 @@ def test_malformed_argv_exits_cleanly(tmp_path, monkeypatch, argv):
     """No numerical work runs: every suite is a stub, and the sample one returns two shots."""
     for name in ("single", "pair", "bound", "scan", "verify"):
         monkeypatch.setattr(suites, f"run_{name}_suite", lambda *args, **kwargs: ({}, []))
-    two_shots = ShotRecord.from_outcomes(np.ones((2, 4), dtype=np.int8), "stub")
+    two_shots = ShotRecord(np.zeros(2, dtype=np.uint8), "stub")
     monkeypatch.setattr(suites, "run_sample_suite", lambda *args, **kwargs: ({}, [], two_shots))
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))

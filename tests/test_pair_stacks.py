@@ -1,12 +1,13 @@
 """The stacked pair-statistics core against the per-state code it replaced.
 
 The reference functions below are the one-state-at-a-time implementations
-the stacked core replaced: one ``np.kron`` per outcome pair for the trace
-path, outcome-function lambdas summed with ``math.fsum`` for moments, column
-products for shot estimates, and Python loops over ``DensityOperator4``
-states for the acceptance residuals. The random states themselves are built
-by hand from the stack's one stream: Bell-diagonal states one member's cuts
-at a time, Ginibre states from concatenated Box-Muller halves and an einsum.
+the stacked core replaced: one ``np.kron`` per outcome pair of POVM elements
+built from ``linalg.pauli`` for the trace path, outcome-function lambdas
+summed with ``math.fsum`` for moments, column products for shot estimates,
+and Python loops over ``DensityOperator4`` states for the acceptance
+residuals. The random states themselves are built by hand from the stack's
+one stream: Bell-diagonal states one member's cuts at a time, Ginibre states
+from concatenated Box-Muller halves and an einsum.
 """
 
 import math
@@ -19,22 +20,20 @@ from jointlab.bounds import coherence_bound_lhs, tight_bound_lhs
 from jointlab.joint import (
     FACTOR_SIGNS,
     OUTCOMES,
-    BlochEquatorial,
     VisibilityPair,
-    outcome_distribution,
+    admissible_visibilities,
     outcome_probabilities,
-    povm_element,
 )
 from jointlab.pairs import (
     PAIR_OUTCOMES,
     PAULI_PAIRS,
     CorrelationVector,
     DensityOperator4,
+    PairOutcomeDistribution,
     correlation_components,
     correlations_of_state,
     local_mean_components,
     pair_distribution_formula,
-    pair_distribution_trace,
     pair_marginals,
     pair_moment,
     pair_probabilities_formula,
@@ -43,8 +42,6 @@ from jointlab.pairs import (
 )
 from jointlab.sampling import (
     SeededSampler,
-    ShotRecord,
-    bell_diagonal_random_state,
     correlation_ensemble,
     estimate_moment,
     ginibre_random_mixed_state,
@@ -53,7 +50,7 @@ from jointlab.sampling import (
 )
 from jointlab.verify import criterion_coherence_identity, criterion_pair_moment_structure
 
-from conftest import assert_same_bytes
+from conftest import assert_same_bytes, outcome_rows, pauli_povm, python_probabilities
 
 
 REFERENCE_FACTORS = {
@@ -68,10 +65,9 @@ ALL_SPECS = [(fa, fb) for fa in REFERENCE_FACTORS for fb in REFERENCE_FACTORS]
 def reference_trace(rho, va, vb):
     """tr(rho (E_A tensor E_B)) one outcome pair at a time, in PAIR_OUTCOMES order."""
     out = []
-    for oa in OUTCOMES:
-        for ob in OUTCOMES:
-            op = np.kron(povm_element(va, oa), povm_element(vb, ob))
-            out.append(complex(np.einsum("ij,ji->", rho, op)).real)
+    for e_a in pauli_povm(va.v_x, va.v_y):
+        for e_b in pauli_povm(vb.v_x, vb.v_y):
+            out.append(complex(np.einsum("ij,ji->", rho, np.kron(e_a, e_b))).real)
     return np.array(out)
 
 
@@ -89,10 +85,10 @@ def reference_formula(c, va, vb):
     ]
 
 
-def reference_moment(d, spec):
+def reference_moment(probs, spec):
     fa, fb = REFERENCE_FACTORS[spec[0]], REFERENCE_FACTORS[spec[1]]
     return math.fsum(
-        d[(xa, ya, xb, yb)] * fa(xa, ya) * fb(xb, yb) for xa, ya, xb, yb in PAIR_OUTCOMES
+        p * fa(xa, ya) * fb(xb, yb) for p, (xa, ya, xb, yb) in zip(probs, PAIR_OUTCOMES)
     )
 
 
@@ -100,7 +96,7 @@ def reference_estimate(r, spec):
     def column(name, first, second):
         return {"one": np.ones_like(first), "x": first, "y": second, "xy": first * second}[name]
 
-    out = r.outcomes.astype(np.float64)
+    out = outcome_rows(r).astype(np.float64)
     values = column(spec[0], out[:, 0], out[:, 1]) * column(spec[1], out[:, 2], out[:, 3])
     # the standard error from the +-1 values in integers, rounded once:
     # sum((n v - S)**2) = n**2 (n - 1) var, exact in int64 for n up to 2**20
@@ -155,11 +151,11 @@ def reference_pair_structure(seed, n, marginal_states):
     for mat in reference_bell_stack(master.derive(1000), n):
         rho = DensityOperator4(mat)
         va, vb = reference_visibility(gen), reference_visibility(gen)
-        dist_t = pair_distribution_trace(rho, va, vb)
+        dist_t = reference_trace(rho.mat, va, vb)
         c = correlations_of_state(rho)
-        dist_f = pair_distribution_formula(c, va, vb)
-        max_formula = max(max_formula, *(abs(dist_t[o] - dist_f[o]) for o in PAIR_OUTCOMES))
-        min_prob = min(min_prob, dist_t.min_probability())
+        dist_f = reference_formula(c, va, vb)
+        max_formula = max(max_formula, *(abs(t - f) for t, f in zip(dist_t, dist_f)))
+        min_prob = min(min_prob, dist_t.min())
         for spec in (("xy", "x"), ("xy", "y"), ("x", "xy"), ("y", "xy"), ("xy", "xy")):
             max_xy = max(max_xy, abs(reference_moment(dist_t, spec)))
         factors = {
@@ -174,14 +170,15 @@ def reference_pair_structure(seed, n, marginal_states):
     for mat in reference_ginibre_stack(master.derive(2000), marginal_states):
         rho = DensityOperator4(mat)
         va, vb = reference_visibility(gen), reference_visibility(gen)
-        dist = pair_distribution_trace(rho, va, vb)
+        table = reference_trace(rho.mat, va, vb).reshape(4, 4)
         ax, ay, bx, by = local_mean_components(rho.mat).tolist()
-        local_a = outcome_distribution(va, BlochEquatorial(ax, ay))
-        local_b = outcome_distribution(vb, BlochEquatorial(bx, by))
-        marg_a, marg_b = dist.marginal_a(), dist.marginal_b()
-        for o in OUTCOMES:
+        local_a = python_probabilities(va.v_x, va.v_y, ax, ay)
+        local_b = python_probabilities(vb.v_x, vb.v_y, bx, by)
+        for k in range(4):
             max_marginal = max(
-                max_marginal, abs(marg_a[o] - local_a[o]), abs(marg_b[o] - local_b[o])
+                max_marginal,
+                abs(math.fsum(table[k]) - local_a[k]),
+                abs(math.fsum(table[:, k]) - local_b[k]),
             )
     return max_xy, max_factor, max_formula, max_marginal, min_prob
 
@@ -207,23 +204,13 @@ class TestTraceKernel:
         probs, hypothetical = pair_probabilities_trace(rho, va, vb)
         assert probs.shape == (64, 16) and hypothetical.shape == (64,)
         admissible = [
-            VisibilityPair(*a).is_admissible() and VisibilityPair(*b).is_admissible()
-            for a, b in zip(va, vb)
+            admissible_visibilities(*a) and admissible_visibilities(*b) for a, b in zip(va, vb)
         ]
         assert 0 < sum(admissible) < 64
         assert np.array_equal(hypothetical, ~np.array(admissible))
         for k in range(64):
             expected = reference_trace(rho[k], VisibilityPair(*va[k]), VisibilityPair(*vb[k]))
             assert np.abs(probs[k] - expected).max() <= 1e-15
-
-    def test_lone_wrapper_is_one_member_of_the_stack(self):
-        rho = ginibre_stack(6, 8)
-        va, vb = VisibilityPair(0.6, 0.7), VisibilityPair(0.9, 0.5)
-        probs, hypothetical = pair_probabilities_trace(rho, (0.6, 0.7), (0.9, 0.5))
-        for k in range(8):
-            d = pair_distribution_trace(DensityOperator4(rho[k]), va, vb)
-            assert_same_bytes(d.probs, probs[k])
-            assert d.hypothetical and hypothetical[k]  # 0.9**2 + 0.5**2 > 1
 
     def test_negative_member_not_flagged_hypothetical_is_named(self):
         rho = np.array(ginibre_stack(7, 4))
@@ -269,12 +256,10 @@ class TestFormulaAndMoments:
         for k in range(20):
             va, vb = VisibilityPair(*rng.random(2)), VisibilityPair(*rng.random(2))
             c = CorrelationVector(*(2.0 * rng.random(4) - 1.0))
-            for d in (
-                pair_distribution_formula(c, va, vb),
-                pair_distribution_trace(DensityOperator4(states[k]), va, vb),
-            ):
+            traced, _ = pair_probabilities_trace(states[k], (va.v_x, va.v_y), (vb.v_x, vb.v_y))
+            for d in (pair_distribution_formula(c, va, vb), PairOutcomeDistribution(traced)):
                 for spec in ALL_SPECS:
-                    assert pair_moment(d, spec) == reference_moment(d, spec)
+                    assert pair_moment(d, spec) == reference_moment(d.probs, spec)
 
     def test_estimate_moment_bit_equal_for_every_spec(self):
         c = CorrelationVector(0.3, -0.5, 0.2, 0.4)
@@ -286,11 +271,6 @@ class TestFormulaAndMoments:
             assert (est.value, est.std_error) == (value, error)
             numpy_error = float(values.std(ddof=1) / math.sqrt(shots.n))
             assert abs(est.std_error - numpy_error) <= 1e-15 * numpy_error
-
-    def test_estimate_reads_strided_outcomes(self):
-        wide = np.tile(np.array([[1, -1, -1, 1]], dtype=np.int8), (5, 2))
-        shots = ShotRecord.from_outcomes(wide[:, ::2], "strided")
-        assert estimate_moment(shots, ("x", "y")).value == reference_estimate(shots, ("x", "y"))[0]
 
     def test_factor_signs_follow_outcome_values(self):
         for name, fn in REFERENCE_FACTORS.items():
@@ -305,14 +285,13 @@ class TestFormulaAndMoments:
 
 
 class TestSingleQubitKernel:
-    def test_outcome_probabilities_bit_equal_to_outcome_distribution(self):
+    def test_outcome_probabilities_bit_equal_to_python_formula(self):
         rng = np.random.default_rng(21)
         v = rng.random((300, 2))
         e = 2.0 * rng.random((300, 2)) - 1.0
         probs = outcome_probabilities(v[:, 0], v[:, 1], e[:, 0], e[:, 1])
         for k in range(300):
-            d = outcome_distribution(VisibilityPair(*v[k]), BlochEquatorial(*e[k]))
-            assert probs[k].tolist() == d.probs.tolist()
+            assert probs[k].tolist() == python_probabilities(*v[k].tolist(), *e[k].tolist())
 
 
 class TestCorrelations:
@@ -334,20 +313,23 @@ ENSEMBLE_BLOCK = {
     for kind, shape in sampling._MEMBER_SHAPE.items()
 }
 
-LONE_GENERATORS = [
-    ("bell-diagonal", bell_diagonal_random_state),
-    ("ginibre", ginibre_random_mixed_state),
-]
+#: Each stack kind, and the lone state it draws from a stream: the hand-built
+#: Bell-diagonal reference, and the Ginibre generator.
+LONE_STATES = {
+    "bell-diagonal": lambda s: reference_bell_stack(s, 1)[0],
+    "ginibre": lambda s: ginibre_random_mixed_state(s).mat,
+}
+STACK_KINDS = tuple(LONE_STATES)
 
 
 class TestStateStacks:
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
-    @pytest.mark.parametrize("kind, lone", LONE_GENERATORS)
-    def test_stack_of_one_is_the_lone_state(self, kind, lone, seed):
+    @pytest.mark.parametrize("kind", STACK_KINDS)
+    def test_stack_of_one_is_the_lone_state(self, kind, seed):
         s = SeededSampler(seed)
         stack = random_state_stack(kind, s, 1)
         assert not stack.flags.writeable
-        assert_same_bytes(stack[0], lone(s).mat)
+        assert_same_bytes(stack[0], LONE_STATES[kind](s))
 
     @pytest.mark.parametrize(
         "kind, reference, stream, n",
@@ -374,7 +356,7 @@ class TestStateStacks:
         stack = random_state_stack("ginibre", s, n)
         assert_same_bytes(correlation_components(stack), correlation_ensemble(n, s, "ginibre"))
 
-    @pytest.mark.parametrize("kind", ["bell-diagonal", "ginibre"])
+    @pytest.mark.parametrize("kind", STACK_KINDS)
     def test_stack_sizes(self, kind):
         s = SeededSampler(21)
         assert random_state_stack(kind, s, 0).shape == (0, 4, 4)
@@ -387,7 +369,7 @@ class TestStateStacks:
 
         monkeypatch.setattr(SeededSampler, "rng", no_draw)
         monkeypatch.setattr(sampling, "_stream_at", no_draw)
-        for kind, _ in LONE_GENERATORS:
+        for kind in STACK_KINDS:
             with pytest.raises(ValueError, match="stack size must be a non-negative integer"):
                 random_state_stack(kind, SeededSampler(1), n)
 

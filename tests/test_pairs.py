@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jointlab.joint import (
-    OUTCOMES,
-    BlochEquatorial,
-    VisibilityPair,
-    equatorial_density,
-    outcome_distribution,
-)
+from jointlab.joint import VisibilityPair, outcome_probabilities
 from jointlab.pairs import (
     PAIR_OUTCOMES,
     BellFamilyState,
@@ -20,17 +14,34 @@ from jointlab.pairs import (
     correlations_of_state,
     local_mean_components,
     pair_distribution_formula,
-    pair_distribution_trace,
+    pair_marginals,
     pair_moment,
+    pair_probabilities_trace,
     pure_density,
 )
-from jointlab.sampling import SeededSampler, bell_diagonal_random_state, ginibre_random_mixed_state
+from jointlab.sampling import SeededSampler, ginibre_random_mixed_state, random_state_stack
+
+from conftest import pauli_density
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def saturated(angle):
     return VisibilityPair(math.cos(angle), math.sin(angle))
+
+
+def traced(rho, va, vb):
+    """``pair_probabilities_trace`` of one state: its (16,) probabilities and its flag."""
+    probs, hypothetical = pair_probabilities_trace(rho.mat, (va.v_x, va.v_y), (vb.v_x, vb.v_y))
+    return probs, bool(hypothetical)
+
+
+def at(probs, outcome):
+    return float(probs[PAIR_OUTCOMES.index(outcome)])
+
+
+def bell_diagonal_state(s):
+    return DensityOperator4(random_state_stack("bell-diagonal", s, 1)[0])
 
 
 class TestDensityOperator:
@@ -50,7 +61,7 @@ class TestDensityOperator:
 
     def test_bell_state_is_pure(self):
         rho = BellFamilyState(0.7).to_density()
-        assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+        assert np.einsum("ij,ji->", rho.mat, rho.mat).real == pytest.approx(1.0, abs=1e-12)
 
     def test_ket_must_be_normalized(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -111,49 +122,41 @@ class TestLocalMeans:
 
 class TestTraceDistribution:
     def test_maximally_mixed_is_uniform(self):
-        d = pair_distribution_trace(
-            DensityOperator4(np.eye(4) / 4), saturated(0.3), saturated(1.2)
-        )
-        for o in PAIR_OUTCOMES:
-            assert d[o] == pytest.approx(1.0 / 16.0, abs=1e-14)
+        probs, _ = traced(DensityOperator4(np.eye(4) / 4), saturated(0.3), saturated(1.2))
+        assert probs.tolist() == pytest.approx([1.0 / 16.0] * 16, abs=1e-14)
 
     def test_bell_family_closed_form(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             phi, alpha, beta = rng.uniform(0.0, 2.0 * math.pi, size=3)
             alpha, beta = alpha % (0.5 * math.pi), beta % (0.5 * math.pi)
-            d = pair_distribution_trace(
-                BellFamilyState(phi).to_density(), saturated(alpha), saturated(beta)
-            )
+            probs, _ = traced(BellFamilyState(phi).to_density(), saturated(alpha), saturated(beta))
             expected = (1.0 - math.cos(alpha + beta - phi)) / 16.0
-            assert d[(1, 1, -1, -1)] == pytest.approx(expected, abs=1e-12)
+            assert at(probs, (1, 1, -1, -1)) == pytest.approx(expected, abs=1e-12)
 
     def test_product_state_factorizes(self):
-        sa = BlochEquatorial(0.3, -0.5)
-        sb = BlochEquatorial(-0.2, 0.6)
+        sa, sb = (0.3, -0.5), (-0.2, 0.6)
         va, vb = VisibilityPair(0.5, 0.7), VisibilityPair(0.9, 0.1)
-        rho = DensityOperator4(np.kron(equatorial_density(sa), equatorial_density(sb)))
-        d = pair_distribution_trace(rho, va, vb)
-        da = outcome_distribution(va, sa)
-        db = outcome_distribution(vb, sb)
-        for xa, ya, xb, yb in PAIR_OUTCOMES:
-            assert d[(xa, ya, xb, yb)] == pytest.approx(
-                da[(xa, ya)] * db[(xb, yb)], abs=1e-13
-            )
+        rho = DensityOperator4(np.kron(pauli_density(*sa), pauli_density(*sb)))
+        probs, _ = traced(rho, va, vb)
+        da = outcome_probabilities(va.v_x, va.v_y, *sa)
+        db = outcome_probabilities(vb.v_x, vb.v_y, *sb)
+        # outcome (*OUTCOMES[i], *OUTCOMES[j]) sits at index 4 * i + j
+        assert probs.tolist() == pytest.approx(np.outer(da, db).ravel().tolist(), abs=1e-13)
 
     def test_positivity_for_admissible_visibilities(self):
         master = SeededSampler(11)
         for i in range(50):
             rho = ginibre_random_mixed_state(master.derive(i))
-            d = pair_distribution_trace(rho, saturated(0.4), saturated(1.0))
-            assert not d.hypothetical
-            assert d.min_probability() >= -1e-12
+            probs, hypothetical = traced(rho, saturated(0.4), saturated(1.0))
+            assert not hypothetical
+            assert probs.min() >= -1e-12
 
     def test_inadmissible_visibilities_flagged(self):
-        d = pair_distribution_trace(
+        _, hypothetical = traced(
             BellFamilyState(0.0).to_density(), VisibilityPair(1.0, 1.0), saturated(0.2)
         )
-        assert d.hypothetical
+        assert hypothetical
 
 
 class TestFormulaDistribution:
@@ -200,12 +203,12 @@ class TestFormulaDistribution:
         rng = np.random.default_rng(23)
         worst = 0.0
         for i in range(300):
-            rho = bell_diagonal_random_state(master.derive(i))
+            rho = bell_diagonal_state(master.derive(i))
             va = saturated(rng.uniform(0, 0.5 * math.pi))
             vb = saturated(rng.uniform(0, 0.5 * math.pi))
-            dt = pair_distribution_trace(rho, va, vb)
+            probs, _ = traced(rho, va, vb)
             df = pair_distribution_formula(correlations_of_state(rho), va, vb)
-            worst = max(worst, max(abs(dt[o] - df[o]) for o in PAIR_OUTCOMES))
+            worst = max(worst, float(np.abs(probs - df.probs).max()))
         assert worst < 1e-11
 
     def test_distribution_invariants(self):
@@ -224,9 +227,10 @@ class TestPairMoments:
         assert pair_moment(d, ("one", "one")) == pytest.approx(1.0, abs=1e-14)
 
     def test_perfect_xx_correlation(self):
-        d = pair_distribution_trace(
+        probs, _ = traced(
             BellFamilyState(0.0).to_density(), VisibilityPair(1.0, 0.0), VisibilityPair(1.0, 0.0)
         )
+        d = PairOutcomeDistribution(probs)
         assert pair_moment(d, ("x", "x")) == pytest.approx(1.0, abs=1e-12)
 
     def test_xy_moments_vanish_even_for_biased_states(self):
@@ -235,7 +239,7 @@ class TestPairMoments:
                  ("x", "xy"), ("y", "xy"), ("xy", "xy")]
         for i in range(25):
             rho = ginibre_random_mixed_state(master.derive(i))
-            d = pair_distribution_trace(rho, saturated(0.7), saturated(0.3))
+            d = PairOutcomeDistribution(traced(rho, saturated(0.7), saturated(0.3))[0])
             for spec in specs:
                 assert abs(pair_moment(d, spec)) < 1e-12
 
@@ -243,11 +247,11 @@ class TestPairMoments:
         master = SeededSampler(37)
         rng = np.random.default_rng(37)
         for i in range(50):
-            rho = bell_diagonal_random_state(master.derive(i))
+            rho = bell_diagonal_state(master.derive(i))
             c = correlations_of_state(rho)
             va = saturated(rng.uniform(0, 0.5 * math.pi))
             vb = saturated(rng.uniform(0, 0.5 * math.pi))
-            d = pair_distribution_trace(rho, va, vb)
+            d = PairOutcomeDistribution(traced(rho, va, vb)[0])
             assert pair_moment(d, ("x", "x")) == pytest.approx(va.v_x * vb.v_x * c.c_xx, abs=1e-12)
             assert pair_moment(d, ("x", "y")) == pytest.approx(va.v_x * vb.v_y * c.c_xy, abs=1e-12)
             assert pair_moment(d, ("y", "x")) == pytest.approx(va.v_y * vb.v_x * c.c_yx, abs=1e-12)
@@ -258,15 +262,13 @@ class TestPairMoments:
         for i in range(25):
             rho = ginibre_random_mixed_state(master.derive(i))
             va, vb = saturated(0.25), saturated(1.1)
-            d = pair_distribution_trace(rho, va, vb)
+            probs, _ = traced(rho, va, vb)
             ax, ay, bx, by = local_mean_components(rho.mat).tolist()
-            da = outcome_distribution(va, BlochEquatorial(ax, ay))
-            db = outcome_distribution(vb, BlochEquatorial(bx, by))
-            marg_a, marg_b = d.marginal_a(), d.marginal_b()
-            for o, p in zip(OUTCOMES, da.probs.tolist()):
-                assert marg_a[o] == pytest.approx(p, abs=1e-12)
-            for o, p in zip(OUTCOMES, db.probs.tolist()):
-                assert marg_b[o] == pytest.approx(p, abs=1e-12)
+            marg_a, marg_b = pair_marginals(probs)
+            da = outcome_probabilities(va.v_x, va.v_y, ax, ay)
+            db = outcome_probabilities(vb.v_x, vb.v_y, bx, by)
+            assert marg_a.tolist() == pytest.approx(da.tolist(), abs=1e-12)
+            assert marg_b.tolist() == pytest.approx(db.tolist(), abs=1e-12)
 
     def test_unknown_factor_rejected(self):
         d = pair_distribution_formula(

@@ -15,19 +15,18 @@ from jointlab.pairs import (
     PAIR_OUTCOMES,
     BellFamilyState,
     CorrelationVector,
+    PairOutcomeDistribution,
     bell_family_correlations,
     correlation_components,
     local_mean_components,
-    outcome_indices,
     pair_distribution_formula,
-    pair_distribution_trace,
     pair_moment,
+    pair_probabilities_trace,
 )
-from jointlab.reporting import shots_csv_text
 from jointlab.sampling import (
+    EstimateWithError,
     SeededSampler,
     ShotRecord,
-    bell_diagonal_random_state,
     chsh_surface,
     constrained_chsh_grid_max,
     correlation_ensemble,
@@ -41,7 +40,8 @@ from jointlab.sampling import (
     zero_probability_chsh,
     zero_probability_curve_max,
 )
-from jointlab.verify import MONTE_CARLO_SPECS
+
+from conftest import outcome_rows
 
 QUARTER_PI = 0.25 * math.pi
 #: Seeds on either side of the 32- and 64-bit boundaries of a Philox key.
@@ -52,6 +52,10 @@ CHILD_INDICES = [0, 1, 1000, 2000, 3000, 2**32 - 1]
 
 def saturated(angle):
     return VisibilityPair(math.cos(angle), math.sin(angle))
+
+
+def purity(rho):
+    return float(np.einsum("ij,ji->", rho.mat, rho.mat).real)
 
 
 class TestSeededSampler:
@@ -106,7 +110,7 @@ class TestSeededSampler:
 class TestRandomStates:
     def test_haar_state_is_pure_and_valid(self):
         rho = haar_random_pure_state(SeededSampler(42))
-        assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+        assert purity(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_haar_state_reproducible(self):
         a = haar_random_pure_state(SeededSampler(42))
@@ -116,7 +120,7 @@ class TestRandomStates:
     def test_ginibre_purity_interior(self):
         for i in range(20):
             rho = ginibre_random_mixed_state(SeededSampler(5).derive(i))
-            assert 0.25 + 1e-9 < rho.purity() < 1.0 - 1e-9
+            assert 0.25 + 1e-9 < purity(rho) < 1.0 - 1e-9
 
     def test_ginibre_state_reproducible(self):
         a = ginibre_random_mixed_state(SeededSampler(14))
@@ -125,8 +129,8 @@ class TestRandomStates:
 
     def test_bell_mixture_has_zero_local_means(self):
         for i in range(20):
-            rho = bell_diagonal_random_state(SeededSampler(6).derive(i))
-            assert np.abs(local_mean_components(rho.mat)).max() < 1e-14
+            rho = random_state_stack("bell-diagonal", SeededSampler(6).derive(i), 1)[0]
+            assert np.abs(local_mean_components(rho)).max() < 1e-14
 
     def test_ensemble_mean_correlation_is_unbiased(self):
         # unitary invariance forces zero-mean correlations
@@ -148,7 +152,7 @@ class TestSampling:
         shots = sample_outcomes(d, n, SeededSampler(13))
         sigma = math.sqrt(n * (1 / 16) * (15 / 16))
         rows = {o: 0 for o in PAIR_OUTCOMES}
-        for row in shots.outcomes:
+        for row in outcome_rows(shots):
             rows[tuple(int(v) for v in row)] += 1
         for count in rows.values():
             assert abs(count - n / 16) < 5 * sigma
@@ -156,18 +160,15 @@ class TestSampling:
     def test_deterministic_distribution(self):
         probs = np.zeros(16)
         probs[PAIR_OUTCOMES.index((1, -1, -1, 1))] = 1.0
-        from jointlab.pairs import PairOutcomeDistribution
-
         d = PairOutcomeDistribution(probs)
         shots = sample_outcomes(d, 50, SeededSampler(3))
-        assert np.all(shots.outcomes == np.array([1, -1, -1, 1], dtype=np.int8))
+        assert np.all(outcome_rows(shots) == np.array([1, -1, -1, 1], dtype=np.int8))
 
     def test_perfect_xx_correlation_in_every_shot(self):
-        d = pair_distribution_trace(
-            BellFamilyState(0.0).to_density(), VisibilityPair(1.0, 0.0), VisibilityPair(1.0, 0.0)
-        )
-        shots = sample_outcomes(d, 4000, SeededSampler(17))
-        assert np.all(shots.outcomes[:, 0] == shots.outcomes[:, 2])
+        probs, _ = pair_probabilities_trace(BellFamilyState(0.0).to_density().mat, (1, 0), (1, 0))
+        shots = sample_outcomes(PairOutcomeDistribution(probs), 4000, SeededSampler(17))
+        rows = outcome_rows(shots)
+        assert np.all(rows[:, 0] == rows[:, 2])
 
     def test_negative_distribution_rejected(self):
         d = pair_distribution_formula(
@@ -184,24 +185,7 @@ class TestSampling:
         )
         a = sample_outcomes(d, 1000, SeededSampler(77))
         b = sample_outcomes(d, 1000, SeededSampler(77))
-        assert np.array_equal(a.outcomes, b.outcomes)
-
-    def test_shot_record_shape_validated(self):
-        with pytest.raises(ValueError, match="shape"):
-            ShotRecord.from_outcomes(np.ones((3, 5), dtype=np.int8), "bad")
-
-    # 1.7 would be cast to 1, 300 to 44 and 1j to 0 if the values were not checked as given
-    @pytest.mark.parametrize("entry", [0, 1.7, 300, 1j])
-    def test_shot_record_rejects_outcome_other_than_plus_minus_one(self, entry):
-        outcomes = np.array([[1, -1, 1, 1], [1, entry, -1, 1]])
-        with pytest.raises(ValueError, match="must be \\+-1"):
-            ShotRecord.from_outcomes(outcomes, "bad")
-
-    # a bool row would be taken as all +1 and a complex one compared by its real part
-    @pytest.mark.parametrize("dtype", [bool, complex])
-    def test_shot_record_rejects_rows_that_are_not_real_numbers(self, dtype):
-        with pytest.raises(ValueError, match=f"integers or floats, got {np.dtype(dtype)}"):
-            ShotRecord.from_outcomes(np.ones((2, 4), dtype), "bad")
+        assert np.array_equal(a.index, b.index)
 
     def test_drawn_index_is_read_only_and_not_copied(self, monkeypatch):
         adopted = []
@@ -282,26 +266,20 @@ class TestEstimators:
         with pytest.raises(ValueError, match="two shots"):
             estimate_moment(shots, ("x", "x"))
 
-    def test_shot_index_computed_once_per_record(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            sampling, "outcome_indices", lambda o: calls.append(1) or outcome_indices(o)
-        )
-        v = saturated(QUARTER_PI)
-        d = pair_distribution_formula(bell_family_correlations(QUARTER_PI), v, v)
-        # the sampler stores the index it drew by; from_outcomes computes it once
-        sampled = sample_outcomes(d, 2000, SeededSampler(5))
-        assert len(calls) == 0
-        given = ShotRecord.from_outcomes(sampled.outcomes, "given")
-        assert len(calls) == 1
-        for shots in (sampled, given):
-            for spec in MONTE_CARLO_SPECS:
-                estimate_moment(shots, spec)
-            shots_csv_text(shots)
-            assert shots.index.dtype == np.uint8 and not shots.index.flags.writeable
-        assert len(calls) == 1
-        assert np.array_equal(given.index, sampled.index)
-        assert np.array_equal(sampled.index, outcome_indices(sampled.outcomes))
+    @pytest.mark.parametrize(
+        "given, field",
+        [
+            ({"std_error": math.nan}, "std_error"),
+            ({"std_error": -0.1}, "std_error"),
+            ({"std_error": True}, "std_error"),
+            ({"n": True}, "n"),
+            ({"n": 10.0}, "n"),
+            ({"n": 0}, "n"),
+        ],
+    )
+    def test_estimate_fields_checked(self, given, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            EstimateWithError(**{"value": 0.0, "std_error": 0.1, "n": 10, **given})
 
     def test_std_error_scales_inverse_sqrt_n(self):
         v = saturated(QUARTER_PI)
@@ -432,13 +410,13 @@ class TestZeroProbabilityCurve:
         # 50 phase values, one million shots each: the constrained outcome
         # has probability zero and must never appear in the sample
         master = SeededSampler(59)
-        target = np.array([1, 1, -1, -1], dtype=np.int8)
+        target = PAIR_OUTCOMES.index((1, 1, -1, -1))
         for i, phi in enumerate(np.linspace(0.0, math.pi, 50)):
             v = saturated(0.5 * float(phi))
             d = pair_distribution_formula(bell_family_correlations(float(phi)), v, v)
             assert abs((1.0 / 16.0) * (1.0 - math.cos(0.5 * phi + 0.5 * phi - phi))) < 1e-12
             shots = sample_outcomes(d, 1_000_000, master.derive(i))
-            assert not np.any(np.all(shots.outcomes == target, axis=1))
+            assert not np.any(shots.index == target)
 
 
 @pytest.mark.parametrize(
@@ -453,6 +431,7 @@ class TestZeroProbabilityCurve:
         pytest.param(lambda: zero_probability_curve_max(-1.0), "step", id="curve-negative-step"),
         pytest.param(lambda: zero_probability_curve_max(math.nan), "step", id="curve-nan-step"),
         pytest.param(lambda: zero_probability_curve_max(math.inf), "step", id="curve-inf-step"),
+        pytest.param(lambda: zero_probability_curve_max(True), "step", id="curve-bool-step"),
         pytest.param(
             lambda: experimental_chsh(math.nan, AnglePair(0, 0)), "phi", id="chsh-nan-phi"
         ),
@@ -463,6 +442,10 @@ class TestZeroProbabilityCurve:
         pytest.param(lambda: max_experimental_chsh(True), "phi", id="max-bool-phi"),
         pytest.param(lambda: constrained_chsh_grid_max(math.nan), "phi", id="grid-nan-phi"),
         pytest.param(lambda: constrained_chsh_grid_max(math.inf), "phi", id="grid-inf-phi"),
+        pytest.param(lambda: zero_probability_chsh(math.nan), "phi", id="zero-prob-nan-phi"),
+        pytest.param(lambda: zero_probability_chsh(math.inf), "phi", id="zero-prob-inf-phi"),
+        pytest.param(lambda: zero_probability_chsh(-math.inf), "phi", id="zero-prob-minus-inf-phi"),
+        pytest.param(lambda: zero_probability_chsh(True), "phi", id="zero-prob-bool-phi"),
     ],
 )
 def test_optimizer_rejects_bad_size_naming_the_parameter(call, parameter):
@@ -470,11 +453,12 @@ def test_optimizer_rejects_bad_size_naming_the_parameter(call, parameter):
         call()
 
 
-@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
-def test_zero_probability_chsh_fails_certification_on_non_finite_phi(phi):
-    # the suppressed probability is NaN there, and a NaN must not pass as <= 1e-12
+@pytest.mark.parametrize("suppressed", [1e-6, math.nan])
+def test_zero_probability_chsh_certifies_the_suppressed_outcome(suppressed, monkeypatch):
+    # a NaN must not pass as <= 1e-12
+    monkeypatch.setattr(sampling, "_suppressed_probability", lambda phi: suppressed)
     with pytest.raises(ArithmeticError, match="suppressed outcome"):
-        zero_probability_chsh(phi)
+        zero_probability_chsh(0.3)
 
 
 class TestViolationSearch:

@@ -30,7 +30,6 @@ from jointlab.pairs import (
     PairOutcomeDistribution,
     bell_family_correlations,
     moment_signs,
-    outcome_indices,
     pair_distribution_formula,
 )
 from jointlab.reporting import shots_csv_text, write_shots_csv
@@ -41,7 +40,7 @@ from jointlab.sampling import (
     sample_outcomes,
 )
 
-from conftest import assert_same_bytes
+from conftest import assert_same_bytes, outcome_rows
 
 ALL_SPECS = [(fa, fb) for fa in FACTOR_SIGNS for fb in FACTOR_SIGNS]
 OUTCOME_ROWS = np.array(PAIR_OUTCOMES, dtype=np.int8)
@@ -87,8 +86,8 @@ def reference_cdf(d):
     return cdf
 
 
-def reference_outcomes(d, n, s):
-    return OUTCOME_ROWS[np.searchsorted(reference_cdf(d), s.rng().random(n), side="right")]
+def reference_index(d, n, s):
+    return np.searchsorted(reference_cdf(d), s.rng().random(n), side="right").astype(np.uint8)
 
 
 def reference_estimate(shots, spec):
@@ -265,7 +264,7 @@ class TestInverseCdf:
     def test_shots_bit_equal_to_whole_sample_searchsorted(self, w, seed):
         d = distribution(w)
         s = SeededSampler(seed)
-        assert_same_bytes(sample_outcomes(d, 2000, s).outcomes, reference_outcomes(d, 2000, s))
+        assert_same_bytes(sample_outcomes(d, 2000, s).index, reference_index(d, 2000, s))
         cdf = reference_cdf(d)
         u = np.concatenate([EDGES[:-1], np.nextafter(EDGES[1:], 0.0), cdf[cdf < 1.0]])
         assert_same_bytes(
@@ -275,17 +274,16 @@ class TestInverseCdf:
     @pytest.mark.parametrize(
         "d", [UNIFORM, BELL_QUARTER_PI, ZERO_PROBABILITY_POINT], ids=["uniform", "bell", "zero"]
     )
-    def test_index_given_by_the_sampler_equals_outcome_indices(self, d):
+    def test_index_given_by_the_sampler_is_read_only(self, d):
         shots = sample_outcomes(d, 100_000, SeededSampler(21))
-        assert "index" in vars(shots)  # given by the sampler, not computed on first use
         assert not shots.index.flags.writeable
-        assert_same_bytes(shots.index, outcome_indices(shots.outcomes))
+        assert_same_bytes(shots.index, reference_index(d, 100_000, SeededSampler(21)))
 
     @pytest.mark.parametrize("k", [0, 3, 9, 15])
     def test_point_mass(self, k):
         s = SeededSampler(40 + k)
         shots = sample_outcomes(point_mass(k), 10_000, s)
-        assert_same_bytes(shots.outcomes, reference_outcomes(point_mass(k), 10_000, s))
+        assert_same_bytes(shots.index, reference_index(point_mass(k), 10_000, s))
         assert shots.counts[k] == 10_000
 
     def test_uniform_distribution_has_every_cdf_entry_on_a_bucket_edge(self):
@@ -293,7 +291,7 @@ class TestInverseCdf:
         assert np.isin(cdf, EDGES).all()
         s = SeededSampler(44)
         assert_same_bytes(
-            sample_outcomes(UNIFORM, 100_000, s).outcomes, reference_outcomes(UNIFORM, 100_000, s)
+            sample_outcomes(UNIFORM, 100_000, s).index, reference_index(UNIFORM, 100_000, s)
         )
 
     @pytest.mark.parametrize("d", [UNIFORM, BELL_QUARTER_PI, ZERO_PROBABILITY_POINT])
@@ -308,7 +306,7 @@ class TestInverseCdf:
     def test_million_shots_at_the_zero_probability_point(self, seed):
         s = SeededSampler(seed)
         shots = sample_outcomes(ZERO_PROBABILITY_POINT, 1_000_000, s)
-        assert_same_bytes(shots.outcomes, reference_outcomes(ZERO_PROBABILITY_POINT, 1_000_000, s))
+        assert_same_bytes(shots.index, reference_index(ZERO_PROBABILITY_POINT, 1_000_000, s))
 
     @pytest.mark.parametrize("cpus", [1, 8])
     @pytest.mark.parametrize("n", [SHOT_BLOCK - 1, SHOT_BLOCK, SHOT_BLOCK + 1, 2 * SHOT_BLOCK + 3])
@@ -337,7 +335,6 @@ class TestInverseCdf:
         assert sorted(formatted) == list(range(0, n, reporting._SHOT_BLOCK_ROWS))
         index = np.searchsorted(reference_cdf(BELL_QUARTER_PI), s.rng().random(n), "right")
         assert_same_bytes(shots.index, index.astype(np.uint8))
-        assert_same_bytes(shots.outcomes, OUTCOME_ROWS[index])
         assert_same_bytes(shots.counts, np.bincount(index, minlength=16))
         assert path.read_bytes() == shots_csv_text(shots).encode("ascii")
 
@@ -358,7 +355,8 @@ class TestMomentsFromCounts:
 
     def test_counts_match_the_row_scan(self):
         shots = sample_outcomes(BELL_QUARTER_PI, 200_000, SeededSampler(8))
-        scan = [int(np.all(shots.outcomes == row, axis=1).sum()) for row in OUTCOME_ROWS]
+        rows = outcome_rows(shots)
+        scan = [int(np.all(rows == row, axis=1).sum()) for row in OUTCOME_ROWS]
         assert shots.counts.tolist() == scan
         zero_point = sample_outcomes(ZERO_PROBABILITY_POINT, 200_000, SeededSampler(9))
         assert zero_point.counts[PAIR_OUTCOMES.index((1, 1, -1, -1))] == 0

@@ -1,9 +1,11 @@
 """The single-qubit checks on stacks against the per-state loops they replaced.
 
-Each reference below is the loop over lone dataclasses that criterion 2,
-criterion 3's spot checks and the two ``single`` residuals used to run, one
-state and one scalar draw at a time. The stacked paths draw the same stream
-and must give the same floats, bit for bit.
+Each reference below is the per-state loop that criterion 2, criterion 3's
+spot checks and the two ``single`` residuals used to run, one state and one
+scalar draw at a time, in Python floats, with the operators built from
+``linalg.pauli`` (``conftest.pauli_povm``, ``conftest.pauli_density``). The
+stacked paths draw the same stream and must give the same floats, bit for
+bit.
 """
 
 import math
@@ -15,19 +17,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from jointlab import suites, verify
-from jointlab.joint import (
-    OUTCOMES,
-    BlochEquatorial,
-    VisibilityPair,
-    bloch_bound_lhs,
-    distribution_moments,
-    equatorial_densities,
-    equatorial_density,
-    outcome_distribution,
-    outcome_moments,
-    povm_element,
-)
+from jointlab.joint import OUTCOMES, bloch_bound_lhs, equatorial_densities, outcome_moments
 from jointlab.sampling import SeededSampler
+
+from conftest import pauli_density, pauli_povm, python_probabilities
 
 SEEDS = range(20)
 
@@ -37,11 +30,11 @@ def reference_moment_identity_residuals(seed, n=1000):
     xy = []
     prop = []
     for _ in range(n):
-        v = VisibilityPair(float(gen.random()), float(gen.random()))
-        s = BlochEquatorial(float(2.0 * gen.random() - 1.0), float(2.0 * gen.random() - 1.0))
-        m = distribution_moments(outcome_distribution(v, s))
-        xy.append(abs(m.mean_xy))
-        prop += (abs(m.mean_x - v.v_x * s.ex), abs(m.mean_y - v.v_y * s.ey))
+        v_x, v_y = float(gen.random()), float(gen.random())
+        ex, ey = float(2.0 * gen.random() - 1.0), float(2.0 * gen.random() - 1.0)
+        mean_x, mean_y, mean_xy = reference_moments(python_probabilities(v_x, v_y, ex, ey))
+        xy.append(abs(mean_xy))
+        prop += (abs(mean_x - v_x * ex), abs(mean_y - v_y * ey))
     return verify.max_residual(xy), verify.max_residual(prop)
 
 
@@ -64,12 +57,11 @@ def reference_bloch_disk_sweep(seed, state_grid=41, angle_step=0.01, spot_checks
     for _ in range(spot_checks):
         i = int(gen.integers(ex.size))
         j = int(gen.integers(alphas.size))
-        v = VisibilityPair(math.cos(alphas[j]), math.sin(alphas[j]))
-        s = BlochEquatorial(float(ex[i]), float(ey[i]))
+        v_x, v_y = math.cos(alphas[j]), math.sin(alphas[j])
         sweep_value = 0.25 * (
             1.0 - abs(ex[i]) * math.cos(alphas[j]) - abs(ey[i]) * math.sin(alphas[j])
         )
-        api_value = outcome_distribution(v, s).min_probability()
+        api_value = min(python_probabilities(v_x, v_y, float(ex[i]), float(ey[i])))
         api_residuals.append(abs(api_value - sweep_value))
     return worst_unphysical, best_physical, verify.max_residual(api_residuals)
 
@@ -79,8 +71,7 @@ def reference_completeness_residual(seed, n=200):
     identity = np.eye(2, dtype=np.complex128)
     residuals = []
     for _ in range(n):
-        v = VisibilityPair(float(gen.random()), float(gen.random()))
-        total = sum(povm_element(v, o) for o in OUTCOMES)
+        total = sum(pauli_povm(float(gen.random()), float(gen.random())))
         residuals.append(float(np.abs(total - identity).max()))
     return verify.max_residual(residuals)
 
@@ -89,15 +80,13 @@ def reference_distribution_trace_residual(seed, n=1000):
     gen = SeededSampler(seed).derive(21).rng()
     residuals = []
     for _ in range(n):
-        v = VisibilityPair(float(gen.random()), float(gen.random()))
+        v_x, v_y = float(gen.random()), float(gen.random())
         theta = 2.0 * math.pi * float(gen.random())
         radius = float(gen.random())
-        s = BlochEquatorial(radius * math.cos(theta), radius * math.sin(theta))
-        rho = equatorial_density(s)
-        dist = outcome_distribution(v, s)
-        for o in OUTCOMES:
-            traced = float(np.einsum("ij,ji->", rho, povm_element(v, o)).real)
-            residuals.append(abs(dist[o] - traced))
+        ex, ey = radius * math.cos(theta), radius * math.sin(theta)
+        rho = pauli_density(ex, ey)
+        for p, e in zip(python_probabilities(v_x, v_y, ex, ey), pauli_povm(v_x, v_y)):
+            residuals.append(abs(p - float(np.einsum("ij,ji->", rho, e).real)))
     return verify.max_residual(residuals)
 
 
@@ -133,7 +122,7 @@ def test_spot_check_indices_follow_the_scalar_stream():
 
 
 def reference_moments(probs):
-    """Per-row ``math.fsum`` of the signed probabilities, as ``distribution_moments`` sums."""
+    """Per-row ``math.fsum`` of the signed probabilities, one row at a time."""
     rows = np.asarray(probs).reshape(-1, 4).tolist()
     out = [
         [
@@ -185,22 +174,19 @@ def reference_equatorial_density(ex, ey):
 
 
 @given(ex=st.lists(bloch_components, min_size=1, max_size=20), data=st.data())
-def test_equatorial_densities_bit_equal_to_lone(ex, data):
+def test_equatorial_densities_bit_equal_to_python_reference(ex, data):
     # signed zeros included: the bytes must match, not just the values
     ey = data.draw(st.lists(bloch_components, min_size=len(ex), max_size=len(ex)))
     stack = equatorial_densities(np.array(ex), np.array(ey))
     assert stack.shape == (len(ex), 2, 2)
     for k, (x, y) in enumerate(zip(ex, ey)):
         assert stack[k].tobytes() == reference_equatorial_density(x, y).tobytes()
-        if abs(x) <= 1.0 and abs(y) <= 1.0:
-            lone = equatorial_density(BlochEquatorial(x, y))
-            assert stack[k].tobytes() == lone.tobytes()
 
 
 def test_equatorial_densities_broadcast():
     rho = equatorial_densities(np.array([[0.6], [-0.2]]), np.array([0.0, 0.8, -0.8]))
     assert rho.shape == (2, 3, 2, 2)
-    assert np.array_equal(rho[1, 2], equatorial_density(BlochEquatorial(-0.2, -0.8)))
+    assert np.array_equal(rho[1, 2], pauli_density(-0.2, -0.8))
     assert np.all(np.trace(rho, axis1=-2, axis2=-1) == 1.0)
 
 
@@ -209,5 +195,5 @@ def test_bloch_bound_lhs_on_floats_and_arrays():
     assert bloch_bound_lhs(0.0, 0.0) == 0.0
     ex, ey = np.array([0.6, 0.9, 0.0]), np.array([0.8, 0.9, 0.0])
     assert bloch_bound_lhs(ex, ey).tolist() == (ex * ex + ey * ey).tolist()
-    assert BlochEquatorial(0.9, 0.9).is_physical() is False
-    assert BlochEquatorial(0.6, 0.8).is_physical() is True
+    assert bloch_bound_lhs(0.9, 0.9) > 1.0 + 1e-12
+    assert bloch_bound_lhs(0.6, 0.8) <= 1.0 + 1e-12

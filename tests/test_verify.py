@@ -6,12 +6,12 @@ import pytest
 
 from jointlab import sampling, suites, verify
 from jointlab.bounds import chsh_from_components, tight_bound_from_components
-from jointlab.joint import OUTCOMES, VisibilityPair, outcome_probabilities, povm_element
+from jointlab.joint import outcome_probabilities
 from jointlab.pairs import PAIR_OUTCOMES, PairOutcomeDistribution
 from jointlab.sampling import CurveOptimum, SeededSampler
 from jointlab.verify import povm_grid_mismatches
 
-from conftest import assert_same_bytes
+from conftest import assert_same_bytes, pauli_povm
 
 
 def per_point_mismatches(grid_steps, tol):
@@ -21,11 +21,11 @@ def per_point_mismatches(grid_steps, tol):
     for sizes other than 2x2, so it is independent of the closed form that
     certifies the grid; it runs once over all the elements.
     """
-    values = np.linspace(0.0, 1.0, grid_steps)
-    points = [VisibilityPair(float(vx), float(vy)) for vx in values for vy in values]
-    elements = np.array([[povm_element(v, o) for o in OUTCOMES] for v in points])
+    values = np.linspace(0.0, 1.0, grid_steps).tolist()
+    points = [(vx, vy) for vx in values for vy in values]
+    elements = np.array([pauli_povm(vx, vy) for vx, vy in points])
     psd = (np.linalg.eigvalsh(elements)[..., 0] >= -tol).all(axis=-1)
-    return sum(v.is_admissible(tol) != ok for v, ok in zip(points, psd.tolist()))
+    return sum((vx * vx + vy * vy <= 1.0 + tol) != ok for (vx, vy), ok in zip(points, psd.tolist()))
 
 
 # 8 steps fit one block of rows; 33 and 101 end in a partial block
