@@ -11,17 +11,11 @@ reproduces every headline number.
 
 from .bounds import (
     TSIRELSON_BOUND,
-    AnglePair,
     BoundReport,
-    SignedVisibilities,
-    angle_inequality_lhs,
     bound_report,
     chsh_value,
     coherence_bound_lhs,
     coherence_from_matrices,
-    outcome_bound_lhs,
-    selected_outcome,
-    signed_visibilities,
     simplified_bound_lhs,
     sup_over_angles,
     tight_bound_lhs,
@@ -74,8 +68,6 @@ from .sampling import (
     correlation_ensemble,
     estimate_moment,
     experimental_chsh,
-    ginibre_random_mixed_state,
-    haar_random_pure_state,
     max_experimental_chsh,
     random_state_stack,
     sample_outcomes,

@@ -28,17 +28,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .joint import _check_fields, admissible_visibilities
-from .pairs import CorrelationVector, DensityOperator4, PairOutcomeLabel, correlations_of_state
+from .pairs import CorrelationVector, DensityOperator4, correlations_of_state
 
 __all__ = [
-    "AnglePair",
-    "SignedVisibilities",
     "BoundReport",
-    "signed_visibilities",
-    "selected_outcome",
-    "outcome_bound_lhs",
-    "angle_inequality_lhs",
     "tight_bound_from_components",
     "tight_bound_lhs",
     "simplified_bound_lhs",
@@ -61,109 +54,12 @@ _SUP_GRID_STEPS = 64
 _SUP_REFINE_ITERS = 60
 
 
-@dataclass(frozen=True)
-class AnglePair:
-    """Angles (alpha, beta) parametrizing saturated visibility balances.
-
-    alpha splits measurement A between its X and Y sensitivity, beta does the
-    same for B. No range restriction: signs are absorbed into the selected
-    outcome.
-    """
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        _check_fields(self)
-
-
-@dataclass(frozen=True)
-class SignedVisibilities:
-    """Signed visibility products (va_x, va_y, vb_x, vb_y), each in [-1, 1].
-
-    Each side saturates the visibility trade-off: va_x**2 + va_y**2 = 1 and
-    likewise for B.
-    """
-
-    va_x: float
-    va_y: float
-    vb_x: float
-    vb_y: float
-
-    def __post_init__(self):
-        _check_fields(self, -1.0, 1.0, 1e-12)
-        for side, vx, vy in (("a", self.va_x, self.va_y), ("b", self.vb_x, self.vb_y)):
-            if not admissible_visibilities(vx, vy, 1e-9):
-                raise ValueError(f"side {side} visibilities exceed the unit disk")
-
-
-def signed_visibilities(a: AnglePair, o: PairOutcomeLabel) -> SignedVisibilities:
-    """Embed the outcome signs into saturated visibilities.
-
-    Returns (x_a cos(alpha), y_a sin(alpha), -x_b cos(beta), -y_b sin(beta)).
-    For each angle pair the result is non-negative for exactly one outcome,
-    which makes a single expression cover all sixteen positivity conditions.
-    """
-    xa, ya, xb, yb = o
-    if any(v not in (-1, 1) for v in (xa, ya, xb, yb)):
-        raise ValueError(f"outcome labels must be +-1, got {o!r}")
-    return SignedVisibilities(
-        xa * math.cos(a.alpha),
-        ya * math.sin(a.alpha),
-        -xb * math.cos(a.beta),
-        -yb * math.sin(a.beta),
-    )
-
-
-def selected_outcome(a: AnglePair) -> PairOutcomeLabel:
-    """The unique outcome whose signed visibilities are all non-negative."""
-
-    def sign(x: float) -> int:
-        return 1 if x >= 0.0 else -1
-
-    return (
-        sign(math.cos(a.alpha)),
-        sign(math.sin(a.alpha)),
-        -sign(math.cos(a.beta)),
-        -sign(math.sin(a.beta)),
-    )
-
-
-def outcome_bound_lhs(c: CorrelationVector, sv: SignedVisibilities) -> float:
-    """Left-hand side of the per-outcome positivity bound.
-
-    With the angle embedding evaluated at the reference outcome
-    (+1, +1, -1, -1), the outcome values cancel and the result is the signed
-    trigonometric sum common to all outcomes; the probability of the outcome
-    the angles actually select (see ``selected_outcome``) is (1/16)(1 - lhs),
-    so positivity of every outcome for every angle pair is exactly lhs <= 1.
-    """
-    return (
-        sv.va_x * sv.vb_x * c.c_xx
-        + sv.va_x * sv.vb_y * c.c_xy
-        + sv.va_y * sv.vb_x * c.c_yx
-        + sv.va_y * sv.vb_y * c.c_yy
-    )
-
-
-def angle_inequality_lhs(c: CorrelationVector, a: AnglePair) -> float:
-    """Single positivity condition over all outcomes for one angle pair.
-
-    cos(a+b)(c_xx - c_yy) + sin(a+b)(c_xy + c_yx)
-      + cos(a-b)(c_xx + c_yy) - sin(a-b)(c_xy - c_yx),
-
-    bounded by 2 for every (alpha, beta) exactly when the correlations are
-    compatible with positive joint-measurement statistics.
-    """
-    p, q = c.c_xx - c.c_yy, c.c_xy + c.c_yx
-    r, s = c.c_xx + c.c_yy, c.c_xy - c.c_yx
-    u = a.alpha + a.beta
-    v = a.alpha - a.beta
-    return _angle_combination(p, q, r, s, math.cos(u), math.sin(u), math.cos(v), math.sin(v))
-
-
 def _angle_combination(p, q, r, s, cu, su, cv, sv):
-    """cu p + su q + cv r - sv s, given the cosines and sines of u and v."""
+    """cu p + su q + cv r - sv s, given the cosines and sines of u and v.
+
+    At u = a + b, v = a - b and p, q, r, s as in ``sup_over_angles``, this is
+    2 (1 - 16 P(+1, +1, -1, -1)) at the balances (cos a, sin a), (cos b, sin b).
+    """
     return cu * p + su * q + cv * r - sv * s
 
 
@@ -249,9 +145,10 @@ def _golden_section_max(f, lo: float | np.ndarray, hi: float | np.ndarray, iters
 
 
 def sup_over_angles(c: CorrelationVector | np.ndarray) -> float | np.ndarray:
-    """Numerical supremum of ``angle_inequality_lhs`` over all angle pairs.
+    """Numerical supremum of ``_angle_combination`` over all angle pairs.
 
-    The objective decouples in the sum and difference angles u = alpha + beta
+    The objective, cos(u) p + sin(u) q + cos(v) r - sin(v) s with p, q, r, s
+    formed below, decouples in the sum and difference angles u = alpha + beta
     and v = alpha - beta, so each is scanned on a 64-point grid over
     [0, 2 pi) and refined by 60 golden-section steps. Agrees with
     ``tight_bound_lhs`` to high accuracy for arbitrary correlation vectors;

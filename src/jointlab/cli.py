@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import suites
-from .joint import _require_finite
+from .linalg import _require_finite
 from .reporting import Report, make_timestamp, report_json_pieces, write_report, write_shots_csv
 from .sampling import _require_size
 

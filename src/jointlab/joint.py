@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, _require_finite
 
 __all__ = [
     "OUTCOMES",
@@ -44,23 +44,6 @@ OutcomeLabel = tuple[int, int]
 
 #: Fixed outcome ordering shared by distributions and samplers.
 OUTCOMES: tuple[OutcomeLabel, ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-_FLOAT64 = np.dtype(np.float64)
-
-
-def _require_finite(name: str, value, lo=-math.inf, hi=math.inf, slack=0.0) -> float:
-    """``value`` as a float once it is a finite real number in [lo - slack, hi + slack].
-
-    Text and truth values are refused, although ``float`` would take them.
-    """
-    if isinstance(value, (str, bytes, bool)) or getattr(value, "dtype", _FLOAT64).kind not in "iuf":
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if not lo - slack <= value <= hi + slack:
-        raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
-    return value
 
 
 def _check_fields(record, lo=-math.inf, hi=math.inf, slack=0.0) -> None:
@@ -87,7 +70,8 @@ class VisibilityPair:
 
 
 def admissible_visibilities(v_x, v_y, tol: float = DEFAULT_TOL):
-    """Uncertainty relation v_x**2 + v_y**2 <= 1 (+ tol), elementwise on arrays."""
+    """Uncertainty relation v_x**2 + v_y**2 <= 1 (+ tol, finite, >= 0), elementwise on arrays."""
+    tol = _require_finite("tol", tol, 0.0)
     return v_x * v_x + v_y * v_y <= 1.0 + tol
 
 
@@ -121,19 +105,26 @@ for _signs in FACTOR_SIGNS.values():
     _signs.setflags(write=False)
 
 
+def _unit_interval(name: str, v) -> np.ndarray:
+    """``v`` as a float64 array once every entry is a real number in [0, 1]."""
+    v = np.asarray(v)
+    if v.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real numbers, got dtype {v.dtype}")
+    if not np.all((v >= 0.0) & (v <= 1.0)):
+        raise ValueError(f"{name} must be finite and lie in [0, 1]")
+    return v.astype(np.float64, copy=False)
+
+
 def povm_elements(v_x, v_y) -> np.ndarray:
     """All four POVM elements for every visibility pair of two broadcast arrays.
 
     E(x, y) = (1/4)(I + x v_x X + y v_y Y). Returns a complex array of shape
     ``(..., 4, 2, 2)``, where ``...`` is the broadcast shape of ``v_x`` and
     ``v_y`` and axis -3 follows ``OUTCOMES``. The four elements sum to the
-    identity exactly. Visibilities must be finite and in [0, 1].
+    identity exactly. Visibilities must be real numbers, never text or bools,
+    and finite in [0, 1]; an error names the parameter.
     """
-    v_x, v_y = np.broadcast_arrays(
-        np.asarray(v_x, dtype=np.float64), np.asarray(v_y, dtype=np.float64)
-    )
-    if not (np.all((v_x >= 0.0) & (v_x <= 1.0)) and np.all((v_y >= 0.0) & (v_y <= 1.0))):
-        raise ValueError("visibilities must be finite and lie in [0, 1]")
+    v_x, v_y = np.broadcast_arrays(_unit_interval("v_x", v_x), _unit_interval("v_y", v_y))
     return _hermitian_2x2(
         0.25, 0.25 * (_OUTCOME_X * v_x[..., None] - 1j * _OUTCOME_Y * v_y[..., None])
     )

@@ -21,6 +21,8 @@ O(1) by construction.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -42,6 +44,23 @@ _PAULI = {
 }
 for _m in _PAULI.values():
     _m.setflags(write=False)
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _require_finite(name: str, value, lo=-math.inf, hi=math.inf, slack=0.0) -> float:
+    """``value`` as a float once it is a finite real number in [lo - slack, hi + slack].
+
+    Text and truth values are refused, although ``float`` would take them.
+    """
+    if isinstance(value, (str, bytes, bool)) or getattr(value, "dtype", _FLOAT64).kind not in "iuf":
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if not lo - slack <= value <= hi + slack:
+        raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
+    return value
 
 
 def pauli(which: str) -> np.ndarray:
@@ -112,7 +131,8 @@ def hermitian_eigenvalues(a) -> np.ndarray:
 def is_positive_semidefinite(a, tol: float = PSD_TOL) -> np.ndarray:
     """True when the smallest eigenvalue is >= -tol. Input must be Hermitian.
 
-    A numpy bool for a lone matrix, a boolean array of shape ``(...)`` for a
-    ``(..., n, n)`` stack.
+    ``tol`` is a finite real number >= 0. A numpy bool for a lone matrix, a
+    boolean array of shape ``(...)`` for a ``(..., n, n)`` stack.
     """
+    tol = _require_finite("tol", tol, 0.0)
     return hermitian_eigenvalues(a)[..., 0] >= -tol

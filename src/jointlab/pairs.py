@@ -32,11 +32,19 @@ from .joint import (
     FACTOR_SIGNS,
     VisibilityPair,
     _check_fields,
-    _require_finite,
     admissible_visibilities,
     povm_elements,
 )
-from .linalg import DEFAULT_TOL, PSD_TOL, _eigenvalues, _first_bad, _hermitian_stack, _member, pauli
+from .linalg import (
+    DEFAULT_TOL,
+    PSD_TOL,
+    _eigenvalues,
+    _first_bad,
+    _hermitian_stack,
+    _member,
+    _require_finite,
+    pauli,
+)
 
 __all__ = [
     "PAIR_OUTCOMES",
@@ -162,7 +170,7 @@ def validate_densities(a) -> np.ndarray:
 def pure_density(ket: np.ndarray) -> DensityOperator4:
     """Rank-1 density operator |psi><psi| from a normalized 4-vector.
 
-    Every lone pure state of the package is built here.
+    Every pure state of the package outside a Haar stack is built here.
     """
     psi = np.asarray(ket, dtype=np.complex128).reshape(4)
     norm = float(np.linalg.norm(psi))
@@ -210,6 +218,8 @@ class PairOutcomeDistribution:
             raise ValueError(
                 f"expected {len(PAIR_OUTCOMES)} probabilities in outcome order, got {row.shape}"
             )
+        if not isinstance(self.hypothetical, (bool, np.bool_)):
+            raise ValueError(f"hypothetical must be a bool, got {self.hypothetical!r}")
         _check_probabilities(row, np.bool_(self.hypothetical))
         row.setflags(write=False)
         object.__setattr__(self, "probs", row)

@@ -8,10 +8,10 @@ independent of library version details of higher-level distributions.
 
 The hot paths are exact kernels on that stream. Every Box-Muller draw reads
 its uniforms through ``_member_uniforms``, the one place of their layout, so
-a stack of one is the lone state bit for bit. ``correlation_ensemble`` forms
-only rho's antidiagonal and trace, since the four correlation operators are
-antidiagonal, summing in real arithmetic in the order einsum sums the full
-matrices; ``_ensemble_maxima`` gives its two maxima bit for bit. It screens
+a stack and an ensemble on one stream share members. ``correlation_ensemble``
+forms only rho's antidiagonal and trace, since the four correlation operators
+are antidiagonal, summing in real arithmetic in the order einsum sums the
+full matrices; ``_ensemble_maxima`` gives its two maxima bit for bit. It screens
 each block straight from the uniforms, in float32, by the coherence identity
 in polar form, keeps the uniforms of the members near the block's maximum,
 and recomputes those exactly in one call per ensemble. Both run
@@ -52,17 +52,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    AnglePair,
-    _golden_section_max,
-    chsh_from_components,
-    tight_bound_from_components,
-)
-from .joint import _require_finite
+from .bounds import _golden_section_max, chsh_from_components, tight_bound_from_components
+from .linalg import _require_finite
 from .pairs import (
     NEGATIVE_PROB_TOL,
     PAIR_OUTCOMES,
-    DensityOperator4,
     MomentSpec,
     PairOutcomeDistribution,
     moment_signs,
@@ -76,8 +70,6 @@ __all__ = [
     "EstimateWithError",
     "ChshOptimum",
     "CurveOptimum",
-    "haar_random_pure_state",
-    "ginibre_random_mixed_state",
     "random_state_stack",
     "correlation_ensemble",
     "sample_outcomes",
@@ -199,7 +191,7 @@ def _member_uniforms(
     The one reader of Box-Muller uniforms, and so the one place of their
     layout: with per normals a member, all n * per u1 come before all
     n * per u2, so member i's u1 sit at stream position per * i and its u2 at
-    per * (n + i). A lone state or a stack reads members [0, n).
+    per * (n + i). A whole stack reads members [0, n).
     """
     per = math.prod(_MEMBER_SHAPE[kind])
     count = per * (i1 - i0)
@@ -299,16 +291,6 @@ def _antidiagonal_correlations(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def haar_random_pure_state(s: SeededSampler) -> DensityOperator4:
-    """Rank-1 state from a normalized complex Gaussian 4-vector (Haar measure)."""
-    return pure_density(_haar_kets(s, 1)[0])
-
-
-def ginibre_random_mixed_state(s: SeededSampler) -> DensityOperator4:
-    """Full-rank state G G^dagger / tr(G G^dagger) for complex Gaussian G."""
-    return DensityOperator4(_ginibre_rhos(s, 1)[0])
-
-
 def _bell_mixtures(cuts: np.ndarray) -> np.ndarray:
     """Bell-diagonal states weighted by the gaps between (..., 3) sorted uniform cuts."""
     cuts = np.sort(cuts, axis=-1)
@@ -324,18 +306,22 @@ def random_state_stack(kind: str, s: SeededSampler, n: int) -> np.ndarray:
     """Certified (n, 4, 4) stack of random states, all n drawn from the one stream ``s``.
 
     ``kind`` is "bell-diagonal" (uniform simplex weights on the four Bell
-    states, so every local X and Y mean vanishes exactly) or "ginibre". A
-    Ginibre stack is laid out as for the lone generator, so a stack of one is
-    bit-identical to ``ginibre_random_mixed_state(s)``, and its correlations
-    to ``correlation_ensemble(n, s, "ginibre")``. The stack is certified by
-    one ``validate_densities`` call.
+    states, so every local X and Y mean vanishes exactly), "haar" (the pure
+    states |psi><psi| of normalized complex Gaussian 4-vectors) or "ginibre"
+    (G G^dagger / tr(G G^dagger) for complex Gaussian 4x4 G). A Haar or
+    Ginibre stack reads its members as ``correlation_ensemble(n, s, kind)``
+    does, and a Ginibre stack's correlations equal that ensemble's bit for
+    bit. The stack is certified by one ``validate_densities`` call.
     """
-    n = _require_size("stack size", n, 0)
+    n = _require_size("n", n, 0)
     if kind == "bell-diagonal":
         return validate_densities(_bell_mixtures(s.rng().random((n, 3))))
+    if kind == "haar":
+        kets = _haar_kets(s, n)
+        return validate_densities(kets[:, :, None] * kets.conj()[:, None, :])
     if kind == "ginibre":
         return validate_densities(_ginibre_rhos(s, n))
-    raise ValueError(f"unknown stack kind {kind!r}; expected 'bell-diagonal' or 'ginibre'")
+    raise ValueError(f"unknown stack kind {kind!r}; expected 'bell-diagonal', 'haar' or 'ginibre'")
 
 
 def correlation_ensemble(n: int, s: SeededSampler, kind: str = "haar") -> np.ndarray:
@@ -358,7 +344,7 @@ def _ensemble_blocks(n: int, s: SeededSampler, kind: str, block):
 
     The ensembles' one block loop; ``n`` and ``kind`` are checked on the call.
     """
-    n = _require_size("ensemble size", n, 1)
+    n = _require_size("n", n, 1)
     if kind not in _MEMBER_SHAPE:
         raise ValueError(f"unknown ensemble kind {kind!r}")
     size = _ENSEMBLE_NORMALS // math.prod(_MEMBER_SHAPE[kind])
@@ -617,7 +603,7 @@ def sample_outcomes(
     within floating-point noise of zero are treated as exact zeros, so an
     analytically suppressed outcome never shows up in the sample.
     """
-    n = _require_size("sample size", n, 1)
+    n = _require_size("n", n, 1)
     p = d.probs
     if p.min() < -NEGATIVE_PROB_TOL:
         raise ValueError("distribution has negative entries and cannot be sampled")
@@ -682,14 +668,17 @@ def _chsh(phi: float, alpha, beta, cos=math.cos, sin=math.sin):
     return cos(alpha - beta) * math.cos(phi) + sin(alpha + beta) * math.sin(phi)
 
 
-def experimental_chsh(phi: float, a: AnglePair) -> float:
+def experimental_chsh(phi: float, alpha: float, beta: float) -> float:
     """CHSH combination observed through two saturated joint measurements.
 
     Equals cos(alpha - beta) cos(phi) + sin(alpha + beta) sin(phi) for the
     maximally entangled state of phase phi measured with visibility balances
-    (cos alpha, sin alpha) and (cos beta, sin beta).
+    (cos alpha, sin alpha) and (cos beta, sin beta). Each argument is a
+    finite real number.
     """
-    return _chsh(_require_finite("phi", phi), a.alpha, a.beta)
+    return _chsh(
+        _require_finite("phi", phi), _require_finite("alpha", alpha), _require_finite("beta", beta)
+    )
 
 
 @dataclass(frozen=True)
@@ -809,7 +798,7 @@ def constrained_chsh_grid_max(phi: float) -> float:
     hi = min(0.5 * math.pi, phi)
     alphas = np.arange(lo + 1e-4, hi, 1e-4)
     if alphas.size == 0:
-        return experimental_chsh(phi, AnglePair(0.5 * phi, 0.5 * phi))
+        return experimental_chsh(phi, 0.5 * phi, 0.5 * phi)
     sin = math.sin(phi)
     values = np.cos(2.0 * alphas - phi) * math.cos(phi) + sin * sin
     return float(values.max())

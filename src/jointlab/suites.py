@@ -35,9 +35,8 @@ from .sampling import (
     SeededSampler,
     ShotRecord,
     chsh_surface,
-    ginibre_random_mixed_state,
-    haar_random_pure_state,
     max_experimental_chsh,
+    random_state_stack,
     sample_outcomes,
     zero_probability_curve,
     zero_probability_curve_max,
@@ -115,9 +114,11 @@ def _resolve_state(
     if state == "bell":
         return BellFamilyState(phi).to_density(), f"bell(phi={phi})"
     if state == "haar":
-        return haar_random_pure_state(master.derive(70)), "haar-random pure"
+        rho = random_state_stack("haar", master.derive(70), 1)[0]
+        return DensityOperator4(rho), "haar-random pure"
     if state == "mixed":
-        return ginibre_random_mixed_state(master.derive(71)), "ginibre-random mixed"
+        rho = random_state_stack("ginibre", master.derive(71), 1)[0]
+        return DensityOperator4(rho), "ginibre-random mixed"
     if state == "file":
         if state_matrix is None:
             raise ValueError("--state file requires --state-file")

@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +36,20 @@ def pauli_density(ex, ey):
     ex = np.asarray(ex, dtype=np.float64)[..., None, None]
     ey = np.asarray(ey, dtype=np.float64)[..., None, None]
     return (_I + ex * _X + ey * _Y) / 2
+
+
+def reference_angle_lhs(c, alpha, beta):
+    """cos(u) p + sin(u) q + cos(v) r - sin(v) s at u = alpha + beta, v = alpha - beta.
+
+    The positivity condition at one angle pair, with p, q, r, s the combinations
+    c_xx - c_yy, c_xy + c_yx, c_xx + c_yy, c_xy - c_yx of a ``CorrelationVector``,
+    in the operation order of ``bounds._angle_combination`` but sharing no code with it.
+    """
+    p, q = c.c_xx - c.c_yy, c.c_xy + c.c_yx
+    r, s = c.c_xx + c.c_yy, c.c_xy - c.c_yx
+    u = alpha + beta
+    v = alpha - beta
+    return math.cos(u) * p + math.sin(u) * q + math.cos(v) * r - math.sin(v) * s
 
 
 def python_probabilities(v_x, v_y, ex, ey):

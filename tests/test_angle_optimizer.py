@@ -2,10 +2,11 @@
 
 The reference functions below are the one-vector-at-a-time implementations:
 a golden-section search on Python floats with plain branches, the angle
-supremum evaluating ``angle_inequality_lhs`` on one ``AnglePair`` per point,
-and the CHSH and zero-probability-curve searches built on them. The batched
-optimizer keeps their iteration count, update order and final pick, so every
-comparison here is exact (``==``), not approximate.
+supremum evaluating the positivity condition (``conftest.reference_angle_lhs``)
+at one angle pair per point, and the CHSH and zero-probability-curve searches
+built on them. The batched optimizer keeps their iteration count, update
+order and final pick, so every comparison here is exact (``==``), not
+approximate.
 """
 
 import math
@@ -15,9 +16,7 @@ import pytest
 
 from jointlab.bounds import (
     _GOLDEN,
-    AnglePair,
     _golden_section_max,
-    angle_inequality_lhs,
     sup_over_angles,
     tight_bound_lhs,
 )
@@ -33,6 +32,8 @@ from jointlab.sampling import (
     zero_probability_curve_max,
 )
 from jointlab.verify import sup_identity_residual
+
+from conftest import reference_angle_lhs
 
 
 def reference_golden_section_max(f, lo, hi, iters):
@@ -59,10 +60,10 @@ def reference_sup_over_angles(c, coarse_steps=64, refine_iters=60):
     step = 2.0 * math.pi / coarse_steps
 
     def f_u(u):
-        return angle_inequality_lhs(c, AnglePair(0.5 * u, 0.5 * u))
+        return reference_angle_lhs(c, 0.5 * u, 0.5 * u)
 
     def f_v(v):
-        return angle_inequality_lhs(c, AnglePair(0.5 * v, -0.5 * v))
+        return reference_angle_lhs(c, 0.5 * v, -0.5 * v)
 
     p = c.c_xx - c.c_yy
     q = c.c_xy + c.c_yx
@@ -84,12 +85,12 @@ def reference_max_experimental_chsh(phi, grid_steps=181, refine_iters=60):
     lo, hi = 0.5 * step, half_pi - 0.5 * step
     for _ in range(8):
         alpha, _ = reference_golden_section_max(
-            lambda a: experimental_chsh(phi, AnglePair(a, beta)), lo, hi, refine_iters
+            lambda a: experimental_chsh(phi, a, beta), lo, hi, refine_iters
         )
         beta, _ = reference_golden_section_max(
-            lambda b: experimental_chsh(phi, AnglePair(alpha, b)), lo, hi, refine_iters
+            lambda b: experimental_chsh(phi, alpha, b), lo, hi, refine_iters
         )
-    return ChshOptimum(experimental_chsh(phi, AnglePair(alpha, beta)), alpha, beta)
+    return ChshOptimum(experimental_chsh(phi, alpha, beta), alpha, beta)
 
 
 def reference_zero_probability_curve_max(lo=0.0, hi=math.pi, step=1e-4, refine_iters=80):

@@ -7,16 +7,10 @@ from hypothesis import strategies as st
 
 from jointlab.bounds import (
     TSIRELSON_BOUND,
-    AnglePair,
-    SignedVisibilities,
-    angle_inequality_lhs,
     bound_report,
     chsh_value,
     coherence_bound_lhs,
     coherence_from_matrices,
-    outcome_bound_lhs,
-    selected_outcome,
-    signed_visibilities,
     simplified_bound_lhs,
     sup_over_angles,
     tight_bound_from_components,
@@ -24,13 +18,14 @@ from jointlab.bounds import (
 )
 from jointlab.joint import VisibilityPair
 from jointlab.pairs import (
+    PAIR_OUTCOMES,
     BellFamilyState,
     CorrelationVector,
     DensityOperator4,
     bell_family_correlations,
     correlation_components,
     correlations_of_state,
-    pair_distribution_formula,
+    pair_probabilities_formula,
 )
 from jointlab.sampling import (
     EstimateWithError,
@@ -38,10 +33,11 @@ from jointlab.sampling import (
     _ginibre_rhos,
     _haar_kets,
     correlation_ensemble,
-    ginibre_random_mixed_state,
+    experimental_chsh,
+    random_state_stack,
 )
 
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
+from conftest import reference_angle_lhs
 
 angles = st.floats(-2.0 * math.pi, 2.0 * math.pi)
 correlation_vectors = st.builds(
@@ -53,30 +49,54 @@ correlation_vectors = st.builds(
 )
 
 
+#: The outcome whose probability the positivity condition pins on [0, pi/2]^2.
+REFERENCE_OUTCOME = (1, 1, -1, -1)
+REFERENCE_INDEX = PAIR_OUTCOMES.index(REFERENCE_OUTCOME)
+
+
+def signed_visibilities(alpha, beta, o):
+    """(x_a cos alpha, y_a sin alpha, -x_b cos beta, -y_b sin beta): outcome o's signs absorbed."""
+    xa, ya, xb, yb = o
+    return xa * math.cos(alpha), ya * math.sin(alpha), -xb * math.cos(beta), -yb * math.sin(beta)
+
+
+def selected_outcome(alpha, beta):
+    """The one outcome whose signed visibilities at (alpha, beta) are all non-negative."""
+
+    def sign(x):
+        return 1 if x >= 0.0 else -1
+
+    cos_a, sin_a, cos_b, sin_b = math.cos(alpha), math.sin(alpha), math.cos(beta), math.sin(beta)
+    return sign(cos_a), sign(sin_a), -sign(cos_b), -sign(sin_b)
+
+
+def outcome_lhs(c, sv):
+    """sum of sv_m(A) sv_n(B) c_mn: 1 - 16 P of the outcome whose signs ``sv`` carries."""
+    va_x, va_y, vb_x, vb_y = sv
+    return va_x * vb_x * c.c_xx + va_x * vb_y * c.c_xy + va_y * vb_x * c.c_yx + va_y * vb_y * c.c_yy
+
+
+def saturated_probabilities(c, alpha, beta):
+    """The kernel's 16 probabilities and flag at (|cos alpha|, |sin alpha|), (|cos beta|, ...)."""
+    va = (abs(math.cos(alpha)), abs(math.sin(alpha)))
+    vb = (abs(math.cos(beta)), abs(math.sin(beta)))
+    probs, hypothetical = pair_probabilities_formula(c.as_tuple(), va, vb)
+    return probs, bool(hypothetical)
+
+
+quarter_angles = st.floats(0.0, 0.5 * math.pi)
+
+
 class TestSignedVisibilities:
-    def test_axis_aligned(self):
-        sv = signed_visibilities(AnglePair(0.0, 0.0), (1, 1, 1, 1))
-        assert (sv.va_x, sv.va_y, sv.vb_x, sv.vb_y) == pytest.approx((1.0, 0.0, -1.0, 0.0))
-
-    def test_diagonal(self):
-        sv = signed_visibilities(AnglePair(0.25 * math.pi, 0.25 * math.pi), (1, 1, -1, -1))
-        assert (sv.va_x, sv.va_y, sv.vb_x, sv.vb_y) == pytest.approx(
-            (INV_SQRT2, INV_SQRT2, INV_SQRT2, INV_SQRT2)
-        )
-
-    @given(alpha=angles, beta=angles)
-    def test_sides_saturate_the_disk(self, alpha, beta):
-        sv = signed_visibilities(AnglePair(alpha, beta), (1, -1, -1, 1))
-        assert sv.va_x**2 + sv.va_y**2 == pytest.approx(1.0, abs=1e-12)
-        assert sv.vb_x**2 + sv.vb_y**2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_bad_outcome_rejected(self):
-        with pytest.raises(ValueError, match="outcome"):
-            signed_visibilities(AnglePair(0.1, 0.2), (1, 0, 1, 1))
-
-    def test_angles_must_be_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            AnglePair(math.inf, 0.0)
+    @given(c=correlation_vectors, alpha=quarter_angles, beta=quarter_angles)
+    @settings(max_examples=150)
+    def test_every_outcome_is_one_minus_its_signed_lhs(self, c, alpha, beta):
+        # absorbing an outcome's signs into the visibilities makes one
+        # expression cover all sixteen positivity conditions
+        probs, _ = saturated_probabilities(c, alpha, beta)
+        for o, p in zip(PAIR_OUTCOMES, probs.tolist()):
+            expected = (1.0 / 16.0) * (1.0 - outcome_lhs(c, signed_visibilities(alpha, beta, o)))
+            assert p == pytest.approx(expected, abs=1e-12)
 
 
 #: One field of each bounded record or phase argument, set by ``build(x)``.
@@ -84,8 +104,7 @@ FIELD_BUILDERS = [
     pytest.param(lambda x: VisibilityPair(x, 0.5), "v_x", id="VisibilityPair"),
     pytest.param(lambda x: EstimateWithError(x, 0.1, 10), "value", id="EstimateWithError"),
     pytest.param(lambda x: CorrelationVector(x, 0, 0, 0), "c_xx", id="CorrelationVector"),
-    pytest.param(lambda x: SignedVisibilities(0, 0, 0, x), "vb_y", id="SignedVisibilities"),
-    pytest.param(lambda x: AnglePair(x, 0), "alpha", id="AnglePair"),
+    pytest.param(lambda x: experimental_chsh(0.3, x, 0.2), "alpha", id="experimental_chsh"),
     pytest.param(BellFamilyState, "phi", id="BellFamilyState"),
     pytest.param(bell_family_correlations, "phi", id="bell_family_correlations"),
 ]
@@ -110,67 +129,76 @@ class TestFieldChecks:
 
 class TestOutcomeBound:
     def test_zero_correlations(self):
-        sv = signed_visibilities(AnglePair(0.3, 1.1), (1, 1, -1, -1))
-        assert outcome_bound_lhs(CorrelationVector(0, 0, 0, 0), sv) == 0.0
+        probs, _ = saturated_probabilities(CorrelationVector(0, 0, 0, 0), 0.3, 1.1)
+        assert probs.tolist() == [1.0 / 16.0] * 16
 
     def test_bell_family_reduces_to_angle_sum(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            phi, alpha, beta = rng.uniform(0, 2 * math.pi, size=3)
-            sv = signed_visibilities(AnglePair(alpha, beta), (1, 1, -1, -1))
-            lhs = outcome_bound_lhs(bell_family_correlations(phi), sv)
-            assert lhs == pytest.approx(math.cos(alpha + beta - phi), abs=1e-12)
+            phi = rng.uniform(0, 2 * math.pi)
+            alpha, beta = rng.uniform(0, 0.5 * math.pi, size=2)
+            probs, _ = saturated_probabilities(bell_family_correlations(phi), alpha, beta)
+            expected = (1.0 / 16.0) * (1.0 - math.cos(alpha + beta - phi))
+            assert probs[REFERENCE_INDEX] == pytest.approx(expected, abs=1e-12)
 
     def test_boundary_case(self):
-        sv = signed_visibilities(AnglePair(0.0, 0.0), (1, 1, -1, -1))
-        assert outcome_bound_lhs(CorrelationVector(1, 0, 0, -1), sv) == pytest.approx(1.0)
+        probs, hypothetical = saturated_probabilities(CorrelationVector(1, 0, 0, -1), 0.0, 0.0)
+        assert probs[REFERENCE_INDEX] == pytest.approx(0.0, abs=1e-15)
+        assert not hypothetical
 
     @given(c=correlation_vectors, alpha=angles, beta=angles)
     @settings(max_examples=150)
     def test_probability_identity_at_selected_outcome(self, c, alpha, beta):
         # the lhs embedded at the reference outcome pins the probability of
         # the outcome whose embedded visibilities are all non-negative
-        a = AnglePair(alpha, beta)
-        sv = signed_visibilities(a, (1, 1, -1, -1))
-        o = selected_outcome(a)
-        va = VisibilityPair(abs(math.cos(alpha)), abs(math.sin(alpha)))
-        vb = VisibilityPair(abs(math.cos(beta)), abs(math.sin(beta)))
-        d = pair_distribution_formula(c, va, vb)
-        expected = (1.0 / 16.0) * (1.0 - outcome_bound_lhs(c, sv))
-        assert d[o] == pytest.approx(expected, abs=1e-12)
+        probs, _ = saturated_probabilities(c, alpha, beta)
+        o = selected_outcome(alpha, beta)
+        sv = signed_visibilities(alpha, beta, REFERENCE_OUTCOME)
+        expected = (1.0 / 16.0) * (1.0 - outcome_lhs(c, sv))
+        assert probs[PAIR_OUTCOMES.index(o)] == pytest.approx(expected, abs=1e-12)
 
-    @given(alpha=angles, beta=angles)
-    def test_selected_outcome_has_non_negative_embedding(self, alpha, beta):
-        a = AnglePair(alpha, beta)
-        sv = signed_visibilities(a, selected_outcome(a))
-        assert min(sv.va_x, sv.va_y, sv.vb_x, sv.vb_y) >= 0.0
+    def test_zero_outcome_is_the_argmin_on_the_bell_family(self):
+        # at the balance alpha = beta = phi / 2 the reference outcome and its
+        # global flip, of the same probability when local means vanish, are
+        # the outcomes of probability zero; argmin reads the reference first
+        phi = np.linspace(0.01, math.pi - 0.01, 400)
+        c = np.stack([np.cos(phi), np.sin(phi), np.sin(phi), -np.cos(phi)], axis=-1)
+        v = np.stack([np.cos(0.5 * phi), np.sin(0.5 * phi)], axis=-1)
+        probs, hypothetical = pair_probabilities_formula(c, v, v)
+        flip = PAIR_OUTCOMES.index(tuple(-x for x in REFERENCE_OUTCOME))
+        assert not hypothetical.any()
+        assert (np.argmin(probs, axis=-1) == REFERENCE_INDEX).all()
+        assert probs[:, REFERENCE_INDEX].tobytes() == probs[:, flip].tobytes()
+        assert np.abs(probs[:, REFERENCE_INDEX]).max() <= 1e-12
+        assert np.delete(probs, [REFERENCE_INDEX, flip], axis=-1).min() > 1e-6
 
 
 class TestAngleInequality:
     def test_bell_family_saturates_at_matched_angles(self):
         for phi in (0.0, 0.4, 1.3, 2.2):
-            a = AnglePair(0.5 * phi, 0.5 * phi)
-            lhs = angle_inequality_lhs(bell_family_correlations(phi), a)
-            assert lhs == pytest.approx(2.0, abs=1e-12)
-
-    def test_zero_correlations(self):
-        assert angle_inequality_lhs(CorrelationVector(0, 0, 0, 0), AnglePair(0.7, -0.2)) == 0.0
+            c = bell_family_correlations(phi)
+            assert reference_angle_lhs(c, 0.5 * phi, 0.5 * phi) == pytest.approx(2.0, abs=1e-12)
+            probs, _ = saturated_probabilities(c, 0.5 * phi, 0.5 * phi)
+            assert probs[PAIR_OUTCOMES.index(selected_outcome(0.5 * phi, 0.5 * phi))] == (
+                pytest.approx(0.0, abs=1e-12)
+            )
 
     def test_hypothetical_correlations_violate(self):
         c = CorrelationVector(1.0, 1.0, 1.0, -1.0)
-        at_diagonal = angle_inequality_lhs(c, AnglePair(0.25 * math.pi, 0.25 * math.pi))
-        assert at_diagonal == pytest.approx(2.0, abs=1e-12)
-        at_asymmetric = angle_inequality_lhs(c, AnglePair(0.25 * math.pi, 0.0))
-        assert at_asymmetric == pytest.approx(2.8284271247461903, abs=1e-12)
-        assert at_asymmetric > 2.0
+        probs, hypothetical = saturated_probabilities(c, 0.25 * math.pi, 0.25 * math.pi)
+        assert probs[REFERENCE_INDEX] == pytest.approx(0.0, abs=1e-12)
+        assert not hypothetical
+        # angle lhs 2 sqrt(2) > 2: the reference outcome goes negative
+        probs, hypothetical = saturated_probabilities(c, 0.25 * math.pi, 0.0)
+        assert probs[REFERENCE_INDEX] == pytest.approx((1.0 - math.sqrt(2.0)) / 16.0, abs=1e-12)
+        assert hypothetical
 
     @given(c=correlation_vectors, alpha=angles, beta=angles)
-    def test_equals_twice_the_reference_outcome_bound(self, c, alpha, beta):
-        a = AnglePair(alpha, beta)
-        sv = signed_visibilities(a, (1, 1, -1, -1))
-        assert angle_inequality_lhs(c, a) == pytest.approx(
-            2.0 * outcome_bound_lhs(c, sv), abs=1e-12
-        )
+    def test_equals_twice_one_minus_sixteen_times_the_selected_probability(self, c, alpha, beta):
+        probs, _ = saturated_probabilities(c, alpha, beta)
+        selected = probs[PAIR_OUTCOMES.index(selected_outcome(alpha, beta))]
+        lhs = reference_angle_lhs(c, alpha, beta)
+        assert lhs == pytest.approx(2.0 * (1.0 - 16.0 * selected), abs=1e-12)
 
 
 class TestClosedFormBounds:
@@ -232,7 +260,7 @@ class TestCoherence:
     def test_identity_with_tight_bound(self):
         master = SeededSampler(43)
         for i in range(100):
-            rho = ginibre_random_mixed_state(master.derive(i))
+            rho = DensityOperator4(random_state_stack("ginibre", master.derive(i), 1)[0])
             tight = tight_bound_lhs(correlations_of_state(rho))
             assert 4.0 * coherence_bound_lhs(rho) == pytest.approx(tight, abs=1e-10)
 

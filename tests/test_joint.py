@@ -233,5 +233,23 @@ class TestStackedPovm:
 
     @pytest.mark.parametrize("vx", [-0.1, 1.5, math.nan])
     def test_out_of_box_visibility_rejected(self, vx):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^v_x must be finite and lie in"):
             povm_elements(np.array([0.5, vx]), 0.5)
+        with pytest.raises(ValueError, match="^v_y must be finite and lie in"):
+            povm_elements(0.5, np.array([0.5, vx]))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.array([True, False]), np.array(["0.5", "1"]), np.array([0.5, None]),
+         np.array([0.5 + 0j]), b"0.5"],
+        ids=["bool", "text", "object", "complex", "bytes"],
+    )
+    def test_non_numeric_visibility_dtype_rejected(self, bad):
+        with pytest.raises(ValueError, match="^v_x must be real numbers"):
+            povm_elements(bad, 0.5)
+        with pytest.raises(ValueError, match="^v_y must be real numbers"):
+            povm_elements(0.5, bad)
+
+    def test_integer_visibilities_are_the_floats(self):
+        ints = np.array([0, 1], dtype=np.int64)
+        assert np.array_equal(povm_elements(ints, np.uint8(1)), povm_elements([0.0, 1.0], 1.0))

@@ -6,8 +6,9 @@ built from ``linalg.pauli`` for the trace path, outcome-function lambdas
 summed with ``math.fsum`` for moments, column products for shot estimates,
 and Python loops over ``DensityOperator4`` states for the acceptance
 residuals. The random states themselves are built by hand from the stack's
-one stream: Bell-diagonal states one member's cuts at a time, Ginibre states
-from concatenated Box-Muller halves and an einsum.
+one stream: Bell-diagonal states one member's cuts at a time, Haar states
+from Box-Muller halves normalized on Python floats and one ``np.outer`` per
+member, Ginibre states from concatenated Box-Muller halves and an einsum.
 """
 
 import math
@@ -44,7 +45,6 @@ from jointlab.sampling import (
     SeededSampler,
     correlation_ensemble,
     estimate_moment,
-    ginibre_random_mixed_state,
     random_state_stack,
     sample_outcomes,
 )
@@ -129,6 +129,21 @@ def reference_bell_stack(s, n):
         for w, ket in zip(weights, REFERENCE_BELL_KETS):
             rho = rho + w * np.outer(ket, ket.conj())
         out.append(rho)
+    return np.array(out).reshape(n, 4, 4)
+
+
+def reference_haar_stack(s, n):
+    """n Haar states: all 4 n u1 then all u2, each ket normalized on Python floats, np.outer."""
+    gen = s.rng()
+    u1, u2 = gen.random(4 * n), gen.random(4 * n)
+    radius, angle = np.sqrt(-2.0 * np.log1p(-u1)), (2.0 * math.pi) * u2
+    re, im = (radius * np.cos(angle)).reshape(n, 4), (radius * np.sin(angle)).reshape(n, 4)
+    out = []
+    for row_re, row_im in zip(re.tolist(), im.tolist()):
+        t = [a * a + b * b for a, b in zip(row_re, row_im)]
+        norm = math.sqrt(((t[0] + t[1]) + t[2]) + t[3])
+        ket = np.array([complex(a / norm, b / norm) for a, b in zip(row_re, row_im)])
+        out.append(np.outer(ket, ket.conj()))
     return np.array(out).reshape(n, 4, 4)
 
 
@@ -313,13 +328,13 @@ ENSEMBLE_BLOCK = {
     for kind, shape in sampling._MEMBER_SHAPE.items()
 }
 
-#: Each stack kind, and the lone state it draws from a stream: the hand-built
-#: Bell-diagonal reference, and the Ginibre generator.
-LONE_STATES = {
-    "bell-diagonal": lambda s: reference_bell_stack(s, 1)[0],
-    "ginibre": lambda s: ginibre_random_mixed_state(s).mat,
+#: Each stack kind and its hand-built reference stack.
+REFERENCE_STACKS = {
+    "bell-diagonal": reference_bell_stack,
+    "haar": reference_haar_stack,
+    "ginibre": reference_ginibre_stack,
 }
-STACK_KINDS = tuple(LONE_STATES)
+STACK_KINDS = tuple(REFERENCE_STACKS)
 
 
 class TestStateStacks:
@@ -329,7 +344,12 @@ class TestStateStacks:
         s = SeededSampler(seed)
         stack = random_state_stack(kind, s, 1)
         assert not stack.flags.writeable
-        assert_same_bytes(stack[0], LONE_STATES[kind](s))
+        assert_same_bytes(stack[0], REFERENCE_STACKS[kind](s, 1)[0])
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_haar_stack_bit_equal_to_per_member_outer_products(self, seed):
+        s = SeededSampler(seed)
+        assert_same_bytes(random_state_stack("haar", s, 300), reference_haar_stack(s, 300))
 
     @pytest.mark.parametrize(
         "kind, reference, stream, n",
@@ -370,12 +390,12 @@ class TestStateStacks:
         monkeypatch.setattr(SeededSampler, "rng", no_draw)
         monkeypatch.setattr(sampling, "_stream_at", no_draw)
         for kind in STACK_KINDS:
-            with pytest.raises(ValueError, match="stack size must be a non-negative integer"):
+            with pytest.raises(ValueError, match="^n must be a non-negative integer"):
                 random_state_stack(kind, SeededSampler(1), n)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
-            random_state_stack("haar", SeededSampler(1), 1)
+            random_state_stack("wishart", SeededSampler(1), 1)
 
     @pytest.mark.parametrize(
         "defect, match",

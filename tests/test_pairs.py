@@ -19,7 +19,7 @@ from jointlab.pairs import (
     pair_probabilities_trace,
     pure_density,
 )
-from jointlab.sampling import SeededSampler, ginibre_random_mixed_state, random_state_stack
+from jointlab.sampling import SeededSampler, random_state_stack
 
 from conftest import pauli_density
 
@@ -40,8 +40,9 @@ def at(probs, outcome):
     return float(probs[PAIR_OUTCOMES.index(outcome)])
 
 
-def bell_diagonal_state(s):
-    return DensityOperator4(random_state_stack("bell-diagonal", s, 1)[0])
+def random_state(kind, s):
+    """The one member of a ``kind`` stack of one drawn from ``s``."""
+    return DensityOperator4(random_state_stack(kind, s, 1)[0])
 
 
 class TestDensityOperator:
@@ -147,7 +148,7 @@ class TestTraceDistribution:
     def test_positivity_for_admissible_visibilities(self):
         master = SeededSampler(11)
         for i in range(50):
-            rho = ginibre_random_mixed_state(master.derive(i))
+            rho = random_state("ginibre", master.derive(i))
             probs, hypothetical = traced(rho, saturated(0.4), saturated(1.0))
             assert not hypothetical
             assert probs.min() >= -1e-12
@@ -203,7 +204,7 @@ class TestFormulaDistribution:
         rng = np.random.default_rng(23)
         worst = 0.0
         for i in range(300):
-            rho = bell_diagonal_state(master.derive(i))
+            rho = random_state("bell-diagonal", master.derive(i))
             va = saturated(rng.uniform(0, 0.5 * math.pi))
             vb = saturated(rng.uniform(0, 0.5 * math.pi))
             probs, _ = traced(rho, va, vb)
@@ -238,7 +239,7 @@ class TestPairMoments:
         specs = [("xy", "one"), ("one", "xy"), ("xy", "x"), ("xy", "y"),
                  ("x", "xy"), ("y", "xy"), ("xy", "xy")]
         for i in range(25):
-            rho = ginibre_random_mixed_state(master.derive(i))
+            rho = random_state("ginibre", master.derive(i))
             d = PairOutcomeDistribution(traced(rho, saturated(0.7), saturated(0.3))[0])
             for spec in specs:
                 assert abs(pair_moment(d, spec)) < 1e-12
@@ -247,7 +248,7 @@ class TestPairMoments:
         master = SeededSampler(37)
         rng = np.random.default_rng(37)
         for i in range(50):
-            rho = bell_diagonal_state(master.derive(i))
+            rho = random_state("bell-diagonal", master.derive(i))
             c = correlations_of_state(rho)
             va = saturated(rng.uniform(0, 0.5 * math.pi))
             vb = saturated(rng.uniform(0, 0.5 * math.pi))
@@ -260,7 +261,7 @@ class TestPairMoments:
     def test_marginals_reproduce_local_statistics(self):
         master = SeededSampler(41)
         for i in range(25):
-            rho = ginibre_random_mixed_state(master.derive(i))
+            rho = random_state("ginibre", master.derive(i))
             va, vb = saturated(0.25), saturated(1.1)
             probs, _ = traced(rho, va, vb)
             ax, ay, bx, by = local_mean_components(rho.mat).tolist()

@@ -24,7 +24,7 @@ from jointlab.bounds import (
     tight_bound_lhs,
 )
 from jointlab.pairs import CorrelationVector, DensityOperator4
-from jointlab.sampling import SeededSampler, haar_random_pure_state, random_state_stack
+from jointlab.sampling import SeededSampler, random_state_stack
 
 SRC = Path(__file__).parents[1] / "src" / "jointlab"
 SEEDS = [0, 7, 2**64 - 1]
@@ -76,9 +76,11 @@ def test_haar_kets_equal_a_python_float_normalization(seed):
         polar = sampling._box_muller_polar(*sampling._member_uniforms(s, "haar", n, 0, n))
         return sampling._box_muller_cartesian(*polar, (n, 4))
 
-    assert same_bytes(sampling._haar_kets(s, 3000), python_unit_rows(*normals(3000)))
-    (ket,) = python_unit_rows(*normals(1))
-    assert same_bytes(haar_random_pure_state(SeededSampler(seed)).mat, np.outer(ket, ket.conj()))
+    kets = python_unit_rows(*normals(3000))
+    assert same_bytes(sampling._haar_kets(s, 3000), kets)
+    # the stack's broadcast outer products round as np.outer does, member by member
+    outers = [np.outer(ket, ket.conj()) for ket in kets]
+    assert same_bytes(random_state_stack("haar", s, 3000), outers)
 
 
 def test_no_square_by_power_in_the_package():

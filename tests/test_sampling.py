@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from jointlab import sampling
-from jointlab.bounds import (
-    TSIRELSON_BOUND,
-    AnglePair,
-    chsh_from_components,
-    tight_bound_from_components,
-)
+from jointlab.bounds import TSIRELSON_BOUND, chsh_from_components, tight_bound_from_components
 from jointlab.joint import VisibilityPair
 from jointlab.pairs import (
     PAIR_OUTCOMES,
@@ -32,8 +27,6 @@ from jointlab.sampling import (
     correlation_ensemble,
     estimate_moment,
     experimental_chsh,
-    ginibre_random_mixed_state,
-    haar_random_pure_state,
     max_experimental_chsh,
     random_state_stack,
     sample_outcomes,
@@ -55,7 +48,7 @@ def saturated(angle):
 
 
 def purity(rho):
-    return float(np.einsum("ij,ji->", rho.mat, rho.mat).real)
+    return float(np.einsum("ij,ji->", rho, rho).real)
 
 
 class TestSeededSampler:
@@ -109,23 +102,23 @@ class TestSeededSampler:
 
 class TestRandomStates:
     def test_haar_state_is_pure_and_valid(self):
-        rho = haar_random_pure_state(SeededSampler(42))
-        assert purity(rho) == pytest.approx(1.0, abs=1e-12)
+        for rho in random_state_stack("haar", SeededSampler(42), 20):
+            assert purity(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_haar_state_reproducible(self):
-        a = haar_random_pure_state(SeededSampler(42))
-        b = haar_random_pure_state(SeededSampler(42))
-        assert np.array_equal(a.mat, b.mat)
+        a = random_state_stack("haar", SeededSampler(42), 1)
+        b = random_state_stack("haar", SeededSampler(42), 1)
+        assert np.array_equal(a, b)
 
     def test_ginibre_purity_interior(self):
         for i in range(20):
-            rho = ginibre_random_mixed_state(SeededSampler(5).derive(i))
+            rho = random_state_stack("ginibre", SeededSampler(5).derive(i), 1)[0]
             assert 0.25 + 1e-9 < purity(rho) < 1.0 - 1e-9
 
     def test_ginibre_state_reproducible(self):
-        a = ginibre_random_mixed_state(SeededSampler(14))
-        b = ginibre_random_mixed_state(SeededSampler(14))
-        assert np.array_equal(a.mat, b.mat)
+        a = random_state_stack("ginibre", SeededSampler(14), 1)
+        b = random_state_stack("ginibre", SeededSampler(14), 1)
+        assert np.array_equal(a, b)
 
     def test_bell_mixture_has_zero_local_means(self):
         for i in range(20):
@@ -237,7 +230,7 @@ def test_bad_size_rejected_before_any_draw(draw, minimum, n, monkeypatch):
         with pytest.raises(AssertionError, match="stream was read"):
             draw(n)
     else:
-        with pytest.raises(ValueError, match="size must be a"):
+        with pytest.raises(ValueError, match="^n must be a"):
             draw(n)
 
 
@@ -306,12 +299,12 @@ class TestEstimators:
 
 class TestExperimentalChsh:
     def test_peak_value(self):
-        assert experimental_chsh(QUARTER_PI, AnglePair(QUARTER_PI, QUARTER_PI)) == pytest.approx(
+        assert experimental_chsh(QUARTER_PI, QUARTER_PI, QUARTER_PI) == pytest.approx(
             math.sqrt(2.0), abs=1e-15
         )
 
     def test_zero_phase(self):
-        assert experimental_chsh(0.0, AnglePair(0.0, 0.0)) == pytest.approx(1.0)
+        assert experimental_chsh(0.0, 0.0, 0.0) == pytest.approx(1.0)
 
     def test_equals_population_moment_sum(self):
         rng = np.random.default_rng(61)
@@ -327,7 +320,7 @@ class TestExperimentalChsh:
                 + pair_moment(d, ("x", "y"))
                 - pair_moment(d, ("y", "y"))
             )
-            assert experimental_chsh(phi, AnglePair(alpha, beta)) == pytest.approx(
+            assert experimental_chsh(phi, alpha, beta) == pytest.approx(
                 population, abs=1e-12
             )
 
@@ -345,7 +338,7 @@ class TestExperimentalChsh:
         est_yy = estimate_moment(shots, ("y", "y"))
         estimate -= est_yy.value
         variance += est_yy.std_error**2
-        expected = experimental_chsh(phi, AnglePair(alpha, beta))
+        expected = experimental_chsh(phi, alpha, beta)
         assert abs(estimate - expected) < 4.0 * math.sqrt(variance)
 
     def test_surface_is_experimental_chsh_on_midpoint_grid(self):
@@ -355,7 +348,7 @@ class TestExperimentalChsh:
         assert surface.shape == (steps, steps)
         for i, alpha in enumerate(angles):
             for j, beta in enumerate(angles):
-                expected = experimental_chsh(phi, AnglePair(float(alpha), float(beta)))
+                expected = experimental_chsh(phi, float(alpha), float(beta))
                 assert surface[i, j] == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize("phi", [0.0, 0.3, QUARTER_PI, 0.5 * math.pi])
@@ -399,6 +392,20 @@ class TestZeroProbabilityCurve:
             grid_max = constrained_chsh_grid_max(phi)
             assert grid_max == pytest.approx(zero_probability_chsh(phi), abs=1e-6)
 
+    @pytest.mark.parametrize("phi", [0.0, 5e-5, math.pi - 5e-5, math.pi])
+    def test_empty_grid_takes_the_balanced_angles(self, phi, monkeypatch):
+        # no alpha of the 1e-4 grid lies inside (max(0, phi - pi/2), min(pi/2, phi))
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return experimental_chsh(*args)
+
+        monkeypatch.setattr(sampling, "experimental_chsh", recording)
+        value = constrained_chsh_grid_max(phi)
+        assert calls == [(phi, 0.5 * phi, 0.5 * phi)]
+        assert value == pytest.approx(zero_probability_chsh(phi), abs=1e-12)
+
     def test_suppressed_outcome_vanishes(self):
         for phi in (0.3, 1.1, 2.0):
             half = 0.5 * phi
@@ -432,10 +439,8 @@ class TestZeroProbabilityCurve:
         pytest.param(lambda: zero_probability_curve_max(math.nan), "step", id="curve-nan-step"),
         pytest.param(lambda: zero_probability_curve_max(math.inf), "step", id="curve-inf-step"),
         pytest.param(lambda: zero_probability_curve_max(True), "step", id="curve-bool-step"),
-        pytest.param(
-            lambda: experimental_chsh(math.nan, AnglePair(0, 0)), "phi", id="chsh-nan-phi"
-        ),
-        pytest.param(lambda: experimental_chsh(True, AnglePair(0, 0)), "phi", id="chsh-bool-phi"),
+        pytest.param(lambda: experimental_chsh(math.nan, 0, 0), "phi", id="chsh-nan-phi"),
+        pytest.param(lambda: experimental_chsh(True, 0, 0), "phi", id="chsh-bool-phi"),
         pytest.param(lambda: chsh_surface(math.nan, 4), "phi", id="surface-nan-phi"),
         pytest.param(lambda: chsh_surface("0.3", 4), "phi", id="surface-text-phi"),
         pytest.param(lambda: max_experimental_chsh(math.nan), "phi", id="max-nan-phi"),
@@ -470,8 +475,8 @@ class TestViolationSearch:
 
     def test_lone_member_is_the_lone_state(self):
         c = correlation_ensemble(1, SeededSampler(4), "haar")
-        rho = haar_random_pure_state(SeededSampler(4))
-        assert c[0] == pytest.approx(correlation_components(rho.mat), abs=1e-12)
+        rho = random_state_stack("haar", SeededSampler(4), 1)[0]
+        assert c[0] == pytest.approx(correlation_components(rho), abs=1e-12)
 
     def test_size_validated(self):
         with pytest.raises(ValueError, match="positive"):
