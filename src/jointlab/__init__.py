@@ -11,8 +11,6 @@ reproduces every headline number.
 
 from .bounds import (
     TSIRELSON_BOUND,
-    BoundReport,
-    bound_report,
     chsh_value,
     coherence_bound_lhs,
     coherence_from_matrices,

@@ -23,15 +23,12 @@ more.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .pairs import CorrelationVector, DensityOperator4, correlations_of_state
+from .pairs import CorrelationVector, DensityOperator4
 
 __all__ = [
-    "BoundReport",
     "tight_bound_from_components",
     "tight_bound_lhs",
     "simplified_bound_lhs",
@@ -40,15 +37,12 @@ __all__ = [
     "coherence_from_matrices",
     "coherence_bound_lhs",
     "sup_over_angles",
-    "bound_report",
     "TSIRELSON_BOUND",
 ]
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-SATURATION_TOL = 1e-6
 
 _SUP_GRID_STEPS = 64
 _SUP_REFINE_ITERS = 60
@@ -197,32 +191,3 @@ def sup_over_angles(c: CorrelationVector | np.ndarray) -> float | np.ndarray:
     _, fu = _golden_section_max(f_u, u0 - step, u0 + step, _SUP_REFINE_ITERS)
     _, fv = _golden_section_max(f_v, v0 - step, v0 + step, _SUP_REFINE_ITERS)
     return (fu - r) + (fv - p)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """All bound evaluations for one state, with saturation flags."""
-
-    tight_lhs: float
-    simplified_lhs: float
-    chsh: float
-    coherence_lhs: float
-    sup_angles: float
-    saturating: Mapping[str, bool]
-
-
-def bound_report(rho: DensityOperator4) -> BoundReport:
-    """Evaluate every bound for a state and flag those within ``SATURATION_TOL`` of their value."""
-    c = correlations_of_state(rho)
-    tight = tight_bound_lhs(c)
-    simplified = simplified_bound_lhs(c)
-    chsh = chsh_value(c)
-    coherence = coherence_bound_lhs(rho)
-    sup = sup_over_angles(c)
-    saturating = {
-        "tight": abs(tight - 2.0) <= SATURATION_TOL,
-        "simplified": abs(simplified - 4.0) <= SATURATION_TOL,
-        "chsh": abs(chsh - TSIRELSON_BOUND) <= SATURATION_TOL,
-        "coherence": abs(coherence - 0.5) <= SATURATION_TOL,
-    }
-    return BoundReport(tight, simplified, chsh, coherence, sup, saturating)

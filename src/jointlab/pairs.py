@@ -167,16 +167,20 @@ def validate_densities(a) -> np.ndarray:
     return m
 
 
-def pure_density(ket: np.ndarray) -> DensityOperator4:
-    """Rank-1 density operator |psi><psi| from a normalized 4-vector.
+def _projectors(kets: np.ndarray) -> np.ndarray:
+    """|psi><psi| of each ``(..., 4)`` ket, unchecked: the one place a pure state is formed."""
+    return kets[..., :, None] * kets.conj()[..., None, :]
 
-    Every pure state of the package outside a Haar stack is built here.
-    """
-    psi = np.asarray(ket, dtype=np.complex128).reshape(4)
+
+def pure_density(ket: np.ndarray) -> DensityOperator4:
+    """Rank-1 density operator |psi><psi| from a normalized ``(4,)`` ket."""
+    psi = np.asarray(ket, dtype=np.complex128)
+    if psi.shape != (4,):
+        raise ValueError(f"ket must have shape (4,), got {psi.shape}")
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > DEFAULT_TOL:
         raise ValueError(f"ket must be normalized, got norm {norm}")
-    return DensityOperator4(np.outer(psi, psi.conj()))
+    return DensityOperator4(_projectors(psi))
 
 
 @dataclass(frozen=True)
@@ -330,9 +334,12 @@ def pair_marginals(probs) -> tuple[np.ndarray, np.ndarray]:
 def moment_signs(spec: MomentSpec) -> np.ndarray:
     """f_a(x_a, y_a) * f_b(x_b, y_b) on the 16 outcomes, in ``PAIR_OUTCOMES`` order.
 
-    Factors are named "one", "x", "y" or "xy". The moment of a ``(..., 16)``
-    stack of distributions is ``probs @ moment_signs(spec)``.
+    ``spec`` is a tuple or list of two factors, each named "one", "x", "y"
+    or "xy". The moment of a ``(..., 16)`` stack of distributions is
+    ``probs @ moment_signs(spec)``.
     """
+    if not isinstance(spec, (tuple, list)) or len(spec) != 2:
+        raise ValueError(f"spec must be a pair of factor names, got {spec!r}")
     try:
         return _MOMENT_SIGNS[tuple(spec)]
     except KeyError:

@@ -7,8 +7,11 @@ that stream. Identical seeds therefore reproduce results bit-for-bit,
 independent of library version details of higher-level distributions.
 
 The hot paths are exact kernels on that stream. Every Box-Muller draw reads
-its uniforms through ``_member_uniforms``, the one place of their layout, so
-a stack and an ensemble on one stream share members. ``correlation_ensemble``
+its uniforms through ``_member_uniforms``, the one place of their layout, and
+turns them into members through ``_members``, the one place a Haar ket or a
+Ginibre G is formed, so a stack and an ensemble on one stream share members
+bit for bit. A Haar stack's states are ``pairs._projectors`` of its kets, as
+every pure state of the package is. ``correlation_ensemble``
 forms only rho's antidiagonal and trace, since the four correlation operators
 are antidiagonal, summing in real arithmetic in the order einsum sums the
 full matrices; ``_ensemble_maxima`` gives its two maxima bit for bit. It screens
@@ -59,6 +62,7 @@ from .pairs import (
     PAIR_OUTCOMES,
     MomentSpec,
     PairOutcomeDistribution,
+    _projectors,
     moment_signs,
     pure_density,
     validate_densities,
@@ -225,12 +229,15 @@ def _box_muller_cartesian(
     return re.reshape(shape), im.reshape(shape)
 
 
-def _haar_kets(s: SeededSampler, n: int) -> np.ndarray:
-    psi = np.empty((n, 4), dtype=np.complex128)
-    polar = _box_muller_polar(*_member_uniforms(s, "haar", n, 0, n))
-    normals = _box_muller_cartesian(*polar, (n, 4))
-    psi.real, psi.imag = _unit_rows(*normals)
-    return psi
+def _members(kind: str, u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the members whose Box-Muller uniforms are u1 and u2.
+
+    The one place a member is formed from its normals G: the unit ket G / |G|,
+    (k, 4), for Haar, and G itself, (k, 4, 4), for Ginibre, whose state is
+    G G^dagger / tr(G G^dagger). u1 and u2 are overwritten.
+    """
+    normals = _box_muller_cartesian(*_box_muller_polar(u1, u2), (-1,) + _MEMBER_SHAPE[kind])
+    return _unit_rows(*normals) if kind == "haar" else normals
 
 
 def _unit_rows(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,16 +247,6 @@ def _unit_rows(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     norm = np.sqrt(_sum_last(re * re + im * im))[:, None]
     return re / norm, im / norm
-
-
-def _ginibre_rhos(s: SeededSampler, n: int) -> np.ndarray:
-    """G G^dagger / tr(G G^dagger) for n complex Gaussian 4x4 G drawn from ``s``."""
-    g = np.empty((n, 4, 4), dtype=np.complex128)
-    polar = _box_muller_polar(*_member_uniforms(s, "ginibre", n, 0, n))
-    g.real, g.imag = _box_muller_cartesian(*polar, (n, 4, 4))
-    rho = np.einsum("nij,nkj->nik", g, g.conj())
-    tr = np.einsum("nii->n", rho).real
-    return rho / tr[:, None, None]
 
 
 def _sum_last(x: np.ndarray) -> np.ndarray:
@@ -309,19 +306,24 @@ def random_state_stack(kind: str, s: SeededSampler, n: int) -> np.ndarray:
     states, so every local X and Y mean vanishes exactly), "haar" (the pure
     states |psi><psi| of normalized complex Gaussian 4-vectors) or "ginibre"
     (G G^dagger / tr(G G^dagger) for complex Gaussian 4x4 G). A Haar or
-    Ginibre stack reads its members as ``correlation_ensemble(n, s, kind)``
-    does, and a Ginibre stack's correlations equal that ensemble's bit for
-    bit. The stack is certified by one ``validate_densities`` call.
+    Ginibre stack forms its members by ``_members``, as
+    ``correlation_ensemble(n, s, kind)`` does, and a Ginibre stack's
+    correlations equal that ensemble's bit for bit. The stack is certified
+    by one ``validate_densities`` call.
     """
     n = _require_size("n", n, 0)
     if kind == "bell-diagonal":
         return validate_densities(_bell_mixtures(s.rng().random((n, 3))))
+    if kind not in _MEMBER_SHAPE:
+        raise ValueError(
+            f"unknown stack kind {kind!r}; expected 'bell-diagonal', 'haar' or 'ginibre'"
+        )
+    m = np.empty((n,) + _MEMBER_SHAPE[kind], dtype=np.complex128)
+    m.real, m.imag = _members(kind, *_member_uniforms(s, kind, n, 0, n))
     if kind == "haar":
-        kets = _haar_kets(s, n)
-        return validate_densities(kets[:, :, None] * kets.conj()[:, None, :])
-    if kind == "ginibre":
-        return validate_densities(_ginibre_rhos(s, n))
-    raise ValueError(f"unknown stack kind {kind!r}; expected 'bell-diagonal', 'haar' or 'ginibre'")
+        return validate_densities(_projectors(m))
+    rho = np.einsum("nij,nkj->nik", m, m.conj())
+    return validate_densities(rho / np.einsum("nii->n", rho).real[:, None, None])
 
 
 def correlation_ensemble(n: int, s: SeededSampler, kind: str = "haar") -> np.ndarray:
@@ -334,7 +336,7 @@ def correlation_ensemble(n: int, s: SeededSampler, kind: str = "haar") -> np.nda
     """
 
     def rows(i0: int, i1: int, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-        return _member_correlations(kind, *_box_muller_polar(u1, u2))
+        return _member_correlations(kind, u1, u2)
 
     return np.concatenate(list(_ensemble_blocks(n, s, kind, rows)))
 
@@ -356,15 +358,10 @@ def _ensemble_blocks(n: int, s: SeededSampler, kind: str, block):
     return _run_blocks(run, range(0, n, size))
 
 
-def _member_correlations(kind: str, radius: np.ndarray, angle: np.ndarray) -> np.ndarray:
-    """(k, 4) correlations, as einsum gives them, of k members from their Box-Muller parts.
-
-    A member's normals G = re + i im are a 4-vector for Haar, the ket G / |G|,
-    and a 4x4 matrix for Ginibre, the state G G^dagger / tr(G G^dagger).
-    """
-    re, im = _box_muller_cartesian(radius, angle, (-1,) + _MEMBER_SHAPE[kind])
+def _member_correlations(kind: str, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """(k, 4) correlations, as einsum gives them, of k ``_members`` from their uniforms."""
+    re, im = _members(kind, u1, u2)
     if kind == "haar":
-        re, im = _unit_rows(re, im)
         return _antidiagonal_correlations(*_antidiagonal(re[:, :, None], im[:, :, None]))
     scale = 1.0 / _sum_last(_sum_last(re * re + im * im))
     re, im = _antidiagonal(re, im)
@@ -386,7 +383,7 @@ def _ensemble_maxima(n: int, s: SeededSampler, kind: str) -> tuple[float, float]
 
     kept = list(_ensemble_blocks(n, s, kind, kept_uniforms))
     u1, u2 = (np.concatenate(parts) for parts in zip(*kept))
-    c = _member_correlations(kind, *_box_muller_polar(u1, u2)).T
+    c = _member_correlations(kind, u1, u2).T
     return float(tight_bound_from_components(*c).max()), float(chsh_from_components(*c).max())
 
 
@@ -791,9 +788,12 @@ def constrained_chsh_grid_max(phi: float) -> float:
     the zero-probability constraint. Both angles must stay inside (0, pi/2),
     so alpha is scanned in steps of 1e-4 over (max(0, phi - pi/2),
     min(pi/2, phi)); the midpoint is the interior maximum for phi in
-    (0, pi/2] where cos(phi) is non-negative.
+    (0, pi/2] where cos(phi) is non-negative. Only phi in [0, pi] is a sum
+    of two angles in [0, pi/2].
     """
     phi = _require_finite("phi", phi)
+    if not 0.0 <= phi <= math.pi:
+        raise ValueError(f"phi must be in [0, pi], got {phi!r}")
     lo = max(0.0, phi - 0.5 * math.pi)
     hi = min(0.5 * math.pi, phi)
     alphas = np.arange(lo + 1e-4, hi, 1e-4)

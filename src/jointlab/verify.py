@@ -54,6 +54,7 @@ from .pairs import (
     BellFamilyState,
     DensityOperator4,
     PairOutcomeDistribution,
+    _projectors,
     bell_family_correlations,
     correlation_components,
     correlation_moments,
@@ -64,7 +65,6 @@ from .pairs import (
     pair_moment,
     pair_probabilities_formula,
     pair_probabilities_trace,
-    pure_density,
     validate_densities,
 )
 from .reporting import shots_csv_text
@@ -72,6 +72,7 @@ from .sampling import (
     CurveOptimum,
     SeededSampler,
     ShotRecord,
+    _BELL_PROJECTORS,
     _ensemble_maxima,
     _suppressed_probability,
     constrained_chsh_grid_max,
@@ -437,10 +438,9 @@ def criterion_coherence_identity(seed: int, n: int = 1000) -> tuple[Check, ...]:
         gap = np.abs(4.0 * coherence_from_matrices(rho) - tight_bound_from_components(*c))
         max_identity = float(gap.max())
     kets = np.array([BellFamilyState(phi).ket() for phi in _BELL_FAMILY_PHIS])
-    bell = validate_densities(kets[:, :, None] * kets.conj()[:, None, :])
+    bell = validate_densities(_projectors(kets))
     bell_dev = max_residual(np.abs(coherence_from_matrices(bell) - 0.5))
-    singlet_type = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-    mixture = DensityOperator4(0.5 * bell[0] + 0.5 * pure_density(singlet_type).mat)
+    mixture = DensityOperator4(0.5 * bell[0] + 0.5 * _BELL_PROJECTORS[3])
     mixture_dev = abs(coherence_bound_lhs(mixture) - 0.5)
     return (
         check_le("coherence_identity_residual", max_identity, 0.0, 1e-10),

@@ -35,10 +35,6 @@ _DIST = jointlab.PairOutcomeDistribution(_UNIFORM)
 
 VALID_CALLS = {
     "BellFamilyState": dict(phi=0.3),
-    "BoundReport": dict(
-        tight_lhs=2.0, simplified_lhs=4.0, chsh=2.0, coherence_lhs=0.5, sup_angles=2.0,
-        saturating={},
-    ),
     "ChshOptimum": dict(value=1.0, alpha=0.5, beta=0.5),
     "CorrelationVector": dict(c_xx=0.1, c_xy=0.2, c_yx=0.3, c_yy=0.4),
     "CurveOptimum": dict(value=1.25, phi=1.0),
@@ -51,7 +47,6 @@ VALID_CALLS = {
     "admissible_visibilities": dict(v_x=0.6, v_y=0.8, tol=1e-12),
     "bell_family_correlations": dict(phi=0.3),
     "bloch_bound_lhs": dict(ex=0.3, ey=0.4),
-    "bound_report": dict(rho=_BELL),
     "chsh_surface": dict(phi=0.3, steps=4),
     "chsh_value": dict(c=_C),
     "coherence_bound_lhs": dict(rho=_BELL),
@@ -106,10 +101,6 @@ EXEMPT = {
     **{("equatorial_densities", p): _ELEMENTWISE for p in ("ex", "ey")},
     **{("outcome_probabilities", p): _ELEMENTWISE for p in ("v_x", "v_y", "ex", "ey")},
     ("zero_probability_curve", "cos_phi"): _ELEMENTWISE,
-    **{
-        ("BoundReport", p): _RESULT
-        for p in ("tight_lhs", "simplified_lhs", "chsh", "coherence_lhs", "sup_angles")
-    },
     **{("ChshOptimum", p): _RESULT for p in ("value", "alpha", "beta")},
     **{("CurveOptimum", p): _RESULT for p in ("value", "phi")},
 }

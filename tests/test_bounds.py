@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jointlab import pairs, sampling
 from jointlab.bounds import (
     TSIRELSON_BOUND,
-    bound_report,
     chsh_value,
     coherence_bound_lhs,
     coherence_from_matrices,
@@ -30,12 +30,11 @@ from jointlab.pairs import (
 from jointlab.sampling import (
     EstimateWithError,
     SeededSampler,
-    _ginibre_rhos,
-    _haar_kets,
     correlation_ensemble,
     experimental_chsh,
     random_state_stack,
 )
+from jointlab.suites import run_bound_suite
 
 from conftest import reference_angle_lhs
 
@@ -268,12 +267,15 @@ class TestCoherence:
         for kind, seed in (("haar", 47), ("ginibre", 48)):
             sampler = SeededSampler(seed)
             c = correlation_ensemble(100_000, sampler, kind)
-            # the ensemble's own draws, as density matrices
+            # the ensemble's own members, as density matrices
+            uniforms = sampling._member_uniforms(sampler, kind, 100_000, 0, 100_000)
+            re, im = sampling._members(kind, *uniforms)
+            m = re + 1j * im
             if kind == "haar":
-                psi = _haar_kets(sampler, 100_000)
-                rho = psi[:, :, None] * psi[:, None, :].conj()
+                rho = m[:, :, None] * m[:, None, :].conj()
             else:
-                rho = _ginibre_rhos(sampler, 100_000)
+                rho = np.einsum("nij,nkj->nik", m, m.conj())
+                rho /= np.einsum("nii->n", rho).real[:, None, None]
             assert np.abs(correlation_components(rho) - c).max() < 1e-12
             coherences = coherence_from_matrices(rho)
             tight = tight_bound_from_components(c[:, 0], c[:, 1], c[:, 2], c[:, 3])
@@ -314,19 +316,32 @@ class TestSupremum:
         assert sup_over_angles(c) >= best - 1e-12
 
 
-class TestBoundReport:
+class TestBoundSuite:
     def test_bell_state_saturates_tight_but_not_chsh(self):
-        rep = bound_report(BellFamilyState(0.3).to_density())
-        assert rep.saturating["tight"] and rep.saturating["simplified"]
-        assert rep.saturating["coherence"]
-        assert not rep.saturating["chsh"]
-        assert rep.sup_angles == pytest.approx(rep.tight_lhs, abs=1e-9)
+        results, _ = run_bound_suite(7, 1e-9, "bell", 0.3, None)
+        assert results["saturating"]["tight"] and results["saturating"]["simplified"]
+        assert results["saturating"]["coherence"]
+        assert not results["saturating"]["chsh"]
+        assert results["sup_over_angles"] == pytest.approx(results["tight_bound_lhs"], abs=1e-9)
 
     def test_tsirelson_point_saturates_chsh(self):
-        rep = bound_report(BellFamilyState(0.25 * math.pi).to_density())
-        assert rep.saturating["chsh"]
-        assert rep.chsh == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
+        results, _ = run_bound_suite(7, 1e-9, "bell", 0.25 * math.pi, None)
+        assert results["saturating"]["chsh"]
+        assert results["chsh"] == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
 
     def test_mixed_state_saturates_nothing(self):
-        rep = bound_report(DensityOperator4(np.eye(4) / 4))
-        assert not any(rep.saturating.values())
+        results, _ = run_bound_suite(7, 1e-9, "file", 0.0, np.eye(4) / 4)
+        assert not any(results["saturating"].values())
+
+    @pytest.mark.parametrize("state", ["bell", "haar", "mixed", "file"])
+    def test_state_correlations_read_once(self, state, monkeypatch):
+        calls = []
+        components = pairs.correlation_components
+
+        def counted(rho):
+            calls.append(1)
+            return components(rho)
+
+        monkeypatch.setattr(pairs, "correlation_components", counted)
+        run_bound_suite(7, 1e-9, state, 0.3, np.eye(4) / 4)
+        assert len(calls) == 1

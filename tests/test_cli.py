@@ -296,7 +296,7 @@ class TestExitCodes:
     ):
         # 4 * coherence - tight bound = 4e-6: judged by the suite's check, at the run tolerance
         coherence = bounds.coherence_bound_lhs
-        monkeypatch.setattr(bounds, "coherence_bound_lhs", lambda rho: coherence(rho) + 1e-6)
+        monkeypatch.setattr(suites, "coherence_bound_lhs", lambda rho: coherence(rho) + 1e-6)
         report = run_json(tmp_path, ["bound", "--state", "mixed", *tolerance], expect=expect)
         failed = [name for name, passed in report["pass_flags"].items() if not passed]
         assert failed == ([] if expect == 0 else ["coherence_tight_identity"])

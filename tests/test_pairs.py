@@ -13,13 +13,14 @@ from jointlab.pairs import (
     bell_family_correlations,
     correlations_of_state,
     local_mean_components,
+    moment_signs,
     pair_distribution_formula,
     pair_marginals,
     pair_moment,
     pair_probabilities_trace,
     pure_density,
 )
-from jointlab.sampling import SeededSampler, random_state_stack
+from jointlab.sampling import SeededSampler, ShotRecord, estimate_moment, random_state_stack
 
 from conftest import pauli_density
 
@@ -67,6 +68,15 @@ class TestDensityOperator:
     def test_ket_must_be_normalized(self):
         with pytest.raises(ValueError, match="normalized"):
             pure_density(np.array([1.0, 1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "ket",
+        [np.eye(2) / math.sqrt(2.0), np.array([[1.0, 0.0, 0.0, 0.0]]), np.full(5, 0.2) ** 0.5],
+    )
+    def test_ket_must_be_a_4_vector(self, ket):
+        # a normalized 2x2 matrix or (1, 4) row once passed as a ket through reshape(4)
+        with pytest.raises(ValueError, match=r"^ket must have shape \(4,\)"):
+            pure_density(ket)
 
     def test_matrix_is_read_only(self):
         rho = BellFamilyState(0.0).to_density()
@@ -277,6 +287,16 @@ class TestPairMoments:
         )
         with pytest.raises(ValueError, match="factor"):
             pair_moment(d, ("z", "one"))
+
+    @pytest.mark.parametrize("spec", ["xy", "one", ("x",), ("x", "y", "x"), None])
+    def test_spec_must_be_a_pair(self, spec):
+        # ("xy") lacks its comma: it once read as ("x", "y") and gave <x_a y_b>
+        d = PairOutcomeDistribution(np.full(16, 1.0 / 16.0))
+        shots = ShotRecord([0, 3, 15], "test")
+        for call in (lambda: moment_signs(spec), lambda: pair_moment(d, spec),
+                     lambda: estimate_moment(shots, spec)):
+            with pytest.raises(ValueError, match="^spec must be a pair"):
+                call()
 
 
 class TestBellFamily:

@@ -2,7 +2,8 @@
 
 Each configuration of CI's determinism loop, and the shot archive it checks,
 maps in ``report_digests.json`` to the sha256 of its report without the
-``timestamp`` and ``output_path`` lines (and of the archive's bytes). Every
+``timestamp`` and ``output_path`` lines (and of the archive's bytes); a test
+reads the loop from the workflow, so the two lists cannot drift apart. Every
 run writes to relative paths in a fresh directory, so the paths the report
 echoes are the same on every host. A change of report bytes is then one
 edit of the manifest, whose diff is the old -> new record; regenerate it with
@@ -11,14 +12,16 @@ edit of the manifest, whose diff is the old -> new record; regenerate it with
 Three reports' bits follow numpy's SIMD dispatch as well as the program:
 ``verify --seed 11`` and ``bound --state mixed --seed 11`` (their Box-Muller
 ``log1p`` differs between numpy's AVX-512 loop and libm's) and ``bound
---state haar --seed 7`` (also FMA contraction in ``pure_density``'s outer
-product). Their digests are keyed by numpy's version and the dispatch
-targets the process runs, and are skipped, saying so, in any other process.
+--state haar --seed 7`` (also FMA contraction in the complex multiply of
+``pairs._projectors``, where every pure state is formed). Their digests are
+keyed by numpy's version and the dispatch targets the process runs, and are
+skipped, saying so, in any other process.
 Every other report held its bits with each dispatch level disabled in turn.
 """
 
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -28,6 +31,7 @@ import pytest
 from jointlab.cli import OUTPUT_DIR_ENV, main
 
 MANIFEST = Path(__file__).with_name("report_digests.json")
+WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
 
 #: I/4, as CI's determinism loop writes it: every correlation is zero.
 IDENTITY_STATE = json.dumps([[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)])
@@ -104,6 +108,15 @@ def scratch_dir(tmp_path, monkeypatch):
 
 def test_manifest_covers_every_configuration():
     assert list(json.loads(MANIFEST.read_text())) == list(REPORTS)
+
+
+def test_ci_determinism_loop_runs_every_configuration():
+    # the first loop of the "Determinism contract" step; only this suite digests the archive
+    step = WORKFLOW.read_text().split("- name: Determinism contract", 1)[1]
+    loop = re.search(r"for args in (.*?); do", step, re.S).group(1)
+    quoted = re.findall(r'"([^"]*)"', loop)
+    configs = [args.replace("$RUNNER_TEMP/identity.json", "identity.json") for args in quoted]
+    assert sorted(configs) == sorted(args for args in REPORTS if args not in ARCHIVES)
 
 
 @pytest.mark.parametrize("args", REPORTS)

@@ -447,6 +447,12 @@ class TestZeroProbabilityCurve:
         pytest.param(lambda: max_experimental_chsh(True), "phi", id="max-bool-phi"),
         pytest.param(lambda: constrained_chsh_grid_max(math.nan), "phi", id="grid-nan-phi"),
         pytest.param(lambda: constrained_chsh_grid_max(math.inf), "phi", id="grid-inf-phi"),
+        # no alpha, beta in [0, pi/2] sum to phi outside [0, pi]
+        pytest.param(lambda: constrained_chsh_grid_max(-1.0), "phi", id="grid-negative-phi"),
+        pytest.param(lambda: constrained_chsh_grid_max(10.0), "phi", id="grid-large-phi"),
+        pytest.param(
+            lambda: constrained_chsh_grid_max(math.nextafter(math.pi, 4.0)), "phi", id="grid-past-pi"
+        ),
         pytest.param(lambda: zero_probability_chsh(math.nan), "phi", id="zero-prob-nan-phi"),
         pytest.param(lambda: zero_probability_chsh(math.inf), "phi", id="zero-prob-inf-phi"),
         pytest.param(lambda: zero_probability_chsh(-math.inf), "phi", id="zero-prob-minus-inf-phi"),

@@ -113,7 +113,7 @@ def _ensemble_checks():
 
 def _ensemble_nan_case(kind, check_name):
     """A NaN in the last member that the one ``kind`` refine recomputes exactly."""
-    accept = (lambda member_kind, *polar: member_kind == kind, 1)
+    accept = (lambda member_kind, *uniforms: member_kind == kind, 1)
     return sampling, "_member_correlations", accept, nan_at(-1, 3), _ensemble_checks, check_name
 
 
@@ -307,9 +307,9 @@ def test_one_exact_refine_per_ensemble(monkeypatch, cpus):
     """Every block's kept members are recomputed together, in one call per ensemble."""
     refine, calls = sampling._member_correlations, []
 
-    def counted_refine(kind, *polar):
+    def counted_refine(kind, *uniforms):
         calls.append(kind)
-        return refine(kind, *polar)
+        return refine(kind, *uniforms)
 
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(sampling, "_member_correlations", counted_refine)
